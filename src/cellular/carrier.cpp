@@ -7,6 +7,7 @@
 #include "net/shard_slot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/contract.h"
 #include "util/index.h"
 
 namespace curtain::cellular {
@@ -97,18 +98,12 @@ obs::LaneMemory ClientFacingResolver::approx_lane_bytes() const {
   return memory;
 }
 
-dns::ServedResponse ClientFacingResolver::handle_query(
-    std::span<const uint8_t> query_wire, net::Ipv4Addr source_ip,
-    net::SimTime now, net::Rng& rng) {
-  const auto query = dns::decode(query_wire);
-  if (!query || query->questions.empty()) {
-    dns::Message failure;
-    failure.header.id = query ? query->header.id : 0;
-    failure.header.qr = true;
-    failure.header.rcode = dns::Rcode::kFormErr;
-    return dns::ServedResponse{dns::encode(failure), 0.0};
-  }
-  const dns::Question& question = query->questions.front();
+dns::ServedResponse ClientFacingResolver::serve(const dns::Message& query,
+                                                net::Ipv4Addr source_ip,
+                                                net::SimTime now,
+                                                net::Rng& rng) {
+  CURTAIN_DCHECK(!query.questions.empty()) << "query carries no question";
+  const dns::Question& question = query.questions.front();
   const net::NodeId instance = carrier_->client_instance_node(index_, source_ip);
   dns::Cache& cache = cache_for(instance);
   carrier_metrics().client_queries.inc();
@@ -121,10 +116,10 @@ dns::ServedResponse ClientFacingResolver::handle_query(
       carrier_metrics().client_cache_hits.inc();
       obs::ScopedSpan span("cell_ldns_cache", now.millis());
       span.finish(now.millis() + kClientCacheHitMs);
-      dns::Message response = query->make_response();
-      response.header.ra = true;
-      hit->append_aged(response.answers);
-      return dns::ServedResponse{dns::encode(response), kClientCacheHitMs};
+      dns::ServedResponse served{query.make_response(), kClientCacheHitMs};
+      served.message.header.ra = true;
+      hit->append_aged(served.message.answers);
+      return served;
     }
   } else {
     carrier_metrics().cold_pool.inc();
@@ -133,14 +128,14 @@ dns::ServedResponse ClientFacingResolver::handle_query(
   auto selection = carrier_->select_pair(index_, source_ip, now, rng);
   if (selection.external == nullptr) {
     carrier_metrics().servfail.inc();
-    dns::Message failure = query->make_response();
-    failure.header.rcode = dns::Rcode::kServFail;
-    return dns::ServedResponse{dns::encode(failure), 0.0};
+    dns::ServedResponse failure{query.make_response(), 0.0};
+    failure.message.header.rcode = dns::Rcode::kServFail;
+    return failure;
   }
   carrier_metrics().forwards.inc();
   obs::ScopedSpan span("forward_external", now.millis());
   dns::ServedResponse served =
-      selection.external->handle_query(query_wire, source_ip, now, rng);
+      selection.external->serve(query, source_ip, now, rng);
   // Forwarding leg: client-facing instance to the external resolver and
   // back. Collocated architectures (SK Telecom) contribute ~0 here.
   served.server_side_ms += carrier_->internal_forward_ms(
@@ -149,10 +144,9 @@ dns::ServedResponse ClientFacingResolver::handle_query(
 
   // Cache the whole answer chain under the question key (forwarder-style;
   // the TTL is the chain minimum, so short CDN TTLs dominate).
-  if (const auto response = dns::decode(served.wire);
-      response && response->header.rcode == dns::Rcode::kNoError &&
-      !response->answers.empty()) {
-    cache.insert(question.name, question.type, response->answers, now);
+  if (served.message.header.rcode == dns::Rcode::kNoError &&
+      !served.message.answers.empty()) {
+    cache.insert(question.name, question.type, served.message.answers, now);
   }
   return served;
 }

@@ -4,10 +4,11 @@
 // address pools, client-facing resolvers (anycast VIPs, pool members or
 // tiered fronts) and external-facing recursive resolvers — and implements
 // the client→external pairing policy whose (in)consistency the paper
-// measures (§4.1, §4.5). The DNS data path is fully wire-level: a device's
-// stub query hits a ClientFacingResolver, which forwards to the selected
-// external RecursiveResolver, which iterates the public hierarchy; the
-// external resolver's address is what CDN and research ADNSes observe.
+// measures (§4.1, §4.5). The DNS data path exchanges typed dns::Messages
+// (dns/server.h): a device's stub query hits a ClientFacingResolver, which
+// forwards to the selected external RecursiveResolver, which iterates the
+// public hierarchy; the external resolver's address is what CDN and
+// research ADNSes observe.
 #pragma once
 
 #include <memory>
@@ -47,9 +48,9 @@ class ClientFacingResolver : public dns::DnsServer {
  public:
   ClientFacingResolver(CellularNetwork* carrier, int index, net::Ipv4Addr ip);
 
-  dns::ServedResponse handle_query(std::span<const uint8_t> query_wire,
-                                   net::Ipv4Addr source_ip, net::SimTime now,
-                                   net::Rng& rng) override;
+  dns::ServedResponse serve(const dns::Message& query,
+                            net::Ipv4Addr source_ip, net::SimTime now,
+                            net::Rng& rng) override;
   net::NodeId node() const override;
   net::Ipv4Addr ip() const override { return ip_; }
   net::NodeId node_for(net::Ipv4Addr source, net::SimTime now) const override;

@@ -2,6 +2,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/contract.h"
 
 namespace curtain::dns {
 namespace {
@@ -125,9 +126,10 @@ void AuthoritativeServer::answer_question(
   response.header.rcode = Rcode::kServFail;  // CNAME chain too long
 }
 
-ServedResponse AuthoritativeServer::handle_query(
-    std::span<const uint8_t> query_wire, net::Ipv4Addr source_ip,
-    net::SimTime now, net::Rng& rng) {
+ServedResponse AuthoritativeServer::serve(const Message& query,
+                                          net::Ipv4Addr source_ip,
+                                          net::SimTime now, net::Rng& rng) {
+  CURTAIN_DCHECK(!query.questions.empty()) << "query carries no question";
   queries_served_.fetch_add(1, std::memory_order_relaxed);
   {
     // Handles re-bind whenever the thread's sheaf changes (obs/metrics.h).
@@ -144,20 +146,10 @@ ServedResponse AuthoritativeServer::handle_query(
   // show the hop (and to parent the CDN mapping span) in the trace tree.
   obs::ScopedSpan span("authoritative", now.millis());
   ServedResponse served;
-  const auto query = decode(query_wire);
-  if (!query || query->questions.empty()) {
-    Message response;
-    response.header.id = query ? query->header.id : 0;
-    response.header.qr = true;
-    response.header.rcode = Rcode::kFormErr;
-    served.wire = encode(response);
-    return served;
-  }
-  Message response = query->make_response();
-  response.header.ra = false;  // authoritative servers do not recurse
-  answer_question(query->questions.front(), source_ip, query->ecs, now, rng,
-                  response);
-  served.wire = encode(response);
+  served.message = query.make_response();
+  served.message.header.ra = false;  // authoritative servers do not recurse
+  answer_question(query.questions.front(), source_ip, query.ecs, now, rng,
+                  served.message);
   span.finish(now.millis());
   return served;
 }

@@ -51,9 +51,8 @@ class AuthoritativeServer : public DnsServer {
   void set_soa(SoaRecord soa, uint32_t ttl_s = 3600);
 
   // DnsServer:
-  ServedResponse handle_query(std::span<const uint8_t> query_wire,
-                              net::Ipv4Addr source_ip, net::SimTime now,
-                              net::Rng& rng) override;
+  ServedResponse serve(const Message& query, net::Ipv4Addr source_ip,
+                       net::SimTime now, net::Rng& rng) override;
   net::NodeId node() const override { return node_; }
   net::Ipv4Addr ip() const override { return ip_; }
 

@@ -1,10 +1,14 @@
 // DNS messages and the RFC 1035 wire codec (§4.1), including name
 // compression (§4.1.4).
 //
-// Every resolution in the simulator round-trips through this codec — the
-// stub encodes a real query packet, resolvers decode it, build a response
-// and encode it back — so the codec is exercised by all 8M+ resolutions of
-// a full campaign, not just by unit tests.
+// In-process resolution exchanges `Message` values directly (dns/server.h);
+// the codec runs only at the byte boundary, DnsServer::serve_wire(), which
+// tests and tools use. Its fidelity is held by tests rather than by the
+// campaign: every message shape the servers emit (referrals with glue,
+// CNAME chains, ECS, NXDOMAIN with SOA) must round-trip through
+// encode/decode unchanged, serve_wire() must answer exactly what serve()
+// answers, and decode() must survive every truncation and bit flip of
+// those packets (dns_wire_equivalence_test, dns_message_test).
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,11 @@
 #include "dns/resolver.h"
 
 #include <algorithm>
-#include <map>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/contract.h"
+#include "util/smallvec.h"
 
 namespace curtain::dns {
 namespace {
@@ -39,6 +40,41 @@ ResolverMetrics& resolver_metrics() {
   // Handles re-bind whenever the thread's sheaf changes (obs/metrics.h).
   static thread_local obs::SheafLocal<ResolverMetrics> metrics;
   return metrics.get();
+}
+
+/// Borrowed records of one response section; responses hold a handful.
+using RecordRefs = util::SmallVec<const ResourceRecord*, 8>;
+
+bool rrset_key_less(const ResourceRecord* a, const ResourceRecord* b) {
+  if (a->name < b->name) return true;
+  if (b->name < a->name) return false;
+  return a->type() < b->type();
+}
+
+/// Inserts `refs` into `cache` as one rrset per (name, type), in ascending
+/// (name, type) order with section order kept inside an rrset. The
+/// cache's expiry index breaks ties on insertion order, so this order is
+/// result-visible. Sorts `refs` in place (stable insertion sort).
+void insert_rrsets(Cache& cache, RecordRefs& refs, net::SimTime now,
+                   uint32_t scope) {
+  const ResourceRecord** data = refs.data();
+  const size_t n = refs.size();
+  for (size_t i = 1; i < n; ++i) {
+    const ResourceRecord* rr = data[i];
+    size_t j = i;
+    for (; j > 0 && rrset_key_less(rr, data[j - 1]); --j) data[j] = data[j - 1];
+    data[j] = rr;
+  }
+  for (size_t begin = 0; begin < n;) {
+    size_t end = begin + 1;
+    while (end < n && !rrset_key_less(data[begin], data[end])) ++end;
+    std::vector<ResourceRecord> rrset;
+    rrset.reserve(end - begin);
+    for (size_t k = begin; k < end; ++k) rrset.push_back(*data[k]);
+    cache.insert(data[begin]->name, data[begin]->type(), std::move(rrset), now,
+                 scope);
+    begin = end;
+  }
 }
 
 }  // namespace
@@ -220,40 +256,35 @@ std::optional<Message> RecursiveResolver::query_server(
   }
   Message query = Message::query(lane_state().next_query_id++, qname, type);
   if (ecs_enabled_ && !ecs_client.is_unspecified()) {
-    query.ecs = EdnsClientSubnet{ecs_client.slash24(), ecs_prefix_len_, 0};
+    // Masked here exactly as the wire codec would, so the authority sees
+    // the same source-prefix address on the typed path.
+    const net::Prefix subnet(ecs_client.slash24(), ecs_prefix_len_);
+    query.ecs = EdnsClientSubnet{subnet.address(), ecs_prefix_len_, 0};
   }
-  const auto wire = encode(query);
-  const ServedResponse served = server->handle_query(wire, ip_, now, rng);
+  ServedResponse served = server->serve(query, ip_, now, rng);
   result.upstream_ms += *rtt + served.server_side_ms;
   span.finish(now.millis() + result.upstream_ms);
-  auto response = decode(served.wire);
-  if (!response || response->header.id != query.header.id) return std::nullopt;
-  return response;
+  if (served.message.header.id != query.header.id) return std::nullopt;
+  return std::move(served.message);
 }
 
 void RecursiveResolver::cache_response_sections(const Message& response,
                                                 net::SimTime now,
                                                 uint32_t answer_scope) {
-  std::map<std::pair<DnsName, RRType>, std::vector<ResourceRecord>> answers;
-  std::map<std::pair<DnsName, RRType>, std::vector<ResourceRecord>> metadata;
-  for (const auto& rr : response.answers) {
-    answers[{rr.name, rr.type()}].push_back(rr);
-  }
-  for (const auto* section : {&response.authorities, &response.additionals}) {
-    for (const auto& rr : *section) {
-      metadata[{rr.name, rr.type()}].push_back(rr);
-    }
-  }
   // Tailored answers are valid only for this client's subnet; referral
   // metadata (NS, glue) is subnet-independent.
   Cache& cache = lane_state().cache;
-  for (auto& [key, rrs] : answers) {
-    cache.insert(key.first, key.second, std::move(rrs), now, answer_scope);
+  RecordRefs refs;
+  for (const auto& rr : response.answers) refs.push_back(&rr);
+  insert_rrsets(cache, refs, now, answer_scope);
+  refs.clear();
+  for (const auto* section : {&response.authorities, &response.additionals}) {
+    for (const auto& rr : *section) {
+      // SOA is negative-caching metadata, read by iterate() instead.
+      if (rr.type() != RRType::kSOA) refs.push_back(&rr);
+    }
   }
-  for (auto& [key, rrs] : metadata) {
-    if (key.second == RRType::kSOA) continue;  // negative-caching metadata
-    cache.insert(key.first, key.second, std::move(rrs), now);
-  }
+  insert_rrsets(cache, refs, now, /*scope=*/0);
 }
 
 std::optional<DnsName> RecursiveResolver::iterate(
@@ -327,30 +358,21 @@ std::optional<DnsName> RecursiveResolver::iterate(
   return std::nullopt;
 }
 
-ServedResponse RecursiveResolver::handle_query(std::span<const uint8_t> query_wire,
-                                               net::Ipv4Addr source_ip,
-                                               net::SimTime now, net::Rng& rng) {
-  ServedResponse served;
-  const auto query = decode(query_wire);
-  if (!query || query->questions.empty()) {
-    Message response;
-    response.header.id = query ? query->header.id : 0;
-    response.header.qr = true;
-    response.header.rcode = Rcode::kFormErr;
-    served.wire = encode(response);
-    return served;
-  }
-  const Question& q = query->questions.front();
+ServedResponse RecursiveResolver::serve(const Message& query,
+                                        net::Ipv4Addr source_ip,
+                                        net::SimTime now, net::Rng& rng) {
+  CURTAIN_DCHECK(!query.questions.empty()) << "query carries no question";
+  const Question& q = query.questions.front();
   // With ECS enabled, the stub's source address seeds the client subnet
   // we disclose upstream.
   ResolutionResult result = resolve(q.name, q.type, now, rng,
                                     ecs_enabled_ ? source_ip : net::Ipv4Addr{});
-  Message response = query->make_response();
-  response.header.ra = true;
-  response.header.rcode = result.rcode;
-  response.answers = std::move(result.answers);
+  ServedResponse served;
+  served.message = query.make_response();
+  served.message.header.ra = true;
+  served.message.header.rcode = result.rcode;
+  served.message.answers = std::move(result.answers);
   served.server_side_ms = result.upstream_ms;
-  served.wire = encode(response);
   return served;
 }
 

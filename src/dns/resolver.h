@@ -59,9 +59,8 @@ class RecursiveResolver : public DnsServer {
   bool ecs_enabled() const { return ecs_enabled_; }
 
   // DnsServer:
-  ServedResponse handle_query(std::span<const uint8_t> query_wire,
-                              net::Ipv4Addr source_ip, net::SimTime now,
-                              net::Rng& rng) override;
+  ServedResponse serve(const Message& query, net::Ipv4Addr source_ip,
+                       net::SimTime now, net::Rng& rng) override;
   net::NodeId node() const override { return node_; }
   net::Ipv4Addr ip() const override { return ip_; }
 
@@ -134,8 +133,9 @@ class RecursiveResolver : public DnsServer {
   /// Deepest cached delegation for `qname` (falls back to the root).
   net::Ipv4Addr best_server_for(const DnsName& qname, net::SimTime now);
 
-  /// Sends one encoded query to the server at `server_ip`, accounting RTT
-  /// into `result`. nullopt if the server is unknown or unreachable.
+  /// Sends one query to the server at `server_ip`, accounting RTT into
+  /// `result`. nullopt if the server is unknown or unreachable, or if the
+  /// reply does not echo the query's transaction id.
   std::optional<Message> query_server(net::Ipv4Addr server_ip,
                                       const DnsName& qname, RRType type,
                                       net::SimTime now, net::Rng& rng,

@@ -1,8 +1,13 @@
 // The DNS server interface and the registry binding servers to topology
 // nodes.
 //
-// Servers exchange *encoded* packets: a caller encodes its query, the
-// server decodes, answers and re-encodes. `server_side_ms` carries the
+// In-process servers exchange typed messages: a caller builds a `Message`
+// query, the server answers with a `Message`. Nothing on the resolution
+// path reads packet bytes (no size limit, truncation or byte-level
+// record), so no hop pays for the RFC 1035 codec. `serve_wire()` is the
+// one byte-level entry point: it decodes, answers FORMERR to a packet that
+// does not decode or carries no question, serves, and encodes. Tests and
+// tools use it to prove the two paths agree. `server_side_ms` carries the
 // latency the server itself incurred (a recursive resolver's upstream
 // round trips); the caller adds its own transport RTT to the server.
 #pragma once
@@ -12,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "dns/message.h"
 #include "net/clock.h"
 #include "net/ipv4.h"
 #include "net/rng.h"
@@ -20,6 +26,11 @@
 namespace curtain::dns {
 
 struct ServedResponse {
+  Message message;
+  double server_side_ms = 0.0;
+};
+
+struct WireResponse {
   std::vector<uint8_t> wire;
   double server_side_ms = 0.0;
 };
@@ -28,12 +39,19 @@ class DnsServer {
  public:
   virtual ~DnsServer() = default;
 
-  /// Handles one query packet arriving from `source_ip` at time `now`.
-  /// Implementations must return a decodable response even for malformed
-  /// queries (FORMERR) so clients always observe *something* or a timeout.
-  virtual ServedResponse handle_query(std::span<const uint8_t> query_wire,
-                                      net::Ipv4Addr source_ip, net::SimTime now,
-                                      net::Rng& rng) = 0;
+  /// Answers `query`, arriving from `source_ip` at time `now`. The query
+  /// carries at least one question; only the first is answered. The
+  /// response echoes the query's id and question.
+  virtual ServedResponse serve(const Message& query, net::Ipv4Addr source_ip,
+                               net::SimTime now, net::Rng& rng) = 0;
+
+  /// Wire adapter over serve(): decodes `query_wire`, answers FORMERR
+  /// (echoing the id when the header decodes) to a packet that does not
+  /// decode or carries no question, and encodes the response. A malformed
+  /// packet never reaches serve() and draws nothing from `rng`.
+  WireResponse serve_wire(std::span<const uint8_t> query_wire,
+                          net::Ipv4Addr source_ip, net::SimTime now,
+                          net::Rng& rng);
 
   /// Topology node this server is bound to.
   virtual net::NodeId node() const = 0;

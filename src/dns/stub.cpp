@@ -38,21 +38,19 @@ StubResult StubResolver::query(net::Ipv4Addr resolver_ip, const DnsName& name,
   if (!rtt) return result;
 
   const Message query = Message::query(next_id_++, name, type);
-  const auto wire = encode(query);
   obs::ScopedSpan ldns("ldns", t0 + extra_latency_ms);
-  const ServedResponse served = server->handle_query(wire, client_ip_, now, rng);
+  ServedResponse served = server->serve(query, client_ip_, now, rng);
   const double after_server = t0 + extra_latency_ms + served.server_side_ms;
   ldns.finish(after_server);
-  const auto response = decode(served.wire);
-  if (!response || response->header.id != query.header.id) return result;
+  if (served.message.header.id != query.header.id) return result;
 
   {
     obs::ScopedSpan transport("transport", after_server);
     transport.finish(after_server + *rtt);
   }
   result.responded = true;
-  result.rcode = response->header.rcode;
-  result.answers = response->answers;
+  result.rcode = served.message.header.rcode;
+  result.answers = std::move(served.message.answers);
   result.total_ms += *rtt + served.server_side_ms;
   return result;
 }

@@ -1,6 +1,6 @@
 // Stub resolver: the client half of a resolution.
 //
-// Encodes the query, "sends" it to a configured resolver, and reports the
+// Builds the query, "sends" it to a configured resolver, and reports the
 // end-to-end resolution time (client RTT to the resolver + whatever the
 // resolver spent upstream). Devices add their radio-access latency on top.
 #pragma once

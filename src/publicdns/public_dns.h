@@ -65,9 +65,9 @@ class PublicDnsService : public dns::DnsServer {
   obs::LaneMemory approx_lane_bytes() const;
 
   // DnsServer:
-  dns::ServedResponse handle_query(std::span<const uint8_t> query_wire,
-                                   net::Ipv4Addr source_ip, net::SimTime now,
-                                   net::Rng& rng) override;
+  dns::ServedResponse serve(const dns::Message& query,
+                            net::Ipv4Addr source_ip, net::SimTime now,
+                            net::Rng& rng) override;
   net::NodeId node() const override;
   net::Ipv4Addr ip() const override { return vip_; }
   /// Anycast: the instance node a packet from `source` lands on at `now`

@@ -2,6 +2,7 @@
 
 #include "dns/message.h"
 #include "net/rng.h"
+#include "wire_damage.h"
 
 namespace curtain::dns {
 namespace {
@@ -240,6 +241,100 @@ TEST_P(CodecFuzzRoundTrip, RandomMessagesRoundTrip) {
     const auto decoded = decode(encode(m));
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(*decoded, m);
+  }
+}
+
+/// A random message in one of the shapes the simulator's servers emit:
+/// a referral with glue, a CNAME chain, NXDOMAIN or NODATA with a SOA, or
+/// an ECS query or scoped response. Names share suffixes, so compression
+/// pointers are exercised.
+Message random_server_message(net::Rng& rng) {
+  const std::vector<std::string> labels{"www", "cdn", "edge", "m", "ns1",
+                                        "example", "yelp", "net", "com"};
+  const auto random_name = [&](size_t min_depth) {
+    std::vector<std::string> parts;
+    const auto depth = min_depth + rng.uniform_u64(0, 2);
+    for (uint64_t i = 0; i < depth; ++i) parts.push_back(rng.pick(labels));
+    return *DnsName::from_labels(std::move(parts));
+  };
+  const auto random_addr = [&] {
+    return net::Ipv4Addr(static_cast<uint32_t>(rng.next_u64()));
+  };
+  const auto ttl = [&] { return static_cast<uint32_t>(rng.uniform_u64(0, 86400)); };
+
+  const DnsName qname = random_name(2);
+  Message m = Message::query(static_cast<uint16_t>(rng.next_u64()), qname,
+                             RRType::kA)
+                  .make_response();
+  m.header.ra = rng.bernoulli(0.5);
+  switch (rng.uniform_u64(0, 4)) {
+    case 0: {  // referral: NS set in authority, glue A records in additional
+      const DnsName zone = qname.parent();
+      const auto servers = 1 + rng.uniform_u64(0, 2);
+      for (uint64_t i = 0; i < servers; ++i) {
+        const DnsName ns = *zone.child("ns" + std::to_string(i));
+        m.authorities.push_back(ResourceRecord::ns(zone, ns, ttl()));
+        m.additionals.push_back(ResourceRecord::a(ns, random_addr(), ttl()));
+      }
+      break;
+    }
+    case 1: {  // CNAME chain, possibly crossing zones, ending in A records
+      m.header.aa = rng.bernoulli(0.5);
+      DnsName owner = qname;
+      const auto links = 1 + rng.uniform_u64(0, 3);
+      for (uint64_t i = 0; i < links; ++i) {
+        const DnsName target = random_name(2);
+        m.answers.push_back(ResourceRecord::cname(owner, target, ttl()));
+        owner = target;
+      }
+      const auto addresses = rng.uniform_u64(0, 3);
+      for (uint64_t i = 0; i < addresses; ++i) {
+        m.answers.push_back(ResourceRecord::a(owner, random_addr(), ttl()));
+      }
+      break;
+    }
+    case 2: {  // NXDOMAIN or NODATA with the zone's SOA
+      m.header.aa = true;
+      m.header.rcode = rng.bernoulli(0.7) ? Rcode::kNxDomain : Rcode::kNoError;
+      const DnsName zone = qname.parent();
+      SoaRecord soa;
+      soa.mname = *zone.child("ns1");
+      soa.rname = *zone.child("hostmaster");
+      soa.serial = static_cast<uint32_t>(rng.next_u64());
+      soa.minimum = ttl();
+      m.authorities.push_back(ResourceRecord::soa(zone, soa, ttl()));
+      break;
+    }
+    default: {  // ECS query (as a resolver sends it) or scoped answer
+      const auto prefix = static_cast<uint8_t>(rng.uniform_u64(0, 32));
+      const net::Prefix subnet(random_addr(), prefix);
+      const bool response = rng.bernoulli(0.5);
+      if (!response) m = Message::query(m.header.id, qname, RRType::kA);
+      m.ecs = EdnsClientSubnet{subnet.address(), prefix,
+                               response ? prefix : uint8_t{0}};
+      if (response) m.answers.push_back(ResourceRecord::a(qname, random_addr(), ttl()));
+      break;
+    }
+  }
+  return m;
+}
+
+TEST_P(CodecFuzzRoundTrip, ServerShapedMessagesRoundTrip) {
+  net::Rng rng(GetParam());
+  for (int iteration = 0; iteration < 50; ++iteration) {
+    const Message m = random_server_message(rng);
+    const auto decoded = decode(encode(m));
+    ASSERT_TRUE(decoded.has_value()) << iteration;
+    EXPECT_EQ(*decoded, m) << iteration;
+  }
+}
+
+TEST_P(CodecFuzzRoundTrip, ServerShapedMessagesSurviveDamage) {
+  net::Rng rng(GetParam());
+  for (int iteration = 0; iteration < 10; ++iteration) {
+    const auto wire = encode(random_server_message(rng));
+    wiretest::expect_truncations_rejected(wire);
+    wiretest::expect_bit_flips_survived(wire);
   }
 }
 

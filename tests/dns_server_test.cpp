@@ -77,11 +77,11 @@ class DnsWorldTest : public ::testing::Test {
     return id;
   }
 
-  ServedResponse ask_auth(AuthoritativeServer& server, const char* qname,
-                          RRType type, net::Ipv4Addr source = {9, 9, 9, 9}) {
+  WireResponse ask_auth(AuthoritativeServer& server, const char* qname,
+                        RRType type, net::Ipv4Addr source = {9, 9, 9, 9}) {
     const Message query = Message::query(77, name(qname), type);
-    return server.handle_query(encode(query), source, net::SimTime::zero(),
-                               rng_);
+    return server.serve_wire(encode(query), source, net::SimTime::zero(),
+                             rng_);
   }
 
   net::Topology topo_;
@@ -167,8 +167,8 @@ TEST_F(DnsWorldTest, AuthDynamicHandlerSeesResolverIp) {
 
 TEST_F(DnsWorldTest, AuthMalformedQueryGetsFormErr) {
   const std::vector<uint8_t> garbage{1, 2, 3};
-  const auto served = origin_->handle_query(garbage, net::Ipv4Addr{1, 1, 1, 1},
-                                            net::SimTime::zero(), rng_);
+  const auto served = origin_->serve_wire(garbage, net::Ipv4Addr{1, 1, 1, 1},
+                                          net::SimTime::zero(), rng_);
   const auto response = decode(served.wire);
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->header.rcode, Rcode::kFormErr);
@@ -177,9 +177,9 @@ TEST_F(DnsWorldTest, AuthMalformedQueryGetsFormErr) {
 TEST_F(DnsWorldTest, RootDelegatesToTld) {
   auto& root = hierarchy_->root();
   const auto response = decode(
-      root.handle_query(encode(Message::query(1, name("static.example.com"),
-                                              RRType::kA)),
-                        net::Ipv4Addr{9, 9, 9, 9}, net::SimTime::zero(), rng_)
+      root.serve_wire(encode(Message::query(1, name("static.example.com"),
+                                            RRType::kA)),
+                      net::Ipv4Addr{9, 9, 9, 9}, net::SimTime::zero(), rng_)
           .wire);
   ASSERT_TRUE(response.has_value());
   EXPECT_TRUE(response->answers.empty());
@@ -299,7 +299,7 @@ TEST_F(DnsWorldTest, WarmEligibilityExcludesNames) {
 TEST_F(DnsWorldTest, ResolverHandleQueryWire) {
   const Message query =
       Message::query(321, name("static.example.com"), RRType::kA);
-  const auto served = resolver_->handle_query(
+  const auto served = resolver_->serve_wire(
       encode(query), net::Ipv4Addr{7, 7, 7, 7}, net::SimTime::zero(), rng_);
   EXPECT_GT(served.server_side_ms, 0.0);
   const auto response = decode(served.wire);

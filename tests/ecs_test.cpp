@@ -8,6 +8,7 @@
 
 #include "cdn/domains.h"
 #include "core/world.h"
+#include "dns/hierarchy.h"
 #include "dns/resolver.h"
 
 namespace curtain::dns {
@@ -88,6 +89,71 @@ TEST(EcsCache, ScopesAreIndependent) {
   EXPECT_FALSE(cache.lookup(host, RRType::kA, net::SimTime::zero(), 0x64400400));
   // The owning subnet does.
   EXPECT_TRUE(cache.lookup(host, RRType::kA, net::SimTime::zero(), 0x64400300));
+}
+
+// --- resolver: the option the authority sees --------------------------------
+
+// A resolver with a non-/24 source prefix must hand the authority the
+// client address masked to that prefix, the same option the wire would
+// carry: the typed exchange runs no codec to mask it.
+TEST(EcsResolver, NonSlash24PrefixMaskedBeforeAdns) {
+  net::Topology topo;
+  ServerRegistry registry;
+  net::Node hub_node;
+  hub_node.name = "hub";
+  const net::NodeId hub = topo.add_node(hub_node);
+  const auto attach = [&](const std::string& host, net::Ipv4Addr ip) {
+    net::Node node;
+    node.name = host;
+    node.ip = ip;
+    const net::NodeId id = topo.add_node(node);
+    topo.add_link(id, hub, net::LatencyModel::fixed(1.0));
+    return id;
+  };
+  DnsHierarchy hierarchy(
+      [&](const std::string& host, net::NodeKind, const net::GeoPoint&,
+          net::Ipv4Addr ip) { return attach(host, ip); },
+      &registry);
+  auto& cdn = hierarchy.create_zone(name("cdnzone.net"), {41, -87},
+                                    net::Ipv4Addr{50, 0, 0, 2});
+  std::optional<EdnsClientSubnet> seen;
+  cdn.set_dynamic_handler(
+      [&seen](const Question& question, net::Ipv4Addr,
+              const std::optional<EdnsClientSubnet>& ecs, net::SimTime,
+              net::Rng&) -> std::optional<std::vector<ResourceRecord>> {
+        seen = ecs;
+        return std::vector<ResourceRecord>{
+            ResourceRecord::a(question.name, net::Ipv4Addr{60, 1, 2, 3}, 0)};
+      },
+      /*dynamic_ttl_s=*/0);
+
+  const net::Ipv4Addr client{100, 64, 19, 77};
+  const struct {
+    uint8_t prefix;
+    net::Ipv4Addr expected;
+  } cases[] = {{16, {100, 64, 0, 0}}, {20, {100, 64, 16, 0}},
+               {24, {100, 64, 19, 0}}, {32, {100, 64, 19, 0}}};
+  for (const auto& c : cases) {
+    RecursiveResolver resolver("ecs-prefix", attach("resolver", {}),
+                               net::Ipv4Addr{9, 9, 9, 9}, &topo, &registry,
+                               hierarchy.root_ip());
+    resolver.enable_ecs(c.prefix);
+    net::Rng rng(7);
+    seen.reset();
+    const auto result = resolver.resolve(name("edge.cdnzone.net"), RRType::kA,
+                                         net::SimTime::zero(), rng, client);
+    ASSERT_EQ(result.rcode, Rcode::kNoError);
+    ASSERT_TRUE(seen.has_value()) << int{c.prefix};
+    EXPECT_EQ(seen->address, c.expected) << int{c.prefix};
+    EXPECT_EQ(seen->source_prefix_len, c.prefix);
+    EXPECT_EQ(seen->scope_prefix_len, 0);
+    // The typed option is already what the codec would put on the wire.
+    Message query = Message::query(1, name("edge.cdnzone.net"), RRType::kA);
+    query.ecs = seen;
+    const auto decoded = decode(encode(query));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->ecs, seen) << int{c.prefix};
+  }
 }
 
 // --- end-to-end: ECS fixes public-DNS replica mapping ----------------------

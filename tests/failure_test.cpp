@@ -4,6 +4,8 @@
 // success.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 #include "dns/hierarchy.h"
 #include "dns/resolver.h"
 #include "dns/stub.h"
@@ -102,13 +104,37 @@ TEST_F(FailureTest, CnameLoopTerminates) {
 }
 
 TEST_F(FailureTest, StubSurvivesGarbageResponder) {
-  // A server that answers with garbage bytes must read as "no response".
+  // Garbage bytes in must give a decodable FORMERR out, from every server
+  // kind, without touching the RNG (the packet never reaches serve()).
+  const std::vector<uint8_t> garbage{0xde, 0xad, 0xbe};
+  ASSERT_FALSE(decode(garbage).has_value());
+  std::vector<uint8_t> formerr_wire;
+  for (DnsServer* server :
+       std::initializer_list<DnsServer*>{resolver_.get(), zone_}) {
+    net::Rng before = rng_;
+    const WireResponse served =
+        server->serve_wire(garbage, net::Ipv4Addr{7, 7, 7, 7},
+                           net::SimTime::zero(), rng_);
+    EXPECT_EQ(rng_.next_u64(), before.next_u64());
+    const auto response = decode(served.wire);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_TRUE(response->header.qr);
+    EXPECT_EQ(response->header.id, 0);
+    EXPECT_EQ(response->header.rcode, Rcode::kFormErr);
+    formerr_wire = served.wire;
+  }
+
+  // A responder whose reply is garbage must read as "no response". On the
+  // typed path the closest such reply is what a server's wire boundary
+  // makes of an undecodable packet: a FORMERR with no question and id 0,
+  // which does not echo the stub's first transaction id (1).
   class GarbageServer : public DnsServer {
    public:
-    GarbageServer(net::NodeId node, net::Ipv4Addr ip) : node_(node), ip_(ip) {}
-    ServedResponse handle_query(std::span<const uint8_t>, net::Ipv4Addr,
-                                net::SimTime, net::Rng&) override {
-      return ServedResponse{{0xde, 0xad, 0xbe}, 0.0};
+    GarbageServer(net::NodeId node, net::Ipv4Addr ip, Message reply)
+        : node_(node), ip_(ip), reply_(std::move(reply)) {}
+    ServedResponse serve(const Message&, net::Ipv4Addr, net::SimTime,
+                         net::Rng&) override {
+      return ServedResponse{reply_, 0.0};
     }
     net::NodeId node() const override { return node_; }
     net::Ipv4Addr ip() const override { return ip_; }
@@ -116,11 +142,13 @@ TEST_F(FailureTest, StubSurvivesGarbageResponder) {
    private:
     net::NodeId node_;
     net::Ipv4Addr ip_;
+    Message reply_;
   };
   const net::NodeId gnode = attach("garbage", net::NodeKind::kResolver,
                                    {40, -80}, net::Ipv4Addr{6, 6, 6, 6}, 0.0);
-  GarbageServer garbage(gnode, net::Ipv4Addr{6, 6, 6, 6});
-  registry_.add(&garbage);
+  GarbageServer garbage_server(gnode, net::Ipv4Addr{6, 6, 6, 6},
+                               *decode(formerr_wire));
+  registry_.add(&garbage_server);
 
   StubResolver stub(client_, net::Ipv4Addr{7, 7, 7, 7}, topo_, registry_);
   const auto result = stub.query(net::Ipv4Addr{6, 6, 6, 6},
@@ -131,18 +159,17 @@ TEST_F(FailureTest, StubSurvivesGarbageResponder) {
 
 TEST_F(FailureTest, MismatchedQueryIdRejected) {
   // A server echoing the wrong transaction id must be ignored
-  // (cache-poisoning hygiene).
+  // (cache-poisoning hygiene), by the stub and by the recursive resolver.
   class WrongIdServer : public DnsServer {
    public:
     WrongIdServer(net::NodeId node, net::Ipv4Addr ip) : node_(node), ip_(ip) {}
-    ServedResponse handle_query(std::span<const uint8_t> wire, net::Ipv4Addr,
-                                net::SimTime, net::Rng&) override {
-      auto query = decode(wire);
-      Message response = query->make_response();
-      response.header.id = static_cast<uint16_t>(query->header.id + 1);
-      response.answers.push_back(ResourceRecord::a(
-          query->questions.front().name, net::Ipv4Addr{66, 66, 66, 66}, 60));
-      return ServedResponse{encode(response), 0.0};
+    ServedResponse serve(const Message& query, net::Ipv4Addr, net::SimTime,
+                         net::Rng&) override {
+      ServedResponse served{query.make_response(), 0.0};
+      served.message.header.id = static_cast<uint16_t>(query.header.id + 1);
+      served.message.answers.push_back(ResourceRecord::a(
+          query.questions.front().name, net::Ipv4Addr{66, 66, 66, 66}, 60));
+      return served;
     }
     net::NodeId node() const override { return node_; }
     net::Ipv4Addr ip() const override { return ip_; }
@@ -162,6 +189,16 @@ TEST_F(FailureTest, MismatchedQueryIdRejected) {
                  RRType::kA, net::SimTime::zero(), rng_);
   EXPECT_FALSE(result.responded);
   EXPECT_TRUE(result.addresses().empty());
+
+  // A zone delegated to the same server: the resolver drops the poisoned
+  // referral answer and surfaces SERVFAIL.
+  zone_->delegate(name("poison.example.com"), name("ns.poison.example.com"),
+                  net::Ipv4Addr{6, 6, 6, 7});
+  const auto resolved = resolver_->resolve(name("www.poison.example.com"),
+                                           RRType::kA, net::SimTime::zero(),
+                                           rng_);
+  EXPECT_EQ(resolved.rcode, Rcode::kServFail);
+  EXPECT_TRUE(resolved.addresses().empty());
 }
 
 TEST_F(FailureTest, LossyLinkStillResolvesTransport) {

@@ -95,23 +95,33 @@ TEST_F(PublicDnsTest, ResolvesStudyDomainEndToEnd) {
 }
 
 TEST_F(PublicDnsTest, InstancesSpreadWithinSite) {
-  // Repeated queries from one source should be served by several instance
-  // IPs of the same site (Table 5: many IPs, few /24s).
+  // Repeated queries from one source within one ingress epoch land on one
+  // site but are spread over several of its instance IPs (Table 5: many
+  // IPs, few /24s). The research ADNS answers each query with the address
+  // of the instance that asked, and every name is fresh, so each answer
+  // names the instance the service picked.
   auto& att = world_->carrier(0);
   const net::Ipv4Addr src = att.assign_ip(4, rng_);
-  const auto query = dns::encode(dns::Message::query(
-      9, *dns::DnsName::parse("www.bing.com"), dns::RRType::kA));
-  // Count distinct instances by asking the service repeatedly and watching
-  // which resolver the research ADNS would see; here we instead count the
-  // cache spread indirectly via instance selection determinism — use the
-  // public service's handle_query with a fixed time and confirm it succeeds.
-  for (int i = 0; i < 5; ++i) {
-    const auto served = world_->google_dns().handle_query(
-        query, src, net::SimTime::from_seconds(i), rng_);
+  std::set<uint32_t> instances;
+  std::set<uint32_t> slash24s;
+  for (int i = 0; i < 12; ++i) {
+    const auto qname =
+        *world_->research_apex().child("adns")->child("spread" + std::to_string(i));
+    const auto served = world_->google_dns().serve_wire(
+        dns::encode(dns::Message::query(static_cast<uint16_t>(9 + i), qname,
+                                        dns::RRType::kA)),
+        src, net::SimTime::from_seconds(i), rng_);
     const auto response = dns::decode(served.wire);
     ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->header.id, 9 + i);
     EXPECT_EQ(response->header.rcode, dns::Rcode::kNoError);
+    const auto addresses = response->answer_addresses();
+    ASSERT_EQ(addresses.size(), 1u);
+    instances.insert(addresses[0].value());
+    slash24s.insert(addresses[0].slash24().value());
   }
+  EXPECT_GT(instances.size(), 1u);
+  EXPECT_EQ(slash24s.size(), 1u);
 }
 
 }  // namespace
