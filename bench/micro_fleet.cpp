@@ -1,14 +1,16 @@
 // micro_fleet — million-device campaign in bounded memory.
 //
-// The record-block pipeline's headline claim (DESIGN.md §15): campaign
-// memory is set by the fleet (SoA arenas + laned state) and the per-shard
-// open record block — never by how many records the campaign streams.
-// This bench proves it by enrolling a 10^6-device fleet (four US-carrier
-// profiles widened to 250k study clients each) and running the same
-// streaming campaign at increasing durations: records streamed grow
-// linearly with length, while resident memory minus the laned per-device
-// state (reported separately, and bounded by the fleet — every touched
-// device keeps its resolver-cache view) must stay flat.
+// The bounded-memory claim (DESIGN.md §15, §18): campaign memory is set
+// by the fleet's SoA arenas, one open record block per shard and one live
+// device per worker — never by how many records the campaign streams or
+// how many devices it has touched. Each device's resolver caches, query
+// ids and NAT cursors live in its net::DeviceScope and are freed when its
+// timeline ends. This bench proves it by enrolling a 10^6-device fleet
+// (four US-carrier profiles widened to 250k study clients each) and
+// running the same streaming campaign at increasing durations: records
+// streamed grow linearly with length, while resident memory after each
+// run must stay flat. Every point is an independent campaign on the same
+// world: no device state survives from the previous point.
 //
 // Every run uses CampaignEngine::run_streaming with a discard sink per
 // shard, i.e. the bounded-memory path a real million-device export would
@@ -16,9 +18,10 @@
 // the bytes).
 //
 // Emits one `fleet_memory` JSON line per duration point (committed as
-// BENCH_fleet_memory.json). When CURTAIN_RSS_CEILING_MB is set (nonzero),
-// the bench exits nonzero if peak RSS crosses it — the scripts/check.sh
-// `rss-smoke` leg runs exactly that.
+// BENCH_fleet_memory.json). It exits nonzero if RSS after the longest run
+// exceeds 1.5x that after the shortest plus 128 MB, or, when
+// CURTAIN_RSS_CEILING_MB is set (nonzero), if peak RSS crosses it — the
+// scripts/check.sh `rss-smoke` leg runs exactly that.
 //
 // CURTAIN_SHARDS sizes the worker pool as everywhere else (0 = one per
 // hardware thread); CURTAIN_SEED and CURTAIN_BLOCK_ROWS apply too.
@@ -93,13 +96,13 @@ struct RunPoint {
   double streamed_mb = 0.0;
   double peak_block_mb = 0.0;
   double fleet_arena_mb = 0.0;
+  /// Query-time state left in the world after the run (no-device caches;
+  /// device state died with each timeline). Expected ~0.
   double lane_cache_mb = 0.0;
   double lane_state_mb = 0.0;
-  double rss_after_mb = 0.0;
-  /// Resident memory not explained by laned per-device state: world +
-  /// fleet arenas + open record blocks. The bounded-memory claim is that
+  /// Resident memory after the run. The bounded-memory claim is that
   /// THIS stays flat as the campaign streams more records.
-  double rss_floor_mb = 0.0;
+  double rss_after_mb = 0.0;
   double wall_ms = 0.0;
 };
 
@@ -123,7 +126,6 @@ RunPoint run_campaign(core::World& world, double duration_days, int workers,
   exec::CampaignEngine engine(
       measure::WorldView{world.topology(), world.registry()},
       world.research_apex(), std::move(carriers), config);
-  world.topology().set_route_cache_ways(engine.shard_count() + 1);
 
   std::vector<std::unique_ptr<DiscardSink>> sinks;
   std::vector<measure::RecordSink*> sink_ptrs;
@@ -161,8 +163,6 @@ RunPoint run_campaign(core::World& world, double duration_days, int workers,
       static_cast<double>(lanes.state_bytes) / (1024.0 * 1024.0);
   point.rss_after_mb =
       static_cast<double>(obs::read_current_rss_bytes()) / (1024.0 * 1024.0);
-  point.rss_floor_mb = std::max(
-      0.0, point.rss_after_mb - point.lane_cache_mb - point.lane_state_mb);
   point.wall_ms = wall_ms;
   return point;
 }
@@ -187,17 +187,17 @@ int main() {
                         .with_carriers(million_device_carriers()));
 
   // Sweep campaign length at a fixed one-million-device fleet. Records
-  // streamed must grow ~linearly with duration while the record-path
-  // floor (RSS minus the laned per-device state, which is bounded by the
-  // fleet, not the campaign) stays flat — the bounded-memory contract.
+  // streamed must grow ~linearly with duration while resident memory
+  // stays flat — the bounded-memory contract.
   size_t reference_devices = 0;
-  double first_floor_mb = 0.0;
-  double last_floor_mb = 0.0;
+  double first_rss_mb = 0.0;
+  double last_rss_mb = 0.0;
+  const unsigned host_cores = std::thread::hardware_concurrency();
   for (const double duration_days : {0.25, 0.5, 1.0}) {
     const RunPoint point = run_campaign(world, duration_days, workers, seed);
     if (reference_devices == 0) reference_devices = point.devices;
-    if (first_floor_mb == 0.0) first_floor_mb = point.rss_floor_mb;
-    last_floor_mb = point.rss_floor_mb;
+    if (first_rss_mb == 0.0) first_rss_mb = point.rss_after_mb;
+    last_rss_mb = point.rss_after_mb;
 
     std::printf(
         "{\"bench_record\":\"fleet_memory\",\"devices\":%zu,"
@@ -205,14 +205,14 @@ int main() {
         "\"experiments\":%zu,\"records\":%zu,\"streamed_mb\":%.1f,"
         "\"peak_block_mb\":%.2f,\"fleet_arena_mb\":%.1f,"
         "\"lane_cache_mb\":%.1f,\"lane_state_mb\":%.1f,"
-        "\"rss_after_mb\":%.1f,\"rss_floor_mb\":%.1f,"
-        "\"peak_rss_mb\":%.1f,\"wall_ms\":%.1f}\n",
+        "\"rss_after_mb\":%.1f,"
+        "\"peak_rss_mb\":%.1f,\"wall_ms\":%.1f,\"host_cores\":%u}\n",
         point.devices, point.duration_days, point.shards, workers,
         point.experiments, point.records, point.streamed_mb,
         point.peak_block_mb, point.fleet_arena_mb, point.lane_cache_mb,
-        point.lane_state_mb, point.rss_after_mb, point.rss_floor_mb,
+        point.lane_state_mb, point.rss_after_mb,
         static_cast<double>(obs::read_peak_rss_bytes()) / (1024.0 * 1024.0),
-        point.wall_ms);
+        point.wall_ms, host_cores);
   }
 
   const size_t expected_devices =
@@ -225,9 +225,10 @@ int main() {
   // "Flat" allows allocator slack between sweep points (cache nodes churn
   // and glibc keeps some freed pages resident), not growth proportional
   // to the 4x campaign-length spread.
-  if (last_floor_mb > first_floor_mb * 1.5 + 128.0) {
-    std::printf("FAIL: record-path memory grew with campaign length "
-                "(floor %.1f MB -> %.1f MB)\n", first_floor_mb, last_floor_mb);
+  if (last_rss_mb > first_rss_mb * 1.5 + 128.0) {
+    std::printf("FAIL: resident memory grew with campaign length "
+                "(%.1f MB -> %.1f MB after the run)\n", first_rss_mb,
+                last_rss_mb);
     return 1;
   }
 

@@ -13,9 +13,10 @@
 #   tsan      TSan build tree (build-tsan/) running shard_determinism_test,
 #             which drives real worker thread pools against the shared
 #             World — including the 16-cohort × 16-worker stress case
-#             (96 shards, more cohorts than any carrier has devices) that
-#             exercises the laned-state partitioning under maximum
-#             interleaving.
+#             (96 shards, more cohorts than any carrier has devices). The
+#             world's mutable state is device-scoped or worker-owned and
+#             takes no locks (DESIGN.md §18), so any report here is a
+#             real cross-thread share.
 #   lint      curtain_lint over src/ bench/ examples/ tools/ plus the
 #             waiver-inventory diff: `curtain_lint --waivers` must match
 #             the committed tools/lint/WAIVERS.txt exactly, so every new
@@ -36,8 +37,9 @@
 #             runs bench/micro_fleet on a scaled-down fleet (CURTAIN_SCALE,
 #             default 0.1 = 100k devices) under CURTAIN_RSS_CEILING_MB; the
 #             bench exits nonzero if peak RSS breaches the ceiling or if
-#             record-path memory grows with campaign length — the
-#             bounded-memory gate for the streaming record pipeline.
+#             RSS after the 1-day point exceeds 1.5x that after the
+#             0.25-day point plus 128 MB — the bounded-memory gate for
+#             streamed records and device-scoped state.
 #
 # Every leg uses its own build directory, so re-runs are incremental.
 set -euo pipefail
@@ -149,7 +151,7 @@ rss_smoke_leg() {
   run_leg "rss smoke (scaled-down fleet sweep under an RSS ceiling)"
   cmake -B build -S . >/dev/null
   cmake --build build -j "$JOBS" --target micro_fleet
-  # micro_fleet itself fails the run on a ceiling breach or if record-path
+  # micro_fleet itself fails the run on a ceiling breach or if resident
   # memory grows with campaign length; the leg picks a 10% fleet (100k
   # devices) and a proportional ceiling so the gate stays cheap. Run the
   # full million-device sweep with CURTAIN_SCALE=1 CURTAIN_RSS_CEILING_MB=6144

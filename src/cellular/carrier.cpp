@@ -4,7 +4,6 @@
 
 #include "dns/message.h"
 #include "net/geo.h"
-#include "net/shard_slot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/contract.h"
@@ -71,29 +70,24 @@ CarrierMetrics& carrier_metrics() {
 
 ClientFacingResolver::ClientFacingResolver(CellularNetwork* carrier, int index,
                                            net::Ipv4Addr ip)
-    : carrier_(carrier), index_(index), ip_(ip) {
-  lane_caches_.reset(static_cast<size_t>(carrier->state_lanes()));
-}
+    : carrier_(carrier), index_(index), ip_(ip) {}
 
 dns::Cache& ClientFacingResolver::cache_for(net::NodeId instance) {
-  const auto lane = static_cast<size_t>(net::current_state_lane());
-  return lane_caches_[lane][instance];  // default-constructed on first use
+  return caches_.get()[instance];  // default-constructed on first use
 }
 
 obs::LaneMemory ClientFacingResolver::approx_lane_bytes() const {
   obs::LaneMemory memory;
-  memory.state_bytes += lane_caches_.approx_container_bytes();
   constexpr size_t kMapNodeOverhead =
       2 * sizeof(void*) + obs::kAllocOverheadBytes;
-  // Commutative integer sums: hash order cannot leak into the result.
-  for (const auto& [lane, caches] : lane_caches_) {  // lint: order-insensitive
-    memory.state_bytes +=
-        caches.size() *
-            (sizeof(net::NodeId) + sizeof(dns::Cache) + kMapNodeOverhead) +
-        caches.bucket_count() * sizeof(void*);
-    for (const auto& [node, cache] : caches) {  // lint: order-insensitive
-      memory.cache_bytes += cache.approx_bytes();
-    }
+  const InstanceCaches& caches = caches_.unbound();
+  memory.state_bytes +=
+      caches.size() *
+          (sizeof(net::NodeId) + sizeof(dns::Cache) + kMapNodeOverhead) +
+      caches.bucket_count() * sizeof(void*);
+  // Commutative integer sum: hash order cannot leak into the result.
+  for (const auto& [node, cache] : caches) {  // lint: order-insensitive
+    memory.cache_bytes += cache.approx_bytes();
   }
   return memory;
 }
@@ -166,7 +160,6 @@ CellularNetwork::CellularNetwork(CarrierProfile profile, uint32_t owner_tag,
                                  const CarrierBuildContext& context)
     : profile_(std::move(profile)),
       owner_tag_(owner_tag),
-      state_lanes_(context.state_lanes < 1 ? 1 : context.state_lanes),
       topology_(context.topology),
       allocator_(context.allocator),
       seed_(net::mix_key(context.build_seed, net::hash_tag(profile_.name))) {
@@ -191,9 +184,6 @@ obs::LaneMemory CellularNetwork::approx_lane_state_bytes() const {
   }
   for (const auto& resolver : external_resolvers_) {
     memory += resolver->approx_lane_bytes();
-  }
-  for (const Gateway& gateway : gateways_) {
-    memory.state_bytes += gateway.nat_cursors.approx_container_bytes();
   }
   return memory;
 }
@@ -264,8 +254,6 @@ void CellularNetwork::build_gateways(const CarrierBuildContext& context) {
                         /*tunneled=*/false);
 
     gateway.nat_pool = allocator_->alloc_block(24);
-    gateway.nat_cursors.reset(static_cast<size_t>(state_lanes_),
-                              Gateway::kUnseededCursor);
     gateway_by_pool_[gateway.nat_pool.address().value()] = g;
   }
 }
@@ -386,8 +374,6 @@ void CellularNetwork::build_dns(const CarrierBuildContext& context) {
       external_resolvers_.push_back(std::make_unique<dns::RecursiveResolver>(
           node.name, id, ip, topology_, context.registry, context.root_dns_ip));
     }
-    external_resolvers_.back()->set_state_lanes(
-        static_cast<size_t>(state_lanes_));
     external_resolvers_.back()->set_background_load(kCarrierBgInterarrivalS,
                                                     context.warm_eligible);
     context.registry->add(external_resolvers_.back().get());
@@ -543,24 +529,24 @@ int CellularNetwork::pick_gateway(const GeoPoint& location,
 
 net::Ipv4Addr CellularNetwork::assign_ip(int gateway_index, net::Rng& rng) {
   (void)rng;
-  // Same walk as IpAllocator::alloc_host, but on per-(gateway, lane)
+  // Same walk as IpAllocator::alloc_host, but on per-(gateway, device)
   // cursors: subscriber address churn is carrier-private runtime state,
   // kept out of the shared (post-construction immutable) world allocator,
-  // and laned per device so one device's address sequence never depends
-  // on how many cohorts share its carrier. A lane's cursor is seeded from
-  // (carrier seed, gateway, lane) on first use, then walks sequentially —
-  // the same churn pattern the shared cursor produced, minus the
-  // cross-device interleaving.
+  // and device-scoped so one device's address sequence never depends on
+  // how many cohorts share its carrier. A device's cursor is seeded from
+  // (carrier seed, gateway, device ordinal) on first use, then walks
+  // sequentially — the same churn pattern the shared cursor produced,
+  // minus the cross-device interleaving. Code with no device bound uses
+  // ordinal 0.
   Gateway& gateway = gateways_[static_cast<size_t>(gateway_index)];
-  const auto raw_lane = static_cast<size_t>(net::current_state_lane());
-  const size_t lane =
-      raw_lane < gateway.nat_cursors.lane_count() ? raw_lane : 0;
-  uint64_t& cursor = gateway.nat_cursors[lane];
+  uint64_t& cursor = gateway.nat_cursor.get();
   const uint64_t hosts = gateway.nat_pool.size() - 1;
-  if (cursor == Gateway::kUnseededCursor) {
+  if (cursor == 0) {
+    const auto ordinal =
+        static_cast<uint64_t>(net::DeviceScope::current_ordinal());
     cursor = net::mix_key(net::mix_key(seed_, net::hash_tag("nat-cursor")),
                           (static_cast<uint64_t>(gateway_index) << 32) |
-                              static_cast<uint64_t>(lane)) %
+                              ordinal) %
              hosts;
   }
   cursor = cursor % hosts + 1;

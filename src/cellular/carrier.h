@@ -20,7 +20,7 @@
 #include "dns/server.h"
 #include "net/ip_allocator.h"
 #include "net/ipv4.h"
-#include "net/shard_slot.h"
+#include "net/device_scope.h"
 #include "net/topology.h"
 #include "obs/memory.h"
 
@@ -38,12 +38,13 @@ class CellularNetwork;
 /// al.), so a fraction of queries lands on a machine whose cache has not
 /// seen the name — the residual miss tail of Fig. 7.
 ///
-/// Caches are partitioned by state lane (net/shard_slot.h): each enrolled
-/// device sees its own copy of every instance cache, so cohorts of the
-/// same carrier never contend and a device's cache-hit pattern is
-/// independent of the cohort partition. Population-level warmth is the
-/// external tier's background-load model; what a device's *own* queries
-/// left behind (the Fig. 7 back-to-back repeat) stays in its lane.
+/// Caches are device-scoped (net/device_scope.h): each device sees its own
+/// copy of every instance cache, created cold on first use and freed when
+/// its timeline ends, so cohorts of the same carrier never contend and a
+/// device's cache-hit pattern is independent of the cohort partition.
+/// Population-level warmth is the external tier's background-load model;
+/// what a device's *own* queries left behind (the Fig. 7 back-to-back
+/// repeat) stays in its scope.
 class ClientFacingResolver : public dns::DnsServer {
  public:
   ClientFacingResolver(CellularNetwork* carrier, int index, net::Ipv4Addr ip);
@@ -57,21 +58,21 @@ class ClientFacingResolver : public dns::DnsServer {
 
   int index() const { return index_; }
 
-  /// Approximate heap bytes of the laned per-instance caches. A
-  /// profiling gauge — see obs/memory.h.
+  /// Approximate heap bytes of the no-device instance caches (device
+  /// caches die with their timelines). A profiling gauge — see
+  /// obs/memory.h.
   obs::LaneMemory approx_lane_bytes() const;
 
  private:
   using InstanceCaches = std::unordered_map<net::NodeId, dns::Cache>;
 
-  /// The calling lane's cache for `instance`; materialized on first touch
-  /// (sparse-table rules — clamping, race-freedom — are LaneTable's).
+  /// The bound device's cache for `instance`, created on first touch.
   dns::Cache& cache_for(net::NodeId instance);
 
   CellularNetwork* carrier_;
   int index_;
   net::Ipv4Addr ip_;
-  net::LaneTable<InstanceCaches> lane_caches_;
+  net::DeviceLocal<InstanceCaches> caches_;
 };
 
 /// Everything the world builder must provide to a carrier.
@@ -85,10 +86,6 @@ struct CarrierBuildContext {
   /// Which names background subscriber load keeps warm in resolver caches
   /// (measurement-unique names must stay cold); empty = all names.
   std::function<bool(const dns::DnsName&)> warm_eligible;
-  /// State lanes carrier-private mutable state (NAT cursors, resolver
-  /// caches) is partitioned into: one per enrolled device fleet-wide plus
-  /// one for the main thread (net/shard_slot.h); 1 = unlaned.
-  int state_lanes = 1;
   uint64_t build_seed = 0;
 };
 
@@ -103,8 +100,6 @@ class CellularNetwork {
   const CarrierProfile& profile() const { return profile_; }
   uint32_t owner_tag() const { return owner_tag_; }
   net::ZoneId zone() const { return zone_; }
-  /// State lanes carrier-private mutable state is partitioned into.
-  int state_lanes() const { return state_lanes_; }
 
   // --- device attachment ------------------------------------------------
   /// Gateway index a device at `location` attaches to; weighted toward
@@ -152,28 +147,24 @@ class CellularNetwork {
     return external_resolvers_;
   }
 
-  /// Approximate heap bytes of the carrier's laned mutable state: DNS
-  /// caches (client-facing instance caches + external resolver lanes)
-  /// vs the rest (NAT cursors, lane containers). A profiling gauge —
+  /// Approximate heap bytes of the carrier's mutable query-time state
+  /// that outlives device timelines: the no-device DNS caches
+  /// (client-facing instances + external resolvers). A profiling gauge —
   /// see obs/memory.h.
   obs::LaneMemory approx_lane_state_bytes() const;
 
  private:
   struct Gateway {
-    /// Sentinel for a lane whose NAT cursor has not been seeded yet.
-    static constexpr uint64_t kUnseededCursor = ~uint64_t{0};
-
     net::NodeId node = net::kInvalidNode;
     int region = 0;
     net::Prefix nat_pool;
-    /// Per-lane NAT host cursors, advanced by assign_ip. They live here
-    /// (not in the world's IpAllocator) so address churn is
-    /// carrier-private state campaign shards can mutate without touching
-    /// the shared world, and they are laned per device so a device's
-    /// address sequence is independent of the cohort partition. Sparse:
-    /// a cursor materializes (unseeded) the first time its device
-    /// attaches through this gateway.
-    net::LaneTable<uint64_t> nat_cursors;
+    /// NAT host cursor, advanced by assign_ip; 0 until seeded (a seeded
+    /// cursor is always in [1, hosts]). It lives here (not in the world's
+    /// IpAllocator) so address churn is carrier-private state campaign
+    /// shards can mutate without touching the shared world, and it is
+    /// device-scoped so a device's address sequence is independent of the
+    /// cohort partition.
+    net::DeviceLocal<uint64_t> nat_cursor;
   };
   struct Region {
     net::GeoPoint location;
@@ -193,7 +184,6 @@ class CellularNetwork {
 
   CarrierProfile profile_;
   uint32_t owner_tag_;
-  int state_lanes_ = 1;
   net::ZoneId zone_ = 0;
   net::ZoneId dmz_zone_ = 0;
   net::Topology* topology_ = nullptr;

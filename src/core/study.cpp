@@ -81,11 +81,6 @@ Study::Study(Scenario scenario)
   engine_ = std::make_unique<exec::CampaignEngine>(
       measure::WorldView{world_->topology(), world_->registry()},
       world_->research_apex(), std::move(carriers), engine_config);
-  // The route cache is keyed by shard slot; give every shard its own way
-  // (slot 0 stays reserved for the main thread). Routes are
-  // deterministic, so this cache is result-invisible and may key off the
-  // partition-dependent slot.
-  world_->topology().set_route_cache_ways(engine_->shard_count() + 1);
 }
 
 Study::~Study() {
@@ -158,11 +153,12 @@ void Study::run() {
     const obs::LaneMemory lanes = world_->approx_lane_state_bytes();
     obs::metrics()
         .gauge("curtain_mem_dns_cache_bytes",
-               "DNS cache bytes across all state lanes (approx)")
+               "DNS cache bytes held past device timelines (approx)")
         .set(static_cast<double>(lanes.cache_bytes));
     obs::metrics()
         .gauge("curtain_mem_lane_state_bytes",
-               "non-cache laned fleet state bytes (approx)")
+               "non-cache query-time state bytes held past device "
+               "timelines (approx)")
         .set(static_cast<double>(lanes.state_bytes));
     obs::metrics()
         .gauge("curtain_mem_rss_bytes", "resident set size at end of run")

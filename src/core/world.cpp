@@ -25,19 +25,6 @@ std::string metro_country(const std::string& metro_name) {
   return "";
 }
 
-/// Result-visible mutable state is keyed by global device state lanes
-/// (net/shard_slot.h): one lane per enrolled device across every carrier,
-/// plus lane 0 for the main thread. The lane count depends only on the
-/// carrier table — never on cohort or worker counts.
-int state_lane_count(const Scenario& config) {
-  const auto& profiles = config.carrier_profiles.empty()
-                             ? cellular::study_carriers()
-                             : config.carrier_profiles;
-  int devices = 0;
-  for (const auto& profile : profiles) devices += profile.study_clients;
-  return devices + 1;
-}
-
 }  // namespace
 
 World::World(Scenario config)
@@ -52,11 +39,6 @@ World::World(Scenario config)
   build_public_dns();
   build_carriers();
   register_cdn_hints();
-  // The route cache stays at its single-way default here: the cache is
-  // keyed by shard slot, and only the campaign engine knows how many
-  // shards the cohort partition produces. Study widens it to
-  // shard_count + 1 ways after building the engine (slot 0 stays
-  // reserved for the main thread).
 }
 
 World::~World() = default;
@@ -188,9 +170,6 @@ void World::build_public_dns() {
   };
   context.root_dns_ip = hierarchy_->root_ip();
   context.build_seed = config_.seed;
-  // One mutable-state lane per enrolled device plus the main thread's
-  // lane 0: public resolvers serve every device's timeline independently.
-  context.state_lanes = state_lane_count(config_);
   const dns::DnsName research = research_apex_;
   context.warm_eligible = [research](const dns::DnsName& name) {
     return !name.is_within(research);
@@ -234,7 +213,6 @@ void World::build_carriers() {
     return !name.is_within(research);
   };
   context.build_seed = config_.seed;
-  context.state_lanes = state_lane_count(config_);
 
   uint32_t owner_tag = 1;
   const auto& profiles = config_.carrier_profiles.empty()

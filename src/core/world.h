@@ -71,9 +71,12 @@ class World {
 
   const Scenario& config() const { return config_; }
 
-  /// Approximate heap bytes of all laned (per-device) mutable state:
-  /// carrier NAT cursors and resolver caches plus public-DNS instance
-  /// lanes. A profiling gauge for the flight recorder — see obs/memory.h.
+  /// Approximate heap bytes of the mutable query-time state that outlives
+  /// device timelines: the no-device caches of carrier and public-DNS
+  /// resolvers. Device-scoped state (net/device_scope.h) is freed as each
+  /// device's timeline ends, so after a campaign this is what was there
+  /// before it plus whatever code with no device bound added. A profiling
+  /// gauge for the flight recorder — see obs/memory.h.
   obs::LaneMemory approx_lane_state_bytes() const;
 
  private:

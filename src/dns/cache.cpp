@@ -87,9 +87,9 @@ void Cache::insert_negative(const DnsName& name, RRType type, uint32_t ttl_s,
 void Cache::insert_entry(Key key, CachedRrset entry) {
   // Eager sweep: every insert drops entries already past their TTL. A
   // dead entry can only ever read as a miss, so reclaiming it here is
-  // invisible to lookups — but without the sweep, long campaigns strand
-  // megabytes of expired short-TTL rrsets in every device's lane caches
-  // (the cache is only consulted again if that device resolves again).
+  // invisible to lookups — but without the sweep, long device timelines
+  // strand expired short-TTL rrsets in their caches (an entry is only
+  // consulted again if that device resolves the same name again).
   purge_expired(entry.inserted);
   auto it = entries_.find(key);
   if (it != entries_.end()) {

@@ -12,8 +12,8 @@
 // instead of the old O(n) scan per capacity-bound insert. Every insert
 // also sweeps entries already past their TTL: expired entries can only
 // read as misses, so the sweep is invisible to lookups, and it keeps a
-// lane's cache sized by what is *live* — million-device campaigns would
-// otherwise strand expired short-TTL rrsets in every touched lane.
+// cache sized by what is *live* — long device timelines would otherwise
+// strand expired short-TTL rrsets until the device's scope closes.
 //
 // lint-hot-path: lookup/insert run on every simulated resolution, so
 // curtain_lint holds this file to the hot-alloc rule.

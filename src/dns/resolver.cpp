@@ -97,30 +97,18 @@ RecursiveResolver::RecursiveResolver(std::string name, net::NodeId node,
       ip_(ip),
       topology_(topology),
       registry_(registry),
-      root_ip_(root_ip) {
-  set_state_lanes(1);
-}
-
-void RecursiveResolver::set_state_lanes(size_t lanes) { lanes_.reset(lanes); }
+      root_ip_(root_ip) {}
 
 obs::LaneMemory RecursiveResolver::approx_lane_bytes() const {
   obs::LaneMemory memory;
-  memory.state_bytes += lanes_.approx_container_bytes();
-  // Commutative integer sum: hash order cannot leak into the result.
-  for (const auto& [lane, state] : lanes_) {  // lint: order-insensitive
-    memory.cache_bytes += state.cache.approx_bytes();
-  }
+  memory.cache_bytes = states_.unbound().cache.approx_bytes();
   return memory;
-}
-
-RecursiveResolver::LaneState& RecursiveResolver::lane_state() const {
-  return lanes_[static_cast<size_t>(net::current_state_lane())];
 }
 
 ResolutionResult RecursiveResolver::resolve(const DnsName& name, RRType type,
                                             net::SimTime now, net::Rng& rng,
                                             net::Ipv4Addr ecs_client) {
-  LaneState& state = lane_state();
+  QueryState& state = query_state();
   ResolutionResult result;
   result.rcode = Rcode::kNoError;
   if (!state.warming) resolver_metrics().queries.inc();
@@ -152,7 +140,7 @@ ResolutionResult RecursiveResolver::resolve(const DnsName& name, RRType type,
 std::optional<DnsName> RecursiveResolver::resolve_step(
     const DnsName& qname, RRType type, net::SimTime now, net::Rng& rng,
     net::Ipv4Addr ecs_client, uint32_t scope, ResolutionResult& result) {
-  LaneState& state = lane_state();
+  QueryState& state = query_state();
   // Terminal rrset cached (within this client's subnet partition)?
   if (auto cached = state.cache.lookup(qname, type, now, scope)) {
     if (cached->negative()) {
@@ -212,7 +200,7 @@ std::optional<DnsName> RecursiveResolver::resolve_step(
 
 net::Ipv4Addr RecursiveResolver::best_server_for(const DnsName& qname,
                                                  net::SimTime now) {
-  Cache& cache = lane_state().cache;
+  Cache& cache = query_state().cache;
   // Walk qname, qname's parent, ... looking for a cached NS whose glue we
   // also have. The root primes the walk when nothing deeper is known.
   DnsName zone = qname;
@@ -254,7 +242,7 @@ std::optional<Message> RecursiveResolver::query_server(
     span.finish(now.millis() + result.upstream_ms);
     return std::nullopt;
   }
-  Message query = Message::query(lane_state().next_query_id++, qname, type);
+  Message query = Message::query(query_state().next_query_id++, qname, type);
   if (ecs_enabled_ && !ecs_client.is_unspecified()) {
     // Masked here exactly as the wire codec would, so the authority sees
     // the same source-prefix address on the typed path.
@@ -273,7 +261,7 @@ void RecursiveResolver::cache_response_sections(const Message& response,
                                                 uint32_t answer_scope) {
   // Tailored answers are valid only for this client's subnet; referral
   // metadata (NS, glue) is subnet-independent.
-  Cache& cache = lane_state().cache;
+  Cache& cache = query_state().cache;
   RecordRefs refs;
   for (const auto& rr : response.answers) refs.push_back(&rr);
   insert_rrsets(cache, refs, now, answer_scope);
@@ -320,7 +308,7 @@ std::optional<DnsName> RecursiveResolver::iterate(
           neg_ttl = std::min(rr.ttl, soa->minimum);
         }
       }
-      lane_state().cache.insert_negative(qname, type, neg_ttl, now, scope);
+      query_state().cache.insert_negative(qname, type, neg_ttl, now, scope);
       result.rcode = Rcode::kNxDomain;
       return std::nullopt;
     }

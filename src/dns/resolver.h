@@ -16,7 +16,7 @@
 #include "dns/cache.h"
 #include "dns/message.h"
 #include "dns/server.h"
-#include "net/shard_slot.h"
+#include "net/device_scope.h"
 #include "obs/memory.h"
 
 namespace curtain::dns {
@@ -65,21 +65,10 @@ class RecursiveResolver : public DnsServer {
   net::Ipv4Addr ip() const override { return ip_; }
 
   const std::string& name() const { return name_; }
-  Cache& cache() { return lane_state().cache; }
-  const Cache& cache() const { return lane_state().cache; }
-
-  /// Partitions the resolver's mutable state (cache, query-id counter,
-  /// warm-hit guard) into `lanes` independent copies indexed by the
-  /// calling thread's state lane (net/shard_slot.h) — one lane per
-  /// enrolled device plus lane 0 for the main thread. Laning makes every
-  /// device's view of the resolver independent of which cohort shard runs
-  /// it, which keeps campaign exports byte-identical across cohort and
-  /// worker counts; the population-level cache warmth devices used to
-  /// share is carried by the background-load model instead (see
-  /// set_background_load). Lane states are allocated on first touch, so
-  /// the cost scales with lanes actually used. Call at build time, before
-  /// queries; drops previously cached data.
-  void set_state_lanes(size_t lanes);
+  /// The cache of the device bound to the calling thread (see
+  /// query_state()), or the no-device cache.
+  Cache& cache() { return query_state().cache; }
+  const Cache& cache() const { return query_state().cache; }
 
   /// Background-load model. Production resolvers serve whole subscriber
   /// populations, so a popular name is usually still cached when our
@@ -110,8 +99,9 @@ class RecursiveResolver : public DnsServer {
   }
   double background_interarrival_s() const { return bg_interarrival_s_; }
 
-  /// Approximate heap bytes of the laned query-time state (allocated
-  /// lanes, their caches). A profiling gauge — see obs/memory.h.
+  /// Approximate heap bytes of the query-time state that outlives device
+  /// timelines (the no-device cache). A profiling gauge — see
+  /// obs/memory.h.
   obs::LaneMemory approx_lane_bytes() const;
 
  private:
@@ -148,18 +138,23 @@ class RecursiveResolver : public DnsServer {
   void cache_response_sections(const Message& response, net::SimTime now,
                                uint32_t answer_scope);
 
-  /// Mutable query-time state, one copy per state lane.
-  struct LaneState {
+  /// Mutable query-time state, one copy per device.
+  struct QueryState {
     /// CDN-era resolvers honor short TTLs; cap at a day like common
     /// software.
-    LaneState() { cache.set_ttl_bounds(0, 86400); }
+    QueryState() { cache.set_ttl_bounds(0, 86400); }
     Cache cache;
     uint16_t next_query_id = 1;
     bool warming = false;  ///< reentrancy guard for the warm-hit path
   };
-  /// The calling thread's lane state, materialized on first touch (the
-  /// sparse-table rules — clamping, race-freedom — are LaneTable's).
-  LaneState& lane_state() const;
+  /// The query state of the device bound to the calling thread, created
+  /// cold on its first query and freed with its DeviceScope
+  /// (net/device_scope.h); the no-device state otherwise. Each device
+  /// thus sees the resolver as if it were its only client, whichever
+  /// cohort shard runs it; the population-level cache warmth devices
+  /// would share is carried by the background-load model instead (see
+  /// set_background_load).
+  QueryState& query_state() const { return states_.get(); }
 
   std::string name_;
   net::NodeId node_;
@@ -167,7 +162,7 @@ class RecursiveResolver : public DnsServer {
   const net::Topology* topology_;
   const ServerRegistry* registry_;
   net::Ipv4Addr root_ip_;
-  mutable net::LaneTable<LaneState> lanes_;
+  mutable net::DeviceLocal<QueryState> states_;
   double warm_hit_p_ = 0.0;
   double bg_interarrival_s_ = 0.0;
   bool ecs_enabled_ = false;

@@ -6,7 +6,6 @@
 #include <limits>
 #include <thread>
 
-#include "net/shard_slot.h"
 #include "obs/flight_recorder.h"
 #include "obs/memory.h"
 #include "util/contract.h"
@@ -55,13 +54,13 @@ CampaignEngine::CampaignEngine(measure::WorldView world,
   const uint64_t id_band = resolve_id_band(carriers);
 
   // Build each carrier's fleet arena exactly once, then slice it into
-  // cohorts of device handles. State lanes are global device-enrollment
-  // ordinals (+1 to skip the main thread's lane 0): they advance across
-  // carriers in carrier-table order and never depend on the cohort count,
-  // so a device keeps the same lane — and therefore the same laned state —
-  // under every partition.
+  // cohorts of device handles. Device ordinals are 1-based global
+  // enrollment positions: they advance across carriers in carrier-table
+  // order and never depend on the cohort count, so a device keeps the
+  // same ordinal — and therefore the same NAT-cursor seed — under every
+  // partition.
   int shard_index = 0;
-  int lane_base = 1;
+  int ordinal_base = 1;
   for (const CarrierRef& carrier : carriers) {
     fleets_.push_back(
         std::make_unique<cellular::Fleet>(cellular::build_carrier_fleet(
@@ -78,18 +77,19 @@ CampaignEngine::CampaignEngine(measure::WorldView world,
       std::vector<Shard::CohortDevice> slice;
       slice.reserve(end - begin);
       for (size_t d = begin; d < end; ++d) {
-        slice.push_back(Shard::CohortDevice{fleet.device(d),
-                                            lane_base + static_cast<int>(d)});
+        slice.push_back(Shard::CohortDevice{
+            fleet.device(d), ordinal_base + static_cast<int>(d)});
       }
       shards_.push_back(std::make_unique<Shard>(
           shard_index++, carrier.carrier_index, k, carrier.network, world,
           research_apex, config_.campaign, config_.experiment, config_.seed,
           std::move(slice)));
     }
-    CURTAIN_CHECK(fleet_size <= static_cast<size_t>(
-                                    std::numeric_limits<int>::max() - lane_base))
-        << "state lanes overflow int";
-    lane_base += static_cast<int>(fleet_size);
+    CURTAIN_CHECK(fleet_size <=
+                  static_cast<size_t>(std::numeric_limits<int>::max() -
+                                      ordinal_base))
+        << "device ordinals overflow int";
+    ordinal_base += static_cast<int>(fleet_size);
   }
 }
 
@@ -108,13 +108,6 @@ size_t CampaignEngine::fleet_arena_bytes() const {
 }
 
 void CampaignEngine::run_pool() {
-  // A shard slot that exceeds the route cache's way count would silently
-  // fall back to way 0 and race the main thread; the study wires the
-  // ways after construction, so verify the contract here.
-  CURTAIN_CHECK(world_.topology.route_cache_ways() > shards_.size())
-      << "route cache has " << world_.topology.route_cache_ways()
-      << " ways for " << shards_.size() << " shards";
-
   stats_.assign(shards_.size(), ShardStat{});
   for (size_t i = 0; i < shards_.size(); ++i) {
     stats_[i].label = shards_[i]->label();
@@ -127,7 +120,8 @@ void CampaignEngine::run_pool() {
   // shard index from an atomic cursor, so shards start in index order no
   // matter which worker frees up first. Which worker runs which shard
   // varies run to run — that's fine, because nothing result-visible is
-  // keyed by the worker or the shard slot.
+  // keyed by the worker: device state lives in per-device scopes and the
+  // only worker-owned state, the route cache, holds deterministic routes.
   const size_t pool = std::min(static_cast<size_t>(config_.workers),
                                shards_.size() == 0 ? size_t{1}
                                                    : shards_.size());
@@ -161,7 +155,6 @@ void CampaignEngine::run_pool() {
       const int64_t pickup_us = profiling ? recorder.now_us() : 0;
       const auto started = std::chrono::steady_clock::now();  // lint: wallclock
       {
-        net::ShardSlotGuard slot(shard.shard_index() + 1);
         obs::ScopedMetricsSheaf sheaf(shard.sheaf());
         shard.run();
       }

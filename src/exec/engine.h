@@ -11,8 +11,12 @@
 //
 // Determinism: every result-affecting draw comes from a per-device stream
 // keyed by (seed, device id) alone; every piece of result-visible mutable
-// state is keyed by the device's global state lane (net/shard_slot.h),
-// which depends only on the fleet — never on cohort or worker counts.
+// state lives in the device's own scope (net/device_scope.h), created
+// cold when its timeline starts and freed when it ends, and the one value
+// the scope carries into results — the device's global ordinal — depends
+// only on the fleet, never on cohort or worker counts. Workers own
+// nothing result-visible: their one private structure is the topology
+// route cache, whose entries are deterministic.
 // Fleets are built once per carrier (as SoA arenas the engine owns) and
 // sliced into device handles, so the devices themselves are
 // partition-invariant too. The merge happens in (carrier, cohort) order,
@@ -94,8 +98,6 @@ class CampaignEngine {
   size_t device_count() const;
 
   /// Shards in the partition (carriers × resolved cohorts-per-carrier).
-  /// The topology's route cache must keep more ways than this before
-  /// run() — see net::Topology::set_route_cache_ways.
   size_t shard_count() const { return shards_.size(); }
 
   /// Cohorts per carrier after resolving the auto (0) setting.

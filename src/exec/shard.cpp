@@ -2,7 +2,7 @@
 #include "exec/shard.h"
 
 #include "net/clock.h"
-#include "net/shard_slot.h"
+#include "net/device_scope.h"
 
 namespace curtain::exec {
 namespace {
@@ -57,13 +57,14 @@ void Shard::run() {
       net::mix_key(seed_, net::hash_tag("campaign")));
 
   // Device-major execution: each device's timeline runs to completion
-  // before the next device starts. Devices share no laned state and draw
+  // before the next device starts. Devices share no mutable state and draw
   // only from their own streams, so no cross-device interleave by
   // simulated time is needed — within a device the timeline is still
   // strictly time-ordered, and the shard's output is the concatenation of
   // its devices' outputs in enrollment order.
   for (CohortDevice& entry : devices_) {
-    net::StateLaneGuard lane(entry.state_lane);
+    // The device's state lives exactly as long as its timeline.
+    net::DeviceScope scope(entry.ordinal);
     runner_.begin_device();
     net::Rng rng = campaign_rng.derive("device-stream", entry.device.id());
     // Hourly wakes from a per-device phase; each wake tosses the

@@ -1,21 +1,23 @@
 // Shard: one (carrier, cohort) slice of the campaign.
 //
 // The campaign is embarrassingly parallel per *device*: a device only
-// ever touches its own laned state (net/shard_slot.h) plus the immutable
-// world substrate, so the fleet can be partitioned into any number of
-// cohorts per carrier. A shard owns everything mutable its slice of
-// devices touches during the run:
+// ever touches its own device-scoped state (net/device_scope.h) plus the
+// immutable world substrate, so the fleet can be partitioned into any
+// number of cohorts per carrier. A shard owns everything mutable its slice
+// of devices touches during the run:
 //
 //   * the cohort's devices (handles into the carrier's SoA fleet built by
-//     cellular::build_carrier_fleet), each carrying its global state lane,
+//     cellular::build_carrier_fleet), each carrying its global ordinal,
 //   * an ExperimentRunner whose sampling counters reset per device,
 //   * a private RecordStore the measurements append to, and
 //   * a private metrics sheaf (obs::MetricsRegistry) all metric handles
 //     on the executing thread bind to while the shard runs.
 //
 // Execution is device-major: each device's whole timeline (hourly wakes
-// from its phase to the horizon) runs to completion under its
-// StateLaneGuard before the next device starts. Every result-affecting
+// from its phase to the horizon) runs to completion inside its own
+// net::DeviceScope, which frees the device's resolver caches, query ids
+// and NAT cursors when the timeline ends, before the next device starts.
+// Live device state is thus one device per worker. Every result-affecting
 // draw comes from the device's own stream, derived from (study seed,
 // device id) alone — no shard or cohort index anywhere — so the shard's
 // output is the concatenation of its devices' outputs regardless of the
@@ -44,11 +46,11 @@ namespace curtain::exec {
 
 class Shard {
  public:
-  /// One enrolled device plus the global state lane its timeline runs in
-  /// (lane = fleet-wide enrollment ordinal + 1; see net/shard_slot.h).
+  /// One enrolled device plus its fleet-wide enrollment ordinal
+  /// (1-based; carried by its net::DeviceScope, it seeds NAT cursors).
   struct CohortDevice {
     cellular::Device device;
-    int state_lane = 0;
+    int ordinal = 0;
   };
 
   Shard(int shard_index, int carrier_index, int cohort_index,
@@ -78,9 +80,8 @@ class Shard {
   size_t approx_record_bytes() const;
 
   /// Runs the shard's whole campaign into its private record store. Must
-  /// run with the shard slot (net::ShardSlotGuard) and the sheaf
-  /// (obs::ScopedMetricsSheaf) bound; binds each device's state lane
-  /// itself.
+  /// run with the sheaf (obs::ScopedMetricsSheaf) bound; opens each
+  /// device's net::DeviceScope itself.
   void run();
 
  private:

@@ -1,10 +1,11 @@
 #include "net/topology.h"
 
 #include <algorithm>
+#include <atomic>
 #include <limits>
 #include <queue>
+#include <unordered_map>
 
-#include "net/shard_slot.h"
 #include "obs/metrics.h"
 
 namespace curtain::net {
@@ -14,9 +15,32 @@ uint64_t route_key(NodeId from, NodeId to) {
   return (static_cast<uint64_t>(from) << 32) | to;
 }
 
+/// Next topology stamp; 0 is never issued, so a fresh thread cache (stamp
+/// 0) matches no topology.
+uint64_t next_stamp() {
+  static std::atomic<uint64_t> counter{0};  // lint: shared-static (atomic; stamps need only be unique)
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+/// The calling thread's routes for the topology carrying `stamp`.
+struct RouteCache {
+  uint64_t stamp = 0;
+  std::unordered_map<uint64_t, std::vector<NodeId>> routes;
+};
+
+std::unordered_map<uint64_t, std::vector<NodeId>>& thread_routes(
+    uint64_t stamp) {
+  static thread_local RouteCache cache;
+  if (cache.stamp != stamp) {
+    cache.routes.clear();
+    cache.stamp = stamp;
+  }
+  return cache.routes;
+}
+
 }  // namespace
 
-Topology::Topology() {
+Topology::Topology() : stamp_(next_stamp()) {
   // Zone 0 is always the open Internet.
   zones_.push_back(Zone{"internet", /*blocks_inbound_probes=*/false});
 }
@@ -32,7 +56,7 @@ NodeId Topology::add_node(Node node) {
   if (!node.ip.is_unspecified()) ip_index_[node.ip.value()] = id;
   nodes_.push_back(std::move(node));
   adjacency_.emplace_back();
-  for (auto& cache : route_caches_) cache.clear();
+  stamp_ = next_stamp();
   return id;
 }
 
@@ -42,11 +66,7 @@ void Topology::add_link(NodeId a, NodeId b, LatencyModel latency, double loss,
   links_.push_back(Link{a, b, latency, loss, tunneled});
   adjacency_[a].push_back(Edge{b, index});
   adjacency_[b].push_back(Edge{a, index});
-  for (auto& cache : route_caches_) cache.clear();
-}
-
-void Topology::set_route_cache_ways(size_t ways) {
-  route_caches_.assign(ways == 0 ? 1 : ways, {});
+  stamp_ = next_stamp();
 }
 
 NodeId Topology::find_by_ip(Ipv4Addr ip) const {
@@ -55,8 +75,7 @@ NodeId Topology::find_by_ip(Ipv4Addr ip) const {
 }
 
 const std::vector<NodeId>& Topology::route(NodeId from, NodeId to) const {
-  const auto slot = static_cast<size_t>(current_shard_slot());
-  auto& route_cache = route_caches_[slot < route_caches_.size() ? slot : 0];
+  auto& route_cache = thread_routes(stamp_);
   const uint64_t key = route_key(from, to);
   const auto cached = route_cache.find(key);
   if (cached != route_cache.end()) return cached->second;

@@ -120,19 +120,14 @@ class Topology {
   NodeId find_by_ip(Ipv4Addr ip) const;
 
   /// Shortest path by typical latency, inclusive of both endpoints; empty
-  /// if unreachable. Cached; cache resets on mutation.
+  /// if unreachable. Cached in a route cache owned by the calling thread,
+  /// so campaign workers never share one. The cache is tagged with the
+  /// topology's stamp: a thread that switches topology, or queries one
+  /// mutated since, starts over. Routes are deterministic functions of the
+  /// graph, so where they are cached never changes a result. The returned
+  /// reference is valid until this thread next routes on another topology
+  /// or the topology is mutated.
   const std::vector<NodeId>& route(NodeId from, NodeId to) const;
-
-  /// Partitions the route cache into `ways` independent maps indexed by
-  /// the calling thread's shard slot, so concurrent shards fill disjoint
-  /// caches instead of racing on one. Routes are deterministic, so the
-  /// partitioning never changes results — which is exactly why the route
-  /// cache may key off the (cohort-count-dependent) shard slot while
-  /// result-visible state must use state lanes (net/shard_slot.h). Call
-  /// before campaign threads start with ways > the shard count — the
-  /// engine checks — and resets cached routes.
-  void set_route_cache_ways(size_t ways);
-  size_t route_cache_ways() const { return route_caches_.size(); }
 
   /// Round-trip time as measured by a transport exchange (no firewall or
   /// responsiveness checks — used for protocol traffic like DNS, which is
@@ -165,10 +160,10 @@ class Topology {
   std::vector<Link> links_;
   std::vector<std::vector<Edge>> adjacency_;
   std::unordered_map<uint32_t, NodeId> ip_index_;
-  /// One route cache per shard slot (see net/shard_slot.h); size 1 until
-  /// set_route_cache_ways() widens it for a sharded campaign.
-  mutable std::vector<std::unordered_map<uint64_t, std::vector<NodeId>>>
-      route_caches_{1};
+  /// Identifies this graph version to the per-thread route caches; a
+  /// fresh process-wide value on construction and on every add_node /
+  /// add_link, so two topologies (or two versions of one) never share it.
+  uint64_t stamp_ = 0;
 };
 
 }  // namespace curtain::net

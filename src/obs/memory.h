@@ -7,7 +7,7 @@
 //     getrusage fallback for the peak) — what the container limit sees;
 //   * per-subsystem approx_bytes() accounting on the big allocators
 //     (measure::RecordStore, net::EventQueue, dns::Cache, the fleet
-//     arena and laned state) — what explains the RSS.
+//     arena and the world's query-time state) — what explains the RSS.
 //
 // The approx_bytes() methods report heap *capacities*, not sizes: RSS is
 // driven by what vectors reserved, not what they filled. Each separate
@@ -39,11 +39,13 @@ size_t read_current_rss_bytes();
 /// getrusage ru_maxrss); 0 when unreadable.
 size_t read_peak_rss_bytes();
 
-/// Roll-up of laned (per-device result-visible) state: DNS cache payload
-/// vs everything else (query ids, NAT cursors, container overhead).
+/// Roll-up of the world's mutable query-time state still held (the
+/// no-device copies; device-scoped copies die with their timelines, see
+/// net/device_scope.h): DNS cache payload vs everything else (instance
+/// cache containers).
 struct LaneMemory {
-  size_t cache_bytes = 0;  ///< dns::Cache entries across all lanes
-  size_t state_bytes = 0;  ///< non-cache laned state + container overhead
+  size_t cache_bytes = 0;  ///< dns::Cache entries
+  size_t state_bytes = 0;  ///< non-cache state + container overhead
 
   size_t total() const { return cache_bytes + state_bytes; }
   LaneMemory& operator+=(const LaneMemory& other) {

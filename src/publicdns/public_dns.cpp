@@ -56,8 +56,6 @@ PublicDnsService::PublicDnsService(std::string name, net::Ipv4Addr vip,
       site.instances.push_back(std::make_unique<dns::RecursiveResolver>(
           node.name + "-i" + std::to_string(i), node_id, instance_ip,
           context.topology, context.registry, context.root_dns_ip));
-      site.instances.back()->set_state_lanes(
-          static_cast<size_t>(context.state_lanes < 1 ? 1 : context.state_lanes));
       site.instances.back()->set_background_load(kPublicBgInterarrivalS,
                                                  context.warm_eligible);
       if (context.ecs_enabled) site.instances.back()->enable_ecs();

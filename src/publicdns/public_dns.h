@@ -42,10 +42,6 @@ struct PublicDnsBuildContext {
   /// deployed this for opted-in CDNs; enabling it lets CDNs map by the
   /// *client's* subnet instead of the resolver's site.
   bool ecs_enabled = false;
-  /// State lanes to partition each instance's mutable state into (one per
-  /// enrolled device + one for the main thread); 1 = unlaned. See
-  /// dns::RecursiveResolver::set_state_lanes.
-  int state_lanes = 1;
   uint64_t build_seed = 0;
 };
 
@@ -60,8 +56,8 @@ class PublicDnsService : public dns::DnsServer {
   const std::string& service_name() const { return name_; }
   const std::vector<PublicDnsSite>& sites() const { return sites_; }
 
-  /// Approximate heap bytes of the laned state across every site's
-  /// instances. A profiling gauge — see obs/memory.h.
+  /// Approximate heap bytes of the no-device query state across every
+  /// site's instances. A profiling gauge — see obs/memory.h.
   obs::LaneMemory approx_lane_bytes() const;
 
   // DnsServer:

@@ -1,5 +1,6 @@
 #include "util/flags.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <thread>
 
@@ -12,7 +13,7 @@ double env_double(const char* name, double fallback) {
   if (raw == nullptr) return fallback;
   char* end = nullptr;
   const double v = std::strtod(raw, &end);
-  if (end == raw || *end != '\0') return fallback;
+  if (end == raw || *end != '\0' || !std::isfinite(v)) return fallback;
   return v;
 }
 

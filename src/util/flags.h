@@ -18,7 +18,8 @@
 
 namespace curtain::util {
 
-/// Reads env var `name`; returns `fallback` if unset or unparsable.
+/// Reads env var `name`; returns `fallback` if unset or unparsable
+/// (env_double also rejects nan and ±inf).
 double env_double(const char* name, double fallback);
 uint64_t env_u64(const char* name, uint64_t fallback);
 std::string env_string(const char* name, const std::string& fallback);

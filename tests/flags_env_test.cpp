@@ -112,6 +112,15 @@ TEST(CampaignKnobs, ScaleClampsToUnitInterval) {
   }
 }
 
+TEST(CampaignKnobs, ScaleNonFiniteFallsBack) {
+  // strtod parses these; a nan scale used to pass the clamp and abort the
+  // scenario builder, and inf clamped to a full-scale run.
+  for (const char* raw : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+    ScopedEnv set("CURTAIN_SCALE", raw);
+    EXPECT_EQ(util::campaign_scale(), 0.05) << raw;
+  }
+}
+
 TEST(CampaignKnobs, ShardsClampTo1Through64) {
   {
     // 0 means "one worker per hardware thread" — the result depends on
@@ -188,6 +197,15 @@ TEST(CampaignKnobs, ProfileStallFactorClampsTo1Point5Through100) {
   {
     ScopedEnv set("CURTAIN_PROFILE_STALL_K", "6");
     EXPECT_EQ(util::profile_stall_factor(), 6.0);
+  }
+}
+
+TEST(CampaignKnobs, ProfileStallFactorNonFiniteFallsBack) {
+  // nan compares false against both clamps and used to disable the
+  // stall watchdog silently.
+  for (const char* raw : {"nan", "inf", "-inf"}) {
+    ScopedEnv set("CURTAIN_PROFILE_STALL_K", raw);
+    EXPECT_EQ(util::profile_stall_factor(), 4.0) << raw;
   }
 }
 

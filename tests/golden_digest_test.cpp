@@ -1,23 +1,30 @@
-// Golden export digest: the campaign's results pinned across changes.
+// Golden digests: the campaign's results pinned across changes.
 //
 // shard_determinism_test proves the exports do not depend on how the work
 // is split; it cannot notice a change that moves every split the same way.
 // This test runs one fixed Scenario (paper_2014, seed 20141105, scale
-// 0.02) and compares an FNV-1a 64-bit digest of all six CSV export
-// surfaces, concatenated in a fixed order, against a committed constant.
+// 0.02) once and compares two FNV-1a 64-bit digests against committed
+// constants:
+//   * all six CSV export surfaces, concatenated in a fixed order;
+//   * the Prometheus rendering of the metrics registry right after the
+//     run (query, cache-hit, forward and probe counters, latency
+//     histograms). The RunReport is left out: its phases are wall-clock.
 //
-// A change that is meant to alter results must update kGoldenDigest in
+// A change that is meant to alter results must update the constants in
 // the same diff and say why in CHANGES.md. A change that is not meant to
-// (a refactor, a perf change) must leave it alone.
+// (a refactor, a perf change) must leave them alone.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "analysis/export.h"
 #include "core/study.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
 
 namespace curtain {
 namespace {
@@ -26,6 +33,9 @@ namespace {
 // left it untouched. It equals the paper_repro digest campaignbench prints
 // for seed 20141105.
 constexpr uint64_t kGoldenDigest = 0xce4b2ded5d84e034ULL;
+// Generated from the code before device-scoped state replaced the
+// per-device state lanes.
+constexpr uint64_t kGoldenMetricsDigest = 0x736af1b794509dbeULL;
 
 using ExportFn = void (*)(const measure::RecordStore&, std::ostream&);
 constexpr ExportFn kExports[] = {
@@ -37,6 +47,8 @@ constexpr ExportFn kExports[] = {
     analysis::export_vantage_probes_csv,
 };
 
+constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
 uint64_t fnv1a64(uint64_t digest, const std::string& bytes) {
   for (const char c : bytes) {
     digest ^= static_cast<unsigned char>(c);
@@ -45,22 +57,49 @@ uint64_t fnv1a64(uint64_t digest, const std::string& bytes) {
   return digest;
 }
 
-TEST(GoldenDigest, PaperScenarioExportsUnchanged) {
-  core::Study study(core::Scenario::paper_2014()
-                        .with_seed(20141105)
-                        .with_scale(0.02));
-  study.run();
-  ASSERT_GT(study.records().experiment_count(), 0u);
+std::string hex(uint64_t digest) {
+  char out[17];
+  std::snprintf(out, sizeof(out), "%016" PRIx64, digest);
+  return out;
+}
 
-  uint64_t digest = 0xcbf29ce484222325ULL;
+// One run per process, shared by both tests. The metrics registry is
+// process-wide, so its snapshot is taken right after the run, before
+// anything else can add to it.
+class GoldenDigest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    study_ = std::make_unique<core::Study>(core::Scenario::paper_2014()
+                                               .with_seed(20141105)
+                                               .with_scale(0.02));
+    study_->run();
+    metrics_text_ = obs::to_prometheus_text(obs::metrics().snapshot());
+  }
+  static void TearDownTestSuite() { study_.reset(); }
+
+  static std::unique_ptr<core::Study> study_;
+  static std::string metrics_text_;
+};
+
+std::unique_ptr<core::Study> GoldenDigest::study_;
+std::string GoldenDigest::metrics_text_;
+
+TEST_F(GoldenDigest, PaperScenarioExportsUnchanged) {
+  ASSERT_GT(study_->records().experiment_count(), 0u);
+  uint64_t digest = kFnvOffset;
   for (const ExportFn fn : kExports) {
     std::ostringstream out;
-    fn(study.records(), out);
+    fn(study_->records(), out);
     digest = fnv1a64(digest, out.str());
   }
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016" PRIx64, digest);
-  EXPECT_EQ(digest, kGoldenDigest) << "export digest is " << hex;
+  EXPECT_EQ(digest, kGoldenDigest) << "export digest is " << hex(digest);
+}
+
+TEST_F(GoldenDigest, PaperScenarioMetricsUnchanged) {
+  ASSERT_NE(metrics_text_.find("curtain_dns_cache_hits_total"),
+            std::string::npos);
+  const uint64_t digest = fnv1a64(kFnvOffset, metrics_text_);
+  EXPECT_EQ(digest, kGoldenMetricsDigest) << "metrics digest is " << hex(digest);
 }
 
 }  // namespace

@@ -129,7 +129,7 @@ TEST(ShardDeterminism, AutoCohortsMatchTheSerialReference) {
 
 // High cohort × worker counts (96 shards on 16 threads, with empty shards
 // for the 4-device carrier): the scripts/check.sh TSAN leg runs this
-// suite to shake out data races in the laned-state partitioning.
+// suite to check that worker threads share no mutable state.
 TEST(ShardDeterminism, StressManyCohortsManyWorkers) {
   const Exported reference = run_and_export(scenario(1, 1));
   const Exported stressed = run_and_export(scenario(16, 16));

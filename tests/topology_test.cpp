@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "net/topology.h"
 
 namespace curtain::net {
@@ -170,6 +172,36 @@ TEST_F(TopologyTest, ParallelLinksPickFastest) {
   const auto rtt = topo_.transport_rtt_ms(a_, b_, rng_);
   ASSERT_TRUE(rtt.has_value());
   EXPECT_DOUBLE_EQ(*rtt, 2.0);
+}
+
+TEST_F(TopologyTest, RouteCacheFollowsMutationTopologyAndThread) {
+  // The route cache belongs to the calling thread and is tagged with the
+  // topology's stamp: mutating the graph, switching to another topology
+  // and routing from another thread must all see the current graph.
+  EXPECT_EQ(topo_.route(a_, c_), (std::vector<NodeId>{a_, b_, c_}));
+  topo_.add_link(a_, c_, LatencyModel::fixed(1.0));  // new shortcut
+  EXPECT_EQ(topo_.route(a_, c_), (std::vector<NodeId>{a_, c_}));
+
+  Topology other;
+  Node node;
+  const NodeId x = other.add_node(node);
+  const NodeId y = other.add_node(node);
+  const NodeId z = other.add_node(node);
+  other.add_link(x, y, LatencyModel::fixed(1.0));
+  other.add_link(y, z, LatencyModel::fixed(1.0));
+  // Same node ids as a_/b_/c_, different graphs, alternating on one thread.
+  ASSERT_EQ(x, a_);
+  ASSERT_EQ(z, c_);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(other.route(x, z), (std::vector<NodeId>{x, y, z}));
+    EXPECT_EQ(topo_.route(a_, c_), (std::vector<NodeId>{a_, c_}));
+  }
+
+  std::vector<NodeId> from_worker;
+  std::thread worker([&] { from_worker = topo_.route(a_, r_); });
+  worker.join();
+  EXPECT_EQ(from_worker, topo_.route(a_, r_));
+  EXPECT_EQ(from_worker, (std::vector<NodeId>{a_, b_, g_, r_}));
 }
 
 TEST_F(TopologyTest, ZoneAccessors) {
