@@ -156,6 +156,31 @@ void BM_TransportRtt(benchmark::State& state) {
 }
 BENCHMARK(BM_TransportRtt);
 
+/// One source, every other node as a target, starting from a cold route
+/// cache each sweep: the shape of a campaign, where few sources (gateways,
+/// resolvers, the vantage point) reach many targets. Sweeps alternate
+/// between two identical topologies, and switching topology empties the
+/// thread's route cache, so each sweep pays for whatever routing state
+/// one source needs: one shortest-path tree, or one search per target
+/// with a per-pair cache. One op is one sweep.
+void BM_TransportRttManyTargets(benchmark::State& state) {
+  const net::Topology topologies[] = {make_topology(), make_topology()};
+  auto rng = bench::bench_rng("micro_net/transport-rtt-many-targets");
+  const auto nodes = static_cast<uint32_t>(topologies[0].node_count());
+  const uint32_t from = 30;  // first leaf node id
+  size_t sweep = 0;
+  for (auto _ : state) {
+    const net::Topology& topo = topologies[sweep++ % 2];
+    for (uint32_t to = 0; to < nodes; ++to) {
+      if (to == from) continue;
+      benchmark::DoNotOptimize(topo.transport_rtt_ms(from, to, rng));
+    }
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(nodes - 1));
+}
+BENCHMARK(BM_TransportRttManyTargets);
+
 void BM_Ping(benchmark::State& state) {
   net::Topology topo = make_topology();
   auto rng = bench::bench_rng("micro_net/ping");

@@ -41,6 +41,9 @@ constexpr size_t kAnswersPerResponse = 2;
 // repeated queries inside one bucket (and one TTL) see the same replicas.
 constexpr double kRotationBucketSeconds = 30.0;
 
+// WHOIS country assumed for an opaque /24 nobody registered.
+const std::string kDefaultCountry = "US";
+
 }  // namespace
 
 CdnProvider::CdnProvider(std::string name, dns::DnsName zone_apex,
@@ -98,6 +101,8 @@ void CdnProvider::build_clusters(const CdnBuildContext& context,
     }
     cluster_by_replica_slash24_[cluster.prefix.address().value()] =
         cluster.index;
+    clusters_by_country_[country].push_back(cluster.index);
+    all_clusters_.push_back(cluster.index);
     clusters_.push_back(std::move(cluster));
   };
   // 2014-era CDNs served mobile eyeballs from a modest number of large
@@ -167,14 +172,16 @@ const ReplicaCluster& CdnProvider::cluster_for_resolver(
   // assignment is a sticky hash over that country's clusters — stable per
   // /24 (Fig. 10) but uncorrelated with where the clients actually are
   // (Fig. 2's penalties).
+  // A country without clusters (a carrier outside the US and KR) has no
+  // in-country pool; the hash then ranges over every cluster, as a CDN
+  // would serve such a prefix from some POP abroad.
   const uint64_t h = net::mix_key(seed_, slash24);
   const auto country_it = prefix_countries_.find(slash24);
-  const std::string country =
-      country_it == prefix_countries_.end() ? "US" : country_it->second;
-  std::vector<int> pool;
-  for (const auto& cluster : clusters_) {
-    if (cluster.country == country) pool.push_back(cluster.index);
-  }
+  const auto pool_it = clusters_by_country_.find(
+      country_it == prefix_countries_.end() ? kDefaultCountry
+                                            : country_it->second);
+  const std::vector<int>& pool =
+      pool_it == clusters_by_country_.end() ? all_clusters_ : pool_it->second;
   return clusters_[util::idx(pool[h % pool.size()])];
 }
 

@@ -66,7 +66,9 @@ class CdnProvider {
 
   /// Registers only the WHOIS country of a /24 (always available even for
   /// opaque cellular prefixes). Without a full hint, mapping falls back to
-  /// a sticky per-/24 hash over this country's clusters.
+  /// a sticky per-/24 hash over this country's clusters, or over every
+  /// cluster if the provider has none in that country; a /24 with no
+  /// registered country counts as US.
   void add_prefix_country(net::Prefix slash24, const std::string& country);
 
   /// The cluster the mapper assigns to `resolver_ip`'s /24.
@@ -95,6 +97,9 @@ class CdnProvider {
   uint64_t seed_ = 0;
   uint32_t answer_ttl_s_;
   std::vector<ReplicaCluster> clusters_;
+  /// Cluster indices by country, in cluster order (opaque-prefix pools).
+  std::unordered_map<std::string, std::vector<int>> clusters_by_country_;
+  std::vector<int> all_clusters_;  ///< pool for a country with no cluster
   std::unordered_map<uint32_t, int> cluster_by_replica_slash24_;
   struct Hint {
     net::GeoPoint location;

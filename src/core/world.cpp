@@ -176,17 +176,12 @@ void World::build_public_dns() {
   };
   // Anycast ingress follows the querying prefix's egress location, which
   // for subscribers is their carrier gateway.
-  context.locate_source =
-      [this](net::Ipv4Addr source) -> std::optional<GeoPoint> {
+  context.locate_source = [this](net::Ipv4Addr source) {
     for (const auto& carrier : carriers_) {
       const int gateway = carrier->gateway_of_ip(source);
-      if (gateway >= 0) {
-        return topology_.node(carrier->gateway_node(gateway)).location;
-      }
+      if (gateway >= 0) return carrier->gateway_node(gateway);
     }
-    const net::NodeId node = topology_.find_by_ip(source);
-    if (node != net::kInvalidNode) return topology_.node(node).location;
-    return std::nullopt;
+    return topology_.find_by_ip(source);
   };
 
   context.ecs_enabled = config_.google_ecs;

@@ -121,7 +121,8 @@ void CampaignEngine::run_pool() {
   // matter which worker frees up first. Which worker runs which shard
   // varies run to run — that's fine, because nothing result-visible is
   // keyed by the worker: device state lives in per-device scopes and the
-  // only worker-owned state, the route cache, holds deterministic routes.
+  // only worker-owned state, the route cache and the anycast ingress
+  // ranking, holds deterministic functions of the world.
   const size_t pool = std::min(static_cast<size_t>(config_.workers),
                                shards_.size() == 0 ? size_t{1}
                                                    : shards_.size());

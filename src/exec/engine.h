@@ -15,8 +15,9 @@
 // cold when its timeline starts and freed when it ends, and the one value
 // the scope carries into results — the device's global ordinal — depends
 // only on the fleet, never on cohort or worker counts. Workers own
-// nothing result-visible: their one private structure is the topology
-// route cache, whose entries are deterministic.
+// nothing result-visible: their private structures are the topology
+// route cache and the anycast ingress ranking, whose entries are
+// deterministic.
 // Fleets are built once per carrier (as SoA arenas the engine owns) and
 // sliced into device handles, so the devices themselves are
 // partition-invariant too. The merge happens in (carrier, cohort) order,

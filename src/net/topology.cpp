@@ -4,16 +4,14 @@
 #include <atomic>
 #include <limits>
 #include <queue>
-#include <unordered_map>
 
 #include "obs/metrics.h"
 
 namespace curtain::net {
 namespace {
 
-uint64_t route_key(NodeId from, NodeId to) {
-  return (static_cast<uint64_t>(from) << 32) | to;
-}
+/// Parent link of a node outside the tree: the root and unreachable nodes.
+constexpr uint32_t kNoLink = UINT32_MAX;
 
 /// Next topology stamp; 0 is never issued, so a fresh thread cache (stamp
 /// 0) matches no topology.
@@ -22,20 +20,8 @@ uint64_t next_stamp() {
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-/// The calling thread's routes for the topology carrying `stamp`.
-struct RouteCache {
-  uint64_t stamp = 0;
-  std::unordered_map<uint64_t, std::vector<NodeId>> routes;
-};
-
-std::unordered_map<uint64_t, std::vector<NodeId>>& thread_routes(
-    uint64_t stamp) {
-  static thread_local RouteCache cache;
-  if (cache.stamp != stamp) {
-    cache.routes.clear();
-    cache.stamp = stamp;
-  }
-  return cache.routes;
+NodeId other_end(const Link& link, NodeId node) {
+  return link.a == node ? link.b : link.a;
 }
 
 }  // namespace
@@ -74,61 +60,75 @@ NodeId Topology::find_by_ip(Ipv4Addr ip) const {
   return it == ip_index_.end() ? kInvalidNode : it->second;
 }
 
-const std::vector<NodeId>& Topology::route(NodeId from, NodeId to) const {
-  auto& route_cache = thread_routes(stamp_);
-  const uint64_t key = route_key(from, to);
-  const auto cached = route_cache.find(key);
-  if (cached != route_cache.end()) return cached->second;
-
-  // Dijkstra over typical link latency from `from`; we cache only the
-  // requested pair (worlds have few distinct probe sources, many targets,
-  // and recomputation is cheap relative to campaign length).
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> dist(nodes_.size(), kInf);
-  std::vector<NodeId> prev(nodes_.size(), kInvalidNode);
-  using Entry = std::pair<double, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-  dist[from] = 0.0;
-  heap.emplace(0.0, from);
-  while (!heap.empty()) {
-    const auto [d, u] = heap.top();
-    heap.pop();
-    if (d > dist[u]) continue;
-    if (u == to) break;
-    for (const Edge& edge : adjacency_[u]) {
-      const double nd = d + links_[edge.link_index].latency.typical_ms();
-      if (nd < dist[edge.peer]) {
-        dist[edge.peer] = nd;
-        prev[edge.peer] = u;
-        heap.emplace(nd, edge.peer);
+const std::vector<Topology::Hop>* Topology::route_hops(NodeId from,
+                                                      NodeId to) const {
+  // The calling thread's shortest-path trees for the topology carrying
+  // `stamp`: trees[from][n] is the link by which the tree rooted at `from`
+  // enters node n (kNoLink for `from` and unreachable nodes), and is empty
+  // until the thread first routes from `from`.
+  struct RouteCache {
+    uint64_t stamp = 0;
+    std::vector<std::vector<uint32_t>> trees;
+    std::vector<Hop> hops;  ///< the last route walked, in travel order
+  };
+  static thread_local RouteCache cache;
+  if (cache.stamp != stamp_) {
+    cache.trees.clear();
+    cache.trees.resize(nodes_.size());
+    cache.stamp = stamp_;
+  }
+  std::vector<uint32_t>& parent = cache.trees[from];
+  if (parent.empty()) {
+    // Dijkstra over typical link latency from `from`, run to completion.
+    // Up to the pop of any node it does exactly what a search stopped
+    // there would, and no later relaxation beats a popped node's distance,
+    // so the tree holds the same path to every node as a search per pair.
+    // Of several parallel links, the first with the lowest latency is
+    // kept, including when two latencies round to one path length.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<double> dist(nodes_.size(), kInf);
+    parent.assign(nodes_.size(), kNoLink);
+    using Entry = std::pair<double, NodeId>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+    dist[from] = 0.0;
+    heap.emplace(0.0, from);
+    while (!heap.empty()) {
+      const auto [d, u] = heap.top();
+      heap.pop();
+      if (d > dist[u]) continue;
+      for (const Edge& edge : adjacency_[u]) {
+        const double typical = links_[edge.link_index].latency.typical_ms();
+        const double nd = d + typical;
+        uint32_t& entered_by = parent[edge.peer];
+        if (nd < dist[edge.peer]) {
+          dist[edge.peer] = nd;
+          entered_by = edge.link_index;
+          heap.emplace(nd, edge.peer);
+        } else if (nd == dist[edge.peer] && entered_by != kNoLink &&
+                   other_end(links_[entered_by], edge.peer) == u &&
+                   typical < links_[entered_by].latency.typical_ms()) {
+          entered_by = edge.link_index;
+        }
       }
     }
   }
 
-  std::vector<NodeId> path;
-  if (dist[to] != kInf) {
-    for (NodeId at = to; at != kInvalidNode; at = prev[at]) {
-      path.push_back(at);
-      if (at == from) break;
-    }
-    std::reverse(path.begin(), path.end());
-    if (path.empty() || path.front() != from) path.clear();
+  if (to != from && parent[to] == kNoLink) return nullptr;
+  std::vector<Hop>& hops = cache.hops;
+  hops.clear();
+  for (NodeId at = to; at != from; at = other_end(links_[parent[at]], at)) {
+    hops.push_back(Hop{parent[at], at});
   }
-  return route_cache.emplace(key, std::move(path)).first->second;
+  std::reverse(hops.begin(), hops.end());
+  return &hops;
 }
 
-const Link& Topology::link_between(NodeId a, NodeId b) const {
-  // Route hops are adjacent by construction; pick the lowest-latency
-  // parallel link if several exist.
-  const Link* best = nullptr;
-  for (const Edge& edge : adjacency_[a]) {
-    if (edge.peer != b) continue;
-    const Link& link = links_[edge.link_index];
-    if (best == nullptr || link.latency.typical_ms() < best->latency.typical_ms()) {
-      best = &link;
-    }
-  }
-  return *best;  // precondition: a and b are adjacent
+std::vector<NodeId> Topology::route(NodeId from, NodeId to) const {
+  const auto* hops = route_hops(from, to);
+  if (hops == nullptr) return {};
+  std::vector<NodeId> path{from};
+  for (const Hop& hop : *hops) path.push_back(hop.node);
+  return path;
 }
 
 bool Topology::probe_blocked_at(ZoneId origin_zone, NodeId target) const {
@@ -138,11 +138,11 @@ bool Topology::probe_blocked_at(ZoneId origin_zone, NodeId target) const {
 
 std::optional<double> Topology::transport_rtt_ms(NodeId from, NodeId to,
                                                  Rng& rng) const {
-  const auto& path = route(from, to);
-  if (path.empty()) return std::nullopt;
+  const auto* hops = route_hops(from, to);
+  if (hops == nullptr) return std::nullopt;
   double rtt = nodes_[to].processing.sample(rng);
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    const Link& link = link_between(path[i], path[i + 1]);
+  for (const Hop& hop : *hops) {
+    const Link& link = links_[hop.link_index];
     rtt += link.latency.sample(rng) + link.latency.sample(rng);
   }
   return rtt;
@@ -165,8 +165,8 @@ PingResult Topology::ping(NodeId from, NodeId to, Rng& rng) const {
   auto& [pings, firewalled, unresponsive] = ping_metrics.get();
   pings.inc();
   PingResult result;
-  const auto& path = route(from, to);
-  if (path.empty()) {
+  const auto* hops = route_hops(from, to);
+  if (hops == nullptr) {
     result.failure = PingResult::Failure::kNoRoute;
     return result;
   }
@@ -177,14 +177,13 @@ PingResult Topology::ping(NodeId from, NodeId to, Rng& rng) const {
   }
   const ZoneId origin_zone = nodes_[from].zone;
   double rtt = nodes_[to].processing.sample(rng);
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    const NodeId next = path[i + 1];
-    if (probe_blocked_at(origin_zone, next)) {
+  for (const Hop& hop : *hops) {
+    if (probe_blocked_at(origin_zone, hop.node)) {
       result.failure = PingResult::Failure::kFirewalled;
       firewalled.inc();
       return result;
     }
-    const Link& link = link_between(path[i], next);
+    const Link& link = links_[hop.link_index];
     if (rng.bernoulli(link.loss) || rng.bernoulli(link.loss)) {
       result.failure = PingResult::Failure::kLoss;
       return result;
@@ -198,18 +197,17 @@ PingResult Topology::ping(NodeId from, NodeId to, Rng& rng) const {
 
 TracerouteResult Topology::traceroute(NodeId from, NodeId to, Rng& rng) const {
   TracerouteResult result;
-  const auto& path = route(from, to);
-  if (path.empty()) return result;
+  const auto* hops = route_hops(from, to);
+  if (hops == nullptr) return result;
   const ZoneId origin_zone = nodes_[from].zone;
 
   double cumulative_one_way = 0.0;
-  for (size_t i = 0; i + 1 < path.size(); ++i) {
-    const NodeId hop = path[i + 1];
+  for (const auto& [link_index, hop] : *hops) {
     if (probe_blocked_at(origin_zone, hop)) {
       // Firewalled ingress: probes die silently beyond this point (§4.4).
       return result;
     }
-    const Link& link = link_between(path[i], hop);
+    const Link& link = links_[link_index];
     cumulative_one_way += link.latency.sample(rng);
     const bool is_destination = (hop == to);
     const Node& hop_node = nodes_[hop];
@@ -243,10 +241,12 @@ TracerouteResult Topology::traceroute(NodeId from, NodeId to, Rng& rng) const {
 }
 
 NodeId Topology::zone_boundary(NodeId from, NodeId to) const {
-  const auto& path = route(from, to);
+  const auto* hops = route_hops(from, to);
+  if (hops == nullptr) return kInvalidNode;
   const ZoneId target_zone = nodes_[to].zone;
-  for (const NodeId hop : path) {
-    if (nodes_[hop].zone == target_zone) return hop;
+  if (nodes_[from].zone == target_zone) return from;
+  for (const Hop& hop : *hops) {
+    if (nodes_[hop.node].zone == target_zone) return hop.node;
   }
   return kInvalidNode;
 }

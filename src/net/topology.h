@@ -119,15 +119,22 @@ class Topology {
   /// add_node for any node with a non-zero IP.
   NodeId find_by_ip(Ipv4Addr ip) const;
 
+  /// Identifies this graph version: process-unique, and renewed by every
+  /// add_node / add_link, so two topologies (or two versions of one) never
+  /// share it. Per-thread caches of values derived from the graph tag
+  /// their entries with it.
+  uint64_t stamp() const { return stamp_; }
+
   /// Shortest path by typical latency, inclusive of both endpoints; empty
-  /// if unreachable. Cached in a route cache owned by the calling thread,
-  /// so campaign workers never share one. The cache is tagged with the
-  /// topology's stamp: a thread that switches topology, or queries one
-  /// mutated since, starts over. Routes are deterministic functions of the
-  /// graph, so where they are cached never changes a result. The returned
-  /// reference is valid until this thread next routes on another topology
-  /// or the topology is mutated.
-  const std::vector<NodeId>& route(NodeId from, NodeId to) const;
+  /// if unreachable. Read off the shortest-path tree rooted at `from`,
+  /// which is built on the first query from `from` and then cached by the
+  /// calling thread, so campaign workers never share one. The cache is
+  /// tagged with the topology's stamp: a thread that switches topology, or
+  /// queries one mutated since, starts over. The tree keeps one parent
+  /// link per node, the first lowest-latency parallel link wherever two
+  /// nodes have several; routes are deterministic functions of the graph,
+  /// so where they are cached never changes a result.
+  std::vector<NodeId> route(NodeId from, NodeId to) const;
 
   /// Round-trip time as measured by a transport exchange (no firewall or
   /// responsiveness checks — used for protocol traffic like DNS, which is
@@ -150,8 +157,16 @@ class Topology {
     uint32_t link_index;
   };
 
-  /// Index of the link traversed between adjacent route nodes.
-  const Link& link_between(NodeId a, NodeId b) const;
+  /// One step of a route: the link taken and the node it enters.
+  struct Hop {
+    uint32_t link_index;
+    NodeId node;
+  };
+
+  /// The hops from `from` to `to` in travel order, walked up the cached
+  /// shortest-path tree into a buffer owned by the calling thread (valid
+  /// until its next route query); nullptr if `to` is unreachable.
+  const std::vector<Hop>* route_hops(NodeId from, NodeId to) const;
   /// True if a probe from `origin_zone` is dropped when entering `target`.
   bool probe_blocked_at(ZoneId origin_zone, NodeId target) const;
 
@@ -160,10 +175,7 @@ class Topology {
   std::vector<Link> links_;
   std::vector<std::vector<Edge>> adjacency_;
   std::unordered_map<uint32_t, NodeId> ip_index_;
-  /// Identifies this graph version to the per-thread route caches; a
-  /// fresh process-wide value on construction and on every add_node /
-  /// add_link, so two topologies (or two versions of one) never share it.
-  uint64_t stamp_ = 0;
+  uint64_t stamp_ = 0;  ///< see stamp()
 };
 
 }  // namespace curtain::net

@@ -10,8 +10,6 @@ namespace {
 // Anycast ingress re-evaluates on this period: tunneling and BGP churn
 // shift which site a subscriber prefix lands on (Fig. 12's /24 changes).
 constexpr double kIngressEpochHours = 8.0;
-// How many nearby sites a source realistically flips between.
-constexpr int kIngressCandidates = 4;
 // Mean per-name background re-fetch interval at a public-DNS site.
 // Public resolvers serve enormous populations, so popular names are
 // nearly always warm (30 s TTL -> ~93%; Fig. 13's short tail).
@@ -24,6 +22,7 @@ PublicDnsService::PublicDnsService(std::string name, net::Ipv4Addr vip,
                                    const PublicDnsBuildContext& context)
     : name_(std::move(name)),
       vip_(vip),
+      topology_(context.topology),
       locate_source_(context.locate_source),
       seed_(net::mix_key(context.build_seed, net::hash_tag(name_))) {
   const auto& metros = net::world_metros();
@@ -78,36 +77,80 @@ obs::LaneMemory PublicDnsService::approx_lane_bytes() const {
   return memory;
 }
 
+const PublicDnsService::IngressCandidates&
+PublicDnsService::ingress_candidates(net::NodeId egress) const {
+  // The calling thread's candidates, one table per service, each indexed
+  // by egress node. Tagged with the topology stamp, so a thread that
+  // moves to another World, or queries one mutated since, starts over.
+  struct IngressMemo {
+    uint64_t stamp = 0;
+    /// (the service's first site node, its table). Within one topology
+    /// version that node names the service: every service adds its own
+    /// site nodes, and building another one renews the stamp. The
+    /// service's address would not do: the next World on this thread may
+    /// reuse it.
+    std::vector<std::pair<net::NodeId, std::vector<IngressCandidates>>>
+        tables;
+  };
+  static thread_local IngressMemo memo;
+  const uint64_t stamp = topology_->stamp();
+  if (memo.stamp != stamp) {
+    memo.tables.clear();
+    memo.stamp = stamp;
+  }
+  const net::NodeId key = node();
+  auto table = std::find_if(
+      memo.tables.begin(), memo.tables.end(),
+      [key](const auto& entry) { return entry.first == key; });
+  if (table == memo.tables.end()) {
+    memo.tables.emplace_back(key, std::vector<IngressCandidates>(
+                                      topology_->node_count()));
+    table = std::prev(memo.tables.end());
+  }
+  IngressCandidates& candidates = table->second[egress];
+  if (candidates.count == 0) {
+    // Rank sites by distance to the egress; keep the nearest few.
+    const net::GeoPoint& location = topology_->node(egress).location;
+    std::vector<std::pair<double, int>> ranked;
+    ranked.reserve(sites_.size());
+    for (size_t s = 0; s < sites_.size(); ++s) {
+      ranked.emplace_back(net::distance_km(location, sites_[s].location),
+                          static_cast<int>(s));
+    }
+    std::sort(ranked.begin(), ranked.end());
+    candidates.count = static_cast<uint16_t>(
+        std::min<size_t>(kIngressCandidates, ranked.size()));
+    for (size_t c = 0; c < candidates.count; ++c) {
+      candidates.sites[c] = static_cast<uint16_t>(ranked[c].second);
+    }
+  }
+  return candidates;
+}
+
 int PublicDnsService::route_site(net::Ipv4Addr source_ip,
                                  net::SimTime now) const {
   const uint32_t slash24 = source_ip.slash24().value();
-  const auto egress = locate_source_ ? locate_source_(source_ip) : std::nullopt;
+  const net::NodeId egress =
+      locate_source_ ? locate_source_(source_ip) : net::kInvalidNode;
   const auto epoch =
       static_cast<uint64_t>(now.hours() / kIngressEpochHours);
   const uint64_t draw = net::mix_key(net::mix_key(seed_, slash24), epoch);
-  if (!egress) {
+  if (egress == net::kInvalidNode) {
     // Unknown origin: stable pseudo-random site per /24.
     return static_cast<int>(draw % sites_.size());
   }
-  // Rank sites by distance to the egress; flip between the nearest few.
-  std::vector<std::pair<double, int>> ranked;
-  ranked.reserve(sites_.size());
-  for (size_t s = 0; s < sites_.size(); ++s) {
-    ranked.emplace_back(net::distance_km(*egress, sites_[s].location),
-                        static_cast<int>(s));
-  }
-  std::sort(ranked.begin(), ranked.end());
-  const int candidates =
-      std::min<int>(kIngressCandidates, static_cast<int>(ranked.size()));
-  // Closest site wins most epochs; occasionally routing lands further out.
+  // Flip between the sites nearest the egress: the closest wins most
+  // epochs; occasionally routing lands further out. The ranking depends
+  // on the egress alone, so it is memoized (ingress_candidates()).
+  const IngressCandidates& candidates = ingress_candidates(egress);
   static constexpr double kWeights[] = {0.70, 0.16, 0.09, 0.05};
   double target = static_cast<double>(draw % 10000) / 10000.0;
-  for (int c = 0; c < candidates; ++c) {
-    if (target < kWeights[c] || c == candidates - 1)
-      return ranked[util::idx(c)].second;
+  for (int c = 0; c < candidates.count; ++c) {
+    if (target < kWeights[c] || c == candidates.count - 1)
+      return candidates.sites[util::idx(c)];
     target -= kWeights[c];
   }
-  return ranked[0].second;
+  return candidates.sites[0];
 }
 
 net::NodeId PublicDnsService::node() const {

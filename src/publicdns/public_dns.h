@@ -10,6 +10,7 @@
 // them is latency-aware — the crux of the paper's headline comparison.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,9 +34,14 @@ struct PublicDnsBuildContext {
   net::IpAllocator* allocator = nullptr;
   std::function<net::NodeId(const net::GeoPoint&)> nearest_backbone;
   net::Ipv4Addr root_dns_ip;
-  /// Where a client source address appears to enter the Internet (its
-  /// egress location); drives anycast ingress selection.
-  std::function<std::optional<net::GeoPoint>(net::Ipv4Addr)> locate_source;
+  /// The node where a client source address enters the Internet (its
+  /// egress: a subscriber's carrier gateway, else the node owning the
+  /// address), or kInvalidNode if unknown; drives anycast ingress
+  /// selection. The service ranks its sites by distance from each egress
+  /// the first time a thread meets it and reuses that ranking, so the
+  /// answer must depend on the address alone and the egress node must not
+  /// move while the topology keeps its stamp.
+  std::function<net::NodeId(net::Ipv4Addr)> locate_source;
   /// Names kept warm by background load; empty = all names.
   std::function<bool(const dns::DnsName&)> warm_eligible;
   /// Send EDNS client-subnet to authoritative servers (RFC 7871). Google
@@ -75,9 +81,21 @@ class PublicDnsService : public dns::DnsServer {
   /// proximity to the source's egress with tunneling-induced instability.
   int route_site(net::Ipv4Addr source_ip, net::SimTime now) const;
 
+  /// How many nearby sites a source realistically flips between.
+  static constexpr int kIngressCandidates = 4;
+  /// The sites nearest an egress, closest first (ties to the lower index).
+  struct IngressCandidates {
+    std::array<uint16_t, kIngressCandidates> sites{};
+    uint16_t count = 0;  ///< 0 = not ranked yet
+  };
+  /// The candidates for `egress` from the calling thread's memo, ranked
+  /// on first use (see route_site()).
+  const IngressCandidates& ingress_candidates(net::NodeId egress) const;
+
   std::string name_;
   net::Ipv4Addr vip_;
-  std::function<std::optional<net::GeoPoint>(net::Ipv4Addr)> locate_source_;
+  const net::Topology* topology_ = nullptr;
+  std::function<net::NodeId(net::Ipv4Addr)> locate_source_;
   uint64_t seed_ = 0;
   std::vector<PublicDnsSite> sites_;
 };

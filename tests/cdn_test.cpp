@@ -106,6 +106,25 @@ TEST_F(CdnTest, CountryOnlyPrefixStaysInCountry) {
   EXPECT_EQ(cluster.country, "KR");
 }
 
+TEST_F(CdnTest, CountryWithoutClustersHashesOverEveryCluster) {
+  // A carrier outside the US and KR (say a with_carriers profile with
+  // country "JP") registers /24s in a country where the provider has no
+  // cluster. The mapping stays a sticky per-/24 hash, over every cluster.
+  auto& provider = world_->cdn("curtaincdn");
+  std::set<std::string> countries;
+  for (int i = 0; i < 64; ++i) {
+    const net::Ipv4Addr resolver(198, 19, static_cast<uint8_t>(i), 1);
+    provider.add_prefix_country(net::Prefix(resolver, 24), "JP");
+    const auto& cluster = provider.cluster_for_resolver(resolver);
+    EXPECT_EQ(provider.cluster_for_resolver(resolver).index, cluster.index);
+    EXPECT_EQ(provider.cluster_for_resolver(net::Ipv4Addr(
+                  198, 19, static_cast<uint8_t>(i), 200)).index,
+              cluster.index);
+    countries.insert(cluster.country);
+  }
+  EXPECT_EQ(countries, (std::set<std::string>{"KR", "US"}));
+}
+
 TEST_F(CdnTest, NearestClusterGeometry) {
   const auto& provider = world_->cdn("curtaincdn");
   EXPECT_EQ(provider.nearest_cluster({40.71, -74.01}, "US").metro, "New York");

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <set>
+#include <thread>
 
 #include "core/world.h"
 #include "dns/stub.h"
@@ -20,6 +23,60 @@ class PublicDnsTest : public ::testing::Test {
 };
 
 core::World* PublicDnsTest::world_ = nullptr;
+
+// The anycast site choice made from scratch, as before rankings were
+// memoized: find the source's egress the way World does, rank every site
+// by distance from it, then apply the per-(/24, epoch) draw.
+net::NodeId fresh_site_node(const core::World& world,
+                            const PublicDnsService& service,
+                            net::Ipv4Addr source, net::SimTime now) {
+  net::NodeId egress = world.topology().find_by_ip(source);
+  for (const auto& carrier : world.carriers()) {
+    const int gateway = carrier->gateway_of_ip(source);
+    if (gateway >= 0) {
+      egress = carrier->gateway_node(gateway);
+      break;
+    }
+  }
+  const uint64_t seed = net::mix_key(world.config().seed,
+                                     net::hash_tag(service.service_name()));
+  const uint64_t draw =
+      net::mix_key(net::mix_key(seed, source.slash24().value()),
+                   static_cast<uint64_t>(now.hours() / 8.0));
+  const auto& sites = service.sites();
+  size_t site = draw % sites.size();
+  if (egress != net::kInvalidNode) {
+    const net::GeoPoint& location = world.topology().node(egress).location;
+    std::vector<std::pair<double, size_t>> ranked;
+    for (size_t s = 0; s < sites.size(); ++s) {
+      ranked.emplace_back(net::distance_km(location, sites[s].location), s);
+    }
+    std::sort(ranked.begin(), ranked.end());
+    const size_t candidates = std::min<size_t>(4, ranked.size());
+    const double weights[] = {0.70, 0.16, 0.09, 0.05};
+    double target = static_cast<double>(draw % 10000) / 10000.0;
+    for (size_t c = 0; c < candidates; ++c) {
+      site = ranked[c].second;
+      if (target < weights[c]) break;
+      target -= weights[c];
+    }
+  }
+  return sites[site].instances.front()->node();
+}
+
+// One subscriber address behind every gateway of every carrier, plus an
+// address owned by a plain node and one nobody owns.
+std::vector<net::Ipv4Addr> ingress_sources(core::World& world, net::Rng& rng) {
+  std::vector<net::Ipv4Addr> sources;
+  for (const auto& carrier : world.carriers()) {
+    for (int g = 0; g < carrier->num_gateways(); ++g) {
+      sources.push_back(carrier->assign_ip(g, rng));
+    }
+  }
+  sources.push_back(world.vantage_ip());
+  sources.push_back(net::Ipv4Addr{203, 0, 113, 9});
+  return sources;
+}
 
 TEST_F(PublicDnsTest, GoogleHasThirtyDistinctSlash24Sites) {
   const auto& sites = world_->google_dns().sites();
@@ -122,6 +179,70 @@ TEST_F(PublicDnsTest, InstancesSpreadWithinSite) {
   }
   EXPECT_GT(instances.size(), 1u);
   EXPECT_EQ(slash24s.size(), 1u);
+}
+
+TEST_F(PublicDnsTest, IngressMemoMatchesFreshRanking) {
+  // Every source over many ingress epochs, on both services, twice: the
+  // second pass reads rankings the first one memoized.
+  const auto sources = ingress_sources(*world_, rng_);
+  for (const PublicDnsService* service :
+       {&world_->google_dns(), &world_->open_dns()}) {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (int epoch = 0; epoch < 12; ++epoch) {
+        const auto now = net::SimTime::from_hours(8.0 * epoch + 1.0);
+        for (const net::Ipv4Addr source : sources) {
+          ASSERT_EQ(service->node_for(source, now),
+                    fresh_site_node(*world_, *service, source, now))
+              << service->service_name() << " " << source.to_string();
+        }
+      }
+    }
+  }
+
+  // Worlds built one after the other on this thread, with different site
+  // sets: each must rank its own sites, whatever the last one memoized.
+  for (const int google_sites : {30, 7, 30}) {
+    core::Scenario scenario;
+    scenario.google_sites = google_sites;
+    auto world = std::make_unique<core::World>(scenario);
+    const auto& google = world->google_dns();
+    ASSERT_EQ(google.sites().size(), static_cast<size_t>(google_sites));
+    for (const net::Ipv4Addr source : ingress_sources(*world, rng_)) {
+      for (int epoch = 0; epoch < 3; ++epoch) {
+        const auto now = net::SimTime::from_hours(8.0 * epoch);
+        ASSERT_EQ(google.node_for(source, now),
+                  fresh_site_node(*world, google, source, now))
+            << google_sites << " sites, " << source.to_string();
+      }
+    }
+  }
+
+  // Two threads querying one service agree with each other and with a
+  // fresh ranking; each builds its own memo without locks.
+  const auto& google = world_->google_dns();
+  std::vector<net::NodeId> expected;
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    for (const net::Ipv4Addr source : sources) {
+      expected.push_back(fresh_site_node(
+          *world_, google, source, net::SimTime::from_hours(8.0 * epoch)));
+    }
+  }
+  const auto query_all = [&](std::vector<net::NodeId>& out) {
+    for (int epoch = 0; epoch < 4; ++epoch) {
+      for (const net::Ipv4Addr source : sources) {
+        out.push_back(
+            google.node_for(source, net::SimTime::from_hours(8.0 * epoch)));
+      }
+    }
+  };
+  std::vector<net::NodeId> first;
+  std::vector<net::NodeId> second;
+  std::thread a(query_all, std::ref(first));
+  std::thread b(query_all, std::ref(second));
+  a.join();
+  b.join();
+  EXPECT_EQ(first, expected);
+  EXPECT_EQ(second, expected);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <queue>
 #include <thread>
 
 #include "net/topology.h"
@@ -208,6 +212,299 @@ TEST_F(TopologyTest, ZoneAccessors) {
   EXPECT_EQ(topo_.zone(Topology::internet_zone()).name, "internet");
   EXPECT_TRUE(topo_.zone(cell_zone_).blocks_inbound_probes);
   EXPECT_EQ(topo_.zone_count(), 2u);
+}
+
+
+// The routing and probe code as it was before routes came from per-source
+// shortest-path trees: Dijkstra per (from, to) pair, stopped when `to` is
+// popped, then the first lowest-latency parallel link looked up per hop.
+class PairwiseReference {
+ public:
+  void add_zone(bool blocks_inbound_probes) {
+    blocks_.push_back(blocks_inbound_probes);
+  }
+  void add_node(const Node& node) {
+    nodes_.push_back(node);
+    adjacency_.emplace_back();
+  }
+  void add_link(NodeId a, NodeId b, LatencyModel latency, double loss,
+                bool tunneled) {
+    const auto index = static_cast<uint32_t>(links_.size());
+    links_.push_back(Link{a, b, latency, loss, tunneled});
+    adjacency_[a].push_back({b, index});
+    adjacency_[b].push_back({a, index});
+  }
+
+  std::vector<NodeId> route(NodeId from, NodeId to) const {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    std::vector<double> dist(nodes_.size(), kInf);
+    std::vector<NodeId> prev(nodes_.size(), kInvalidNode);
+    using Entry = std::pair<double, NodeId>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+    dist[from] = 0.0;
+    heap.emplace(0.0, from);
+    while (!heap.empty()) {
+      const auto [d, u] = heap.top();
+      heap.pop();
+      if (d > dist[u]) continue;
+      if (u == to) break;
+      for (const auto& [peer, link_index] : adjacency_[u]) {
+        const double nd = d + links_[link_index].latency.typical_ms();
+        if (nd < dist[peer]) {
+          dist[peer] = nd;
+          prev[peer] = u;
+          heap.emplace(nd, peer);
+        }
+      }
+    }
+    std::vector<NodeId> path;
+    if (dist[to] != kInf) {
+      for (NodeId at = to; at != kInvalidNode; at = prev[at]) {
+        path.push_back(at);
+        if (at == from) break;
+      }
+      std::reverse(path.begin(), path.end());
+      if (path.empty() || path.front() != from) path.clear();
+    }
+    return path;
+  }
+
+  const Link& link_between(NodeId a, NodeId b) const {
+    const Link* best = nullptr;
+    for (const auto& [peer, link_index] : adjacency_[a]) {
+      if (peer != b) continue;
+      const Link& link = links_[link_index];
+      if (best == nullptr ||
+          link.latency.typical_ms() < best->latency.typical_ms()) {
+        best = &link;
+      }
+    }
+    return *best;
+  }
+
+  std::optional<double> transport_rtt_ms(NodeId from, NodeId to,
+                                         Rng& rng) const {
+    const auto path = route(from, to);
+    if (path.empty()) return std::nullopt;
+    double rtt = nodes_[to].processing.sample(rng);
+    for (size_t i = 0; i + 1 < path.size(); ++i) {
+      const Link& link = link_between(path[i], path[i + 1]);
+      rtt += link.latency.sample(rng) + link.latency.sample(rng);
+    }
+    return rtt;
+  }
+
+  PingResult ping(NodeId from, NodeId to, Rng& rng) const {
+    PingResult result;
+    const auto path = route(from, to);
+    if (path.empty()) {
+      result.failure = PingResult::Failure::kNoRoute;
+      return result;
+    }
+    if (!nodes_[to].answers_ping_from(nodes_[from].owner_tag)) {
+      result.failure = PingResult::Failure::kUnresponsive;
+      return result;
+    }
+    const ZoneId origin_zone = nodes_[from].zone;
+    double rtt = nodes_[to].processing.sample(rng);
+    for (size_t i = 0; i + 1 < path.size(); ++i) {
+      const NodeId next = path[i + 1];
+      if (blocked_at(origin_zone, next)) {
+        result.failure = PingResult::Failure::kFirewalled;
+        return result;
+      }
+      const Link& link = link_between(path[i], next);
+      if (rng.bernoulli(link.loss) || rng.bernoulli(link.loss)) {
+        result.failure = PingResult::Failure::kLoss;
+        return result;
+      }
+      rtt += link.latency.sample(rng) + link.latency.sample(rng);
+    }
+    result.responded = true;
+    result.rtt_ms = rtt;
+    return result;
+  }
+
+  TracerouteResult traceroute(NodeId from, NodeId to, Rng& rng) const {
+    TracerouteResult result;
+    const auto path = route(from, to);
+    if (path.empty()) return result;
+    const ZoneId origin_zone = nodes_[from].zone;
+    double cumulative_one_way = 0.0;
+    for (size_t i = 0; i + 1 < path.size(); ++i) {
+      const NodeId hop = path[i + 1];
+      if (blocked_at(origin_zone, hop)) return result;
+      const Link& link = link_between(path[i], hop);
+      cumulative_one_way += link.latency.sample(rng);
+      const bool is_destination = (hop == to);
+      const Node& hop_node = nodes_[hop];
+      if (link.tunneled && !is_destination) continue;
+      TracerouteHop entry;
+      entry.node = hop;
+      const bool answers =
+          is_destination
+              ? hop_node.responds_to_traceroute &&
+                    hop_node.answers_ping_from(nodes_[from].owner_tag)
+              : hop_node.responds_to_traceroute;
+      if (answers && !rng.bernoulli(link.loss)) {
+        entry.responded = true;
+        entry.rtt_ms =
+            2.0 * cumulative_one_way + hop_node.processing.sample(rng);
+      } else {
+        entry.node = kInvalidNode;
+      }
+      result.hops.push_back(entry);
+      if (is_destination) result.reached_destination = entry.responded;
+    }
+    return result;
+  }
+
+  NodeId zone_boundary(NodeId from, NodeId to) const {
+    const ZoneId target_zone = nodes_[to].zone;
+    for (const NodeId hop : route(from, to)) {
+      if (nodes_[hop].zone == target_zone) return hop;
+    }
+    return kInvalidNode;
+  }
+
+ private:
+  bool blocked_at(ZoneId origin_zone, NodeId target) const {
+    const ZoneId target_zone = nodes_[target].zone;
+    return target_zone != origin_zone && blocks_[target_zone];
+  }
+
+  std::vector<bool> blocks_{false};  // zone 0: the open Internet
+  std::vector<Node> nodes_;
+  std::vector<Link> links_;
+  std::vector<std::vector<std::pair<NodeId, uint32_t>>> adjacency_;
+};
+
+// A seeded random graph built identically into a Topology and the
+// pairwise reference: three zones (one firewalled), mixed probe policies,
+// zero-latency links, parallel links of equal, higher, lower and
+// one-ulp-lower typical latency, and nodes left unreachable.
+void build_random_graph(uint64_t seed, Topology& topo, PairwiseReference& ref) {
+  Rng rng(seed);
+  for (const bool blocks : {true, false}) {
+    topo.add_zone("z", blocks);
+    ref.add_zone(blocks);
+  }
+  const auto n = static_cast<NodeId>(rng.uniform_u64(6, 28));
+  const NodeId isolated = static_cast<NodeId>(rng.uniform_u64(0, 2));
+  for (NodeId i = 0; i < n; ++i) {
+    Node node;
+    node.zone = static_cast<ZoneId>(rng.uniform_u64(0, 2));
+    node.owner_tag = static_cast<uint32_t>(rng.uniform_u64(0, 2));
+    node.ping_from_same_owner = rng.bernoulli(0.8);
+    node.ping_from_other_owner = rng.bernoulli(0.8);
+    node.responds_to_traceroute = rng.bernoulli(0.8);
+    node.processing = rng.bernoulli(0.5)
+                          ? LatencyModel::fixed(rng.uniform(0.0, 1.0))
+                          : LatencyModel::jittered(rng.uniform(0.1, 1.0));
+    topo.add_node(node);
+    ref.add_node(node);
+  }
+  const auto random_latency = [&rng] {
+    const uint64_t kind = rng.uniform_u64(0, 3);
+    if (kind == 0) return LatencyModel::fixed(0.0);
+    if (kind == 1) {
+      return LatencyModel::fixed(static_cast<double>(rng.uniform_u64(1, 4)));
+    }
+    LatencyModel latency;
+    latency.floor_ms = kind == 2 ? rng.uniform(1.0, 30.0) : 0.0;
+    latency.median_ms = rng.uniform(0.1, 5.0);
+    latency.sigma = rng.uniform(0.0, 0.6);
+    return latency;
+  };
+  const auto add_link = [&](NodeId a, NodeId b, LatencyModel latency) {
+    const double loss = rng.bernoulli(0.3) ? rng.uniform(0.0, 0.4) : 0.0;
+    const bool tunneled = rng.bernoulli(0.2);
+    topo.add_link(a, b, latency, loss, tunneled);
+    ref.add_link(a, b, latency, loss, tunneled);
+  };
+  // Nodes [n - isolated, n) get no links at all.
+  const NodeId linked = n - isolated;
+  std::vector<std::pair<NodeId, NodeId>> ends;
+  for (NodeId i = 1; i < linked; ++i) {
+    ends.emplace_back(i, static_cast<NodeId>(rng.uniform_u64(0, i - 1)));
+  }
+  const uint64_t extra = rng.uniform_u64(0, linked);
+  for (uint64_t e = 0; e < extra && linked > 1; ++e) {
+    ends.emplace_back(static_cast<NodeId>(rng.uniform_u64(0, linked - 1)),
+                      static_cast<NodeId>(rng.uniform_u64(0, linked - 1)));
+  }
+  for (const auto& [a, b] : ends) {
+    const LatencyModel latency = random_latency();
+    add_link(a, b, latency);
+    if (!rng.bernoulli(0.4)) continue;
+    // A parallel link; distinct shapes make a wrong pick show in samples.
+    LatencyModel twin = latency;
+    twin.sigma += 0.05;
+    switch (rng.uniform_u64(0, 3)) {
+      case 0: break;  // equal typical latency
+      case 1: twin.floor_ms += 0.5; break;
+      case 2: twin.floor_ms = std::max(0.0, twin.floor_ms - 0.5); break;
+      default:  // lower by one ulp: path sums may round equal
+        twin.floor_ms = std::nextafter(twin.floor_ms, -1.0);
+        if (twin.floor_ms < 0.0) twin.floor_ms = 0.0;
+    }
+    rng.bernoulli(0.5) ? add_link(b, a, twin) : add_link(a, b, twin);
+  }
+}
+
+void expect_same_rng_state(Rng& actual, Rng& expected) {
+  EXPECT_EQ(actual.next_u64(), expected.next_u64());
+  EXPECT_EQ(actual.normal(), expected.normal());
+}
+
+TEST_F(TopologyTest, TreeRoutesMatchPairwiseDijkstra) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("graph seed " + std::to_string(seed));
+    Topology topo;
+    PairwiseReference ref;
+    build_random_graph(seed, topo, ref);
+    const auto n = static_cast<NodeId>(topo.node_count());
+    // Query pairs in a shuffled order, so trees are built from many
+    // sources and reused between them, including from == to.
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (NodeId from = 0; from < n; ++from) {
+      for (NodeId to = 0; to < n; ++to) pairs.emplace_back(from, to);
+    }
+    Rng order(seed ^ 0x5eedULL);
+    order.shuffle(pairs);
+    for (const auto& [from, to] : pairs) {
+      SCOPED_TRACE(std::to_string(from) + " -> " + std::to_string(to));
+      ASSERT_EQ(topo.route(from, to), ref.route(from, to));
+      EXPECT_EQ(topo.zone_boundary(from, to), ref.zone_boundary(from, to));
+      const uint64_t probe_seed = seed * 1000003 + from * 131 + to;
+
+      Rng rtt_actual(probe_seed), rtt_expected(probe_seed);
+      EXPECT_EQ(topo.transport_rtt_ms(from, to, rtt_actual),
+                ref.transport_rtt_ms(from, to, rtt_expected));
+      expect_same_rng_state(rtt_actual, rtt_expected);
+
+      Rng ping_actual(probe_seed + 1), ping_expected(probe_seed + 1);
+      const PingResult ping = topo.ping(from, to, ping_actual);
+      const PingResult ping_ref = ref.ping(from, to, ping_expected);
+      EXPECT_EQ(ping.responded, ping_ref.responded);
+      EXPECT_EQ(ping.rtt_ms, ping_ref.rtt_ms);
+      EXPECT_EQ(ping.failure, ping_ref.failure);
+      expect_same_rng_state(ping_actual, ping_expected);
+
+      Rng trace_actual(probe_seed + 2), trace_expected(probe_seed + 2);
+      const TracerouteResult trace = topo.traceroute(from, to, trace_actual);
+      const TracerouteResult trace_ref =
+          ref.traceroute(from, to, trace_expected);
+      EXPECT_EQ(trace.reached_destination, trace_ref.reached_destination);
+      ASSERT_EQ(trace.hops.size(), trace_ref.hops.size());
+      for (size_t h = 0; h < trace.hops.size(); ++h) {
+        EXPECT_EQ(trace.hops[h].node, trace_ref.hops[h].node);
+        EXPECT_EQ(trace.hops[h].responded, trace_ref.hops[h].responded);
+        EXPECT_EQ(trace.hops[h].rtt_ms, trace_ref.hops[h].rtt_ms);
+      }
+      expect_same_rng_state(trace_actual, trace_expected);
+    }
+  }
 }
 
 }  // namespace
