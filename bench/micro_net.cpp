@@ -1,9 +1,8 @@
 // Microbenchmarks for the network substrate: RNG, latency sampling,
-// routing, probe primitives and the discrete-event queue.
+// routing and probe primitives.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "net/clock.h"
 #include "net/geo.h"
 #include "net/rng.h"
 #include "net/topology.h"
@@ -27,71 +26,6 @@ void BM_RngLognormal(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RngLognormal);
-
-// --- event queue ------------------------------------------------------------
-//
-// The queue is the inner loop of every shard: one schedule + one pop per
-// device wake-up, with handlers the size of Shard::run's wake closure
-// (~48 captured bytes). Both series below are the ISSUE-5 before/after
-// comparison workloads.
-
-/// Handler state sized like the shard wake closure; self-reschedules so the
-/// queue stays at a steady size, exactly like the hourly device wake-ups.
-struct WakeHandler {
-  net::EventQueue* queue;
-  uint64_t* fires;
-  uint64_t pad[4];  // pad to the realistic capture size
-
-  void operator()(net::SimTime at) {
-    ++*fires;
-    queue->schedule(at + net::SimTime::from_hours(1.0), WakeHandler{*this});
-  }
-};
-
-/// Pop-heavy: fill the queue with n events at pseudorandom times, then
-/// drain it. Dominated by push/pop (handler bodies are trivial).
-void BM_EventQueueChurn(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto rng = bench::bench_rng("micro_net/event-queue-churn");
-  std::vector<net::SimTime> times;
-  times.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    times.push_back(net::SimTime{
-        static_cast<int64_t>(rng.uniform_u64(0, 3'600'000'000ull))});
-  }
-  uint64_t fires = 0;
-  for (auto _ : state) {
-    net::SimClock clock;
-    net::EventQueue queue;
-    uint64_t pad[4] = {1, 2, 3, 4};
-    for (const net::SimTime t : times) {
-      queue.schedule(t, [&fires, pad](net::SimTime) { fires += pad[0]; });
-    }
-    while (queue.run_next(clock)) {
-    }
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-  benchmark::DoNotOptimize(fires);
-}
-BENCHMARK(BM_EventQueueChurn)->Arg(1024)->Arg(16384);
-
-/// Steady-state: 4096 self-rescheduling handlers (one per simulated
-/// device); each measured op is one pop + one push at queue depth 4096.
-void BM_EventQueueSteadyState(benchmark::State& state) {
-  net::SimClock clock;
-  net::EventQueue queue;
-  uint64_t fires = 0;
-  for (int64_t i = 0; i < 4096; ++i) {
-    queue.schedule(net::SimTime{i},
-                   WakeHandler{&queue, &fires, {1, 2, 3, 4}});
-  }
-  for (auto _ : state) {
-    queue.run_next(clock);
-  }
-  benchmark::DoNotOptimize(fires);
-}
-BENCHMARK(BM_EventQueueSteadyState);
 
 void BM_Haversine(benchmark::State& state) {
   const net::GeoPoint a{40.71, -74.01};

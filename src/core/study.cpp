@@ -16,6 +16,10 @@ namespace {
 // Wall-clock use here is waived for the linter: it times the run phases
 // for the RunReport only and never feeds a simulated result.
 
+/// The stall watchdog flags a shard slower than this multiple of the
+/// median shard wall.
+constexpr double kStallFactor = 4.0;
+
 /// Real (not simulated) elapsed milliseconds since `start`.
 double wall_ms_since(std::chrono::steady_clock::time_point start) {  // lint: wallclock
   const auto elapsed = std::chrono::steady_clock::now() - start;  // lint: wallclock
@@ -168,7 +172,7 @@ void Study::run() {
         .set(static_cast<double>(obs::read_peak_rss_bytes()));
 
     const obs::FlightRecorder::Dump dump = recorder.dump();
-    report_.profile = obs::build_profile(dump, util::profile_stall_factor(),
+    report_.profile = obs::build_profile(dump, kStallFactor,
                                          obs::read_peak_rss_bytes());
     for (const std::string& label : report_.profile.stalled_labels()) {
       CURTAIN_WARN() << "stall watchdog: shard " << label << " exceeded "

@@ -164,7 +164,7 @@ std::optional<DnsName> RecursiveResolver::resolve_step(
   // Applies only to subnet-independent data — an ECS-scoped answer is
   // specific to this client's subnet, which background users don't share.
   if (scope == 0 && !state.warming &&
-      (warm_hit_p_ > 0.0 || bg_interarrival_s_ > 0.0) &&
+      bg_interarrival_s_ > 0.0 &&
       (!warm_eligible_ || warm_eligible_(qname))) {
     state.warming = true;
     // The shadow recursion models work other subscribers already did; its
@@ -173,16 +173,11 @@ std::optional<DnsName> RecursiveResolver::resolve_step(
     ResolutionResult shadow = resolve(qname, type, now, rng);
     obs::Tracer::instance().resume();
     state.warming = false;
-    // Warm probability: fixed, or TTL-driven — an entry with TTL T that
-    // background users re-fetch every I seconds is fresh a T/(T+I)
-    // fraction of the time.
-    double warm_p = warm_hit_p_;
-    if (bg_interarrival_s_ > 0.0) {
-      uint32_t ttl = 300;  // NXDOMAIN / empty answers: negative-cache TTL
-      for (const auto& rr : shadow.answers) ttl = std::min(ttl, rr.ttl);
-      warm_p = ttl / (ttl + bg_interarrival_s_);
-    }
-    if (!rng.bernoulli(warm_p)) {
+    // An entry with TTL T that background users re-fetch every I seconds
+    // is fresh a T/(T+I) fraction of the time.
+    uint32_t ttl = 300;  // NXDOMAIN / empty answers: negative-cache TTL
+    for (const auto& rr : shadow.answers) ttl = std::min(ttl, rr.ttl);
+    if (!rng.bernoulli(ttl / (ttl + bg_interarrival_s_))) {
       // Cold after all: the client pays the recursion the shadow ran.
       result.upstream_ms += shadow.upstream_ms;
       result.upstream_queries += shadow.upstream_queries;

@@ -73,31 +73,19 @@ class RecursiveResolver : public DnsServer {
   /// Background-load model. Production resolvers serve whole subscriber
   /// populations, so a popular name is usually still cached when our
   /// measurement query arrives even though the fleet alone could never
-  /// keep it warm. With probability `p`, a cache miss is converted into a
-  /// hit by performing the recursion at zero observable cost (the fetch
-  /// "already happened" for another subscriber) and caching the outcome.
-  /// The residual (1-p) misses are what Fig. 7's ~20% tail shows.
+  /// keep it warm. Popular names are re-fetched by the subscriber
+  /// population on average every `mean_interarrival_s`, so a measurement
+  /// query finds the entry warm with probability TTL / (TTL +
+  /// interarrival): the recursion then runs at zero observable cost (the
+  /// fetch "already happened" for another subscriber). Short CDN TTLs miss
+  /// more (Fig. 7's ~20% tail, and the bench/ablation_cdn_ttl sweep).
   /// `eligible` limits warming to names background users actually query
   /// (measurement-unique names are never warm); empty = all names.
-  void set_warm_hit_probability(
-      double p, std::function<bool(const DnsName&)> eligible = {}) {
-    warm_hit_p_ = p;
-    warm_eligible_ = std::move(eligible);
-  }
-  double warm_hit_probability() const { return warm_hit_p_; }
-
-  /// TTL-aware background-load model: popular names are re-fetched by the
-  /// subscriber population on average every `mean_interarrival_s`, so a
-  /// measurement query finds the entry warm with probability
-  /// TTL / (TTL + interarrival) — short CDN TTLs miss more (Fig. 7, and
-  /// the bench/ablation_cdn_ttl sweep). Takes precedence over the fixed
-  /// probability when set.
   void set_background_load(double mean_interarrival_s,
                            std::function<bool(const DnsName&)> eligible = {}) {
     bg_interarrival_s_ = mean_interarrival_s;
     warm_eligible_ = std::move(eligible);
   }
-  double background_interarrival_s() const { return bg_interarrival_s_; }
 
   /// Approximate heap bytes of the query-time state that outlives device
   /// timelines (the no-device cache). A profiling gauge — see
@@ -163,7 +151,6 @@ class RecursiveResolver : public DnsServer {
   const ServerRegistry* registry_;
   net::Ipv4Addr root_ip_;
   mutable net::DeviceLocal<QueryState> states_;
-  double warm_hit_p_ = 0.0;
   double bg_interarrival_s_ = 0.0;
   bool ecs_enabled_ = false;
   uint8_t ecs_prefix_len_ = 24;

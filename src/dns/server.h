@@ -18,9 +18,9 @@
 #include <vector>
 
 #include "dns/message.h"
-#include "net/clock.h"
 #include "net/ipv4.h"
 #include "net/rng.h"
+#include "net/time.h"
 #include "net/topology.h"
 
 namespace curtain::dns {

@@ -1,8 +1,8 @@
-// lint-hot-path (per-device wake-up scheduling loop)
+// lint-hot-path (per-device hourly wake loop)
 #include "exec/shard.h"
 
-#include "net/clock.h"
 #include "net/device_scope.h"
+#include "net/time.h"
 
 namespace curtain::exec {
 namespace {

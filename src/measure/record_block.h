@@ -4,8 +4,8 @@
 // struct-of-arrays layout. Shards append transfer structs (records.h) one at
 // a time; the block packs hot scalar fields into parallel columns and
 // variable-length payloads (answer addresses, traceroute hop names) into
-// per-block pools, the same slab idiom the simulation core uses for its
-// event queue. Once a block reaches its row budget the owning RecordStore
+// per-block pools, so a row's payload costs no allocation of its own.
+// Once a block reaches its row budget the owning RecordStore
 // seals it and either retains it (in-memory analysis) or hands it to a
 // RecordSink (streaming export) — so campaign memory is bounded by the
 // block budget, not the campaign length (DESIGN.md §15).

@@ -55,17 +55,13 @@ void RecordStore::seal_if_full() {
 void RecordStore::index_block_streams(const RecordBlock& block,
                                       size_t block_index,
                                       size_t first_experiment,
-                                      size_t first_trace,
-                                      size_t first_resolution) {
+                                      size_t first_trace) {
   if (drain_ != nullptr) return;
   if (!block.experiments.empty()) {
     experiment_index_.emplace_back(first_experiment, block_index);
   }
   if (!block.traces.empty()) {
     trace_index_.emplace_back(first_trace, block_index);
-  }
-  if (block.resolutions.size() != 0) {
-    resolution_index_.emplace_back(first_resolution, block_index);
   }
 }
 
@@ -87,11 +83,7 @@ uint32_t RecordStore::add_experiment(ExperimentContext context) {
 }
 
 void RecordStore::add_resolution(DnsMeasurement&& record) {
-  RecordBlock& block = open_block();
-  if (drain_ == nullptr && block.resolutions.size() == 0) {
-    resolution_index_.emplace_back(resolution_count_, blocks_.size() - 1);
-  }
-  block.append_resolution(record);
+  open_block().append_resolution(record);
   ++resolution_count_;
   seal_if_full();
 }
@@ -159,8 +151,7 @@ void RecordStore::consume(RecordBlock&& block) {
       << "trace index space exhausted";
   index_block_streams(block, blocks_.size(),
                       static_cast<size_t>(next_experiment_id_),
-                      static_cast<size_t>(next_trace_index_),
-                      resolution_count_);
+                      static_cast<size_t>(next_trace_index_));
   next_experiment_id_ += static_cast<uint32_t>(block.experiments.size());
   next_trace_index_ += static_cast<int32_t>(block.traces.size());
   experiment_count_ += block.experiments.size();
@@ -193,7 +184,6 @@ void RecordStore::drain_renumbered(RecordSink& sink, uint32_t experiment_base,
   blocks_.clear();
   experiment_index_.clear();
   trace_index_.clear();
-  resolution_index_.clear();
   open_ = false;
   next_experiment_id_ = 0;
   next_trace_index_ = 0;
@@ -242,25 +232,11 @@ const obs::ResolutionTrace& RecordStore::trace_at(int32_t index) const {
   return block.traces[offset];
 }
 
-ResolutionRow RecordStore::resolution_at(size_t index) const {
-  CURTAIN_DCHECK(index < resolution_count_)
-      << "resolution " << index << " of " << resolution_count_;
-  CURTAIN_CHECK(drain_ == nullptr)
-      << "resolution_at is unavailable on a draining store";
-  const size_t entry = owning_block(resolution_index_, index);
-  const auto& [base, block_index] = resolution_index_[entry];
-  const RecordBlock& block = blocks_[block_index];
-  const size_t offset = index - base;
-  CURTAIN_DCHECK(offset < block.resolutions.size()) << offset;
-  return block.resolution_row(offset);
-}
-
 size_t RecordStore::approx_bytes() const {
   size_t bytes = blocks_.capacity() * sizeof(RecordBlock);
   for (const RecordBlock& block : blocks_) bytes += block.approx_bytes();
   bytes += experiment_index_.capacity() * sizeof(experiment_index_[0]) +
-           trace_index_.capacity() * sizeof(trace_index_[0]) +
-           resolution_index_.capacity() * sizeof(resolution_index_[0]);
+           trace_index_.capacity() * sizeof(trace_index_[0]);
   return bytes;
 }
 

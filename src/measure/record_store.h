@@ -218,8 +218,6 @@ class RecordStore final : public RecordSink {
   /// row is found by binary search on per-block base ids.
   const ExperimentContext& context_of(uint32_t experiment_id) const;
   const obs::ResolutionTrace& trace_at(int32_t index) const;
-  /// Resolution by global append index (random access for tests).
-  ResolutionRow resolution_at(size_t index) const;
 
   const std::vector<RecordBlock>& blocks() const { return blocks_; }
 
@@ -235,8 +233,7 @@ class RecordStore final : public RecordSink {
   /// Records that the open/incoming block carries stream rows starting at
   /// the current global offsets (for the retained-mode random accessors).
   void index_block_streams(const RecordBlock& block, size_t block_index,
-                           size_t first_experiment, size_t first_trace,
-                           size_t first_resolution);
+                           size_t first_experiment, size_t first_trace);
 
   size_t block_rows_;
   RecordSink* drain_ = nullptr;
@@ -257,7 +254,6 @@ class RecordStore final : public RecordSink {
   /// index), one entry per block that carries the stream.
   std::vector<std::pair<size_t, size_t>> experiment_index_;
   std::vector<std::pair<size_t, size_t>> trace_index_;
-  std::vector<std::pair<size_t, size_t>> resolution_index_;
 };
 
 }  // namespace curtain::measure

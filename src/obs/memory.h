@@ -6,8 +6,8 @@
 //   * process RSS read from the kernel (/proc/self/status, with a
 //     getrusage fallback for the peak) — what the container limit sees;
 //   * per-subsystem approx_bytes() accounting on the big allocators
-//     (measure::RecordStore, net::EventQueue, dns::Cache, the fleet
-//     arena and the world's query-time state) — what explains the RSS.
+//     (measure::RecordStore, dns::Cache, the fleet arena and the world's
+//     query-time state) — what explains the RSS.
 //
 // The approx_bytes() methods report heap *capacities*, not sizes: RSS is
 // driven by what vectors reserved, not what they filled. Each separate

@@ -13,9 +13,9 @@
 // durations sum to the client-observed resolution time. Start offsets of
 // nested spans are best-effort for display.
 //
-// Completed traces land in a bounded ring buffer (`Tracer::recent()`) and,
-// for sampled study resolutions, in Dataset::resolution_traces, keyed by
-// DnsMeasurement::trace_index.
+// `Tracer::end()` hands the completed trace to its caller; sampled study
+// resolutions keep theirs in the record store's trace stream, keyed by
+// ResolutionRow::trace_index.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +55,7 @@ class Tracer {
   /// Starts a trace at virtual time `now_ms`. Returns false (and does
   /// nothing) when a trace is already active.
   bool begin(double now_ms);
-  /// Ends the active trace, appends it to the ring and returns it.
+  /// Ends the active trace and returns it.
   ResolutionTrace end(double now_ms);
   bool active() const { return active_ && paused_ == 0; }
 
@@ -70,9 +70,7 @@ class Tracer {
   int open_span(const char* name, double now_ms);
   void close_span(int index, double now_ms);
 
-  /// Last completed traces, oldest first (bounded ring).
-  std::vector<ResolutionTrace> recent() const;
-  void set_ring_capacity(size_t capacity);
+  /// Drops any active trace (test isolation).
   void clear();
 
  private:
@@ -83,10 +81,6 @@ class Tracer {
   double begin_ms_ = 0.0;
   ResolutionTrace current_;
   std::vector<int> stack_;  ///< indices of open spans, for depth
-
-  std::vector<ResolutionTrace> ring_;  // lint: bounded (fixed-capacity ring)
-  size_t ring_capacity_ = 256;
-  size_t ring_next_ = 0;
 };
 
 /// RAII span. Construction registers against the active trace (no-op when

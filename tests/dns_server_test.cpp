@@ -276,8 +276,12 @@ TEST_F(DnsWorldTest, TtlZeroAnswersNeverCached) {
   EXPECT_FALSE(again.from_cache);  // TTL 0 was not cached
 }
 
+// An interarrival this small leaves ttl + I == ttl in double arithmetic,
+// so the warm probability ttl / (ttl + I) is exactly 1.0.
+constexpr double kAlwaysWarmInterarrivalS = 1e-30;
+
 TEST_F(DnsWorldTest, WarmHitProbabilityServesMissAsHit) {
-  resolver_->set_warm_hit_probability(1.0);
+  resolver_->set_background_load(kAlwaysWarmInterarrivalS);
   const auto result = resolver_->resolve(name("static.example.com"), RRType::kA,
                                          net::SimTime::zero(), rng_);
   EXPECT_TRUE(result.from_cache);
@@ -287,7 +291,8 @@ TEST_F(DnsWorldTest, WarmHitProbabilityServesMissAsHit) {
 
 TEST_F(DnsWorldTest, WarmEligibilityExcludesNames) {
   const DnsName research = name("curtain-study.net");
-  resolver_->set_warm_hit_probability(1.0, [research](const DnsName& n) {
+  resolver_->set_background_load(kAlwaysWarmInterarrivalS,
+                                 [research](const DnsName& n) {
     return !n.is_within(research);
   });
   const auto excluded = resolver_->resolve(name("r1.adns.curtain-study.net"),

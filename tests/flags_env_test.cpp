@@ -176,39 +176,6 @@ TEST(CampaignKnobs, SeedDefaultIsTheImc14Date) {
   EXPECT_EQ(util::study_seed(), 20141105u);
 }
 
-TEST(CampaignKnobs, ProfileStallFactorClampsTo1Point5Through100) {
-  {
-    ScopedEnv clear("CURTAIN_PROFILE_STALL_K", nullptr);
-    EXPECT_EQ(util::profile_stall_factor(), 4.0);
-  }
-  {
-    // Below the floor a watchdog would flag normal scheduling jitter.
-    ScopedEnv set("CURTAIN_PROFILE_STALL_K", "0.5");
-    EXPECT_EQ(util::profile_stall_factor(), 1.5);
-  }
-  {
-    ScopedEnv set("CURTAIN_PROFILE_STALL_K", "1e9");
-    EXPECT_EQ(util::profile_stall_factor(), 100.0);
-  }
-  {
-    ScopedEnv set("CURTAIN_PROFILE_STALL_K", "garbage");
-    EXPECT_EQ(util::profile_stall_factor(), 4.0);
-  }
-  {
-    ScopedEnv set("CURTAIN_PROFILE_STALL_K", "6");
-    EXPECT_EQ(util::profile_stall_factor(), 6.0);
-  }
-}
-
-TEST(CampaignKnobs, ProfileStallFactorNonFiniteFallsBack) {
-  // nan compares false against both clamps and used to disable the
-  // stall watchdog silently.
-  for (const char* raw : {"nan", "inf", "-inf"}) {
-    ScopedEnv set("CURTAIN_PROFILE_STALL_K", raw);
-    EXPECT_EQ(util::profile_stall_factor(), 4.0) << raw;
-  }
-}
-
 TEST(CampaignKnobs, BlockRowsClampTo256Through1M) {
   {
     ScopedEnv clear("CURTAIN_BLOCK_ROWS", nullptr);
@@ -261,15 +228,14 @@ TEST(FlagListing, EveryKnobListedWithResolvedValue) {
   ScopedEnv rows("CURTAIN_BLOCK_ROWS", "512");
   ScopedEnv ceiling("CURTAIN_RSS_CEILING_MB", nullptr);
   const auto flags = util::describe_flags();
-  ASSERT_EQ(flags.size(), 11u);
+  ASSERT_EQ(flags.size(), 10u);
 
   static constexpr const char* kKnobs[] = {
       "CURTAIN_SCALE",          "CURTAIN_SEED",
       "CURTAIN_SHARDS",         "CURTAIN_COHORTS",
       "CURTAIN_BLOCK_ROWS",     "CURTAIN_RSS_CEILING_MB",
       "CURTAIN_METRICS_OUT",    "CURTAIN_PROFILE_OUT",
-      "CURTAIN_PROFILE_STALL_K", "CURTAIN_LOG",
-      "CURTAIN_BENCH_CSV_DIR"};
+      "CURTAIN_LOG",            "CURTAIN_BENCH_CSV_DIR"};
   ASSERT_EQ(std::size(kKnobs), flags.size());
   for (size_t i = 0; i < flags.size(); ++i) {
     EXPECT_STREQ(flags[i].name, kKnobs[i]) << "declaration order changed";

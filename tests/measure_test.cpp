@@ -194,10 +194,13 @@ TEST_F(MeasurePipelineTest, DeterministicForSeed) {
   const auto& b = replay.records();
   ASSERT_EQ(a.experiment_count(), b.experiment_count());
   ASSERT_EQ(a.resolution_count(), b.resolution_count());
-  for (size_t i = 0; i < a.resolution_count(); i += 97) {
-    EXPECT_DOUBLE_EQ(a.resolution_at(i).resolution_ms,
-                     b.resolution_at(i).resolution_ms);
+  // Walk both resolution streams in lockstep.
+  auto b_row = b.resolutions().begin();
+  for (const ResolutionRow a_row : a.resolutions()) {
+    EXPECT_DOUBLE_EQ(a_row.resolution_ms, (*b_row).resolution_ms);
+    ++b_row;
   }
+  EXPECT_TRUE(b_row == b.resolutions().end());
 }
 
 }  // namespace

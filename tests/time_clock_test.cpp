@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "net/clock.h"
 #include "net/time.h"
 
 namespace curtain::net {
@@ -37,88 +36,6 @@ TEST(Calendar, DayLabels) {
 
 TEST(Calendar, NegativeClampsToEpoch) {
   EXPECT_EQ(CampaignCalendar::day_label(SimTime{-5}), "Mar-1");
-}
-
-TEST(SimClock, AdvanceToNeverRewinds) {
-  SimClock clock;
-  clock.advance_to(SimTime::from_seconds(10));
-  clock.advance_to(SimTime::from_seconds(5));
-  EXPECT_EQ(clock.now().seconds(), 10.0);
-}
-
-TEST(SimClock, AdvanceBy) {
-  SimClock clock;
-  clock.advance_by(SimTime::from_seconds(2));
-  clock.advance_by(SimTime::from_seconds(3));
-  EXPECT_EQ(clock.now().seconds(), 5.0);
-}
-
-TEST(EventQueue, RunsInTimeOrder) {
-  SimClock clock;
-  EventQueue queue;
-  std::vector<int> order;
-  queue.schedule(SimTime::from_seconds(3), [&](SimTime) { order.push_back(3); });
-  queue.schedule(SimTime::from_seconds(1), [&](SimTime) { order.push_back(1); });
-  queue.schedule(SimTime::from_seconds(2), [&](SimTime) { order.push_back(2); });
-  while (queue.run_next(clock)) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(clock.now().seconds(), 3.0);
-}
-
-TEST(EventQueue, FifoAmongEqualTimestamps) {
-  SimClock clock;
-  EventQueue queue;
-  std::vector<int> order;
-  const SimTime t = SimTime::from_seconds(1);
-  for (int i = 0; i < 5; ++i) {
-    queue.schedule(t, [&order, i](SimTime) { order.push_back(i); });
-  }
-  while (queue.run_next(clock)) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(EventQueue, RunUntilHonorsHorizon) {
-  SimClock clock;
-  EventQueue queue;
-  int executed = 0;
-  for (int i = 1; i <= 10; ++i) {
-    queue.schedule(SimTime::from_seconds(i), [&](SimTime) { ++executed; });
-  }
-  EXPECT_EQ(queue.run_until(clock, SimTime::from_seconds(5)), 5u);
-  EXPECT_EQ(executed, 5);
-  EXPECT_EQ(queue.size(), 5u);
-}
-
-TEST(EventQueue, HandlersCanReschedule) {
-  SimClock clock;
-  EventQueue queue;
-  int fires = 0;
-  std::function<void(SimTime)> tick = [&](SimTime at) {
-    ++fires;
-    if (fires < 4) queue.schedule(at + SimTime::from_seconds(1), tick);
-  };
-  queue.schedule(SimTime::from_seconds(1), tick);
-  while (queue.run_next(clock)) {
-  }
-  EXPECT_EQ(fires, 4);
-  EXPECT_EQ(clock.now().seconds(), 4.0);
-}
-
-TEST(EventQueue, ScheduleAfterUsesClockNow) {
-  SimClock clock;
-  clock.advance_to(SimTime::from_seconds(10));
-  EventQueue queue;
-  queue.schedule_after(clock, SimTime::from_seconds(5), [](SimTime) {});
-  EXPECT_EQ(queue.next_time().seconds(), 15.0);
-}
-
-TEST(EventQueue, EmptyQueueRunNextFalse) {
-  SimClock clock;
-  EventQueue queue;
-  EXPECT_FALSE(queue.run_next(clock));
-  EXPECT_TRUE(queue.empty());
 }
 
 }  // namespace

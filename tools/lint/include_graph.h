@@ -30,7 +30,7 @@ namespace curtain::lint {
 int module_layer(const std::string& module);
 
 /// The `src/` module a file belongs to: the path component after the last
-/// `src/` ("src/net/clock.cpp" -> "net"). Empty for paths outside src/
+/// `src/` ("src/net/time.cpp" -> "net"). Empty for paths outside src/
 /// (bench/, examples/, tools/) and for unknown modules.
 std::string module_of_path(const std::string& path);
 
@@ -41,7 +41,7 @@ bool layering_allows(const std::string& from, const std::string& to);
 std::string allowed_modules(const std::string& from);
 
 /// One node of the file-level include graph: `key` is the src-relative
-/// path ("net/clock.h") that include targets resolve against.
+/// path ("net/time.h") that include targets resolve against.
 struct GraphFile {
   std::string key;
   std::string path;  ///< full path, used in findings

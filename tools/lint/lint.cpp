@@ -179,21 +179,18 @@ class Linter {
     }
   }
 
-  // wallclock: simulation time is net::SimClock; real time may only be
-  // touched by the clock substrate itself (and explicitly waived perf
+  // wallclock: simulation time is net::SimTime; real time may only be
+  // touched by the time substrate itself (and explicitly waived perf
   // timing, which never feeds results).
   void check_wallclock() {
-    if (path_ends_with(path_, "net/clock.cpp") ||
-        path_ends_with(path_, "net/time.cpp")) {
-      return;
-    }
+    if (path_ends_with(path_, "net/time.cpp")) return;
     for (const char* token :
          {"system_clock", "steady_clock", "high_resolution_clock",
           "gettimeofday", "clock_gettime", "timespec_get"}) {
       check_token_rule("wallclock", token,
                        std::string(token) +
                            " leaks wall-clock time into the virtual-time "
-                           "substrate; use net::SimClock");
+                           "substrate; use net::SimTime");
     }
     // time(nullptr) / time(NULL): the `time` token alone is far too common,
     // so require the null-argument call shape.
@@ -206,7 +203,7 @@ class Linter {
           token_at(joined_.text, cursor, "NULL")) {
         report(joined_.line_of(pos), "wallclock",
                "time(nullptr) leaks wall-clock time into the virtual-time "
-               "substrate; use net::SimClock");
+               "substrate; use net::SimTime");
       }
     }
   }
@@ -587,9 +584,9 @@ class Linter {
   }
 
   // hot-alloc: files carrying a `lint-hot-path` marker declare their inner
-  // loops allocation-free (the PR-5 hot-path contract: event queue, DNS
-  // cache, DNS name, shard wake-up). Heap allocation idioms there are
-  // regressions unless explicitly waived.
+  // loops allocation-free (the hot-path contract: DNS cache, DNS name,
+  // shard wake-up loop). Heap allocation idioms there are regressions
+  // unless explicitly waived.
   void check_hot_alloc() {
     if (!lexed_.hot_path) return;
     const auto& toks = lexed_.tokens;
@@ -619,8 +616,8 @@ class Linter {
           toks[i - 2].kind == TokenKind::kIdent && toks[i - 2].text == "std") {
         report(t.line, "hot-alloc",
                "std::function construction may heap-allocate its capture on "
-               "a lint-hot-path file; use a template parameter or "
-               "net::EventFn-style inline storage");
+               "a lint-hot-path file; use a template parameter or a "
+               "function reference");
         continue;
       }
       if (t.text == "string") {
@@ -716,7 +713,7 @@ std::vector<std::string> sibling_header_candidates(const std::string& path) {
   return out;
 }
 
-/// The src-relative key ("net/clock.h") include targets resolve against;
+/// The src-relative key ("net/time.h") include targets resolve against;
 /// empty for files outside a src/ tree.
 std::string src_relative_key(const std::string& path) {
   size_t at = std::string::npos;

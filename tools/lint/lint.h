@@ -10,7 +10,7 @@
 // Rules (DESIGN.md §11 determinism, §16 layering/hot paths):
 //   entropy          std::rand/srand/random_device outside net/rng.cpp
 //   wallclock        system_clock/steady_clock/time(nullptr)/... outside
-//                    net/clock.cpp and net/time.cpp
+//                    net/time.cpp
 //   unordered-iter   iteration over unordered_map/unordered_set in files
 //                    that reach export/analysis paths
 //   rng-seed         an Rng constructed from anything not traceable to
