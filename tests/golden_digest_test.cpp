@@ -8,7 +8,9 @@
 //   * all six CSV export surfaces, concatenated in a fixed order;
 //   * the Prometheus rendering of the metrics registry right after the
 //     run (query, cache-hit, forward and probe counters, latency
-//     histograms). The RunReport is left out: its phases are wall-clock.
+//     histograms). The RunReport is left out: its phases are wall-clock;
+//   * the markdown text analysis::write_report renders from the records
+//     (every table and figure, bootstrap intervals included).
 //
 // A change that is meant to alter results must update the constants in
 // the same diff and say why in CHANGES.md. A change that is not meant to
@@ -22,6 +24,7 @@
 #include <string>
 
 #include "analysis/export.h"
+#include "analysis/report.h"
 #include "core/study.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -36,6 +39,9 @@ constexpr uint64_t kGoldenDigest = 0xce4b2ded5d84e034ULL;
 // Generated from the code before device-scoped state replaced the
 // per-device state lanes.
 constexpr uint64_t kGoldenMetricsDigest = 0x736af1b794509dbeULL;
+// Generated from the code before rows found their experiment context in
+// their own record block.
+constexpr uint64_t kGoldenReportDigest = 0xee9c5dcdb7a4b379ULL;
 
 using ExportFn = void (*)(const measure::RecordStore&, std::ostream&);
 constexpr ExportFn kExports[] = {
@@ -100,6 +106,17 @@ TEST_F(GoldenDigest, PaperScenarioMetricsUnchanged) {
             std::string::npos);
   const uint64_t digest = fnv1a64(kFnvOffset, metrics_text_);
   EXPECT_EQ(digest, kGoldenMetricsDigest) << "metrics digest is " << hex(digest);
+}
+
+TEST_F(GoldenDigest, PaperScenarioReportUnchanged) {
+  analysis::ReportConfig config;
+  config.scale = 0.02;
+  config.seed = 20141105;
+  std::ostringstream out;
+  analysis::write_report(study_->records(), config, out);
+  ASSERT_NE(out.str().find("Table 1"), std::string::npos);
+  const uint64_t digest = fnv1a64(kFnvOffset, out.str());
+  EXPECT_EQ(digest, kGoldenReportDigest) << "report digest is " << hex(digest);
 }
 
 }  // namespace
