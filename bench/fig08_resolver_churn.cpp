@@ -24,7 +24,7 @@ int main() {
     if (!timelines.empty()) mean_ips /= static_cast<double>(timelines.size());
     std::printf("%s: clients=%zu  unique IPs per client mean=%.1f max=%zu  "
                 "max /24s=%zu\n",
-                analysis::carrier_name(c).c_str(), timelines.size(), mean_ips,
+                dataset.carrier_name(c).c_str(), timelines.size(), mean_ips,
                 max_ips, max_prefixes);
 
     // The busiest client's association series, day-labelled as in the

@@ -21,7 +21,7 @@ int main() {
     }
     std::printf("%s: static clients=%zu  with resolver churn=%zu  "
                 "max IPs=%zu  max /24s=%zu\n",
-                analysis::carrier_name(c).c_str(), timelines.size(), churning,
+                dataset.carrier_name(c).c_str(), timelines.size(), churning,
                 max_ips, max_prefixes);
   }
   std::printf("  (paper: clients shift resolvers across IPs and /24 prefixes"

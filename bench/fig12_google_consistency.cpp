@@ -23,7 +23,7 @@ int main() {
     if (!timelines.empty()) mean_ips /= static_cast<double>(timelines.size());
     std::printf("%s: clients=%zu  seeing >1 Google /24: %zu  "
                 "max /24s=%zu  mean IPs=%.1f\n",
-                analysis::carrier_name(c).c_str(), timelines.size(),
+                dataset.carrier_name(c).c_str(), timelines.size(),
                 multi_prefix, max_prefixes, mean_ips);
   }
   std::printf("  (each /24 is one of Google's ~30 geographic sites)\n");

@@ -1,8 +1,10 @@
 // micro_fleet — million-device campaign in bounded memory.
 //
 // The bounded-memory claim (DESIGN.md §15, §18): campaign memory is set
-// by the fleet's SoA arenas, one open record block per shard and one live
-// device per worker — never by how many records the campaign streams or
+// by the fleet's SoA arenas, one open record block per shard (the row
+// budget plus at most one experiment's rows: blocks seal only at
+// experiment boundaries) and one live device per worker — never by how
+// many records the campaign streams or
 // how many devices it has touched. Each device's resolver caches, query
 // ids and NAT cursors live in its net::DeviceScope and are freed when its
 // timeline ends. This bench proves it by enrolling a 10^6-device fleet
@@ -13,9 +15,9 @@
 // world: no device state survives from the previous point.
 //
 // Every run uses CampaignEngine::run_streaming with a discard sink per
-// shard, i.e. the bounded-memory path a real million-device export would
-// use (swap the discard sinks for analysis::StreamingCsvExporter to keep
-// the bytes).
+// shard: the engine's bounded-memory path. Each sink sees its shard's
+// experiment-aligned blocks with shard-local experiment ids; nothing here
+// writes CSV (analysis::export_records walks a retained, merged store).
 //
 // Emits one `fleet_memory` JSON line per duration point (committed as
 // BENCH_fleet_memory.json). It exits nonzero if RSS after the longest run
@@ -96,8 +98,9 @@ struct RunPoint {
   double streamed_mb = 0.0;
   double peak_block_mb = 0.0;
   double fleet_arena_mb = 0.0;
-  /// Query-time state left in the world after the run (no-device caches;
-  /// device state died with each timeline). Expected ~0.
+  /// Query-time state left in the world after the run, held by code with
+  /// no device bound (device state died with each timeline). Expected ~0.
+  /// Reported under the lane_*_mb JSON keys.
   double lane_cache_mb = 0.0;
   double lane_state_mb = 0.0;
   /// Resident memory after the run. The bounded-memory claim is that
@@ -156,11 +159,11 @@ RunPoint run_campaign(core::World& world, double duration_days, int workers,
     peak_block = std::max(peak_block, sink->peak_block_bytes());
   }
   point.peak_block_mb = static_cast<double>(peak_block) / (1024.0 * 1024.0);
-  const obs::LaneMemory lanes = world.approx_lane_state_bytes();
+  const obs::UnboundMemory unbound = world.approx_unbound_state_bytes();
   point.lane_cache_mb =
-      static_cast<double>(lanes.cache_bytes) / (1024.0 * 1024.0);
+      static_cast<double>(unbound.cache_bytes) / (1024.0 * 1024.0);
   point.lane_state_mb =
-      static_cast<double>(lanes.state_bytes) / (1024.0 * 1024.0);
+      static_cast<double>(unbound.state_bytes) / (1024.0 * 1024.0);
   point.rss_after_mb =
       static_cast<double>(obs::read_current_rss_bytes()) / (1024.0 * 1024.0);
   point.wall_ms = wall_ms;

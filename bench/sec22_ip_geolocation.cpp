@@ -55,7 +55,7 @@ int main() {
 
     std::printf("%-12s new IP per experiment: %.2f   /24 geographic spread: "
                 "p50=%.0f km p90=%.0f km\n",
-                analysis::carrier_name(c).c_str(), churn,
+                dataset.carrier_name(c).c_str(), churn,
                 spread_km.quantile(0.5), spread_km.quantile(0.9));
   }
   std::printf("\nA /24 whose users span hundreds of km carries no usable\n"

@@ -2,7 +2,6 @@
 #include <set>
 
 #include "bench_common.h"
-#include "cellular/carrier_profile.h"
 
 int main() {
   using namespace curtain;
@@ -11,13 +10,14 @@ int main() {
   std::printf("  %-12s %-8s %-8s %s\n", "Carrier", "#Clients", "Country",
               "(measured devices with >=1 experiment)");
   const auto& dataset = bench::study().records();
-  std::vector<std::set<uint64_t>> active(cellular::study_carriers().size());
+  const auto& carriers = dataset.carriers();
+  std::vector<std::set<uint64_t>> active(carriers.size());
   for (const auto& context : dataset.experiments()) {
     active[static_cast<size_t>(context.carrier_index)].insert(context.device_id);
   }
   int total = 0;
-  for (size_t c = 0; c < cellular::study_carriers().size(); ++c) {
-    const auto& profile = cellular::study_carriers()[c];
+  for (size_t c = 0; c < carriers.size(); ++c) {
+    const auto& profile = carriers[c];
     std::printf("  %-12s %-8d %-8s active=%zu\n", profile.name.c_str(),
                 profile.study_clients, profile.country.c_str(),
                 active[c].size());

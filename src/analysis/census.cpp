@@ -2,12 +2,10 @@
 
 #include <set>
 
-#include "cellular/carrier_profile.h"
-
 namespace curtain::analysis {
 
 std::vector<ResolverCensusRow> resolver_census(const measure::RecordStore& dataset) {
-  const size_t carriers = cellular::study_carriers().size();
+  const size_t carriers = dataset.carriers().size();
   std::vector<std::array<std::set<uint32_t>, measure::kNumResolverKinds>> ips(
       carriers);
   std::vector<std::array<std::set<uint32_t>, measure::kNumResolverKinds>>
@@ -15,8 +13,8 @@ std::vector<ResolverCensusRow> resolver_census(const measure::RecordStore& datas
 
   for (const auto& observation : dataset.observations()) {
     if (!observation.responded) continue;
-    const auto& context = dataset.context_of(observation.experiment_id);
-    const auto carrier = static_cast<size_t>(context.carrier_index);
+    const auto carrier =
+        static_cast<size_t>(observation.context().carrier_index);
     const auto kind = static_cast<size_t>(observation.resolver);
     ips[carrier][kind].insert(observation.external_ip.value());
     prefixes[carrier][kind].insert(observation.external_ip.slash24().value());

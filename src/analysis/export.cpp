@@ -1,16 +1,13 @@
 #include "analysis/export.h"
 
-#include "cellular/carrier_profile.h"
+#include <fstream>
+
 #include "cdn/domains.h"
 #include "util/contract.h"
 #include "util/csv.h"
 
 namespace curtain::analysis {
 namespace {
-
-const std::string& carrier_name(int carrier_index) {
-  return cellular::study_carriers()[static_cast<size_t>(carrier_index)].name;
-}
 
 const char* target_kind_name(measure::ProbeTargetKind kind) {
   switch (kind) {
@@ -23,155 +20,46 @@ const char* target_kind_name(measure::ProbeTargetKind kind) {
   return "?";
 }
 
-// --- the shared row writers ----------------------------------------------
-// Both export paths (cursor walk and streaming sink) funnel every row
-// through these, which is what guarantees their files match byte for byte.
-
-void write_experiments_header(util::CsvWriter& csv) {
-  csv.row({"experiment_id", "device_id", "carrier", "started_hours", "radio",
-           "lat", "lon", "gateway", "public_ip", "configured_resolver"});
-}
-
-void write_experiment_row(util::CsvWriter& csv,
-                          const measure::ExperimentContext& context,
-                          const std::string& carrier) {
-  csv.typed_row(context.experiment_id, context.device_id, carrier,
-                context.started.hours(),
-                std::string(cellular::radio_tech_name(context.radio)),
-                context.location.lat_deg, context.location.lon_deg,
-                context.gateway_index, context.public_ip.to_string(),
-                context.configured_resolver.to_string());
-}
-
-void write_resolutions_header(util::CsvWriter& csv) {
-  csv.row({"experiment_id", "carrier", "resolver", "domain", "second_lookup",
-           "responded", "resolution_ms", "addresses"});
-}
-
-void write_resolution_row(util::CsvWriter& csv,
-                          const measure::ResolutionRow& r,
-                          const std::string& carrier) {
-  std::string addresses;
-  for (const auto address : r.addresses) {
-    if (!addresses.empty()) addresses += ' ';
-    addresses += address.to_string();
-  }
-  csv.typed_row(r.experiment_id, carrier,
-                std::string(measure::resolver_kind_name(r.resolver)),
-                cdn::study_domains()[r.domain_index].host, int(r.second_lookup),
-                int(r.responded), r.resolution_ms, addresses);
-}
-
-void write_probes_header(util::CsvWriter& csv) {
-  csv.row({"experiment_id", "carrier", "target_kind", "resolver", "domain",
-           "target_ip", "probe", "responded", "rtt_ms"});
-}
-
-void write_probe_row(util::CsvWriter& csv, const measure::ProbeRow& p,
-                     const std::string& carrier) {
-  csv.typed_row(p.experiment_id, carrier,
-                std::string(target_kind_name(p.target_kind)),
-                std::string(measure::resolver_kind_name(p.resolver)),
-                p.target_kind == measure::ProbeTargetKind::kReplica
-                    ? cdn::study_domains()[p.domain_index].host
-                    : std::string(),
-                p.target_ip.to_string(),
-                std::string(p.is_http ? "http" : "ping"), int(p.responded),
-                p.rtt_ms);
-}
-
-void write_traceroutes_header(util::CsvWriter& csv) {
-  csv.row({"experiment_id", "carrier", "target_ip", "target_kind", "reached",
-           "hops"});
-}
-
-void write_traceroute_row(util::CsvWriter& csv,
-                          const measure::TracerouteRow& t,
-                          const std::string& carrier) {
-  std::string hops;
-  for (size_t i = 0; i < t.hop_count; ++i) {
-    if (!hops.empty()) hops += '|';
-    hops += t.hop(i);
-  }
-  csv.typed_row(t.experiment_id, carrier, t.target_ip.to_string(),
-                std::string(target_kind_name(t.target_kind)), int(t.reached),
-                hops);
-}
-
-void write_observations_header(util::CsvWriter& csv) {
-  csv.row({"experiment_id", "carrier", "resolver", "responded", "external_ip",
-           "external_slash24", "resolution_ms"});
-}
-
-void write_observation_row(util::CsvWriter& csv,
-                           const measure::ResolverObservation& o,
-                           const std::string& carrier) {
-  csv.typed_row(o.experiment_id, carrier,
-                std::string(measure::resolver_kind_name(o.resolver)),
-                int(o.responded), o.external_ip.to_string(),
-                net::Prefix(o.external_ip.slash24(), 24).to_string(),
-                o.resolution_ms);
-}
-
-void write_vantage_header(util::CsvWriter& csv) {
-  csv.row({"carrier", "target_ip", "ping_responded", "traceroute_reached"});
-}
-
-void write_vantage_row(util::CsvWriter& csv, const measure::VantageProbe& v) {
-  csv.typed_row(carrier_name(v.carrier_index), v.target_ip.to_string(),
-                int(v.ping_responded), int(v.traceroute_reached));
-}
-
-void write_manifest(std::ostream& out, size_t experiments, size_t resolutions,
-                    size_t probes, size_t traceroutes, size_t observations,
-                    size_t vantage) {
-  out << "curtain dataset export\n"
-      << "experiments: " << experiments << "\n"
-      << "resolutions: " << resolutions << "\n"
-      << "probes: " << probes << "\n"
-      << "traceroutes: " << traceroutes << "\n"
-      << "resolver_observations: " << observations << "\n"
-      << "vantage_probes: " << vantage << "\n";
-}
-
-/// The referential invariants every exporter relies on; violating any of
-/// them means the campaign merge (exec/engine.cpp, measure/record_store.h)
-/// is broken, and a loud abort beats shipping silently inconsistent files.
+/// Every block must be experiment-aligned: each row's experiment sits in
+/// its own block, which is where the row views find their context. The
+/// experiment ids must also run dense across blocks. Violating either
+/// means the record store or the campaign merge (exec/engine.cpp) is
+/// broken, and a loud abort beats shipping silently inconsistent files.
 void check_records_integrity(const measure::RecordStore& records) {
-  size_t ordinal = 0;
-  for (const auto& context : records.experiments()) {
-    CURTAIN_CHECK(context.experiment_id == ordinal)
-        << "experiment record " << ordinal << " carries id "
-        << context.experiment_id << "; context_of() indexing is broken";
-    ++ordinal;
+  uint32_t next_id = 0;
+  for (const measure::RecordBlock& block : records.blocks()) {
+    for (const auto& context : block.experiments) {
+      CURTAIN_CHECK(context.experiment_id == next_id)
+          << "experiment record " << next_id << " carries id "
+          << context.experiment_id;
+      ++next_id;
+    }
+    const uint32_t first = next_id - static_cast<uint32_t>(
+                                         block.experiments.size());
+    const auto check_row = [&](uint32_t experiment_id, const char* stream) {
+      CURTAIN_CHECK(experiment_id >= first && experiment_id < next_id)
+          << stream << " row references experiment " << experiment_id
+          << " outside its block's [" << first << ", " << next_id << ")";
+    };
+    for (const uint32_t id : block.resolutions.experiment_id) {
+      check_row(id, "resolution");
+    }
+    for (const int32_t slot : block.resolutions.trace_slot) {
+      CURTAIN_CHECK(slot >= -1 && (slot < 0 || static_cast<size_t>(slot) <
+                                                   block.traces.size()))
+          << "resolution trace slot " << slot << " out of range ("
+          << block.traces.size() << " traces in its block)";
+    }
+    for (const uint32_t id : block.probes.experiment_id) {
+      check_row(id, "probe");
+    }
+    for (const uint32_t id : block.traceroutes.experiment_id) {
+      check_row(id, "traceroute");
+    }
+    for (const auto& o : block.observations) {
+      check_row(o.experiment_id, "resolver observation");
+    }
   }
-  for (const auto r : records.resolutions()) {
-    CURTAIN_CHECK(r.experiment_id < records.experiment_count())
-        << "resolution references unknown experiment " << r.experiment_id;
-    CURTAIN_CHECK(r.trace_index >= -1 &&
-                  (r.trace_index < 0 || static_cast<size_t>(r.trace_index) <
-                                            records.trace_count()))
-        << "resolution trace_index " << r.trace_index << " out of range ("
-        << records.trace_count() << " traces)";
-  }
-  for (const auto p : records.probes()) {
-    CURTAIN_CHECK(p.experiment_id < records.experiment_count())
-        << "probe references unknown experiment " << p.experiment_id;
-  }
-  for (const auto t : records.traceroutes()) {
-    CURTAIN_CHECK(t.experiment_id < records.experiment_count())
-        << "traceroute references unknown experiment " << t.experiment_id;
-  }
-  for (const auto& o : records.observations()) {
-    CURTAIN_CHECK(o.experiment_id < records.experiment_count())
-        << "resolver observation references unknown experiment "
-        << o.experiment_id;
-  }
-}
-
-const std::string& carrier_of(const measure::RecordStore& records,
-                              uint32_t experiment_id) {
-  return carrier_name(records.context_of(experiment_id).carrier_index);
 }
 
 }  // namespace
@@ -179,55 +67,100 @@ const std::string& carrier_of(const measure::RecordStore& records,
 void export_experiments_csv(const measure::RecordStore& records,
                             std::ostream& out) {
   util::CsvWriter csv(out);
-  write_experiments_header(csv);
+  csv.row({"experiment_id", "device_id", "carrier", "started_hours", "radio",
+           "lat", "lon", "gateway", "public_ip", "configured_resolver"});
   for (const auto& context : records.experiments()) {
-    write_experiment_row(csv, context,
-                         carrier_name(context.carrier_index));
+    csv.typed_row(context.experiment_id, context.device_id,
+                  records.carrier_name(context.carrier_index),
+                  context.started.hours(),
+                  std::string(cellular::radio_tech_name(context.radio)),
+                  context.location.lat_deg, context.location.lon_deg,
+                  context.gateway_index, context.public_ip.to_string(),
+                  context.configured_resolver.to_string());
   }
 }
 
 void export_resolutions_csv(const measure::RecordStore& records,
                             std::ostream& out) {
   util::CsvWriter csv(out);
-  write_resolutions_header(csv);
+  csv.row({"experiment_id", "carrier", "resolver", "domain", "second_lookup",
+           "responded", "resolution_ms", "addresses"});
   for (const auto r : records.resolutions()) {
-    write_resolution_row(csv, r, carrier_of(records, r.experiment_id));
+    std::string addresses;
+    for (const auto address : r.addresses) {
+      if (!addresses.empty()) addresses += ' ';
+      addresses += address.to_string();
+    }
+    csv.typed_row(r.experiment_id,
+                  records.carrier_name(r.context().carrier_index),
+                  std::string(measure::resolver_kind_name(r.resolver)),
+                  cdn::study_domains()[r.domain_index].host,
+                  int(r.second_lookup), int(r.responded), r.resolution_ms,
+                  addresses);
   }
 }
 
 void export_probes_csv(const measure::RecordStore& records,
                        std::ostream& out) {
   util::CsvWriter csv(out);
-  write_probes_header(csv);
+  csv.row({"experiment_id", "carrier", "target_kind", "resolver", "domain",
+           "target_ip", "probe", "responded", "rtt_ms"});
   for (const auto p : records.probes()) {
-    write_probe_row(csv, p, carrier_of(records, p.experiment_id));
+    csv.typed_row(p.experiment_id,
+                  records.carrier_name(p.context().carrier_index),
+                  std::string(target_kind_name(p.target_kind)),
+                  std::string(measure::resolver_kind_name(p.resolver)),
+                  p.target_kind == measure::ProbeTargetKind::kReplica
+                      ? cdn::study_domains()[p.domain_index].host
+                      : std::string(),
+                  p.target_ip.to_string(),
+                  std::string(p.is_http ? "http" : "ping"), int(p.responded),
+                  p.rtt_ms);
   }
 }
 
 void export_traceroutes_csv(const measure::RecordStore& records,
                             std::ostream& out) {
   util::CsvWriter csv(out);
-  write_traceroutes_header(csv);
+  csv.row({"experiment_id", "carrier", "target_ip", "target_kind", "reached",
+           "hops"});
   for (const auto t : records.traceroutes()) {
-    write_traceroute_row(csv, t, carrier_of(records, t.experiment_id));
+    std::string hops;
+    for (size_t i = 0; i < t.hop_count; ++i) {
+      if (!hops.empty()) hops += '|';
+      hops += t.hop(i);
+    }
+    csv.typed_row(t.experiment_id,
+                  records.carrier_name(t.context().carrier_index),
+                  t.target_ip.to_string(),
+                  std::string(target_kind_name(t.target_kind)),
+                  int(t.reached), hops);
   }
 }
 
 void export_resolver_observations_csv(const measure::RecordStore& records,
                                       std::ostream& out) {
   util::CsvWriter csv(out);
-  write_observations_header(csv);
-  for (const auto& o : records.observations()) {
-    write_observation_row(csv, o, carrier_of(records, o.experiment_id));
+  csv.row({"experiment_id", "carrier", "resolver", "responded", "external_ip",
+           "external_slash24", "resolution_ms"});
+  for (const auto o : records.observations()) {
+    csv.typed_row(o.experiment_id,
+                  records.carrier_name(o.context().carrier_index),
+                  std::string(measure::resolver_kind_name(o.resolver)),
+                  int(o.responded), o.external_ip.to_string(),
+                  net::Prefix(o.external_ip.slash24(), 24).to_string(),
+                  o.resolution_ms);
   }
 }
 
 void export_vantage_probes_csv(const measure::RecordStore& records,
                                std::ostream& out) {
   util::CsvWriter csv(out);
-  write_vantage_header(csv);
+  csv.row({"carrier", "target_ip", "ping_responded", "traceroute_reached"});
   for (const auto& v : records.vantage_probes()) {
-    write_vantage_row(csv, v);
+    csv.typed_row(records.carrier_name(v.carrier_index),
+                  v.target_ip.to_string(), int(v.ping_responded),
+                  int(v.traceroute_reached));
   }
 }
 
@@ -255,132 +188,17 @@ int export_records(const measure::RecordStore& records,
   }
   std::ofstream manifest(directory + "/MANIFEST.txt");
   if (manifest.good()) {
-    write_manifest(manifest, records.experiment_count(),
-                   records.resolution_count(), records.probe_count(),
-                   records.traceroute_count(), records.observation_count(),
-                   records.vantage_count());
+    manifest << "curtain dataset export\n"
+             << "experiments: " << records.experiment_count() << "\n"
+             << "resolutions: " << records.resolution_count() << "\n"
+             << "probes: " << records.probe_count() << "\n"
+             << "traceroutes: " << records.traceroute_count() << "\n"
+             << "resolver_observations: " << records.observation_count()
+             << "\n"
+             << "vantage_probes: " << records.vantage_count() << "\n";
     if (manifest.good()) ++written;
   }
   return written;
-}
-
-StreamingCsvExporter::StreamingCsvExporter(const std::string& directory)
-    : directory_(directory),
-      experiments_(directory + "/experiments.csv"),
-      resolutions_(directory + "/resolutions.csv"),
-      probes_(directory + "/probes.csv"),
-      traceroutes_(directory + "/traceroutes.csv"),
-      observations_(directory + "/resolver_observations.csv"),
-      vantage_(directory + "/vantage_probes.csv") {
-  if (experiments_.good()) {
-    util::CsvWriter csv(experiments_);
-    write_experiments_header(csv);
-  }
-  if (resolutions_.good()) {
-    util::CsvWriter csv(resolutions_);
-    write_resolutions_header(csv);
-  }
-  if (probes_.good()) {
-    util::CsvWriter csv(probes_);
-    write_probes_header(csv);
-  }
-  if (traceroutes_.good()) {
-    util::CsvWriter csv(traceroutes_);
-    write_traceroutes_header(csv);
-  }
-  if (observations_.good()) {
-    util::CsvWriter csv(observations_);
-    write_observations_header(csv);
-  }
-  if (vantage_.good()) {
-    util::CsvWriter csv(vantage_);
-    write_vantage_header(csv);
-  }
-}
-
-void StreamingCsvExporter::consume(measure::RecordBlock&& block) {
-  for (const auto& context : block.experiments) {
-    CURTAIN_CHECK(context.experiment_id == experiment_carrier_.size())
-        << "streamed experiment ids must arrive dense: got "
-        << context.experiment_id << " at ordinal "
-        << experiment_carrier_.size();
-    experiment_carrier_.push_back(context.carrier_index);
-    if (experiments_.good()) {
-      util::CsvWriter csv(experiments_);
-      write_experiment_row(csv, context, carrier_name(context.carrier_index));
-    }
-  }
-  experiment_count_ += block.experiments.size();
-
-  const auto carrier_of_id = [&](uint32_t experiment_id) -> const std::string& {
-    CURTAIN_CHECK(experiment_id < experiment_carrier_.size())
-        << "record references unseen experiment " << experiment_id;
-    return carrier_name(experiment_carrier_[experiment_id]);
-  };
-
-  if (resolutions_.good()) {
-    util::CsvWriter csv(resolutions_);
-    for (size_t i = 0; i < block.resolutions.size(); ++i) {
-      const measure::ResolutionRow r = block.resolution_row(i);
-      write_resolution_row(csv, r, carrier_of_id(r.experiment_id));
-    }
-  }
-  resolution_count_ += block.resolutions.size();
-
-  if (probes_.good()) {
-    util::CsvWriter csv(probes_);
-    for (size_t i = 0; i < block.probes.size(); ++i) {
-      const measure::ProbeRow p = block.probe_row(i);
-      write_probe_row(csv, p, carrier_of_id(p.experiment_id));
-    }
-  }
-  probe_count_ += block.probes.size();
-
-  if (traceroutes_.good()) {
-    util::CsvWriter csv(traceroutes_);
-    for (size_t i = 0; i < block.traceroutes.size(); ++i) {
-      const measure::TracerouteRow t = block.traceroute_row(i);
-      write_traceroute_row(csv, t, carrier_of_id(t.experiment_id));
-    }
-  }
-  traceroute_count_ += block.traceroutes.size();
-
-  if (observations_.good()) {
-    util::CsvWriter csv(observations_);
-    for (const auto& o : block.observations) {
-      write_observation_row(csv, o, carrier_of_id(o.experiment_id));
-    }
-  }
-  observation_count_ += block.observations.size();
-
-  if (vantage_.good()) {
-    util::CsvWriter csv(vantage_);
-    for (const auto& v : block.vantage_probes) {
-      write_vantage_row(csv, v);
-    }
-  }
-  vantage_count_ += block.vantage_probes.size();
-}
-
-void StreamingCsvExporter::finish() {
-  files_written_ = 0;
-  const auto close_counted = [this](std::ofstream& stream) {
-    if (stream.is_open() && stream.good()) ++files_written_;
-    stream.close();
-  };
-  close_counted(experiments_);
-  close_counted(resolutions_);
-  close_counted(probes_);
-  close_counted(traceroutes_);
-  close_counted(observations_);
-  close_counted(vantage_);
-  std::ofstream manifest(directory_ + "/MANIFEST.txt");
-  if (manifest.good()) {
-    write_manifest(manifest, experiment_count_, resolution_count_,
-                   probe_count_, traceroute_count_, observation_count_,
-                   vantage_count_);
-    if (manifest.good()) ++files_written_;
-  }
 }
 
 }  // namespace curtain::analysis

@@ -4,22 +4,14 @@
 // the equivalent facility — one CSV per record type plus a manifest, so
 // external tooling (pandas/R/gnuplot) can re-analyze the campaign.
 //
-// Two entry points over one set of row writers:
-//   * export_records(store, dir): walks a retained RecordStore through its
-//     cursor ranges — the in-memory path;
-//   * StreamingCsvExporter: a RecordSink that writes each block's rows as
-//     it arrives — the bounded-memory path (engine run_streaming, or
-//     RecordStore::replay). Holding only a carrier-index byte per
-//     experiment, it never retains a record.
-// Both paths emit byte-identical files for the same record stream
-// (export_test exercises the equivalence).
+// One export walk: export_records (or any single export_*_csv writer)
+// walks a retained RecordStore through its cursor ranges. Every row finds
+// its experiment's carrier in its own record block, and carrier names come
+// from the table the run was built from (RecordStore::carriers()).
 #pragma once
 
-#include <cstdint>
-#include <fstream>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "measure/record_store.h"
 
@@ -45,41 +37,5 @@ void export_vantage_probes_csv(const measure::RecordStore& records,
 /// successfully.
 int export_records(const measure::RecordStore& records,
                    const std::string& directory);
-
-/// RecordSink writing the same seven files incrementally, one block at a
-/// time. Files open (and CSV headers land) at construction; MANIFEST.txt
-/// is written by finish(). Memory held: one open file per stream plus one
-/// carrier-index byte per experiment seen (resolution/probe rows reference
-/// experiments from earlier blocks, so the carrier denormalization needs
-/// that much history — nothing else is retained).
-class StreamingCsvExporter final : public measure::RecordSink {
- public:
-  explicit StreamingCsvExporter(const std::string& directory);
-
-  void consume(measure::RecordBlock&& block) override;
-  void finish() override;
-
-  /// Files successfully written; meaningful after finish(). Matches
-  /// export_records' return value for the same stream.
-  int files_written() const { return files_written_; }
-
- private:
-  std::string directory_;
-  std::ofstream experiments_;
-  std::ofstream resolutions_;
-  std::ofstream probes_;
-  std::ofstream traceroutes_;
-  std::ofstream observations_;
-  std::ofstream vantage_;
-  /// Carrier table index of experiment id `i` (ids arrive dense).
-  std::vector<int32_t> experiment_carrier_;
-  size_t experiment_count_ = 0;
-  size_t resolution_count_ = 0;
-  size_t probe_count_ = 0;
-  size_t traceroute_count_ = 0;
-  size_t observation_count_ = 0;
-  size_t vantage_count_ = 0;
-  int files_written_ = 0;
-};
 
 }  // namespace curtain::analysis

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <set>
 
-#include "cellular/carrier_profile.h"
-#include "util/contract.h"
-
 namespace curtain::analysis {
 namespace {
 
@@ -13,19 +10,7 @@ using measure::RecordStore;
 using measure::ProbeTargetKind;
 using measure::ResolverKind;
 
-int num_carriers() {
-  return static_cast<int>(cellular::study_carriers().size());
-}
-
 }  // namespace
-
-const std::string& carrier_name(int carrier_index) {
-  CURTAIN_CHECK(carrier_index >= 0 &&
-                static_cast<size_t>(carrier_index) <
-                    cellular::study_carriers().size())
-      << "carrier index " << carrier_index << " outside the study set";
-  return cellular::study_carriers()[static_cast<size_t>(carrier_index)].name;
-}
 
 std::map<std::string, Ecdf> fig2_replica_penalty(const RecordStore& d) {
   // The paper shows four domains; use the four CNAME-heavy consumer sites.
@@ -33,7 +18,7 @@ std::map<std::string, Ecdf> fig2_replica_penalty(const RecordStore& d) {
   auto by_carrier = replica_penalty_by_carrier(d, domains);
   std::map<std::string, Ecdf> out;
   for (auto& [carrier, cdf] : by_carrier) {
-    out[carrier_name(carrier)] = std::move(cdf);
+    out[d.carrier_name(carrier)] = std::move(cdf);
   }
   return out;
 }
@@ -45,8 +30,8 @@ std::map<std::string, CdfGroup> fig3_radio_bands(const RecordStore& d) {
         !resolution.responded) {
       continue;
     }
-    const auto& context = d.context_of(resolution.experiment_id);
-    out[carrier_name(context.carrier_index)]
+    const auto& context = resolution.context();
+    out[d.carrier_name(context.carrier_index)]
        [cellular::radio_tech_name(context.radio)]
            .add(resolution.resolution_ms);
   }
@@ -62,25 +47,24 @@ std::map<std::string, CdfGroup> fig4_resolver_distance(const RecordStore& d) {
         probe.target_kind == ProbeTargetKind::kExternalResolver &&
         probe.resolver == ResolverKind::kLocal;
     if (!client && !external) continue;
-    const auto& context = d.context_of(probe.experiment_id);
-    out[carrier_name(context.carrier_index)][client ? "Client" : "External"].add(
-        probe.rtt_ms);
+    out[d.carrier_name(probe.context().carrier_index)]
+       [client ? "Client" : "External"]
+           .add(probe.rtt_ms);
   }
   return out;
 }
 
 CdfGroup fig5_fig6_resolution_times(const RecordStore& d,
                                     const std::string& country) {
-  const auto& carriers = cellular::study_carriers();
+  const auto& carriers = d.carriers();
   CdfGroup out;
   for (const auto& resolution : d.resolutions()) {
     if (resolution.resolver != ResolverKind::kLocal || resolution.second_lookup ||
         !resolution.responded) {
       continue;
     }
-    const auto& context = d.context_of(resolution.experiment_id);
     const auto& profile =
-        carriers[static_cast<size_t>(context.carrier_index)];
+        carriers[static_cast<size_t>(resolution.context().carrier_index)];
     if (profile.country != country) continue;
     out[profile.name].add(resolution.resolution_ms);
   }
@@ -88,14 +72,15 @@ CdfGroup fig5_fig6_resolution_times(const RecordStore& d,
 }
 
 CdfGroup fig7_cache_effect(const RecordStore& d) {
-  const auto& carriers = cellular::study_carriers();
+  const auto& carriers = d.carriers();
   CdfGroup out;
   for (const auto& resolution : d.resolutions()) {
     if (resolution.resolver != ResolverKind::kLocal || !resolution.responded) {
       continue;
     }
-    const auto& context = d.context_of(resolution.experiment_id);
-    if (carriers[static_cast<size_t>(context.carrier_index)].country != "US") {
+    const auto carrier =
+        static_cast<size_t>(resolution.context().carrier_index);
+    if (carriers[carrier].country != "US") {
       continue;
     }
     out[resolution.second_lookup ? "2nd Lookup" : "1st Lookup"].add(
@@ -107,8 +92,9 @@ CdfGroup fig7_cache_effect(const RecordStore& d) {
 std::map<std::string, CosineSplit> fig10_cosine(const RecordStore& d,
                                                 uint16_t domain_index) {
   std::map<std::string, CosineSplit> out;
-  for (int c = 0; c < num_carriers(); ++c) {
-    out[carrier_name(c)] = cosine_by_prefix(d, domain_index, c);
+  for (size_t c = 0; c < d.carriers().size(); ++c) {
+    out[d.carriers()[c].name] =
+        cosine_by_prefix(d, domain_index, static_cast<int>(c));
   }
   return out;
 }
@@ -117,8 +103,8 @@ std::map<std::string, CdfGroup> fig11_public_distance(const RecordStore& d) {
   std::map<std::string, CdfGroup> out;
   for (const auto& probe : d.probes()) {
     if (probe.is_http || !probe.responded) continue;
-    const auto& context = d.context_of(probe.experiment_id);
-    const std::string& carrier = carrier_name(context.carrier_index);
+    const std::string& carrier =
+        d.carrier_name(probe.context().carrier_index);
     if (probe.target_kind == ProbeTargetKind::kExternalResolver &&
         probe.resolver == ResolverKind::kLocal) {
       out[carrier]["Cell LDNS"].add(probe.rtt_ms);
@@ -135,8 +121,7 @@ std::map<std::string, CdfGroup> fig13_public_resolution(const RecordStore& d) {
   std::map<std::string, CdfGroup> out;
   for (const auto& resolution : d.resolutions()) {
     if (resolution.second_lookup || !resolution.responded) continue;
-    const auto& context = d.context_of(resolution.experiment_id);
-    out[carrier_name(context.carrier_index)]
+    out[d.carrier_name(resolution.context().carrier_index)]
        [measure::resolver_kind_name(resolution.resolver)]
            .add(resolution.resolution_ms);
   }
@@ -146,8 +131,9 @@ std::map<std::string, CdfGroup> fig13_public_resolution(const RecordStore& d) {
 namespace {
 
 /// Per (experiment, domain, resolver kind): mean replica HTTP latency and
-/// the /24 set of the probed replicas.
+/// the /24 set of the probed replicas, plus the experiment's carrier.
 struct ReplicaSample {
+  int carrier_index = 0;
   double latency_sum = 0.0;
   int count = 0;
   std::set<uint32_t> slash24s;
@@ -167,6 +153,7 @@ std::map<SampleKey, ReplicaSample> collect_replica_samples(const RecordStore& d)
     ReplicaSample& sample =
         samples[{probe.experiment_id, probe.domain_index,
                  static_cast<int>(probe.resolver)}];
+    sample.carrier_index = probe.context().carrier_index;
     sample.latency_sum += probe.rtt_ms;
     ++sample.count;
     sample.slash24s.insert(probe.target_ip.slash24().value());
@@ -184,8 +171,7 @@ std::map<std::string, CdfGroup> fig14_public_replica_delta(const RecordStore& d)
     if (kind != static_cast<int>(ResolverKind::kLocal) || local.count == 0) {
       continue;
     }
-    const auto& context = d.context_of(experiment);
-    const std::string& carrier = carrier_name(context.carrier_index);
+    const std::string& carrier = d.carrier_name(local.carrier_index);
     for (const ResolverKind public_kind :
          {ResolverKind::kGoogle, ResolverKind::kOpenDns}) {
       const auto it =

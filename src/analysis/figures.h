@@ -58,7 +58,4 @@ std::map<std::string, CdfGroup> fig14_public_replica_delta(
 /// replicas performed equal-or-better than the cell DNS replicas.
 double headline_public_equal_or_better(const measure::RecordStore& d);
 
-/// Carrier display name for an index.
-const std::string& carrier_name(int carrier_index);
-
 }  // namespace curtain::analysis

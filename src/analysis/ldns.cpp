@@ -4,7 +4,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "cellular/carrier_profile.h"
 #include "net/geo.h"
 
 namespace curtain::analysis {
@@ -12,7 +11,7 @@ namespace {
 
 struct Joined {
   const measure::ExperimentContext* context;
-  const measure::ResolverObservation* observation;
+  net::Ipv4Addr external_ip;
 };
 
 std::vector<Joined> joined_observations(const measure::RecordStore& dataset,
@@ -21,9 +20,9 @@ std::vector<Joined> joined_observations(const measure::RecordStore& dataset,
   std::vector<Joined> out;
   for (const auto& observation : dataset.observations()) {
     if (observation.resolver != kind || !observation.responded) continue;
-    const auto& context = dataset.context_of(observation.experiment_id);
+    const auto& context = observation.context();
     if (context.carrier_index != carrier_index) continue;
-    out.push_back(Joined{&context, &observation});
+    out.push_back(Joined{&context, observation.external_ip});
   }
   std::sort(out.begin(), out.end(), [](const Joined& a, const Joined& b) {
     return a.context->started < b.context->started;
@@ -39,7 +38,7 @@ ResolverTimeline build_timeline(uint64_t device_id, int carrier_index,
   std::unordered_map<uint32_t, int> ip_ranks;
   std::unordered_map<uint32_t, int> prefix_ranks;
   for (const auto& joined : observations) {
-    const net::Ipv4Addr ip = joined.observation->external_ip;
+    const net::Ipv4Addr ip = joined.external_ip;
     auto [ip_it, ip_new] =
         ip_ranks.emplace(ip.value(), static_cast<int>(ip_ranks.size()) + 1);
     auto [p_it, p_new] = prefix_ranks.emplace(
@@ -69,7 +68,7 @@ size_t ResolverTimeline::unique_slash24s() const {
 }
 
 std::vector<LdnsPairStats> ldns_pair_stats(const measure::RecordStore& dataset) {
-  const int carriers = static_cast<int>(cellular::study_carriers().size());
+  const int carriers = static_cast<int>(dataset.carriers().size());
   std::vector<LdnsPairStats> out;
   for (int c = 0; c < carriers; ++c) {
     const auto joined =
@@ -83,7 +82,7 @@ std::vector<LdnsPairStats> ldns_pair_stats(const measure::RecordStore& dataset) 
     std::map<uint32_t, std::map<uint32_t, uint64_t>> pair_counts;
     for (const auto& j : joined) {
       const uint32_t client = j.context->configured_resolver.value();
-      const uint32_t external = j.observation->external_ip.value();
+      const uint32_t external = j.external_ip.value();
       clients.insert(client);
       externals.insert(external);
       pairs.emplace(client, external);

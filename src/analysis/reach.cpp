@@ -2,14 +2,13 @@
 
 #include <string_view>
 
-#include "cellular/carrier_profile.h"
 #include "util/strings.h"
 
 namespace curtain::analysis {
 
 std::vector<ReachabilityStats> external_reachability(
     const measure::RecordStore& dataset) {
-  const int carriers = static_cast<int>(cellular::study_carriers().size());
+  const int carriers = static_cast<int>(dataset.carriers().size());
   std::vector<ReachabilityStats> out(static_cast<size_t>(carriers));
   for (int c = 0; c < carriers; ++c) out[static_cast<size_t>(c)].carrier_index = c;
   for (const auto& probe : dataset.vantage_probes()) {
@@ -22,15 +21,15 @@ std::vector<ReachabilityStats> external_reachability(
 }
 
 std::vector<EgressStats> egress_points(const measure::RecordStore& dataset) {
-  const auto& carriers = cellular::study_carriers();
+  const auto& carriers = dataset.carriers();
   std::vector<EgressStats> out(carriers.size());
   for (size_t c = 0; c < carriers.size(); ++c) {
     out[c].carrier_index = static_cast<int>(c);
   }
 
   for (const auto& trace : dataset.traceroutes()) {
-    const auto& context = dataset.context_of(trace.experiment_id);
-    const auto carrier_index = static_cast<size_t>(context.carrier_index);
+    const auto carrier_index =
+        static_cast<size_t>(trace.context().carrier_index);
     const std::string& carrier_name = carriers[carrier_index].name;
 
     // Last hop carrying the carrier's name before the first foreign hop.

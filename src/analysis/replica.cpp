@@ -75,7 +75,7 @@ std::map<int, Ecdf> replica_penalty_by_carrier(
                   probe.domain_index) == domain_filter.end()) {
       continue;
     }
-    const auto& context = dataset.context_of(probe.experiment_id);
+    const auto& context = probe.context();
     device_carrier[context.device_id] = context.carrier_index;
     Acc& acc = latency[{context.device_id, probe.domain_index,
                         probe.target_ip.value()}];
@@ -120,8 +120,7 @@ std::map<uint32_t, ReplicaMap> replica_maps_by_resolver(
         resolution.domain_index != domain_index) {
       continue;
     }
-    const auto& context = dataset.context_of(resolution.experiment_id);
-    if (context.carrier_index != carrier_index) continue;
+    if (resolution.context().carrier_index != carrier_index) continue;
     const auto external = externals.find(resolution.experiment_id);
     if (external == externals.end()) continue;
     ReplicaMap& map = maps[external->second];

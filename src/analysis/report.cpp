@@ -37,7 +37,7 @@ void table_row(std::ostream& out, const std::vector<std::string>& cells) {
 
 void write_report(const RecordStore& dataset, const ReportConfig& config,
                   std::ostream& out) {
-  const auto& carriers = cellular::study_carriers();
+  const auto& carriers = dataset.carriers();
 
   out << "# EXPERIMENTS — paper vs measured\n\n"
       << "Reproduction record for *Behind the Curtain: Cellular DNS and "
@@ -132,7 +132,7 @@ void write_report(const RecordStore& dataset, const ReportConfig& config,
   table_header(out,
                {"Provider", "Client", "External", "Pairs", "Consistency"});
   for (const auto& row : ldns_pair_stats(dataset)) {
-    table_row(out, {carrier_name(row.carrier_index),
+    table_row(out, {dataset.carrier_name(row.carrier_index),
                     std::to_string(row.client_resolvers),
                     std::to_string(row.external_resolvers),
                     std::to_string(row.pairs),
@@ -184,7 +184,8 @@ void write_report(const RecordStore& dataset, const ReportConfig& config,
          "traceroute.\n\n";
   table_header(out, {"Provider", "Observed", "Ping", "Traceroute"});
   for (const auto& row : external_reachability(dataset)) {
-    table_row(out, {carrier_name(row.carrier_index), std::to_string(row.total),
+    table_row(out, {dataset.carrier_name(row.carrier_index),
+                    std::to_string(row.total),
                     std::to_string(row.ping_responded),
                     std::to_string(row.traceroute_reached)});
   }
@@ -214,7 +215,7 @@ void write_report(const RecordStore& dataset, const ReportConfig& config,
     for (const auto& timeline : static_timelines) {
       if (timeline.unique_ips() > 1) ++churning;
     }
-    table_row(out, {carrier_name(c), util::format_double(mean_ips, 1),
+    table_row(out, {dataset.carrier_name(c), util::format_double(mean_ips, 1),
                     std::to_string(max_ips), std::to_string(max_prefixes),
                     std::to_string(churning) + "/" +
                         std::to_string(static_timelines.size())});
@@ -249,7 +250,7 @@ void write_report(const RecordStore& dataset, const ReportConfig& config,
   table_header(out, {"Carrier", "Discovered", "Provisioned"});
   for (const auto& row : egress_points(dataset)) {
     table_row(out,
-              {carrier_name(row.carrier_index),
+              {dataset.carrier_name(row.carrier_index),
                std::to_string(row.egress_points),
                std::to_string(
                    carriers[static_cast<size_t>(row.carrier_index)]
@@ -267,7 +268,7 @@ void write_report(const RecordStore& dataset, const ReportConfig& config,
       return std::to_string(row.unique_ips[k]) + " / " +
              std::to_string(row.unique_slash24s[k]);
     };
-    table_row(out, {carrier_name(row.carrier_index),
+    table_row(out, {dataset.carrier_name(row.carrier_index),
                     cell(measure::ResolverKind::kLocal),
                     cell(measure::ResolverKind::kGoogle),
                     cell(measure::ResolverKind::kOpenDns)});
@@ -303,7 +304,7 @@ void write_report(const RecordStore& dataset, const ReportConfig& config,
       if (timeline.unique_slash24s() > 1) ++multi;
       max_prefixes = std::max(max_prefixes, timeline.unique_slash24s());
     }
-    table_row(out, {carrier_name(c),
+    table_row(out, {dataset.carrier_name(c),
                     std::to_string(multi) + "/" +
                         std::to_string(timelines.size()),
                     std::to_string(max_prefixes)});

@@ -76,8 +76,8 @@ dns::Cache& ClientFacingResolver::cache_for(net::NodeId instance) {
   return caches_.get()[instance];  // default-constructed on first use
 }
 
-obs::LaneMemory ClientFacingResolver::approx_lane_bytes() const {
-  obs::LaneMemory memory;
+obs::UnboundMemory ClientFacingResolver::approx_unbound_bytes() const {
+  obs::UnboundMemory memory;
   constexpr size_t kMapNodeOverhead =
       2 * sizeof(void*) + obs::kAllocOverheadBytes;
   const InstanceCaches& caches = caches_.unbound();
@@ -177,13 +177,13 @@ CellularNetwork::CellularNetwork(CarrierProfile profile, uint32_t owner_tag,
 
 CellularNetwork::~CellularNetwork() = default;
 
-obs::LaneMemory CellularNetwork::approx_lane_state_bytes() const {
-  obs::LaneMemory memory;
+obs::UnboundMemory CellularNetwork::approx_unbound_state_bytes() const {
+  obs::UnboundMemory memory;
   for (const auto& resolver : client_resolvers_) {
-    memory += resolver->approx_lane_bytes();
+    memory += resolver->approx_unbound_bytes();
   }
   for (const auto& resolver : external_resolvers_) {
-    memory += resolver->approx_lane_bytes();
+    memory += resolver->approx_unbound_bytes();
   }
   return memory;
 }

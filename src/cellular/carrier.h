@@ -61,7 +61,7 @@ class ClientFacingResolver : public dns::DnsServer {
   /// Approximate heap bytes of the no-device instance caches (device
   /// caches die with their timelines). A profiling gauge — see
   /// obs/memory.h.
-  obs::LaneMemory approx_lane_bytes() const;
+  obs::UnboundMemory approx_unbound_bytes() const;
 
  private:
   using InstanceCaches = std::unordered_map<net::NodeId, dns::Cache>;
@@ -151,7 +151,7 @@ class CellularNetwork {
   /// that outlives device timelines: the no-device DNS caches
   /// (client-facing instances + external resolvers). A profiling gauge —
   /// see obs/memory.h.
-  obs::LaneMemory approx_lane_state_bytes() const;
+  obs::UnboundMemory approx_unbound_state_bytes() const;
 
  private:
   struct Gateway {

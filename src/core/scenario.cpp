@@ -78,9 +78,9 @@ measure::CampaignConfig Scenario::campaign_config() const {
   return measure::CampaignConfig::scaled(scale);
 }
 
-size_t Scenario::carrier_count() const {
-  return carrier_profiles.empty() ? cellular::study_carriers().size()
-                                  : carrier_profiles.size();
+const std::vector<cellular::CarrierProfile>& Scenario::carrier_table() const {
+  return carrier_profiles.empty() ? cellular::study_carriers()
+                                  : carrier_profiles;
 }
 
 }  // namespace curtain::core

@@ -89,8 +89,9 @@ struct Scenario {
   /// config is ever produced).
   measure::CampaignConfig campaign_config() const;
 
-  /// Carriers this scenario builds (resolves the empty-profiles default).
-  size_t carrier_count() const;
+  /// The carrier table this scenario builds (resolves the empty-profiles
+  /// default); every record's carrier_index points into it.
+  const std::vector<cellular::CarrierProfile>& carrier_table() const;
 };
 
 }  // namespace curtain::core

@@ -85,6 +85,7 @@ Study::Study(Scenario scenario)
   engine_ = std::make_unique<exec::CampaignEngine>(
       measure::WorldView{world_->topology(), world_->registry()},
       world_->research_apex(), std::move(carriers), engine_config);
+  records_.set_carriers(world_->config().carrier_table());
 }
 
 Study::~Study() {
@@ -154,16 +155,16 @@ void Study::run() {
         .gauge("curtain_mem_fleet_arena_bytes",
                "SoA fleet arena bytes across all carriers")
         .set(static_cast<double>(engine_->fleet_arena_bytes()));
-    const obs::LaneMemory lanes = world_->approx_lane_state_bytes();
+    const obs::UnboundMemory unbound = world_->approx_unbound_state_bytes();
     obs::metrics()
         .gauge("curtain_mem_dns_cache_bytes",
                "DNS cache bytes held past device timelines (approx)")
-        .set(static_cast<double>(lanes.cache_bytes));
+        .set(static_cast<double>(unbound.cache_bytes));
     obs::metrics()
         .gauge("curtain_mem_lane_state_bytes",
                "non-cache query-time state bytes held past device "
                "timelines (approx)")
-        .set(static_cast<double>(lanes.state_bytes));
+        .set(static_cast<double>(unbound.state_bytes));
     obs::metrics()
         .gauge("curtain_mem_rss_bytes", "resident set size at end of run")
         .set(static_cast<double>(obs::read_current_rss_bytes()));

@@ -43,13 +43,13 @@ World::World(Scenario config)
 
 World::~World() = default;
 
-obs::LaneMemory World::approx_lane_state_bytes() const {
-  obs::LaneMemory memory;
+obs::UnboundMemory World::approx_unbound_state_bytes() const {
+  obs::UnboundMemory memory;
   for (const auto& carrier : carriers_) {
-    memory += carrier->approx_lane_state_bytes();
+    memory += carrier->approx_unbound_state_bytes();
   }
-  if (google_) memory += google_->approx_lane_bytes();
-  if (opendns_) memory += opendns_->approx_lane_bytes();
+  if (google_) memory += google_->approx_unbound_bytes();
+  if (opendns_) memory += opendns_->approx_unbound_bytes();
   return memory;
 }
 
@@ -210,10 +210,7 @@ void World::build_carriers() {
   context.build_seed = config_.seed;
 
   uint32_t owner_tag = 1;
-  const auto& profiles = config_.carrier_profiles.empty()
-                             ? cellular::study_carriers()
-                             : config_.carrier_profiles;
-  for (const auto& profile : profiles) {
+  for (const auto& profile : config_.carrier_table()) {
     carriers_.push_back(std::make_unique<cellular::CellularNetwork>(
         profile, owner_tag++, context));
   }

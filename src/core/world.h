@@ -77,7 +77,7 @@ class World {
   /// device's timeline ends, so after a campaign this is what was there
   /// before it plus whatever code with no device bound added. A profiling
   /// gauge for the flight recorder — see obs/memory.h.
-  obs::LaneMemory approx_lane_state_bytes() const;
+  obs::UnboundMemory approx_unbound_state_bytes() const;
 
  private:
   void build_backbone();

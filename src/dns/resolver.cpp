@@ -99,8 +99,8 @@ RecursiveResolver::RecursiveResolver(std::string name, net::NodeId node,
       registry_(registry),
       root_ip_(root_ip) {}
 
-obs::LaneMemory RecursiveResolver::approx_lane_bytes() const {
-  obs::LaneMemory memory;
+obs::UnboundMemory RecursiveResolver::approx_unbound_bytes() const {
+  obs::UnboundMemory memory;
   memory.cache_bytes = states_.unbound().cache.approx_bytes();
   return memory;
 }

@@ -90,7 +90,7 @@ class RecursiveResolver : public DnsServer {
   /// Approximate heap bytes of the query-time state that outlives device
   /// timelines (the no-device cache). A profiling gauge — see
   /// obs/memory.h.
-  obs::LaneMemory approx_lane_bytes() const;
+  obs::UnboundMemory approx_unbound_bytes() const;
 
  private:
   /// One step: resolve `qname` to either a terminal rrset or a CNAME.

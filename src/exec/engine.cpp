@@ -201,38 +201,18 @@ void CampaignEngine::run(measure::RecordSink& sink) {
   // byte-identical results.
   const int64_t merge_records_start_us = profiling ? recorder.now_us() : 0;
   uint32_t experiment_base = 0;
-  int32_t trace_base = 0;
   for (auto& shard : shards_) {
     measure::RecordStore& records = shard->records();
     const size_t experiments = records.experiment_count();
-    const size_t traces = records.trace_count();
-    records.drain_renumbered(sink, experiment_base, trace_base);
-    CURTAIN_CHECK(experiments <=
-                  std::numeric_limits<uint32_t>::max() - experiment_base)
-        << "merged experiment ids overflow uint32";
-    CURTAIN_CHECK(traces <= static_cast<size_t>(
-                                std::numeric_limits<int32_t>::max() -
-                                trace_base))
-        << "merged trace indices overflow int32";
+    records.drain_renumbered(sink, experiment_base);
     experiment_base += static_cast<uint32_t>(experiments);
-    trace_base += static_cast<int32_t>(traces);
   }
   sink.finish();
   if (profiling) {
     recorder.record_phase(0, "merge_records", merge_records_start_us,
                           recorder.now_us());
   }
-  const int64_t merge_metrics_start_us = profiling ? recorder.now_us() : 0;
-  for (auto& shard : shards_) {
-    obs::metrics().merge_snapshot(shard->sheaf().snapshot());
-  }
-  if (profiling) {
-    recorder.record_phase(0, "merge_metrics", merge_metrics_start_us,
-                          recorder.now_us());
-    recorder.record_counter(0, "rss_mb", recorder.now_us(),
-                            static_cast<double>(obs::read_current_rss_bytes()) /
-                                (1024.0 * 1024.0));
-  }
+  merge_metrics();
 }
 
 void CampaignEngine::run_streaming(
@@ -245,7 +225,10 @@ void CampaignEngine::run_streaming(
     shards_[i]->stream_to(sinks[i]);
   }
   run_pool();
+  merge_metrics();
+}
 
+void CampaignEngine::merge_metrics() {
   obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
   const bool profiling = recorder.enabled();
   const int64_t merge_metrics_start_us = profiling ? recorder.now_us() : 0;

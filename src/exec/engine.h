@@ -28,8 +28,9 @@
 // Two output modes:
 //   * run(sink): each shard retains its record blocks; after the join the
 //     engine drains them into `sink` in shard-index order, renumbering
-//     experiment ids and trace indices so the stream is indistinguishable
-//     from one sequential run over the same shard order;
+//     experiment ids so the stream is indistinguishable from one
+//     sequential run over the same shard order (trace slots are
+//     block-local and need no renumbering);
 //   * run_streaming(sinks): each shard drains sealed blocks to its own
 //     sink *during* the run, on the worker thread, with shard-local ids —
 //     the bounded-memory path for 10^6-device fleets (peak record memory
@@ -128,6 +129,9 @@ class CampaignEngine {
  private:
   /// The shared worker-pool execution (everything up to the join).
   void run_pool();
+  /// Sums shard metric sheaves into the calling thread's registry, in
+  /// shard order (the tail both output modes share).
+  void merge_metrics();
 
   EngineConfig config_;
   int cohorts_ = 1;

@@ -161,7 +161,7 @@ void ExperimentRunner::measure_domains(cellular::Device& device,
         // Attach only complete resolutions: the 5 s timeout sentinel is not
         // decomposable into spans, so it would break the partition invariant.
         if (result.responded) {
-          record.trace_index = records.add_trace(std::move(trace));
+          record.trace_slot = records.add_trace(std::move(trace));
           experiment_metrics().traces.inc();
         }
       }

@@ -6,6 +6,17 @@
 
 namespace curtain::measure {
 
+const ExperimentContext& ExperimentRow::context() const {
+  return block->experiment(experiment_id);
+}
+
+const obs::ResolutionTrace* ResolutionRow::trace() const {
+  if (trace_slot < 0) return nullptr;
+  CURTAIN_DCHECK(static_cast<size_t>(trace_slot) < block->traces.size())
+      << "trace slot " << trace_slot << " of " << block->traces.size();
+  return &block->traces[static_cast<size_t>(trace_slot)];
+}
+
 std::string_view TracerouteRow::hop(size_t i) const {
   CURTAIN_DCHECK(i < hop_count) << "hop " << i << " of " << hop_count;
   return block->hop_name(hop_begin + static_cast<uint32_t>(i));
@@ -23,7 +34,7 @@ void RecordBlock::append_resolution(const DnsMeasurement& record) {
   resolutions.experiment_id.push_back(record.experiment_id);
   resolutions.resolution_ms.push_back(record.resolution_ms);
   resolutions.addr_begin.push_back(static_cast<uint32_t>(addr_pool.size()));
-  resolutions.trace_index.push_back(record.trace_index);
+  resolutions.trace_slot.push_back(record.trace_slot);
   resolutions.domain_index.push_back(record.domain_index);
   resolutions.addr_count.push_back(
       static_cast<uint16_t>(record.addresses.size()));
@@ -87,6 +98,7 @@ ResolutionRow RecordBlock::resolution_row(size_t i) const {
   CURTAIN_DCHECK(i < resolutions.size()) << i;
   ResolutionRow row;
   row.experiment_id = resolutions.experiment_id[i];
+  row.block = this;
   row.resolver = static_cast<ResolverKind>(resolutions.resolver[i]);
   row.domain_index = resolutions.domain_index[i];
   row.responded = (resolutions.flags[i] & kFlagResponded) != 0;
@@ -94,7 +106,7 @@ ResolutionRow RecordBlock::resolution_row(size_t i) const {
   row.resolution_ms = resolutions.resolution_ms[i];
   row.addresses = std::span<const net::Ipv4Addr>(
       addr_pool.data() + resolutions.addr_begin[i], resolutions.addr_count[i]);
-  row.trace_index = resolutions.trace_index[i];
+  row.trace_slot = resolutions.trace_slot[i];
   return row;
 }
 
@@ -102,6 +114,7 @@ ProbeRow RecordBlock::probe_row(size_t i) const {
   CURTAIN_DCHECK(i < probes.size()) << i;
   ProbeRow row;
   row.experiment_id = probes.experiment_id[i];
+  row.block = this;
   row.target_kind = static_cast<ProbeTargetKind>(probes.target_kind[i]);
   row.resolver = static_cast<ResolverKind>(probes.resolver[i]);
   row.domain_index = probes.domain_index[i];
@@ -116,13 +129,36 @@ TracerouteRow RecordBlock::traceroute_row(size_t i) const {
   CURTAIN_DCHECK(i < traceroutes.size()) << i;
   TracerouteRow row;
   row.experiment_id = traceroutes.experiment_id[i];
+  row.block = this;
   row.target_ip = traceroutes.target_ip[i];
   row.target_kind = static_cast<ProbeTargetKind>(traceroutes.target_kind[i]);
   row.reached = traceroutes.reached[i] != 0;
   row.hop_count = traceroutes.hop_count[i];
-  row.block = this;
   row.hop_begin = traceroutes.hop_begin[i];
   return row;
+}
+
+ObservationRow RecordBlock::observation_row(size_t i) const {
+  CURTAIN_DCHECK(i < observations.size()) << i;
+  const ResolverObservation& observation = observations[i];
+  ObservationRow row;
+  row.experiment_id = observation.experiment_id;
+  row.block = this;
+  row.resolver = observation.resolver;
+  row.responded = observation.responded;
+  row.external_ip = observation.external_ip;
+  row.resolution_ms = observation.resolution_ms;
+  return row;
+}
+
+const ExperimentContext& RecordBlock::experiment(
+    uint32_t experiment_id) const {
+  CURTAIN_DCHECK(!experiments.empty() &&
+                 experiment_id >= experiments.front().experiment_id &&
+                 experiment_id - experiments.front().experiment_id <
+                     experiments.size())
+      << "experiment " << experiment_id << " is not in this block";
+  return experiments[experiment_id - experiments.front().experiment_id];
 }
 
 std::string_view RecordBlock::hop_name(uint32_t hop_index) const {
@@ -134,16 +170,13 @@ std::string_view RecordBlock::hop_name(uint32_t hop_index) const {
   return std::string_view(hop_chars.data() + begin, end - begin);
 }
 
-void RecordBlock::shift_ids(uint32_t experiment_base, int32_t trace_base) {
+void RecordBlock::shift_ids(uint32_t experiment_base) {
   for (auto& context : experiments) context.experiment_id += experiment_base;
   for (auto& id : resolutions.experiment_id) id += experiment_base;
   for (auto& id : probes.experiment_id) id += experiment_base;
   for (auto& id : traceroutes.experiment_id) id += experiment_base;
   for (auto& observation : observations) {
     observation.experiment_id += experiment_base;
-  }
-  for (auto& index : resolutions.trace_index) {
-    if (index >= 0) index += trace_base;
   }
 }
 
@@ -162,7 +195,7 @@ size_t RecordBlock::approx_bytes() const {
   bytes += vec_bytes(resolutions.experiment_id) +
            vec_bytes(resolutions.resolution_ms) +
            vec_bytes(resolutions.addr_begin) +
-           vec_bytes(resolutions.trace_index) +
+           vec_bytes(resolutions.trace_slot) +
            vec_bytes(resolutions.domain_index) +
            vec_bytes(resolutions.addr_count) +
            vec_bytes(resolutions.resolver) + vec_bytes(resolutions.flags);

@@ -1,19 +1,22 @@
 // Columnar record blocks — the unit of the streaming measurement pipeline.
 //
-// A RecordBlock is a fixed-budget batch of measurement records in
-// struct-of-arrays layout. Shards append transfer structs (records.h) one at
-// a time; the block packs hot scalar fields into parallel columns and
-// variable-length payloads (answer addresses, traceroute hop names) into
-// per-block pools, so a row's payload costs no allocation of its own.
-// Once a block reaches its row budget the owning RecordStore
-// seals it and either retains it (in-memory analysis) or hands it to a
-// RecordSink (streaming export) — so campaign memory is bounded by the
-// block budget, not the campaign length (DESIGN.md §15).
+// A RecordBlock is a batch of measurement records in struct-of-arrays
+// layout. Shards append transfer structs (records.h) one at a time; the
+// block packs hot scalar fields into parallel columns and variable-length
+// payloads (answer addresses, traceroute hop names) into per-block pools,
+// so a row's payload costs no allocation of its own. The owning
+// RecordStore seals a block only when the next experiment starts and the
+// block has reached its row budget, and then either retains it (in-memory
+// analysis) or hands it to a RecordSink (streaming) — so campaign memory
+// is bounded by the block budget plus one experiment's rows, not by the
+// campaign length (DESIGN.md §15).
 //
-// Blocks are self-contained: ids can be renumbered in place (shift_ids)
-// when shard-local streams are merged into one campaign-global stream, and
-// every record can be materialized back into a row view without touching
-// any other block.
+// Blocks are experiment-aligned and self-contained: every resolution,
+// probe, traceroute, observation and trace row sits in the same block as
+// its experiment, so a row view finds its ExperimentContext (and a
+// resolution its sampled trace) without touching any other block.
+// Experiment ids can be renumbered in place (shift_ids) when shard-local
+// streams are merged into one campaign-global stream.
 #pragma once
 
 #include <cstdint>
@@ -29,22 +32,29 @@ namespace curtain::measure {
 
 struct RecordBlock;
 
-/// Row views materialized from the columns. Cheap to copy; `addresses`
-/// (and traceroute hop accessors) view the owning block's pools, so a row
-/// must not outlive its block.
-struct ResolutionRow {
+/// Row views materialized from the columns. Cheap to copy; they point
+/// into the owning block (pools, experiments, traces), so a row must not
+/// outlive its block.
+struct ExperimentRow {
   uint32_t experiment_id = 0;
+  const RecordBlock* block = nullptr;
+  /// The row's experiment, in O(1) from its own block.
+  const ExperimentContext& context() const;
+};
+
+struct ResolutionRow : ExperimentRow {
   ResolverKind resolver = ResolverKind::kLocal;
   uint16_t domain_index = 0;
   bool responded = false;
   bool second_lookup = false;
   double resolution_ms = 0.0;
   std::span<const net::Ipv4Addr> addresses;
-  int32_t trace_index = -1;
+  int32_t trace_slot = -1;  ///< into block->traces; -1 when not sampled
+  /// The hop-by-hop trace when this resolution was sampled, else null.
+  const obs::ResolutionTrace* trace() const;
 };
 
-struct ProbeRow {
-  uint32_t experiment_id = 0;
+struct ProbeRow : ExperimentRow {
   ProbeTargetKind target_kind = ProbeTargetKind::kReplica;
   ResolverKind resolver = ResolverKind::kLocal;
   uint16_t domain_index = 0;
@@ -54,8 +64,7 @@ struct ProbeRow {
   double rtt_ms = 0.0;
 };
 
-struct TracerouteRow {
-  uint32_t experiment_id = 0;
+struct TracerouteRow : ExperimentRow {
   net::Ipv4Addr target_ip;
   ProbeTargetKind target_kind = ProbeTargetKind::kReplica;
   bool reached = false;
@@ -63,8 +72,14 @@ struct TracerouteRow {
   /// Hop `i` (0-based, in client order); views the block's char pool.
   std::string_view hop(size_t i) const;
 
-  const RecordBlock* block = nullptr;
   uint32_t hop_begin = 0;  ///< first entry in the block's hop_starts
+};
+
+struct ObservationRow : ExperimentRow {
+  ResolverKind resolver = ResolverKind::kLocal;
+  bool responded = false;
+  net::Ipv4Addr external_ip;
+  double resolution_ms = 0.0;
 };
 
 struct RecordBlock {
@@ -74,12 +89,14 @@ struct RecordBlock {
   static constexpr uint8_t kFlagHttp = 1u << 2;
 
   // --- low-volume streams: plain rows ----------------------------------
-  // Sealed at the block row budget, so these never grow past one block.
+  // Sealed at the first experiment boundary past the row budget, so these
+  // never grow past one block.
   std::vector<ExperimentContext> experiments;      // lint: bounded
   std::vector<ResolverObservation> observations;   // lint: bounded
   std::vector<VantageProbe> vantage_probes;        // lint: bounded
-  /// Hop-by-hop virtual-time traces of sampled resolutions (see
-  /// ResolutionRow::trace_index). Sampled 1-in-64, so AoS is fine.
+  /// Hop-by-hop virtual-time traces of sampled resolutions, addressed by
+  /// the block-local ResolutionRow::trace_slot. Sampled 1-in-64, so AoS is
+  /// fine.
   std::vector<obs::ResolutionTrace> traces;        // lint: bounded
 
   // --- resolutions: SoA columns + shared address pool -------------------
@@ -87,7 +104,7 @@ struct RecordBlock {
     std::vector<uint32_t> experiment_id;
     std::vector<double> resolution_ms;
     std::vector<uint32_t> addr_begin;  ///< into RecordBlock::addr_pool
-    std::vector<int32_t> trace_index;
+    std::vector<int32_t> trace_slot;
     std::vector<uint16_t> domain_index;
     std::vector<uint16_t> addr_count;
     std::vector<uint8_t> resolver;
@@ -128,7 +145,8 @@ struct RecordBlock {
   std::vector<uint32_t> hop_starts;
   std::vector<char> hop_chars;
 
-  /// Total records appended across all streams (the seal budget).
+  /// Total records appended across all streams (checked against the row
+  /// budget at each experiment boundary).
   size_t rows = 0;
 
   // --- append (pack a transfer struct into the columns) -----------------
@@ -144,12 +162,14 @@ struct RecordBlock {
   ResolutionRow resolution_row(size_t i) const;
   ProbeRow probe_row(size_t i) const;
   TracerouteRow traceroute_row(size_t i) const;
+  ObservationRow observation_row(size_t i) const;
   std::string_view hop_name(uint32_t hop_index) const;
+  /// Context of an experiment whose rows live in this block.
+  const ExperimentContext& experiment(uint32_t experiment_id) const;
 
   /// Renumbers shard-local ids into a campaign-global stream: adds
-  /// `experiment_base` to every experiment_id column and `trace_base` to
-  /// every non-negative trace_index.
-  void shift_ids(uint32_t experiment_base, int32_t trace_base);
+  /// `experiment_base` to every experiment_id column.
+  void shift_ids(uint32_t experiment_base);
 
   bool empty() const { return rows == 0; }
 

@@ -1,29 +1,34 @@
 // RecordStore: the campaign's measurement stream, in record blocks.
 //
-// This is the single owner type for campaign output, replacing the old
-// grow-forever `measure::Dataset`. Producers append transfer structs
-// (records.h); the store packs them into columnar RecordBlocks
-// (record_block.h), sealing a block whenever it reaches the row budget
-// (CURTAIN_BLOCK_ROWS). What happens to sealed blocks is the mode switch:
+// This is the single owner type for campaign output. Producers append
+// transfer structs (records.h); the store packs them into columnar
+// RecordBlocks (record_block.h). One seal rule: add_experiment seals the
+// open block once it has reached the row budget (CURTAIN_BLOCK_ROWS);
+// no other append seals. Every row therefore lives in the same block as
+// its experiment, and row views reach their ExperimentContext (and a
+// sampled resolution its trace) inside that block in O(1) — the store
+// keeps no cross-block index. What happens to sealed blocks is the mode
+// switch:
 //
 //   * retained (default): sealed blocks accumulate in the store, and
 //     analyses walk them through the cursor ranges below — the in-memory
-//     workflow, same results as the old Dataset but in column layout.
+//     workflow.
 //   * draining (drain_to): sealed blocks are forwarded to a RecordSink and
 //     freed, so the store holds at most one open block regardless of
 //     campaign length — the bounded-memory workflow for 10^6-device fleets.
 //
-// Record identity: experiment ids and trace indices are assigned densely in
-// append order. Shard-local streams are renumbered into the campaign-global
-// stream with drain_renumbered(), which reproduces the serial merge order
-// exactly — exports are byte-identical for every shard/cohort/block-size
-// combination (shard_determinism_test).
+// Record identity: experiment ids are assigned densely in append order;
+// trace slots are block-local. Shard-local streams are renumbered into
+// the campaign-global stream with drain_renumbered(), which reproduces the
+// serial merge order exactly — exports are byte-identical for every
+// shard/cohort/block-size combination (shard_determinism_test).
 #pragma once
 
 #include <cstdint>
-#include <utility>
+#include <string>
 #include <vector>
 
+#include "cellular/carrier_profile.h"
 #include "measure/record_block.h"
 #include "measure/records.h"
 #include "obs/trace.h"
@@ -33,7 +38,8 @@ namespace curtain::measure {
 
 /// Consumer side of the streaming pipeline. Blocks arrive in stream order;
 /// within and across blocks, records of each stream appear in append order
-/// and experiment ids are dense and increasing.
+/// and experiment ids are dense and increasing. Every block is
+/// experiment-aligned: each row's experiment is in the same block.
 class RecordSink {
  public:
   virtual ~RecordSink() = default;
@@ -120,8 +126,8 @@ struct TracerouteAdapter {
 };
 struct ObservationAdapter {
   static size_t size(const RecordBlock& b) { return b.observations.size(); }
-  static const ResolverObservation& row(const RecordBlock& b, size_t i) {
-    return b.observations[i];
+  static ObservationRow row(const RecordBlock& b, size_t i) {
+    return b.observation_row(i);
   }
 };
 struct VantageAdapter {
@@ -143,22 +149,22 @@ class RecordStore final : public RecordSink {
 
   // --- producer API -----------------------------------------------------
   /// Stamps the next dense experiment id into `context`, appends it and
-  /// returns the id.
+  /// returns the id. Seals the open block first when it has reached the
+  /// row budget: the only place a block seals during appends.
   uint32_t add_experiment(ExperimentContext context);
   void add_resolution(DnsMeasurement&& record);
   void add_probe(const ProbeMeasurement& record);
   void add_traceroute(TracerouteMeasurement&& record);
   void add_observation(const ResolverObservation& record);
   void add_vantage(const VantageProbe& record);
-  /// Appends a sampled resolution trace and returns its index (for
-  /// DnsMeasurement::trace_index).
+  /// Appends a sampled resolution trace to the open block and returns its
+  /// block-local slot (for DnsMeasurement::trace_slot).
   int32_t add_trace(obs::ResolutionTrace&& trace);
 
   // --- streaming --------------------------------------------------------
   /// Switches to draining mode: sealed blocks are forwarded to `sink` and
   /// freed instead of retained. Must be set before the first append.
-  /// Random access (context_of, trace_at, cursor ranges) is unavailable
-  /// while draining.
+  /// The cursor ranges see nothing while draining.
   void drain_to(RecordSink* sink);
   /// Seals the open block (forwarding it when draining). Call at
   /// end-of-stream; appending after a flush starts a fresh block.
@@ -170,17 +176,12 @@ class RecordStore final : public RecordSink {
   void consume(RecordBlock&& block) override;
   void finish() override { flush(); }
 
-  /// Flushes, renumbers every retained block's ids by the given bases and
-  /// hands the blocks to `sink` in order, leaving this store empty. This is
-  /// the deterministic shard merge: calling it per shard in shard-index
-  /// order with accumulated bases reproduces the serial record stream.
-  void drain_renumbered(RecordSink& sink, uint32_t experiment_base,
-                        int32_t trace_base);
-
-  /// Copies every retained block into `sink` (then finish()). Lets the
-  /// streaming consumers run from an in-memory store — the byte-identity
-  /// bridge between the two workflows.
-  void replay(RecordSink& sink) const;
+  /// Flushes, adds `experiment_base` to every retained block's experiment
+  /// ids and hands the blocks to `sink` in order, leaving this store empty.
+  /// This is the deterministic shard merge: calling it per shard in
+  /// shard-index order with accumulated bases reproduces the serial record
+  /// stream.
+  void drain_renumbered(RecordSink& sink, uint32_t experiment_base);
 
   // --- totals (valid in both modes) -------------------------------------
   size_t experiment_count() const { return experiment_count_; }
@@ -214,12 +215,20 @@ class RecordStore final : public RecordSink {
     return detail::BlockRange<detail::VantageAdapter>(&blocks_);
   }
 
-  /// Context of an experiment by id. O(log #blocks): ids are dense, so the
-  /// row is found by binary search on per-block base ids.
-  const ExperimentContext& context_of(uint32_t experiment_id) const;
-  const obs::ResolutionTrace& trace_at(int32_t index) const;
-
   const std::vector<RecordBlock>& blocks() const { return blocks_; }
+
+  /// The carrier table every carrier_index in the records points into:
+  /// the one the run was built from (core::Scenario::carrier_table()).
+  /// Defaults to cellular::study_carriers(); a table set here must
+  /// outlive the store.
+  const std::vector<cellular::CarrierProfile>& carriers() const {
+    return *carriers_;
+  }
+  void set_carriers(const std::vector<cellular::CarrierProfile>& table) {
+    carriers_ = &table;
+  }
+  /// Display name of carrier `carrier_index` in carriers().
+  const std::string& carrier_name(int carrier_index) const;
 
   /// Approximate heap footprint of the retained blocks (capacities, what
   /// RSS sees). Pools are counted once inside RecordBlock::approx_bytes —
@@ -229,19 +238,14 @@ class RecordStore final : public RecordSink {
  private:
   RecordBlock& open_block();
   void seal_open();
-  void seal_if_full();
-  /// Records that the open/incoming block carries stream rows starting at
-  /// the current global offsets (for the retained-mode random accessors).
-  void index_block_streams(const RecordBlock& block, size_t block_index,
-                           size_t first_experiment, size_t first_trace);
 
   size_t block_rows_;
+  const std::vector<cellular::CarrierProfile>* carriers_;
   RecordSink* drain_ = nullptr;
   bool open_ = false;  ///< blocks_.back() accepts appends
   std::vector<RecordBlock> blocks_;  // lint: record-growth (retained mode)
 
   uint32_t next_experiment_id_ = 0;
-  int32_t next_trace_index_ = 0;
   size_t experiment_count_ = 0;
   size_t resolution_count_ = 0;
   size_t probe_count_ = 0;
@@ -249,11 +253,6 @@ class RecordStore final : public RecordSink {
   size_t observation_count_ = 0;
   size_t vantage_count_ = 0;
   size_t trace_count_ = 0;
-
-  /// Retained-mode random-access indexes: (first global ordinal, block
-  /// index), one entry per block that carries the stream.
-  std::vector<std::pair<size_t, size_t>> experiment_index_;
-  std::vector<std::pair<size_t, size_t>> trace_index_;
 };
 
 }  // namespace curtain::measure

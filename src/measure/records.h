@@ -33,7 +33,8 @@ const char* resolver_kind_name(ResolverKind kind);
 struct ExperimentContext {
   uint32_t experiment_id = 0;
   uint64_t device_id = 0;
-  int carrier_index = 0;  ///< into cellular::study_carriers()
+  /// Into the carrier table the run was built from (RecordStore::carriers()).
+  int carrier_index = 0;
   net::SimTime started;
   cellular::RadioTech radio = cellular::RadioTech::kLte;
   net::GeoPoint location;
@@ -51,9 +52,9 @@ struct DnsMeasurement {
   bool second_lookup = false;  ///< back-to-back repeat (Fig. 7)
   double resolution_ms = 0.0;
   std::vector<net::Ipv4Addr> addresses;
-  /// Index into the store's resolution traces when this resolution was
-  /// sampled for hop-by-hop tracing; -1 otherwise.
-  int32_t trace_index = -1;
+  /// Slot of this resolution's hop-by-hop trace in its experiment's record
+  /// block (RecordStore::add_trace) when it was sampled; -1 otherwise.
+  int32_t trace_slot = -1;
 };
 
 enum class ProbeTargetKind {
@@ -98,7 +99,7 @@ struct ResolverObservation {
 /// A probe launched from the wired university vantage point (Table 4).
 struct VantageProbe {
   net::Ipv4Addr target_ip;
-  int carrier_index = 0;
+  int carrier_index = 0;  ///< as ExperimentContext::carrier_index
   bool ping_responded = false;
   bool traceroute_reached = false;
 };

@@ -19,8 +19,8 @@ void VantageProber::probe_observed_resolvers(RecordStore& records,
     if (observation.resolver != ResolverKind::kLocal || !observation.responded) {
       continue;
     }
-    const auto& context = records.context_of(observation.experiment_id);
-    seen[{context.carrier_index, observation.external_ip.value()}] = true;
+    seen[{observation.context().carrier_index,
+          observation.external_ip.value()}] = true;
   }
 
   ProbeOrigin origin;

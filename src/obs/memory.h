@@ -15,8 +15,8 @@
 // header and alignment — without it the node-heavy DNS caches read ~18%
 // under live heap (measured against mallinfo2 at the million-device
 // scale). Still approximations intended for megabyte-scale attribution,
-// not byte-exact audits. LaneMemory is the roll-up pair those methods
-// aggregate into.
+// not byte-exact audits. UnboundMemory is the roll-up pair the
+// approx_unbound_bytes() methods aggregate into.
 //
 // Everything here is profiling-only: values are host-dependent and must
 // never feed result state or default metric exports (DESIGN.md §14).
@@ -39,16 +39,17 @@ size_t read_current_rss_bytes();
 /// getrusage ru_maxrss); 0 when unreadable.
 size_t read_peak_rss_bytes();
 
-/// Roll-up of the world's mutable query-time state still held (the
-/// no-device copies; device-scoped copies die with their timelines, see
+/// Roll-up of the world's mutable query-time state held by code with no
+/// device bound (device-scoped copies die with their timelines, see
 /// net/device_scope.h): DNS cache payload vs everything else (instance
-/// cache containers).
-struct LaneMemory {
+/// cache containers). The curtain_mem_dns_cache_bytes and
+/// curtain_mem_lane_state_bytes gauges report its two halves.
+struct UnboundMemory {
   size_t cache_bytes = 0;  ///< dns::Cache entries
   size_t state_bytes = 0;  ///< non-cache state + container overhead
 
   size_t total() const { return cache_bytes + state_bytes; }
-  LaneMemory& operator+=(const LaneMemory& other) {
+  UnboundMemory& operator+=(const UnboundMemory& other) {
     cache_bytes += other.cache_bytes;
     state_bytes += other.state_bytes;
     return *this;

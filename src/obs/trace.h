@@ -14,8 +14,8 @@
 // nested spans are best-effort for display.
 //
 // `Tracer::end()` hands the completed trace to its caller; sampled study
-// resolutions keep theirs in the record store's trace stream, keyed by
-// ResolutionRow::trace_index.
+// resolutions keep theirs in their experiment's record block, reached
+// through ResolutionRow::trace().
 #pragma once
 
 #include <cstdint>

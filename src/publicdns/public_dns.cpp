@@ -67,11 +67,11 @@ PublicDnsService::PublicDnsService(std::string name, net::Ipv4Addr vip,
 
 PublicDnsService::~PublicDnsService() = default;
 
-obs::LaneMemory PublicDnsService::approx_lane_bytes() const {
-  obs::LaneMemory memory;
+obs::UnboundMemory PublicDnsService::approx_unbound_bytes() const {
+  obs::UnboundMemory memory;
   for (const PublicDnsSite& site : sites_) {
     for (const auto& instance : site.instances) {
-      memory += instance->approx_lane_bytes();
+      memory += instance->approx_unbound_bytes();
     }
   }
   return memory;

@@ -64,7 +64,7 @@ class PublicDnsService : public dns::DnsServer {
 
   /// Approximate heap bytes of the no-device query state across every
   /// site's instances. A profiling gauge — see obs/memory.h.
-  obs::LaneMemory approx_lane_bytes() const;
+  obs::UnboundMemory approx_unbound_bytes() const;
 
   // DnsServer:
   dns::ServedResponse serve(const dns::Message& query,

@@ -380,7 +380,7 @@ TEST_F(SyntheticDataset, Fig14AggregationByPrefix) {
   add_http(e, ResolverKind::kGoogle, 1, net::Ipv4Addr{30, 3, 3, 1}, 120);
 
   const auto groups = fig14_public_replica_delta(d_);
-  const auto& google = groups.at(carrier_name(0)).at("GoogleDNS");
+  const auto& google = groups.at(d_.carrier_name(0)).at("GoogleDNS");
   ASSERT_EQ(google.size(), 2u);
   EXPECT_NEAR(google.min(), 0.0, 1e-9);
   EXPECT_NEAR(google.max(), 20.0, 1e-9);

@@ -195,12 +195,12 @@ TEST_F(DeviceScopeTest, NatCursorRestartsWithEachScope) {
 TEST_F(DeviceScopeTest, StudyRunLeavesNoDeviceState) {
   core::Study study(
       core::Scenario::paper_2014().with_seed(20141105).with_scale(0.01));
-  const obs::LaneMemory before = study.world().approx_lane_state_bytes();
+  const obs::UnboundMemory before = study.world().approx_unbound_state_bytes();
   study.run();
   ASSERT_GT(study.records().experiment_count(), 0u);
   // Every device's caches, query ids and NAT cursors died with its
   // timeline; only what existed before the campaign is left.
-  const obs::LaneMemory after = study.world().approx_lane_state_bytes();
+  const obs::UnboundMemory after = study.world().approx_unbound_state_bytes();
   EXPECT_EQ(after.cache_bytes, before.cache_bytes);
   EXPECT_EQ(after.state_bytes, before.state_bytes);
 }

@@ -4,6 +4,9 @@
 #include <sstream>
 
 #include "analysis/export.h"
+#include "analysis/figures.h"
+#include "cellular/carrier_profile.h"
+#include "core/study.h"
 #include "util/strings.h"
 
 namespace curtain::analysis {
@@ -135,6 +138,40 @@ TEST(Export, WholeDatasetToDirectory) {
 
 TEST(Export, UnwritableDirectoryFailsGracefully) {
   EXPECT_EQ(export_records(tiny_dataset(), "/nonexistent/dir/xyz"), 0);
+}
+
+// Carrier names come from the table the run was built from, not from the
+// six-carrier study table: a one-carrier SK Telecom world (carrier_index 0)
+// must not export its rows as AT&T, study_carriers()[0].
+TEST(Export, CarrierNamesComeFromTheRunsCarrierTable) {
+  const cellular::CarrierProfile* skt = cellular::find_carrier("SK Telecom");
+  ASSERT_NE(skt, nullptr);
+  core::Study study(core::Scenario::paper_2014()
+                        .with_seed(1)
+                        .with_scale(0.01)
+                        .with_carriers({*skt}));
+  study.run();
+  const RecordStore& records = study.records();
+  ASSERT_GT(records.experiment_count(), 0u);
+  ASSERT_EQ(records.carriers().size(), 1u);
+
+  using Writer = void (*)(const RecordStore&, std::ostream&);
+  for (const Writer writer :
+       {Writer{export_experiments_csv}, Writer{export_resolutions_csv},
+        Writer{export_resolver_observations_csv},
+        Writer{export_vantage_probes_csv}}) {
+    std::ostringstream out;
+    writer(records, out);
+    const auto lines = lines_of(out.str());
+    ASSERT_GT(lines.size(), 1u);
+    for (size_t i = 1; i < lines.size(); ++i) {
+      EXPECT_NE(lines[i].find("SK Telecom"), std::string::npos) << lines[i];
+      EXPECT_EQ(lines[i].find("AT&T"), std::string::npos) << lines[i];
+    }
+  }
+  const auto bands = fig3_radio_bands(records);
+  ASSERT_EQ(bands.size(), 1u);
+  EXPECT_EQ(bands.begin()->first, "SK Telecom");
 }
 
 }  // namespace

@@ -55,9 +55,8 @@ TEST_F(StudyIntegrationTest, ResolutionTracesDecomposeLatency) {
   ASSERT_GT(data().trace_count(), 0u);
   size_t checked = 0;
   for (const auto& row : data().resolutions()) {
-    if (row.trace_index < 0) continue;
-    ASSERT_LT(static_cast<size_t>(row.trace_index), data().trace_count());
-    const auto& trace = data().trace_at(row.trace_index);
+    if (row.trace() == nullptr) continue;
+    const auto& trace = *row.trace();
     ASSERT_GE(trace.spans.size(), 3u);
     EXPECT_NEAR(trace.top_level_ms(), row.resolution_ms, 1e-6);
     EXPECT_NEAR(trace.total_ms, row.resolution_ms, 1e-6);
@@ -75,7 +74,7 @@ TEST_F(StudyIntegrationTest, VerizonUniquelyConsistent) {
   EXPECT_EQ(verizon.pairs, verizon.client_resolvers);  // strict 1:1
   for (const size_t c : {size_t{1}, size_t{2}, size_t{5}}) {
     EXPECT_LT(stats[c].consistency_percent, 95.0)
-        << analysis::carrier_name(static_cast<int>(c));
+        << data().carrier_name(static_cast<int>(c));
   }
 }
 
@@ -85,7 +84,7 @@ TEST_F(StudyIntegrationTest, IndirectResolutionEverywhere) {
   const auto stats = analysis::ldns_pair_stats(data());
   for (const auto& row : stats) {
     EXPECT_GT(row.client_resolvers, 0u)
-        << analysis::carrier_name(row.carrier_index);
+        << data().carrier_name(row.carrier_index);
     EXPECT_GE(row.external_resolvers, row.client_resolvers);
   }
 }

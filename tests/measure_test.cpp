@@ -136,7 +136,7 @@ TEST_F(MeasurePipelineTest, ObservedLocalExternalsBelongToCarrier) {
     if (observation.resolver != ResolverKind::kLocal || !observation.responded) {
       continue;
     }
-    const auto& context = d.context_of(observation.experiment_id);
+    const auto& context = observation.context();
     auto& carrier = study_->world().carrier(
         static_cast<size_t>(context.carrier_index));
     bool found = false;
@@ -170,10 +170,7 @@ TEST_F(MeasurePipelineTest, TraceroutesRecorded) {
   for (const auto& trace : d.traceroutes()) {
     if (trace.hop_count == 0) continue;
     ++nonempty;
-    const auto& context = d.context_of(trace.experiment_id);
-    const auto& carrier_name =
-        cellular::study_carriers()[static_cast<size_t>(context.carrier_index)]
-            .name;
+    const auto& carrier_name = d.carrier_name(trace.context().carrier_index);
     if (trace.hop(0).rfind(carrier_name, 0) == 0) {
       ++with_gateway_first;
     }

@@ -12,7 +12,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -20,6 +19,8 @@
 
 #include "analysis/export.h"
 #include "core/study.h"
+#include "core/world.h"
+#include "exec/engine.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 
@@ -152,60 +153,121 @@ TEST(ShardDeterminism, BlockRowBudgetIsByteInvisible) {
   ::unsetenv("CURTAIN_BLOCK_ROWS");
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in.good()) << path;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
+/// Keeps every block one shard streams, and counts finish() calls.
+class CollectingSink final : public measure::RecordSink {
+ public:
+  void consume(measure::RecordBlock&& block) override {
+    blocks.push_back(std::move(block));
+  }
+  void finish() override { ++finish_calls; }
 
-// The streaming CSV exporter (block-at-a-time, bounded memory) must
-// produce byte-identical files to the in-memory cursor path, for every
-// worker/cohort shape — the tentpole contract of the record-block
-// pipeline (DESIGN.md §15).
-TEST(ShardDeterminism, StreamingExportMatchesInMemory) {
-  static constexpr const char* kFiles[] = {
-      "experiments.csv",  "resolutions.csv",
-      "probes.csv",       "traceroutes.csv",
-      "resolver_observations.csv", "vantage_probes.csv",
-      "MANIFEST.txt"};
-  for (const int workers : {1, 4}) {
-    for (const int cohorts : {1, 3}) {
-      std::string shape = "workers=";
-      shape += std::to_string(workers);
-      shape += " cohorts=";
-      shape += std::to_string(cohorts);
-      SCOPED_TRACE(shape);
-      obs::metrics().reset_for_tests();
-      core::Study study(scenario(cohorts, workers));
-      study.run();
+  std::vector<measure::RecordBlock> blocks;
+  int finish_calls = 0;
+};
 
-      std::string tag = "w";
-      tag += std::to_string(workers);
-      tag += "c";
-      tag += std::to_string(cohorts);
-      const std::string memory_dir =
-          testing::TempDir() + "curtain_export_memory_" + tag;
-      const std::string stream_dir =
-          testing::TempDir() + "curtain_export_stream_" + tag;
-      std::filesystem::create_directories(memory_dir);
-      std::filesystem::create_directories(stream_dir);
-
-      ASSERT_EQ(analysis::export_records(study.records(), memory_dir), 7);
-      analysis::StreamingCsvExporter exporter(stream_dir);
-      study.records().replay(exporter);
-      EXPECT_EQ(exporter.files_written(), 7);
-
-      for (const char* file : kFiles) {
-        EXPECT_EQ(slurp(stream_dir + "/" + file),
-                  slurp(memory_dir + "/" + file))
-            << "streaming export diverged: " << file;
-      }
-      std::filesystem::remove_all(memory_dir);
-      std::filesystem::remove_all(stream_dir);
+/// Every row of `block` must find its experiment (and a sampled
+/// resolution its trace) inside the block itself.
+void expect_experiment_aligned(const measure::RecordBlock& block) {
+  for (size_t i = 0; i < block.resolutions.size(); ++i) {
+    const measure::ResolutionRow row = block.resolution_row(i);
+    ASSERT_FALSE(block.experiments.empty());
+    ASSERT_GE(row.experiment_id, block.experiments.front().experiment_id);
+    ASSERT_LE(row.experiment_id, block.experiments.back().experiment_id);
+    EXPECT_EQ(row.context().experiment_id, row.experiment_id);
+    if (row.trace_slot >= 0) {
+      ASSERT_LT(static_cast<size_t>(row.trace_slot), block.traces.size());
+      EXPECT_NEAR(row.trace()->total_ms, row.resolution_ms, 1e-6);
     }
   }
+  const auto in_block = [&](uint32_t experiment_id) {
+    return !block.experiments.empty() &&
+           experiment_id >= block.experiments.front().experiment_id &&
+           experiment_id <= block.experiments.back().experiment_id;
+  };
+  for (const uint32_t id : block.probes.experiment_id) {
+    EXPECT_TRUE(in_block(id)) << "probe of experiment " << id;
+  }
+  for (const uint32_t id : block.traceroutes.experiment_id) {
+    EXPECT_TRUE(in_block(id)) << "traceroute of experiment " << id;
+  }
+  for (const auto& observation : block.observations) {
+    EXPECT_TRUE(in_block(observation.experiment_id))
+        << "observation of experiment " << observation.experiment_id;
+  }
+}
+
+// The bounded-memory engine path: run_streaming hands each shard's sealed
+// blocks to that shard's own sink on the worker thread. Each sink must
+// see a complete shard-local stream (dense ids from 0, experiment-aligned
+// blocks, one finish()), and the shards together must carry exactly the
+// campaign run() merges. The minimum block budget makes every shard seal
+// many blocks.
+TEST(ShardDeterminism, StreamingRunDeliversAlignedShardStreams) {
+  ::setenv("CURTAIN_BLOCK_ROWS", "256", 1);
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    const core::Scenario config = scenario(3, workers);
+    obs::metrics().reset_for_tests();
+    core::Study study(config);
+    study.run();
+    const measure::RecordStore& merged = study.records();
+
+    core::World world(config);
+    exec::EngineConfig engine_config;
+    engine_config.seed = config.seed;
+    engine_config.workers = config.shards;
+    engine_config.cohorts = config.cohorts;
+    engine_config.campaign = config.campaign_config();
+    engine_config.experiment = config.experiment;
+    std::vector<exec::CampaignEngine::CarrierRef> carriers;
+    for (size_t c = 0; c < world.carriers().size(); ++c) {
+      carriers.push_back(exec::CampaignEngine::CarrierRef{
+          world.carrier(c), static_cast<int>(c)});
+    }
+    exec::CampaignEngine engine(
+        measure::WorldView{world.topology(), world.registry()},
+        world.research_apex(), std::move(carriers), engine_config);
+    std::vector<CollectingSink> sinks(engine.shard_count());
+    std::vector<measure::RecordSink*> sink_ptrs;
+    for (auto& sink : sinks) sink_ptrs.push_back(&sink);
+    engine.run_streaming(sink_ptrs);
+
+    size_t experiments = 0;
+    size_t resolutions = 0;
+    size_t probes = 0;
+    size_t traceroutes = 0;
+    size_t observations = 0;
+    size_t traces = 0;
+    size_t blocks = 0;
+    for (size_t s = 0; s < sinks.size(); ++s) {
+      SCOPED_TRACE("shard " + std::to_string(s));
+      EXPECT_EQ(sinks[s].finish_calls, 1);
+      uint32_t next_id = 0;
+      for (const measure::RecordBlock& block : sinks[s].blocks) {
+        for (const auto& context : block.experiments) {
+          EXPECT_EQ(context.experiment_id, next_id++);
+        }
+        expect_experiment_aligned(block);
+        experiments += block.experiments.size();
+        resolutions += block.resolutions.size();
+        probes += block.probes.size();
+        traceroutes += block.traceroutes.size();
+        observations += block.observations.size();
+        traces += block.traces.size();
+        EXPECT_TRUE(block.vantage_probes.empty());
+      }
+      blocks += sinks[s].blocks.size();
+    }
+    EXPECT_GT(blocks, sinks.size()) << "no shard sealed more than one block";
+    EXPECT_EQ(experiments, merged.experiment_count());
+    EXPECT_EQ(resolutions, merged.resolution_count());
+    EXPECT_EQ(probes, merged.probe_count());
+    EXPECT_EQ(traceroutes, merged.traceroute_count());
+    EXPECT_EQ(observations, merged.observation_count());
+    EXPECT_EQ(traces, merged.trace_count());
+    EXPECT_GT(traces, 0u);
+  }
+  ::unsetenv("CURTAIN_BLOCK_ROWS");
 }
 
 // Drops the curtain_mem_* gauges a profiled run registers — the only
