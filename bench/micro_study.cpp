@@ -24,8 +24,7 @@ void BM_FullExperiment(benchmark::State& state) {
   core::World world;
   measure::ExperimentRunner runner(
       measure::WorldView{world.topology(), world.registry()},
-      measure::ResolverIdentifier(world.research_apex()),
-      measure::ExperimentConfig{});
+      measure::ResolverIdentifier(world.research_apex()));
   cellular::Fleet fleet(&world.carrier(0), 1);
   fleet.enroll(0, 1, net::GeoPoint{40.71, -74.01});
   cellular::Device device = fleet.device(0);

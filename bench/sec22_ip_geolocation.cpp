@@ -23,7 +23,8 @@ int main() {
     std::map<uint64_t, size_t> experiments_per_device;
     // (b) per /24: locations observed using it.
     std::map<uint32_t, std::vector<net::GeoPoint>> locations_per_prefix;
-    for (const auto& context : dataset.experiments()) {
+    for (const auto experiment : dataset.experiments()) {
+      const auto& context = experiment.context();
       if (context.carrier_index != c) continue;
       ips_per_device[context.device_id].insert(context.public_ip.value());
       ++experiments_per_device[context.device_id];

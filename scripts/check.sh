@@ -2,9 +2,11 @@
 # One-command CI matrix for the curtain tree.
 #
 #   scripts/check.sh          # full matrix (plain, asan+ubsan, tsan, lint,
-#                             # bench-smoke, profile-smoke, rss-smoke)
+#                             # bench-smoke, profile-smoke, rss-smoke,
+#                             # campaign-smoke)
 #   scripts/check.sh plain    # just one leg: plain | sanitize | tsan | lint
 #                             #   | bench-smoke | profile-smoke | rss-smoke
+#                             #   | campaign-smoke
 #
 # Legs:
 #   plain     default build (all warnings + -Werror) and the full ctest
@@ -42,6 +44,14 @@
 #             RSS after the 1-day point exceeds 1.5x that after the
 #             0.25-day point plus 128 MB — the bounded-memory gate for
 #             streamed records and device-scoped state.
+#   campaign-smoke
+#             runs campaignbench/smoke_test.py, which builds the campaign
+#             benchmark from src/ in its own directory (.bench_build/) and
+#             checks both workloads at smoke size: result shape, every
+#             declared metric, traced/untraced export digests equal, and
+#             per-layer counts repeatable — so a src/ API change that
+#             breaks the benchmark's build or its checks fails here
+#             (~75 s on 4 cores, build included).
 #
 # Every leg uses its own build directory, so re-runs are incremental.
 set -euo pipefail
@@ -165,6 +175,11 @@ rss_smoke_leg() {
     ./build/bench/micro_fleet
 }
 
+campaign_smoke_leg() {
+  run_leg "campaign smoke (campaignbench build + smoke-size workloads)"
+  python3 campaignbench/smoke_test.py
+}
+
 case "$LEG" in
   plain)    plain_leg ;;
   sanitize) sanitize_leg ;;
@@ -173,6 +188,7 @@ case "$LEG" in
   bench-smoke) bench_smoke_leg ;;
   profile-smoke) profile_smoke_leg ;;
   rss-smoke) rss_smoke_leg ;;
+  campaign-smoke) campaign_smoke_leg ;;
   all)
     plain_leg
     sanitize_leg
@@ -181,11 +197,12 @@ case "$LEG" in
     bench_smoke_leg
     profile_smoke_leg
     rss_smoke_leg
+    campaign_smoke_leg
     echo
     echo "=== check.sh: all legs green ==="
     ;;
   *)
-    echo "usage: scripts/check.sh [plain|sanitize|tsan|lint|bench-smoke|profile-smoke|rss-smoke|all]" >&2
+    echo "usage: scripts/check.sh [plain|sanitize|tsan|lint|bench-smoke|profile-smoke|rss-smoke|campaign-smoke|all]" >&2
     exit 2
     ;;
 esac

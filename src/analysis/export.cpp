@@ -20,44 +20,32 @@ const char* target_kind_name(measure::ProbeTargetKind kind) {
   return "?";
 }
 
-/// Every block must be experiment-aligned: each row's experiment sits in
-/// its own block, which is where the row views find their context. The
-/// experiment ids must also run dense across blocks. Violating either
-/// means the record store or the campaign merge (exec/engine.cpp) is
-/// broken, and a loud abort beats shipping silently inconsistent files.
+/// Every block must be experiment-aligned: each row's experiment slot and
+/// each resolution's trace slot point inside the row's own block, which is
+/// where the row views find their context and trace. (Experiment ids run
+/// dense by construction: the store stamps each block's base.) A violation
+/// means the record store is broken, and a loud abort beats shipping
+/// silently inconsistent files.
 void check_records_integrity(const measure::RecordStore& records) {
-  uint32_t next_id = 0;
   for (const measure::RecordBlock& block : records.blocks()) {
-    for (const auto& context : block.experiments) {
-      CURTAIN_CHECK(context.experiment_id == next_id)
-          << "experiment record " << next_id << " carries id "
-          << context.experiment_id;
-      ++next_id;
-    }
-    const uint32_t first = next_id - static_cast<uint32_t>(
-                                         block.experiments.size());
-    const auto check_row = [&](uint32_t experiment_id, const char* stream) {
-      CURTAIN_CHECK(experiment_id >= first && experiment_id < next_id)
-          << stream << " row references experiment " << experiment_id
-          << " outside its block's [" << first << ", " << next_id << ")";
+    const size_t experiments = block.experiments.size();
+    const auto check_slots = [&](const std::vector<uint32_t>& slots,
+                                 const char* stream) {
+      for (const uint32_t slot : slots) {
+        CURTAIN_CHECK(slot < experiments)
+            << stream << " row references experiment slot " << slot
+            << " of a block holding " << experiments << " experiments";
+      }
     };
-    for (const uint32_t id : block.resolutions.experiment_id) {
-      check_row(id, "resolution");
-    }
+    check_slots(block.resolutions.experiment_slot, "resolution");
+    check_slots(block.probes.experiment_slot, "probe");
+    check_slots(block.traceroutes.experiment_slot, "traceroute");
+    check_slots(block.observations.experiment_slot, "resolver observation");
     for (const int32_t slot : block.resolutions.trace_slot) {
       CURTAIN_CHECK(slot >= -1 && (slot < 0 || static_cast<size_t>(slot) <
                                                    block.traces.size()))
           << "resolution trace slot " << slot << " out of range ("
           << block.traces.size() << " traces in its block)";
-    }
-    for (const uint32_t id : block.probes.experiment_id) {
-      check_row(id, "probe");
-    }
-    for (const uint32_t id : block.traceroutes.experiment_id) {
-      check_row(id, "traceroute");
-    }
-    for (const auto& o : block.observations) {
-      check_row(o.experiment_id, "resolver observation");
     }
   }
 }
@@ -69,8 +57,9 @@ void export_experiments_csv(const measure::RecordStore& records,
   util::CsvWriter csv(out);
   csv.row({"experiment_id", "device_id", "carrier", "started_hours", "radio",
            "lat", "lon", "gateway", "public_ip", "configured_resolver"});
-  for (const auto& context : records.experiments()) {
-    csv.typed_row(context.experiment_id, context.device_id,
+  for (const auto experiment : records.experiments()) {
+    const measure::ExperimentContext& context = experiment.context();
+    csv.typed_row(experiment.experiment_id, context.device_id,
                   records.carrier_name(context.carrier_index),
                   context.started.hours(),
                   std::string(cellular::radio_tech_name(context.radio)),

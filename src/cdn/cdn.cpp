@@ -33,6 +33,9 @@ CdnMetrics& cdn_metrics() {
   return metrics.get();
 }
 
+// Replica servers per metro cluster.
+constexpr int kReplicasPerCluster = 3;
+
 // How many A records one response carries; production CDNs typically
 // return a couple of addresses from the selected cluster.
 constexpr size_t kAnswersPerResponse = 2;
@@ -48,12 +51,12 @@ const std::string kDefaultCountry = "US";
 
 CdnProvider::CdnProvider(std::string name, dns::DnsName zone_apex,
                          const CdnBuildContext& context,
-                         int replicas_per_cluster, uint32_t answer_ttl_s)
+                         uint32_t answer_ttl_s)
     : provider_name_(std::move(name)),
       zone_apex_(std::move(zone_apex)),
       seed_(net::mix_key(context.build_seed, net::hash_tag(provider_name_))),
       answer_ttl_s_(answer_ttl_s) {
-  build_clusters(context, replicas_per_cluster);
+  build_clusters(context);
 
   // The provider's ADNS lives near a large US metro; its address comes
   // from the first cluster's block neighbourhood.
@@ -73,8 +76,7 @@ CdnProvider::CdnProvider(std::string name, dns::DnsName zone_apex,
       answer_ttl_s_);
 }
 
-void CdnProvider::build_clusters(const CdnBuildContext& context,
-                                 int replicas_per_cluster) {
+void CdnProvider::build_clusters(const CdnBuildContext& context) {
   const auto add_metro = [&](const net::Metro& metro, const std::string& country) {
     ReplicaCluster cluster;
     cluster.index = static_cast<int>(clusters_.size());
@@ -83,7 +85,7 @@ void CdnProvider::build_clusters(const CdnBuildContext& context,
     cluster.country = country;
     cluster.prefix = context.allocator->alloc_block(24);
     const net::NodeId backbone = context.nearest_backbone(metro.location);
-    for (int r = 0; r < replicas_per_cluster; ++r) {
+    for (int r = 0; r < kReplicasPerCluster; ++r) {
       const net::Ipv4Addr ip = context.allocator->alloc_host(cluster.prefix);
       net::Node node;
       node.name = provider_name_ + "-" + metro.name + "-r" + std::to_string(r);

@@ -48,8 +48,7 @@ class CdnProvider {
   /// Builds clusters in every US and KR metro and registers the provider's
   /// ADNS (for `zone_apex`, e.g. "curtaincdn.net") with the hierarchy.
   CdnProvider(std::string name, dns::DnsName zone_apex,
-              const CdnBuildContext& context, int replicas_per_cluster = 3,
-              uint32_t answer_ttl_s = 30);
+              const CdnBuildContext& context, uint32_t answer_ttl_s = 30);
 
   const std::string& name() const { return provider_name_; }
   const dns::DnsName& zone_apex() const { return zone_apex_; }
@@ -90,7 +89,7 @@ class CdnProvider {
       const std::optional<dns::EdnsClientSubnet>& ecs, net::SimTime now,
       net::Rng& rng);
 
-  void build_clusters(const CdnBuildContext& context, int replicas_per_cluster);
+  void build_clusters(const CdnBuildContext& context);
 
   std::string provider_name_;
   dns::DnsName zone_apex_;

@@ -42,11 +42,6 @@ Scenario& Scenario::with_cohorts(int value) {
   return *this;
 }
 
-Scenario& Scenario::with_metrics_out(std::string path) {
-  metrics_out = std::move(path);
-  return *this;
-}
-
 Scenario& Scenario::with_profile_out(std::string path) {
   profile_out = std::move(path);
   return *this;

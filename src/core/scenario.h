@@ -19,7 +19,6 @@
 
 #include "cellular/carrier_profile.h"
 #include "measure/campaign.h"
-#include "measure/experiment.h"
 
 namespace curtain::core {
 
@@ -40,8 +39,7 @@ struct Scenario {
   /// byte-identical for every cohort count (see exec/engine.h).
   int cohorts = 0;
 
-  // --- measurement ------------------------------------------------------
-  measure::ExperimentConfig experiment;
+  // --- outputs ----------------------------------------------------------
   /// When non-empty, Study::run() writes the metrics registry there on
   /// completion (".prom" suffix: Prometheus text; anything else: JSON).
   std::string metrics_out;
@@ -53,10 +51,6 @@ struct Scenario {
 
   // --- world shape ------------------------------------------------------
   int google_sites = 30;  ///< paper §6.1: 30 distributed /24s
-  int google_instances_per_site = 8;
-  int opendns_sites = 20;
-  int opendns_instances_per_site = 6;
-  int replicas_per_cluster = 3;
   uint32_t cdn_answer_ttl_s = 30;  ///< the short TTLs behind Fig. 7
   /// Enable EDNS client-subnet on Google Public DNS (RFC 7871) — the
   /// "natural evolution of DNS" remedy; off in the paper-era baseline.
@@ -79,7 +73,6 @@ struct Scenario {
   Scenario& with_scale(double value);
   Scenario& with_shards(int value);
   Scenario& with_cohorts(int value);
-  Scenario& with_metrics_out(std::string path);
   Scenario& with_profile_out(std::string path);
   Scenario& with_google_ecs(bool enabled);
   Scenario& with_cdn_answer_ttl(uint32_t ttl_s);

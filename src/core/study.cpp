@@ -76,7 +76,6 @@ Study::Study(Scenario scenario)
   engine_config.workers = scenario_.shards;
   engine_config.cohorts = scenario_.cohorts;
   engine_config.campaign = campaign_;
-  engine_config.experiment = scenario_.experiment;
   std::vector<exec::CampaignEngine::CarrierRef> carriers;
   for (size_t c = 0; c < world_->carriers().size(); ++c) {
     carriers.push_back(exec::CampaignEngine::CarrierRef{

@@ -15,6 +15,11 @@ using net::LatencyModel;
 const GeoPoint kVantageLocation{42.05, -87.68};
 const net::Ipv4Addr kVantageIp{129, 105, 0, 5};
 
+// Public DNS shape besides Google's site count (Scenario::google_sites).
+constexpr int kGoogleInstancesPerSite = 8;
+constexpr int kOpenDnsSites = 20;
+constexpr int kOpenDnsInstancesPerSite = 6;
+
 std::string metro_country(const std::string& metro_name) {
   for (const auto& metro : net::us_metros()) {
     if (metro.name == metro_name) return "US";
@@ -152,8 +157,7 @@ void World::build_cdns() {
   for (const std::string& name : cdn::study_cdn_names()) {
     auto apex = dns::DnsName::parse(name + ".net");
     auto provider = std::make_unique<cdn::CdnProvider>(
-        name, *apex, context, config_.replicas_per_cluster,
-        config_.cdn_answer_ttl_s);
+        name, *apex, context, config_.cdn_answer_ttl_s);
     providers[name] = provider.get();
     cdns_[name] = std::move(provider);
   }
@@ -186,12 +190,12 @@ void World::build_public_dns() {
 
   context.ecs_enabled = config_.google_ecs;
   google_ = std::make_unique<publicdns::PublicDnsService>(
-      "GoogleDNS", net::Ipv4Addr{8, 8, 8, 8}, config_.google_sites,
-      config_.google_instances_per_site, context);
+      "GoogleDNS", publicdns::kGoogleVip, config_.google_sites,
+      kGoogleInstancesPerSite, context);
   context.ecs_enabled = false;  // OpenDNS did not send ECS in the era
   opendns_ = std::make_unique<publicdns::PublicDnsService>(
-      "OpenDNS", net::Ipv4Addr{208, 67, 222, 222}, config_.opendns_sites,
-      config_.opendns_instances_per_site, context);
+      "OpenDNS", publicdns::kOpenDnsVip, kOpenDnsSites,
+      kOpenDnsInstancesPerSite, context);
 }
 
 void World::build_carriers() {

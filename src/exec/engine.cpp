@@ -82,8 +82,7 @@ CampaignEngine::CampaignEngine(measure::WorldView world,
       }
       shards_.push_back(std::make_unique<Shard>(
           shard_index++, carrier.carrier_index, k, carrier.network, world,
-          research_apex, config_.campaign, config_.experiment, config_.seed,
-          std::move(slice)));
+          research_apex, config_.campaign, config_.seed, std::move(slice)));
     }
     CURTAIN_CHECK(fleet_size <=
                   static_cast<size_t>(std::numeric_limits<int>::max() -
@@ -195,18 +194,12 @@ void CampaignEngine::run(measure::RecordSink& sink) {
 
   // Deterministic merge: shard-index order — (carrier, cohort) order,
   // i.e. global device-enrollment order — independent of which worker
-  // finished when. Renumbering per shard with accumulated bases makes the
-  // drained stream indistinguishable from one sequential run, which is
+  // finished when. The sink numbers experiments as blocks join it, so the
+  // merged stream is indistinguishable from one sequential run, which is
   // what makes every (cohorts, workers, block-rows) setting export
   // byte-identical results.
   const int64_t merge_records_start_us = profiling ? recorder.now_us() : 0;
-  uint32_t experiment_base = 0;
-  for (auto& shard : shards_) {
-    measure::RecordStore& records = shard->records();
-    const size_t experiments = records.experiment_count();
-    records.drain_renumbered(sink, experiment_base);
-    experiment_base += static_cast<uint32_t>(experiments);
-  }
+  for (auto& shard : shards_) shard->records().hand_off(sink);
   sink.finish();
   if (profiling) {
     recorder.record_phase(0, "merge_records", merge_records_start_us,

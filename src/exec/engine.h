@@ -27,10 +27,11 @@
 //
 // Two output modes:
 //   * run(sink): each shard retains its record blocks; after the join the
-//     engine drains them into `sink` in shard-index order, renumbering
-//     experiment ids so the stream is indistinguishable from one
-//     sequential run over the same shard order (trace slots are
-//     block-local and need no renumbering);
+//     engine hands them to `sink` in shard-index order. Record identity is
+//     positional (measure/record_block.h), so nothing is renumbered here:
+//     a RecordStore sink numbers the blocks as they join it, which makes
+//     the stream indistinguishable from one sequential run over the same
+//     shard order;
 //   * run_streaming(sinks): each shard drains sealed blocks to its own
 //     sink *during* the run, on the worker thread, with shard-local ids —
 //     the bounded-memory path for 10^6-device fleets (peak record memory
@@ -62,7 +63,6 @@ struct EngineConfig {
   /// (ceil(4*workers/carriers), clamped to [1, 64]).
   int cohorts = 0;
   measure::CampaignConfig campaign;
-  measure::ExperimentConfig experiment;
 };
 
 /// Per-shard execution record, in shard (merge) order. busy_ms,
@@ -110,9 +110,9 @@ class CampaignEngine {
   size_t fleet_arena_bytes() const;
 
   /// Runs every shard on a pool of min(workers, shards) threads pulling
-  /// from a deterministic queue, then drains shard record blocks into
-  /// `sink` (renumbered, in shard-index order, finish()ed at the end) and
-  /// merges shard metric sheaves into the calling thread's registry.
+  /// from a deterministic queue, then hands shard record blocks to `sink`
+  /// (in shard-index order, finish()ed at the end) and merges shard metric
+  /// sheaves into the calling thread's registry.
   void run(measure::RecordSink& sink);
 
   /// Bounded-memory mode: `sinks[i]` consumes shard i's sealed blocks on

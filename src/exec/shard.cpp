@@ -26,8 +26,7 @@ ShardMetrics& shard_metrics() {
 Shard::Shard(int shard_index, int carrier_index, int cohort_index,
              cellular::CellularNetwork& network, measure::WorldView world,
              const dns::DnsName& research_apex,
-             measure::CampaignConfig campaign,
-             measure::ExperimentConfig experiment, uint64_t seed,
+             measure::CampaignConfig campaign, uint64_t seed,
              std::vector<CohortDevice> devices)
     : shard_index_(shard_index),
       carrier_index_(carrier_index),
@@ -35,7 +34,7 @@ Shard::Shard(int shard_index, int carrier_index, int cohort_index,
       label_(network.profile().name + "/cohort" + std::to_string(cohort_index)),
       campaign_(campaign),
       seed_(seed),
-      runner_(world, measure::ResolverIdentifier(research_apex), experiment),
+      runner_(world, measure::ResolverIdentifier(research_apex)),
       devices_(std::move(devices)) {
   sheaf_.set_label(label_);
 }

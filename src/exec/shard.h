@@ -56,8 +56,7 @@ class Shard {
   Shard(int shard_index, int carrier_index, int cohort_index,
         cellular::CellularNetwork& network, measure::WorldView world,
         const dns::DnsName& research_apex, measure::CampaignConfig campaign,
-        measure::ExperimentConfig experiment, uint64_t seed,
-        std::vector<CohortDevice> devices);
+        uint64_t seed, std::vector<CohortDevice> devices);
 
   int shard_index() const { return shard_index_; }
   int carrier_index() const { return carrier_index_; }

@@ -6,9 +6,16 @@
 #include "dns/stub.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "publicdns/public_dns.h"
 
 namespace curtain::measure {
 namespace {
+
+/// Fraction of replica/resolver probes that also run a traceroute
+/// (traceroutes are bulky; the paper stored 2.4M probes total).
+constexpr double kTracerouteSampleP = 0.25;
+/// Every Nth domain resolution records a hop-by-hop ResolutionTrace.
+constexpr uint64_t kTraceSampleEvery = 64;
 
 net::SimTime ms(double v) { return net::SimTime::from_millis(v); }
 
@@ -49,12 +56,8 @@ const char* resolver_kind_name(ResolverKind kind) {
 }
 
 ExperimentRunner::ExperimentRunner(WorldView world,
-                                   ResolverIdentifier identifier,
-                                   ExperimentConfig config)
-    : world_(world),
-      probes_(world),
-      identifier_(std::move(identifier)),
-      config_(config) {}
+                                   ResolverIdentifier identifier)
+    : world_(world), probes_(world), identifier_(std::move(identifier)) {}
 
 void ExperimentRunner::begin_device() {
   ident_counter_ = 0;
@@ -74,14 +77,13 @@ ProbeOrigin ExperimentRunner::origin_for(cellular::Device& device,
 void ExperimentRunner::probe_target(cellular::Device& device,
                                     ProbeTargetKind target_kind,
                                     ResolverKind kind, net::Ipv4Addr target,
-                                    uint32_t experiment_id, net::SimTime& now,
-                                    net::Rng& rng, RecordStore& records,
+                                    net::SimTime& now, net::Rng& rng,
+                                    RecordStore& records,
                                     uint16_t domain_index, bool with_http) {
   {
     const ProbeOrigin origin = origin_for(device, now, rng);
     const PingOutcome ping = probes_.ping(origin, target, now, rng);
     ProbeMeasurement record;
-    record.experiment_id = experiment_id;
     record.target_kind = target_kind;
     record.resolver = kind;
     record.domain_index = domain_index;
@@ -97,7 +99,6 @@ void ExperimentRunner::probe_target(cellular::Device& device,
     const ProbeOrigin origin = origin_for(device, now, rng);
     const HttpOutcome http = probes_.http_get(origin, target, now, rng);
     ProbeMeasurement record;
-    record.experiment_id = experiment_id;
     record.target_kind = target_kind;
     record.resolver = kind;
     record.domain_index = domain_index;
@@ -109,11 +110,10 @@ void ExperimentRunner::probe_target(cellular::Device& device,
     experiment_metrics().probes.inc();
     now += ms(http.responded ? http.ttfb_ms : 2000.0);
   }
-  if (rng.bernoulli(config_.traceroute_sample_p)) {
+  if (rng.bernoulli(kTracerouteSampleP)) {
     const ProbeOrigin origin = origin_for(device, now, rng);
     TracerouteOutcome trace = probes_.traceroute(origin, target, now, rng);
     TracerouteMeasurement record;
-    record.experiment_id = experiment_id;
     record.target_ip = target;
     record.target_kind = target_kind;
     record.reached = trace.reached;
@@ -130,8 +130,8 @@ void ExperimentRunner::probe_target(cellular::Device& device,
 void ExperimentRunner::measure_domains(cellular::Device& device,
                                        ResolverKind kind,
                                        net::Ipv4Addr resolver_ip,
-                                       uint32_t experiment_id, net::SimTime& now,
-                                       net::Rng& rng, RecordStore& records) {
+                                       net::SimTime& now, net::Rng& rng,
+                                       RecordStore& records) {
   const auto& domains = cdn::study_domains();
   for (uint16_t d = 0; d < domains.size(); ++d) {
     const auto host = dns::DnsName::parse(domains[d].host);
@@ -141,15 +141,12 @@ void ExperimentRunner::measure_domains(cellular::Device& device,
     for (const bool second : {false, true}) {
       const double access = device.access_rtt_ms(now, rng);
       // Every Nth resolution is traced hop-by-hop against virtual time.
-      const bool sampled =
-          config_.trace_sample_every != 0 &&
-          resolution_counter_++ % config_.trace_sample_every == 0;
+      const bool sampled = resolution_counter_++ % kTraceSampleEvery == 0;
       obs::Tracer& tracer = obs::Tracer::instance();
       const bool tracing = sampled && tracer.begin(now.millis());
       const dns::StubResult result =
           stub.query(resolver_ip, *host, dns::RRType::kA, now, rng, access);
       DnsMeasurement record;
-      record.experiment_id = experiment_id;
       record.resolver = kind;
       record.domain_index = d;
       record.responded = result.responded;
@@ -179,8 +176,8 @@ void ExperimentRunner::measure_domains(cellular::Device& device,
                        replicas.end());
         records.add_resolution(std::move(record));
         for (const net::Ipv4Addr replica : replicas) {
-          probe_target(device, ProbeTargetKind::kReplica, kind, replica,
-                       experiment_id, now, rng, records, d, /*with_http=*/true);
+          probe_target(device, ProbeTargetKind::kReplica, kind, replica, now,
+                       rng, records, d, /*with_http=*/true);
         }
       } else {
         records.add_resolution(std::move(record));
@@ -192,7 +189,6 @@ void ExperimentRunner::measure_domains(cellular::Device& device,
 void ExperimentRunner::identify_resolver(cellular::Device& device,
                                          ResolverKind kind,
                                          net::Ipv4Addr resolver_ip,
-                                         uint32_t experiment_id,
                                          net::SimTime& now, net::Rng& rng,
                                          RecordStore& records) {
   const dns::DnsName probe =
@@ -203,7 +199,6 @@ void ExperimentRunner::identify_resolver(cellular::Device& device,
   const dns::StubResult result =
       stub.query(resolver_ip, probe, dns::RRType::kA, now, rng, access);
   ResolverObservation observation;
-  observation.experiment_id = experiment_id;
   observation.resolver = kind;
   observation.resolution_ms = result.total_ms;
   const auto external = ResolverIdentifier::extract(result.answers);
@@ -218,7 +213,7 @@ void ExperimentRunner::identify_resolver(cellular::Device& device,
   // locally configured resolver this is the Fig. 4 "External" series.
   if (observation.responded) {
     probe_target(device, ProbeTargetKind::kExternalResolver, kind,
-                 observation.external_ip, experiment_id, now, rng, records);
+                 observation.external_ip, now, rng, records);
   }
 }
 
@@ -237,38 +232,37 @@ net::SimTime ExperimentRunner::run(cellular::Device& device, int carrier_index,
   context.gateway_index = snapshot.gateway_index;
   context.public_ip = snapshot.public_ip;
   context.configured_resolver = snapshot.configured_resolver;
-  const uint32_t experiment_id = records.add_experiment(context);
+  records.add_experiment(context);
 
   net::SimTime now = start;
+  const net::Ipv4Addr google = publicdns::kGoogleVip;
+  const net::Ipv4Addr opendns = publicdns::kOpenDnsVip;
 
   // 1. Bootstrap ping: pays the RRC promotion so the measurements that
   //    follow see the radio in its high-power state (§3.2).
   probe_target(device, ProbeTargetKind::kBootstrap, ResolverKind::kLocal,
-               config_.google_vip, experiment_id, now, rng, records);
+               google, now, rng, records);
 
   // 2. Domain resolutions + replica probes for all three resolver kinds.
   measure_domains(device, ResolverKind::kLocal, snapshot.configured_resolver,
-                  experiment_id, now, rng, records);
-  measure_domains(device, ResolverKind::kGoogle, config_.google_vip,
-                  experiment_id, now, rng, records);
-  measure_domains(device, ResolverKind::kOpenDns, config_.opendns_vip,
-                  experiment_id, now, rng, records);
+                  now, rng, records);
+  measure_domains(device, ResolverKind::kGoogle, google, now, rng, records);
+  measure_domains(device, ResolverKind::kOpenDns, opendns, now, rng, records);
 
   // 3. Resolver identification (+ external resolver probes).
   identify_resolver(device, ResolverKind::kLocal, snapshot.configured_resolver,
-                    experiment_id, now, rng, records);
-  identify_resolver(device, ResolverKind::kGoogle, config_.google_vip,
-                    experiment_id, now, rng, records);
-  identify_resolver(device, ResolverKind::kOpenDns, config_.opendns_vip,
-                    experiment_id, now, rng, records);
+                    now, rng, records);
+  identify_resolver(device, ResolverKind::kGoogle, google, now, rng, records);
+  identify_resolver(device, ResolverKind::kOpenDns, opendns, now, rng,
+                    records);
 
   // 4. Probes to the configured resolver and the public VIPs (Figs. 4, 11).
   probe_target(device, ProbeTargetKind::kClientResolver, ResolverKind::kLocal,
-               snapshot.configured_resolver, experiment_id, now, rng, records);
+               snapshot.configured_resolver, now, rng, records);
   probe_target(device, ProbeTargetKind::kPublicVip, ResolverKind::kGoogle,
-               config_.google_vip, experiment_id, now, rng, records);
+               google, now, rng, records);
   probe_target(device, ProbeTargetKind::kPublicVip, ResolverKind::kOpenDns,
-               config_.opendns_vip, experiment_id, now, rng, records);
+               opendns, now, rng, records);
 
   return now;
 }

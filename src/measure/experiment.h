@@ -20,21 +20,9 @@
 
 namespace curtain::measure {
 
-struct ExperimentConfig {
-  /// Fraction of replica/resolver probes that also run a traceroute
-  /// (traceroutes are bulky; the paper stored 2.4M probes total).
-  double traceroute_sample_p = 0.25;
-  net::Ipv4Addr google_vip{8, 8, 8, 8};
-  net::Ipv4Addr opendns_vip{208, 67, 222, 222};
-  /// Record a hop-by-hop ResolutionTrace for every Nth domain resolution
-  /// (0 disables tracing entirely).
-  uint32_t trace_sample_every = 64;
-};
-
 class ExperimentRunner {
  public:
-  ExperimentRunner(WorldView world, ResolverIdentifier identifier,
-                   ExperimentConfig config);
+  ExperimentRunner(WorldView world, ResolverIdentifier identifier);
 
   /// Resets the runner's sampling counters for a new device timeline.
   /// Trace sampling and identification-probe names then depend only on
@@ -45,26 +33,26 @@ class ExperimentRunner {
   /// (device id, per-device counter).
   void begin_device();
 
-  /// Runs one experiment for `device` starting at `start`; appends all
-  /// records to `records` and returns the experiment's end time.
+  /// Runs one experiment for `device` starting at `start`; appends the
+  /// experiment and then its measurements to `records` (which attaches
+  /// them to it) and returns the experiment's end time.
   net::SimTime run(cellular::Device& device, int carrier_index,
                    net::SimTime start, net::Rng& rng, RecordStore& records);
 
  private:
   /// One resolver kind's slice of the experiment (step 2 for one column).
   void measure_domains(cellular::Device& device, ResolverKind kind,
-                       net::Ipv4Addr resolver_ip, uint32_t experiment_id,
-                       net::SimTime& now, net::Rng& rng, RecordStore& records);
+                       net::Ipv4Addr resolver_ip, net::SimTime& now,
+                       net::Rng& rng, RecordStore& records);
 
   void identify_resolver(cellular::Device& device, ResolverKind kind,
-                         net::Ipv4Addr resolver_ip, uint32_t experiment_id,
-                         net::SimTime& now, net::Rng& rng, RecordStore& records);
+                         net::Ipv4Addr resolver_ip, net::SimTime& now,
+                         net::Rng& rng, RecordStore& records);
 
   void probe_target(cellular::Device& device, ProbeTargetKind target_kind,
-                    ResolverKind kind, net::Ipv4Addr target,
-                    uint32_t experiment_id, net::SimTime& now, net::Rng& rng,
-                    RecordStore& records, uint16_t domain_index = 0,
-                    bool with_http = false);
+                    ResolverKind kind, net::Ipv4Addr target, net::SimTime& now,
+                    net::Rng& rng, RecordStore& records,
+                    uint16_t domain_index = 0, bool with_http = false);
 
   ProbeOrigin origin_for(cellular::Device& device, net::SimTime now,
                          net::Rng& rng) const;
@@ -72,7 +60,6 @@ class ExperimentRunner {
   WorldView world_;
   ProbeEngine probes_;
   ResolverIdentifier identifier_;
-  ExperimentConfig config_;
   uint64_t ident_counter_ = 0;       ///< per device; see begin_device()
   uint64_t resolution_counter_ = 0;  ///< drives trace sampling, per device
 };

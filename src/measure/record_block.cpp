@@ -6,8 +6,26 @@
 
 namespace curtain::measure {
 
+namespace {
+
+/// Slot of the latest experiment: the one every new row belongs to.
+uint32_t latest_slot(const RecordBlock& block) {
+  CURTAIN_DCHECK(!block.experiments.empty()) << "row before any experiment";
+  return static_cast<uint32_t>(block.experiments.size() - 1);
+}
+
+template <typename T>
+size_t vec_bytes(const std::vector<T>& v) {
+  return v.capacity() * sizeof(T);
+}
+
+}  // namespace
+
 const ExperimentContext& ExperimentRow::context() const {
-  return block->experiment(experiment_id);
+  const uint32_t slot = experiment_id - block->first_experiment_id;
+  CURTAIN_DCHECK(slot < block->experiments.size())
+      << "experiment " << experiment_id << " is not in this block";
+  return block->experiments[slot];
 }
 
 const obs::ResolutionTrace* ResolutionRow::trace() const {
@@ -31,7 +49,7 @@ void RecordBlock::append_resolution(const DnsMeasurement& record) {
   CURTAIN_DCHECK(record.addresses.size() <=
                  std::numeric_limits<uint16_t>::max())
       << record.addresses.size();
-  resolutions.experiment_id.push_back(record.experiment_id);
+  resolutions.experiment_slot.push_back(latest_slot(*this));
   resolutions.resolution_ms.push_back(record.resolution_ms);
   resolutions.addr_begin.push_back(static_cast<uint32_t>(addr_pool.size()));
   resolutions.trace_slot.push_back(record.trace_slot);
@@ -48,7 +66,7 @@ void RecordBlock::append_resolution(const DnsMeasurement& record) {
 }
 
 void RecordBlock::append_probe(const ProbeMeasurement& record) {
-  probes.experiment_id.push_back(record.experiment_id);
+  probes.experiment_slot.push_back(latest_slot(*this));
   probes.target_ip.push_back(record.target_ip);
   probes.rtt_ms.push_back(record.rtt_ms);
   probes.domain_index.push_back(record.domain_index);
@@ -64,7 +82,7 @@ void RecordBlock::append_traceroute(TracerouteMeasurement&& record) {
   CURTAIN_DCHECK(record.hop_names.size() <=
                  std::numeric_limits<uint16_t>::max())
       << record.hop_names.size();
-  traceroutes.experiment_id.push_back(record.experiment_id);
+  traceroutes.experiment_slot.push_back(latest_slot(*this));
   traceroutes.target_ip.push_back(record.target_ip);
   traceroutes.hop_begin.push_back(static_cast<uint32_t>(hop_starts.size()));
   traceroutes.hop_count.push_back(
@@ -80,7 +98,11 @@ void RecordBlock::append_traceroute(TracerouteMeasurement&& record) {
 }
 
 void RecordBlock::append_observation(const ResolverObservation& record) {
-  observations.push_back(record);
+  observations.experiment_slot.push_back(latest_slot(*this));
+  observations.external_ip.push_back(record.external_ip);
+  observations.resolution_ms.push_back(record.resolution_ms);
+  observations.resolver.push_back(static_cast<uint8_t>(record.resolver));
+  observations.responded.push_back(record.responded ? 1 : 0);
   ++rows;
 }
 
@@ -94,10 +116,15 @@ void RecordBlock::append_trace(obs::ResolutionTrace&& trace) {
   ++rows;
 }
 
+ExperimentRow RecordBlock::experiment_row(size_t slot) const {
+  CURTAIN_DCHECK(slot < experiments.size()) << slot;
+  return ExperimentRow{first_experiment_id + static_cast<uint32_t>(slot), this};
+}
+
 ResolutionRow RecordBlock::resolution_row(size_t i) const {
   CURTAIN_DCHECK(i < resolutions.size()) << i;
   ResolutionRow row;
-  row.experiment_id = resolutions.experiment_id[i];
+  row.experiment_id = first_experiment_id + resolutions.experiment_slot[i];
   row.block = this;
   row.resolver = static_cast<ResolverKind>(resolutions.resolver[i]);
   row.domain_index = resolutions.domain_index[i];
@@ -113,7 +140,7 @@ ResolutionRow RecordBlock::resolution_row(size_t i) const {
 ProbeRow RecordBlock::probe_row(size_t i) const {
   CURTAIN_DCHECK(i < probes.size()) << i;
   ProbeRow row;
-  row.experiment_id = probes.experiment_id[i];
+  row.experiment_id = first_experiment_id + probes.experiment_slot[i];
   row.block = this;
   row.target_kind = static_cast<ProbeTargetKind>(probes.target_kind[i]);
   row.resolver = static_cast<ResolverKind>(probes.resolver[i]);
@@ -128,7 +155,7 @@ ProbeRow RecordBlock::probe_row(size_t i) const {
 TracerouteRow RecordBlock::traceroute_row(size_t i) const {
   CURTAIN_DCHECK(i < traceroutes.size()) << i;
   TracerouteRow row;
-  row.experiment_id = traceroutes.experiment_id[i];
+  row.experiment_id = first_experiment_id + traceroutes.experiment_slot[i];
   row.block = this;
   row.target_ip = traceroutes.target_ip[i];
   row.target_kind = static_cast<ProbeTargetKind>(traceroutes.target_kind[i]);
@@ -140,25 +167,14 @@ TracerouteRow RecordBlock::traceroute_row(size_t i) const {
 
 ObservationRow RecordBlock::observation_row(size_t i) const {
   CURTAIN_DCHECK(i < observations.size()) << i;
-  const ResolverObservation& observation = observations[i];
   ObservationRow row;
-  row.experiment_id = observation.experiment_id;
+  row.experiment_id = first_experiment_id + observations.experiment_slot[i];
   row.block = this;
-  row.resolver = observation.resolver;
-  row.responded = observation.responded;
-  row.external_ip = observation.external_ip;
-  row.resolution_ms = observation.resolution_ms;
+  row.resolver = static_cast<ResolverKind>(observations.resolver[i]);
+  row.responded = observations.responded[i] != 0;
+  row.external_ip = observations.external_ip[i];
+  row.resolution_ms = observations.resolution_ms[i];
   return row;
-}
-
-const ExperimentContext& RecordBlock::experiment(
-    uint32_t experiment_id) const {
-  CURTAIN_DCHECK(!experiments.empty() &&
-                 experiment_id >= experiments.front().experiment_id &&
-                 experiment_id - experiments.front().experiment_id <
-                     experiments.size())
-      << "experiment " << experiment_id << " is not in this block";
-  return experiments[experiment_id - experiments.front().experiment_id];
 }
 
 std::string_view RecordBlock::hop_name(uint32_t hop_index) const {
@@ -170,43 +186,29 @@ std::string_view RecordBlock::hop_name(uint32_t hop_index) const {
   return std::string_view(hop_chars.data() + begin, end - begin);
 }
 
-void RecordBlock::shift_ids(uint32_t experiment_base) {
-  for (auto& context : experiments) context.experiment_id += experiment_base;
-  for (auto& id : resolutions.experiment_id) id += experiment_base;
-  for (auto& id : probes.experiment_id) id += experiment_base;
-  for (auto& id : traceroutes.experiment_id) id += experiment_base;
-  for (auto& observation : observations) {
-    observation.experiment_id += experiment_base;
-  }
-}
-
-namespace {
-template <typename T>
-size_t vec_bytes(const std::vector<T>& v) {
-  return v.capacity() * sizeof(T);
-}
-}  // namespace
-
 size_t RecordBlock::approx_bytes() const {
-  size_t bytes = vec_bytes(experiments) + vec_bytes(observations) +
-                 vec_bytes(vantage_probes) + vec_bytes(traces) +
-                 vec_bytes(addr_pool) + vec_bytes(hop_starts) +
-                 vec_bytes(hop_chars);
-  bytes += vec_bytes(resolutions.experiment_id) +
+  size_t bytes = vec_bytes(experiments) + vec_bytes(vantage_probes) +
+                 vec_bytes(traces) + vec_bytes(addr_pool) +
+                 vec_bytes(hop_starts) + vec_bytes(hop_chars);
+  bytes += vec_bytes(resolutions.experiment_slot) +
            vec_bytes(resolutions.resolution_ms) +
            vec_bytes(resolutions.addr_begin) +
            vec_bytes(resolutions.trace_slot) +
            vec_bytes(resolutions.domain_index) +
            vec_bytes(resolutions.addr_count) +
            vec_bytes(resolutions.resolver) + vec_bytes(resolutions.flags);
-  bytes += vec_bytes(probes.experiment_id) + vec_bytes(probes.target_ip) +
+  bytes += vec_bytes(probes.experiment_slot) + vec_bytes(probes.target_ip) +
            vec_bytes(probes.rtt_ms) + vec_bytes(probes.domain_index) +
            vec_bytes(probes.target_kind) + vec_bytes(probes.resolver) +
            vec_bytes(probes.flags);
-  bytes += vec_bytes(traceroutes.experiment_id) +
+  bytes += vec_bytes(traceroutes.experiment_slot) +
            vec_bytes(traceroutes.target_ip) + vec_bytes(traceroutes.hop_begin) +
            vec_bytes(traceroutes.hop_count) +
            vec_bytes(traceroutes.target_kind) + vec_bytes(traceroutes.reached);
+  bytes += vec_bytes(observations.experiment_slot) +
+           vec_bytes(observations.external_ip) +
+           vec_bytes(observations.resolution_ms) +
+           vec_bytes(observations.resolver) + vec_bytes(observations.responded);
   for (const auto& trace : traces) {
     bytes += trace.spans.capacity() * sizeof(obs::TraceSpan);
   }

@@ -15,8 +15,12 @@
 // probe, traceroute, observation and trace row sits in the same block as
 // its experiment, so a row view finds its ExperimentContext (and a
 // resolution its sampled trace) without touching any other block.
-// Experiment ids can be renumbered in place (shift_ids) when shard-local
-// streams are merged into one campaign-global stream.
+//
+// Record identity is positional. A row stores the block-local slot of its
+// experiment — the latest one appended before it — and the block stores
+// one first_experiment_id; an experiment's id is that base plus its slot.
+// Only the store a block joins writes the base, so moving a block between
+// stores renumbers it without touching a row.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +40,7 @@ struct RecordBlock;
 /// into the owning block (pools, experiments, traces), so a row must not
 /// outlive its block.
 struct ExperimentRow {
+  /// block->first_experiment_id plus the row's experiment slot.
   uint32_t experiment_id = 0;
   const RecordBlock* block = nullptr;
   /// The row's experiment, in O(1) from its own block.
@@ -88,11 +93,15 @@ struct RecordBlock {
   static constexpr uint8_t kFlagSecondLookup = 1u << 1;
   static constexpr uint8_t kFlagHttp = 1u << 2;
 
+  /// Id of experiments[0]: experiment slot s has id first_experiment_id + s.
+  /// Stamped by the store the block joins (RecordStore), never by a
+  /// producer.
+  uint32_t first_experiment_id = 0;
+
   // --- low-volume streams: plain rows ----------------------------------
   // Sealed at the first experiment boundary past the row budget, so these
   // never grow past one block.
   std::vector<ExperimentContext> experiments;      // lint: bounded
-  std::vector<ResolverObservation> observations;   // lint: bounded
   std::vector<VantageProbe> vantage_probes;        // lint: bounded
   /// Hop-by-hop virtual-time traces of sampled resolutions, addressed by
   /// the block-local ResolutionRow::trace_slot. Sampled 1-in-64, so AoS is
@@ -101,7 +110,7 @@ struct RecordBlock {
 
   // --- resolutions: SoA columns + shared address pool -------------------
   struct ResolutionColumns {
-    std::vector<uint32_t> experiment_id;
+    std::vector<uint32_t> experiment_slot;
     std::vector<double> resolution_ms;
     std::vector<uint32_t> addr_begin;  ///< into RecordBlock::addr_pool
     std::vector<int32_t> trace_slot;
@@ -109,21 +118,21 @@ struct RecordBlock {
     std::vector<uint16_t> addr_count;
     std::vector<uint8_t> resolver;
     std::vector<uint8_t> flags;
-    size_t size() const { return experiment_id.size(); }
+    size_t size() const { return experiment_slot.size(); }
   };
   ResolutionColumns resolutions;
   std::vector<net::Ipv4Addr> addr_pool;
 
   // --- probes: SoA (no variable payload) --------------------------------
   struct ProbeColumns {
-    std::vector<uint32_t> experiment_id;
+    std::vector<uint32_t> experiment_slot;
     std::vector<net::Ipv4Addr> target_ip;
     std::vector<double> rtt_ms;
     std::vector<uint16_t> domain_index;
     std::vector<uint8_t> target_kind;
     std::vector<uint8_t> resolver;
     std::vector<uint8_t> flags;
-    size_t size() const { return experiment_id.size(); }
+    size_t size() const { return experiment_slot.size(); }
   };
   ProbeColumns probes;
 
@@ -133,23 +142,36 @@ struct RecordBlock {
   // where hop i+1 starts (or at hop_chars.size() for the last one), so no
   // per-hop length column is needed.
   struct TracerouteColumns {
-    std::vector<uint32_t> experiment_id;
+    std::vector<uint32_t> experiment_slot;
     std::vector<net::Ipv4Addr> target_ip;
     std::vector<uint32_t> hop_begin;  ///< into RecordBlock::hop_starts
     std::vector<uint16_t> hop_count;
     std::vector<uint8_t> target_kind;
     std::vector<uint8_t> reached;
-    size_t size() const { return experiment_id.size(); }
+    size_t size() const { return experiment_slot.size(); }
   };
   TracerouteColumns traceroutes;
   std::vector<uint32_t> hop_starts;
   std::vector<char> hop_chars;
+
+  // --- resolver observations: SoA ---------------------------------------
+  struct ObservationColumns {
+    std::vector<uint32_t> experiment_slot;
+    std::vector<net::Ipv4Addr> external_ip;
+    std::vector<double> resolution_ms;
+    std::vector<uint8_t> resolver;
+    std::vector<uint8_t> responded;
+    size_t size() const { return experiment_slot.size(); }
+  };
+  ObservationColumns observations;
 
   /// Total records appended across all streams (checked against the row
   /// budget at each experiment boundary).
   size_t rows = 0;
 
   // --- append (pack a transfer struct into the columns) -----------------
+  // Resolution, probe, traceroute and observation rows record the slot of
+  // the latest experiment, which must exist (RecordStore checks it).
   void append_experiment(const ExperimentContext& context);
   void append_resolution(const DnsMeasurement& record);
   void append_probe(const ProbeMeasurement& record);
@@ -159,17 +181,12 @@ struct RecordBlock {
   void append_trace(obs::ResolutionTrace&& trace);
 
   // --- row access -------------------------------------------------------
+  ExperimentRow experiment_row(size_t slot) const;
   ResolutionRow resolution_row(size_t i) const;
   ProbeRow probe_row(size_t i) const;
   TracerouteRow traceroute_row(size_t i) const;
   ObservationRow observation_row(size_t i) const;
   std::string_view hop_name(uint32_t hop_index) const;
-  /// Context of an experiment whose rows live in this block.
-  const ExperimentContext& experiment(uint32_t experiment_id) const;
-
-  /// Renumbers shard-local ids into a campaign-global stream: adds
-  /// `experiment_base` to every experiment_id column.
-  void shift_ids(uint32_t experiment_base);
 
   bool empty() const { return rows == 0; }
 

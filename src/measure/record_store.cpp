@@ -21,8 +21,16 @@ const std::string& RecordStore::carrier_name(int carrier_index) const {
 RecordBlock& RecordStore::open_block() {
   if (!open_) {
     blocks_.emplace_back();
+    blocks_.back().first_experiment_id =
+        static_cast<uint32_t>(experiment_count_);
     open_ = true;
   }
+  return blocks_.back();
+}
+
+RecordBlock& RecordStore::experiment_block() {
+  CURTAIN_CHECK(open_ && !blocks_.back().experiments.empty())
+      << "measurement row appended before any experiment";
   return blocks_.back();
 }
 
@@ -38,35 +46,31 @@ void RecordStore::seal_open() {
   }
 }
 
-uint32_t RecordStore::add_experiment(ExperimentContext context) {
-  CURTAIN_CHECK(next_experiment_id_ !=
-                std::numeric_limits<uint32_t>::max())
+void RecordStore::add_experiment(const ExperimentContext& context) {
+  CURTAIN_CHECK(experiment_count_ < std::numeric_limits<uint32_t>::max())
       << "experiment id space exhausted";
   if (open_ && blocks_.back().rows >= block_rows_) seal_open();
-  const uint32_t id = next_experiment_id_++;
-  context.experiment_id = id;
   open_block().append_experiment(context);
   ++experiment_count_;
-  return id;
 }
 
 void RecordStore::add_resolution(DnsMeasurement&& record) {
-  open_block().append_resolution(record);
+  experiment_block().append_resolution(record);
   ++resolution_count_;
 }
 
 void RecordStore::add_probe(const ProbeMeasurement& record) {
-  open_block().append_probe(record);
+  experiment_block().append_probe(record);
   ++probe_count_;
 }
 
 void RecordStore::add_traceroute(TracerouteMeasurement&& record) {
-  open_block().append_traceroute(std::move(record));
+  experiment_block().append_traceroute(std::move(record));
   ++traceroute_count_;
 }
 
 void RecordStore::add_observation(const ResolverObservation& record) {
-  open_block().append_observation(record);
+  experiment_block().append_observation(record);
   ++observation_count_;
 }
 
@@ -76,7 +80,7 @@ void RecordStore::add_vantage(const VantageProbe& record) {
 }
 
 int32_t RecordStore::add_trace(obs::ResolutionTrace&& trace) {
-  RecordBlock& block = open_block();
+  RecordBlock& block = experiment_block();
   const auto slot = static_cast<int32_t>(block.traces.size());
   block.append_trace(std::move(trace));
   ++trace_count_;
@@ -94,15 +98,10 @@ void RecordStore::flush() { seal_open(); }
 void RecordStore::consume(RecordBlock&& block) {
   if (block.empty()) return;
   seal_open();
-  if (!block.experiments.empty()) {
-    CURTAIN_CHECK(block.experiments.front().experiment_id ==
-                  next_experiment_id_)
-        << "consumed block breaks the dense experiment-id sequence";
-    CURTAIN_CHECK(block.experiments.size() <=
-                  std::numeric_limits<uint32_t>::max() - next_experiment_id_)
-        << "experiment id space exhausted";
-  }
-  next_experiment_id_ += static_cast<uint32_t>(block.experiments.size());
+  CURTAIN_CHECK(block.experiments.size() <=
+                std::numeric_limits<uint32_t>::max() - experiment_count_)
+      << "experiment id space exhausted";
+  block.first_experiment_id = static_cast<uint32_t>(experiment_count_);
   experiment_count_ += block.experiments.size();
   resolution_count_ += block.resolutions.size();
   probe_count_ += block.probes.size();
@@ -117,26 +116,14 @@ void RecordStore::consume(RecordBlock&& block) {
   }
 }
 
-void RecordStore::drain_renumbered(RecordSink& sink,
-                                   uint32_t experiment_base) {
+void RecordStore::hand_off(RecordSink& sink) {
   flush();
-  CURTAIN_CHECK(static_cast<uint64_t>(experiment_base) + next_experiment_id_ <=
-                std::numeric_limits<uint32_t>::max())
-      << "merged campaign would overflow the 32-bit experiment-id space";
-  for (RecordBlock& block : blocks_) {
-    block.shift_ids(experiment_base);
-    sink.consume(std::move(block));
-  }
-  blocks_.clear();
-  open_ = false;
-  next_experiment_id_ = 0;
-  experiment_count_ = 0;
-  resolution_count_ = 0;
-  probe_count_ = 0;
-  traceroute_count_ = 0;
-  observation_count_ = 0;
-  vantage_count_ = 0;
-  trace_count_ = 0;
+  for (RecordBlock& block : blocks_) sink.consume(std::move(block));
+  // Back to an empty store with the same budget, carrier table and mode.
+  RecordStore emptied(block_rows_);
+  emptied.carriers_ = carriers_;
+  emptied.drain_ = drain_;
+  *this = std::move(emptied);
 }
 
 size_t RecordStore::approx_bytes() const {

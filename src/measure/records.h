@@ -11,6 +11,11 @@
 // columnar record blocks (record_block.h). Nothing retains vectors of these
 // fat structs any more — that is the whole point of the record-block
 // pipeline (DESIGN.md §15).
+//
+// None of them carries an experiment id. Identity is positional: the store
+// attaches each measurement to the latest experiment appended before it,
+// and assigns experiment ids itself when a block joins it; readers see the
+// id on the row views (record_block.h).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +36,6 @@ const char* resolver_kind_name(ResolverKind kind);
 
 /// Context shared by every measurement of one experiment run.
 struct ExperimentContext {
-  uint32_t experiment_id = 0;
   uint64_t device_id = 0;
   /// Into the carrier table the run was built from (RecordStore::carriers()).
   int carrier_index = 0;
@@ -45,7 +49,6 @@ struct ExperimentContext {
 
 /// One DNS resolution of a study domain.
 struct DnsMeasurement {
-  uint32_t experiment_id = 0;
   ResolverKind resolver = ResolverKind::kLocal;
   uint16_t domain_index = 0;  ///< into cdn::study_domains()
   bool responded = false;
@@ -67,7 +70,6 @@ enum class ProbeTargetKind {
 
 /// A ping or HTTP GET (time-to-first-byte) probe.
 struct ProbeMeasurement {
-  uint32_t experiment_id = 0;
   ProbeTargetKind target_kind = ProbeTargetKind::kReplica;
   ResolverKind resolver = ResolverKind::kLocal;  ///< who selected the target
   uint16_t domain_index = 0;                     ///< for replica targets
@@ -79,7 +81,6 @@ struct ProbeMeasurement {
 
 /// One traceroute, stored as the hop names the client would see.
 struct TracerouteMeasurement {
-  uint32_t experiment_id = 0;
   net::Ipv4Addr target_ip;
   ProbeTargetKind target_kind = ProbeTargetKind::kReplica;
   bool reached = false;
@@ -89,7 +90,6 @@ struct TracerouteMeasurement {
 
 /// External-facing resolver identity observed through the research ADNS.
 struct ResolverObservation {
-  uint32_t experiment_id = 0;
   ResolverKind resolver = ResolverKind::kLocal;
   bool responded = false;
   net::Ipv4Addr external_ip;  ///< address our ADNS saw querying

@@ -21,6 +21,10 @@
 
 namespace curtain::publicdns {
 
+/// The anycast VIPs clients configure: Google Public DNS and OpenDNS.
+inline constexpr net::Ipv4Addr kGoogleVip{8, 8, 8, 8};
+inline constexpr net::Ipv4Addr kOpenDnsVip{208, 67, 222, 222};
+
 struct PublicDnsSite {
   std::string metro;
   net::GeoPoint location;

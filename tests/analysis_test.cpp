@@ -170,12 +170,13 @@ TEST(ReplicaMap, EmptyMapSimilarityZero) {
 
 // --- synthetic-dataset analyses ---------------------------------------------
 
-// Builds a hand-crafted dataset for exact-value assertions.
+// Builds a hand-crafted dataset for exact-value assertions. Each row
+// belongs to the experiment added last before it.
 class SyntheticDataset : public ::testing::Test {
  protected:
-  uint32_t add_experiment(int carrier, uint64_t device, double hour,
-                          net::Ipv4Addr configured,
-                          net::GeoPoint location = {40.0, -74.0}) {
+  void add_experiment(int carrier, uint64_t device, double hour,
+                      net::Ipv4Addr configured,
+                      net::GeoPoint location = {40.0, -74.0}) {
     measure::ExperimentContext context;
     context.device_id = device;
     context.carrier_index = carrier;
@@ -183,23 +184,20 @@ class SyntheticDataset : public ::testing::Test {
     context.location = location;
     context.configured_resolver = configured;
     context.public_ip = net::Ipv4Addr{100, 0, 0, 1};
-    return d_.add_experiment(context);
+    d_.add_experiment(context);
   }
 
-  void add_observation(uint32_t experiment, ResolverKind kind,
-                       net::Ipv4Addr external) {
+  void add_observation(ResolverKind kind, net::Ipv4Addr external) {
     measure::ResolverObservation observation;
-    observation.experiment_id = experiment;
     observation.resolver = kind;
     observation.responded = true;
     observation.external_ip = external;
     d_.add_observation(observation);
   }
 
-  void add_http(uint32_t experiment, ResolverKind kind, uint16_t domain,
-                net::Ipv4Addr replica, double ttfb) {
+  void add_http(ResolverKind kind, uint16_t domain, net::Ipv4Addr replica,
+                double ttfb) {
     measure::ProbeMeasurement probe;
-    probe.experiment_id = experiment;
     probe.target_kind = measure::ProbeTargetKind::kReplica;
     probe.resolver = kind;
     probe.domain_index = domain;
@@ -210,10 +208,9 @@ class SyntheticDataset : public ::testing::Test {
     d_.add_probe(probe);
   }
 
-  void add_resolution(uint32_t experiment, ResolverKind kind, uint16_t domain,
+  void add_resolution(ResolverKind kind, uint16_t domain,
                       std::vector<net::Ipv4Addr> addresses) {
     measure::DnsMeasurement r;
-    r.experiment_id = experiment;
     r.resolver = kind;
     r.domain_index = domain;
     r.responded = true;
@@ -231,10 +228,11 @@ TEST_F(SyntheticDataset, LdnsPairStatsConsistency) {
   const net::Ipv4Addr ext_b{20, 0, 1, 1};
   // Carrier 0: 3 of 4 measurements pair client with ext_a => 75%.
   for (int i = 0; i < 3; ++i) {
-    add_observation(add_experiment(0, 1, i, client), ResolverKind::kLocal,
-                    ext_a);
+    add_experiment(0, 1, i, client);
+    add_observation(ResolverKind::kLocal, ext_a);
   }
-  add_observation(add_experiment(0, 1, 9, client), ResolverKind::kLocal, ext_b);
+  add_experiment(0, 1, 9, client);
+  add_observation(ResolverKind::kLocal, ext_b);
 
   const auto stats = ldns_pair_stats(d_);
   ASSERT_EQ(stats.size(), 6u);
@@ -250,10 +248,14 @@ TEST_F(SyntheticDataset, TimelineRanksFirstAppearance) {
   const net::Ipv4Addr a{20, 0, 0, 1};
   const net::Ipv4Addr b{20, 0, 1, 1};  // different /24
   const net::Ipv4Addr c{20, 0, 0, 2};  // same /24 as a
-  add_observation(add_experiment(0, 5, 1, client), ResolverKind::kLocal, a);
-  add_observation(add_experiment(0, 5, 2, client), ResolverKind::kLocal, b);
-  add_observation(add_experiment(0, 5, 3, client), ResolverKind::kLocal, a);
-  add_observation(add_experiment(0, 5, 4, client), ResolverKind::kLocal, c);
+  add_experiment(0, 5, 1, client);
+  add_observation(ResolverKind::kLocal, a);
+  add_experiment(0, 5, 2, client);
+  add_observation(ResolverKind::kLocal, b);
+  add_experiment(0, 5, 3, client);
+  add_observation(ResolverKind::kLocal, a);
+  add_experiment(0, 5, 4, client);
+  add_observation(ResolverKind::kLocal, c);
 
   const auto timelines = resolver_timelines(d_, 0, ResolverKind::kLocal);
   ASSERT_EQ(timelines.size(), 1u);
@@ -269,11 +271,11 @@ TEST_F(SyntheticDataset, StaticFilterDropsTravelObservations) {
   const net::GeoPoint home{40.0, -74.0};
   const net::GeoPoint away{34.0, -118.0};
   for (int i = 0; i < 8; ++i) {
-    add_observation(add_experiment(0, 6, i, client, home), ResolverKind::kLocal,
-                    net::Ipv4Addr{20, 0, 0, 1});
+    add_experiment(0, 6, i, client, home);
+    add_observation(ResolverKind::kLocal, net::Ipv4Addr{20, 0, 0, 1});
   }
-  add_observation(add_experiment(0, 6, 20, client, away), ResolverKind::kLocal,
-                  net::Ipv4Addr{20, 0, 9, 1});
+  add_experiment(0, 6, 20, client, away);
+  add_observation(ResolverKind::kLocal, net::Ipv4Addr{20, 0, 9, 1});
 
   const auto timelines =
       static_resolver_timelines(d_, 0, ResolverKind::kLocal, 10.0);
@@ -283,11 +285,11 @@ TEST_F(SyntheticDataset, StaticFilterDropsTravelObservations) {
 }
 
 TEST_F(SyntheticDataset, ReplicaPenaltyComputesPercentIncrease) {
-  const auto e = add_experiment(0, 7, 1, net::Ipv4Addr{10, 0, 0, 1});
+  add_experiment(0, 7, 1, net::Ipv4Addr{10, 0, 0, 1});
   // Replica A mean 100, replica B mean 150 => penalties {0%, 50%}.
-  add_http(e, ResolverKind::kLocal, 2, net::Ipv4Addr{30, 0, 0, 1}, 90);
-  add_http(e, ResolverKind::kLocal, 2, net::Ipv4Addr{30, 0, 0, 1}, 110);
-  add_http(e, ResolverKind::kLocal, 2, net::Ipv4Addr{30, 0, 1, 1}, 150);
+  add_http(ResolverKind::kLocal, 2, net::Ipv4Addr{30, 0, 0, 1}, 90);
+  add_http(ResolverKind::kLocal, 2, net::Ipv4Addr{30, 0, 0, 1}, 110);
+  add_http(ResolverKind::kLocal, 2, net::Ipv4Addr{30, 0, 1, 1}, 150);
   const auto penalties = replica_penalty_by_carrier(d_, {2});
   ASSERT_TRUE(penalties.count(0));
   const auto& cdf = penalties.at(0);
@@ -306,15 +308,15 @@ TEST_F(SyntheticDataset, CosineByPrefixSplitsCorrectly) {
 
   // a1 and a2 see replica set X; b sees Y.
   for (int i = 0; i < 3; ++i) {
-    const auto e1 = add_experiment(0, 8, i, client);
-    add_observation(e1, ResolverKind::kLocal, resolver_a1);
-    add_resolution(e1, ResolverKind::kLocal, 5, replicas_x);
-    const auto e2 = add_experiment(0, 8, i + 10, client);
-    add_observation(e2, ResolverKind::kLocal, resolver_a2);
-    add_resolution(e2, ResolverKind::kLocal, 5, replicas_x);
-    const auto e3 = add_experiment(0, 8, i + 20, client);
-    add_observation(e3, ResolverKind::kLocal, resolver_b);
-    add_resolution(e3, ResolverKind::kLocal, 5, replicas_y);
+    add_experiment(0, 8, i, client);
+    add_observation(ResolverKind::kLocal, resolver_a1);
+    add_resolution(ResolverKind::kLocal, 5, replicas_x);
+    add_experiment(0, 8, i + 10, client);
+    add_observation(ResolverKind::kLocal, resolver_a2);
+    add_resolution(ResolverKind::kLocal, 5, replicas_x);
+    add_experiment(0, 8, i + 20, client);
+    add_observation(ResolverKind::kLocal, resolver_b);
+    add_resolution(ResolverKind::kLocal, 5, replicas_y);
   }
 
   const auto split = cosine_by_prefix(d_, 5, 0);
@@ -325,10 +327,10 @@ TEST_F(SyntheticDataset, CosineByPrefixSplitsCorrectly) {
 }
 
 TEST_F(SyntheticDataset, CensusCountsIpsAndPrefixes) {
-  const auto e = add_experiment(2, 9, 1, net::Ipv4Addr{10, 0, 0, 1});
-  add_observation(e, ResolverKind::kGoogle, net::Ipv4Addr{8, 8, 4, 1});
-  add_observation(e, ResolverKind::kGoogle, net::Ipv4Addr{8, 8, 4, 2});
-  add_observation(e, ResolverKind::kLocal, net::Ipv4Addr{20, 0, 0, 1});
+  add_experiment(2, 9, 1, net::Ipv4Addr{10, 0, 0, 1});
+  add_observation(ResolverKind::kGoogle, net::Ipv4Addr{8, 8, 4, 1});
+  add_observation(ResolverKind::kGoogle, net::Ipv4Addr{8, 8, 4, 2});
+  add_observation(ResolverKind::kLocal, net::Ipv4Addr{20, 0, 0, 1});
   const auto census = resolver_census(d_);
   const auto& row = census[2];
   EXPECT_EQ(row.unique_ips[static_cast<size_t>(ResolverKind::kGoogle)], 2u);
@@ -337,15 +339,13 @@ TEST_F(SyntheticDataset, CensusCountsIpsAndPrefixes) {
 }
 
 TEST_F(SyntheticDataset, EgressExtractionFindsLastCarrierHop) {
-  const auto e = add_experiment(3, 10, 1, net::Ipv4Addr{10, 0, 0, 1});
+  add_experiment(3, 10, 1, net::Ipv4Addr{10, 0, 0, 1});
   measure::TracerouteMeasurement trace;
-  trace.experiment_id = e;
   trace.hop_names = {"Verizon-pgw-7", "ix-Chicago", "fastedge-Chicago-r0"};
   trace.reached = true;
   d_.add_traceroute(std::move(trace));
 
   measure::TracerouteMeasurement trace2;
-  trace2.experiment_id = e;
   trace2.hop_names = {"Verizon-pgw-9", "*", "ix-Dallas"};
   trace2.reached = false;
   d_.add_traceroute(std::move(trace2));
@@ -371,13 +371,13 @@ TEST_F(SyntheticDataset, ReachabilityTable) {
 }
 
 TEST_F(SyntheticDataset, Fig14AggregationByPrefix) {
-  const auto e = add_experiment(0, 11, 1, net::Ipv4Addr{10, 0, 0, 1});
+  add_experiment(0, 11, 1, net::Ipv4Addr{10, 0, 0, 1});
   // Same /24 replica sets: delta must be exactly zero.
-  add_http(e, ResolverKind::kLocal, 0, net::Ipv4Addr{30, 1, 1, 1}, 100);
-  add_http(e, ResolverKind::kGoogle, 0, net::Ipv4Addr{30, 1, 1, 2}, 170);
+  add_http(ResolverKind::kLocal, 0, net::Ipv4Addr{30, 1, 1, 1}, 100);
+  add_http(ResolverKind::kGoogle, 0, net::Ipv4Addr{30, 1, 1, 2}, 170);
   // Different /24s for domain 1: delta = (120-100)/100 = +20%.
-  add_http(e, ResolverKind::kLocal, 1, net::Ipv4Addr{30, 2, 2, 1}, 100);
-  add_http(e, ResolverKind::kGoogle, 1, net::Ipv4Addr{30, 3, 3, 1}, 120);
+  add_http(ResolverKind::kLocal, 1, net::Ipv4Addr{30, 2, 2, 1}, 100);
+  add_http(ResolverKind::kGoogle, 1, net::Ipv4Addr{30, 3, 3, 1}, 120);
 
   const auto groups = fig14_public_replica_delta(d_);
   const auto& google = groups.at(d_.carrier_name(0)).at("GoogleDNS");
@@ -387,10 +387,10 @@ TEST_F(SyntheticDataset, Fig14AggregationByPrefix) {
 }
 
 TEST_F(SyntheticDataset, HeadlineCountsEqualOrBetter) {
-  const auto e = add_experiment(0, 12, 1, net::Ipv4Addr{10, 0, 0, 1});
-  add_http(e, ResolverKind::kLocal, 0, net::Ipv4Addr{30, 1, 1, 1}, 100);
-  add_http(e, ResolverKind::kGoogle, 0, net::Ipv4Addr{30, 9, 1, 2}, 80);
-  add_http(e, ResolverKind::kOpenDns, 0, net::Ipv4Addr{30, 8, 1, 2}, 180);
+  add_experiment(0, 12, 1, net::Ipv4Addr{10, 0, 0, 1});
+  add_http(ResolverKind::kLocal, 0, net::Ipv4Addr{30, 1, 1, 1}, 100);
+  add_http(ResolverKind::kGoogle, 0, net::Ipv4Addr{30, 9, 1, 2}, 80);
+  add_http(ResolverKind::kOpenDns, 0, net::Ipv4Addr{30, 8, 1, 2}, 180);
   EXPECT_NEAR(headline_public_equal_or_better(d_), 0.5, 1e-9);
 }
 

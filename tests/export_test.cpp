@@ -27,7 +27,6 @@ RecordStore tiny_dataset() {
   d.add_experiment(context);
 
   measure::DnsMeasurement r;
-  r.experiment_id = 0;
   r.resolver = measure::ResolverKind::kLocal;
   r.domain_index = 6;  // m.yelp.com
   r.responded = true;
@@ -36,7 +35,6 @@ RecordStore tiny_dataset() {
   d.add_resolution(std::move(r));
 
   measure::ProbeMeasurement p;
-  p.experiment_id = 0;
   p.target_kind = measure::ProbeTargetKind::kReplica;
   p.resolver = measure::ResolverKind::kGoogle;
   p.domain_index = 6;
@@ -47,14 +45,12 @@ RecordStore tiny_dataset() {
   d.add_probe(p);
 
   measure::TracerouteMeasurement t;
-  t.experiment_id = 0;
   t.target_ip = net::Ipv4Addr{20, 0, 1, 1};
   t.reached = true;
   t.hop_names = {"Verizon-pgw-3", "ix-Chicago"};
   d.add_traceroute(std::move(t));
 
   measure::ResolverObservation o;
-  o.experiment_id = 0;
   o.resolver = measure::ResolverKind::kLocal;
   o.responded = true;
   o.external_ip = net::Ipv4Addr{20, 7, 7, 7};

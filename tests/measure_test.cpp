@@ -33,6 +33,95 @@ TEST(ResolverKindNames, Stable) {
   EXPECT_STREQ(resolver_kind_name(ResolverKind::kOpenDns), "OpenDNS");
 }
 
+ExperimentContext context_of(uint64_t device_id) {
+  ExperimentContext context;
+  context.device_id = device_id;
+  return context;
+}
+
+ProbeMeasurement probe_to(uint8_t last_octet) {
+  ProbeMeasurement probe;
+  probe.target_ip = net::Ipv4Addr{30, 0, 0, last_octet};
+  return probe;
+}
+
+// Record identity is positional: a row carries no experiment id, belongs
+// to the latest experiment appended before it, and gets its id from the
+// store its block joins.
+TEST(RecordStore, RowsAttachToTheLatestExperimentAndTakeIdsFromTheirStore) {
+  // 1. Rows attach to the latest experiment.
+  RecordStore store;
+  store.add_experiment(context_of(7));
+  store.add_probe(probe_to(1));
+  store.add_experiment(context_of(8));
+  store.add_probe(probe_to(2));
+  DnsMeasurement resolution;
+  resolution.domain_index = 3;
+  store.add_resolution(std::move(resolution));
+  TracerouteMeasurement traceroute;
+  traceroute.hop_names = {"ix-Chicago"};
+  store.add_traceroute(std::move(traceroute));
+  store.add_observation(ResolverObservation{});
+  std::vector<std::pair<uint32_t, uint64_t>> probes;
+  for (const auto probe : store.probes()) {
+    probes.emplace_back(probe.experiment_id, probe.context().device_id);
+  }
+  EXPECT_EQ(probes, (std::vector<std::pair<uint32_t, uint64_t>>{{0, 7},
+                                                                {1, 8}}));
+  for (const auto row : store.resolutions()) {
+    EXPECT_EQ(row.experiment_id, 1u);
+    EXPECT_EQ(row.context().device_id, 8u);
+  }
+  for (const auto row : store.traceroutes()) {
+    EXPECT_EQ(row.context().device_id, 8u);
+  }
+  for (const auto row : store.observations()) {
+    EXPECT_EQ(row.context().device_id, 8u);
+  }
+
+  // 2. A consuming store numbers experiments densely from its own count.
+  // Budget 1 seals every experiment into its own block, so each producer
+  // hands over several blocks that it numbered from 0.
+  RecordStore first(1);
+  RecordStore second(1);
+  for (const uint64_t device : {10u, 11u, 12u}) {
+    first.add_experiment(context_of(device));
+    first.add_probe(probe_to(static_cast<uint8_t>(device)));
+  }
+  for (const uint64_t device : {20u, 21u}) {
+    second.add_experiment(context_of(device));
+    second.add_probe(probe_to(static_cast<uint8_t>(device)));
+  }
+  second.flush();
+  ASSERT_EQ(second.blocks().size(), 2u);
+  EXPECT_EQ(second.blocks()[1].first_experiment_id, 1u);
+  RecordStore merged;
+  merged.add_experiment(context_of(1));  // the merged store's own first
+  first.hand_off(merged);
+  second.hand_off(merged);
+  EXPECT_EQ(first.experiment_count(), 0u);
+  EXPECT_TRUE(second.blocks().empty());
+  ASSERT_EQ(merged.experiment_count(), 6u);
+  uint32_t next_id = 0;
+  std::vector<uint64_t> devices;
+  for (const auto experiment : merged.experiments()) {
+    EXPECT_EQ(experiment.experiment_id, next_id++);
+    devices.push_back(experiment.context().device_id);
+  }
+  EXPECT_EQ(devices, (std::vector<uint64_t>{1, 10, 11, 12, 20, 21}));
+  uint32_t probe_id = 1;
+  for (const auto probe : merged.probes()) {
+    EXPECT_EQ(probe.experiment_id, probe_id++);
+    // Still its producer's experiment: each probe targets its device.
+    EXPECT_EQ(probe.target_ip.octet(3), probe.context().device_id);
+  }
+  EXPECT_EQ(probe_id, 6u);
+
+  // 3. A row appended before any experiment aborts.
+  RecordStore empty;
+  EXPECT_DEATH(empty.add_probe(probe_to(1)), "before any experiment");
+}
+
 TEST(CampaignConfig, ScaledShortensDuration) {
   const auto full = CampaignConfig::scaled(1.0);
   EXPECT_DOUBLE_EQ(full.duration_days, 153.0);
@@ -98,7 +187,8 @@ TEST_F(MeasurePipelineTest, SecondLookupsAreFasterTypically) {
 }
 
 TEST_F(MeasurePipelineTest, ExperimentContextsPopulated) {
-  for (const auto& context : study_->records().experiments()) {
+  for (const auto experiment : study_->records().experiments()) {
+    const measure::ExperimentContext& context = experiment.context();
     EXPECT_LT(context.carrier_index, 6);
     EXPECT_FALSE(context.public_ip.is_unspecified());
     EXPECT_FALSE(context.configured_resolver.is_unspecified());

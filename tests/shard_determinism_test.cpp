@@ -166,42 +166,38 @@ class CollectingSink final : public measure::RecordSink {
 };
 
 /// Every row of `block` must find its experiment (and a sampled
-/// resolution its trace) inside the block itself.
+/// resolution its trace) inside the block itself: each experiment slot
+/// indexes the block's experiments, and a row's context is that slot's.
 void expect_experiment_aligned(const measure::RecordBlock& block) {
+  const size_t experiments = block.experiments.size();
   for (size_t i = 0; i < block.resolutions.size(); ++i) {
+    const uint32_t slot = block.resolutions.experiment_slot[i];
+    ASSERT_LT(slot, experiments);
     const measure::ResolutionRow row = block.resolution_row(i);
-    ASSERT_FALSE(block.experiments.empty());
-    ASSERT_GE(row.experiment_id, block.experiments.front().experiment_id);
-    ASSERT_LE(row.experiment_id, block.experiments.back().experiment_id);
-    EXPECT_EQ(row.context().experiment_id, row.experiment_id);
+    EXPECT_EQ(row.experiment_id, block.first_experiment_id + slot);
+    EXPECT_EQ(&row.context(), &block.experiments[slot]);
     if (row.trace_slot >= 0) {
       ASSERT_LT(static_cast<size_t>(row.trace_slot), block.traces.size());
       EXPECT_NEAR(row.trace()->total_ms, row.resolution_ms, 1e-6);
     }
   }
-  const auto in_block = [&](uint32_t experiment_id) {
-    return !block.experiments.empty() &&
-           experiment_id >= block.experiments.front().experiment_id &&
-           experiment_id <= block.experiments.back().experiment_id;
-  };
-  for (const uint32_t id : block.probes.experiment_id) {
-    EXPECT_TRUE(in_block(id)) << "probe of experiment " << id;
+  for (const uint32_t slot : block.probes.experiment_slot) {
+    EXPECT_LT(slot, experiments) << "probe";
   }
-  for (const uint32_t id : block.traceroutes.experiment_id) {
-    EXPECT_TRUE(in_block(id)) << "traceroute of experiment " << id;
+  for (const uint32_t slot : block.traceroutes.experiment_slot) {
+    EXPECT_LT(slot, experiments) << "traceroute";
   }
-  for (const auto& observation : block.observations) {
-    EXPECT_TRUE(in_block(observation.experiment_id))
-        << "observation of experiment " << observation.experiment_id;
+  for (const uint32_t slot : block.observations.experiment_slot) {
+    EXPECT_LT(slot, experiments) << "observation";
   }
 }
 
 // The bounded-memory engine path: run_streaming hands each shard's sealed
 // blocks to that shard's own sink on the worker thread. Each sink must
-// see a complete shard-local stream (dense ids from 0, experiment-aligned
-// blocks, one finish()), and the shards together must carry exactly the
-// campaign run() merges. The minimum block budget makes every shard seal
-// many blocks.
+// see a complete shard-local stream (block bases running dense from 0,
+// experiment-aligned blocks, one finish()), and the shards together must
+// carry exactly the campaign run() merges. The minimum block budget makes
+// every shard seal many blocks.
 TEST(ShardDeterminism, StreamingRunDeliversAlignedShardStreams) {
   ::setenv("CURTAIN_BLOCK_ROWS", "256", 1);
   for (const int workers : {1, 4}) {
@@ -218,7 +214,6 @@ TEST(ShardDeterminism, StreamingRunDeliversAlignedShardStreams) {
     engine_config.workers = config.shards;
     engine_config.cohorts = config.cohorts;
     engine_config.campaign = config.campaign_config();
-    engine_config.experiment = config.experiment;
     std::vector<exec::CampaignEngine::CarrierRef> carriers;
     for (size_t c = 0; c < world.carriers().size(); ++c) {
       carriers.push_back(exec::CampaignEngine::CarrierRef{
@@ -242,11 +237,10 @@ TEST(ShardDeterminism, StreamingRunDeliversAlignedShardStreams) {
     for (size_t s = 0; s < sinks.size(); ++s) {
       SCOPED_TRACE("shard " + std::to_string(s));
       EXPECT_EQ(sinks[s].finish_calls, 1);
-      uint32_t next_id = 0;
+      uint32_t next_base = 0;
       for (const measure::RecordBlock& block : sinks[s].blocks) {
-        for (const auto& context : block.experiments) {
-          EXPECT_EQ(context.experiment_id, next_id++);
-        }
+        EXPECT_EQ(block.first_experiment_id, next_base);
+        next_base += static_cast<uint32_t>(block.experiments.size());
         expect_experiment_aligned(block);
         experiments += block.experiments.size();
         resolutions += block.resolutions.size();

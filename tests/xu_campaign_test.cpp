@@ -35,8 +35,8 @@ TEST_F(XuCampaignTest, FleetSizedByXuProfiles) {
 }
 
 TEST_F(XuCampaignTest, NoLteAnywhere) {
-  for (const auto& context : study_->records().experiments()) {
-    EXPECT_NE(context.radio, cellular::RadioTech::kLte);
+  for (const auto experiment : study_->records().experiments()) {
+    EXPECT_NE(experiment.context().radio, cellular::RadioTech::kLte);
   }
 }
 
