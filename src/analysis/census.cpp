@@ -4,6 +4,19 @@
 
 namespace curtain::analysis {
 
+std::vector<size_t> active_devices_per_carrier(
+    const measure::RecordStore& dataset) {
+  std::vector<std::set<uint64_t>> devices(dataset.carriers().size());
+  for (const auto experiment : dataset.experiments()) {
+    const measure::ExperimentContext& context = experiment.context();
+    devices[static_cast<size_t>(context.carrier_index)].insert(
+        context.device_id);
+  }
+  std::vector<size_t> out;
+  for (const auto& carrier : devices) out.push_back(carrier.size());
+  return out;
+}
+
 std::vector<ResolverCensusRow> resolver_census(const measure::RecordStore& dataset) {
   const size_t carriers = dataset.carriers().size();
   std::vector<std::array<std::set<uint32_t>, measure::kNumResolverKinds>> ips(

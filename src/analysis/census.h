@@ -1,4 +1,5 @@
-// Resolver census (paper Table 5): distinct resolver addresses and /24s
+// Census tables: the devices that took part (paper Table 1) and the
+// resolver census (Table 5) — distinct resolver addresses and /24s
 // observed per carrier for the local, Google and OpenDNS resolver groups.
 #pragma once
 
@@ -15,6 +16,11 @@ struct ResolverCensusRow {
   std::array<size_t, measure::kNumResolverKinds> unique_ips{};
   std::array<size_t, measure::kNumResolverKinds> unique_slash24s{};
 };
+
+/// Distinct devices with at least one experiment, indexed like
+/// dataset.carriers().
+std::vector<size_t> active_devices_per_carrier(
+    const measure::RecordStore& dataset);
 
 std::vector<ResolverCensusRow> resolver_census(const measure::RecordStore& dataset);
 

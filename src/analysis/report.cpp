@@ -2,6 +2,7 @@
 
 #include <iomanip>
 
+#include "analysis/census.h"
 #include "analysis/figures.h"
 #include "cdn/domains.h"
 #include "cellular/carrier_profile.h"
@@ -73,13 +74,15 @@ void write_report(const RecordStore& dataset, const ReportConfig& config,
 
   // --- Table 1 ---------------------------------------------------------
   section(out, "Table 1 — measurement clients per carrier");
-  table_header(out, {"Carrier", "Country", "Paper clients", "Built devices"});
-  for (const auto& profile : carriers) {
-    table_row(out, {profile.name, profile.country,
-                    std::to_string(profile.study_clients),
-                    std::to_string(profile.study_clients)});
+  table_header(out, {"Carrier", "Country", "Paper clients", "Active devices"});
+  const std::vector<size_t> active = active_devices_per_carrier(dataset);
+  for (size_t c = 0; c < carriers.size(); ++c) {
+    table_row(out, {carriers[c].name, carriers[c].country,
+                    std::to_string(carriers[c].study_clients),
+                    std::to_string(active[c])});
   }
-  out << "\nPaper total: 158; fleet is constructed to match exactly.\n";
+  out << "\nPaper total: 158; the fleet is built to match exactly. Active "
+         "devices ran at least one experiment in this campaign.\n";
 
   // --- Table 2 ---------------------------------------------------------
   section(out, "Table 2 — measured domains");
