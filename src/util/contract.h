@@ -1,9 +1,9 @@
 // Runtime contracts: CURTAIN_CHECK / CURTAIN_DCHECK / CURTAIN_UNREACHABLE.
 //
 // The determinism linter (tools/curtain_lint) enforces what can be seen
-// statically; these macros guard the invariants it cannot — index bounds at
-// shard-merge renumbering, referential integrity of trace indices at
-// export, allocator exhaustion. A failed contract prints the expression,
+// statically; these macros guard the invariants it cannot — the experiment
+// id space as record blocks join a store, referential integrity of
+// experiment and trace slots at export, allocator exhaustion. A failed contract prints the expression,
 // location and any streamed context, then aborts: a loud stop beats a
 // silently corrupted dataset.
 //
