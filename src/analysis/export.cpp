@@ -1,6 +1,9 @@
+// lint-hot-path: every writer below formats one row per record; rows are
+// built from views and stack buffers, never per-cell strings.
 #include "analysis/export.h"
 
 #include <fstream>
+#include <string_view>
 
 #include "cdn/domains.h"
 #include "util/contract.h"
@@ -50,6 +53,21 @@ void check_records_integrity(const measure::RecordStore& records) {
   }
 }
 
+/// An address or prefix rendered into a stack buffer, handed to the CSV
+/// writer as a view (util cannot see net types).
+template <typename Net>
+class NetText {
+ public:
+  explicit NetText(const Net& value)
+      : size_(static_cast<size_t>(value.to_chars(buf_, buf_ + sizeof(buf_)) -
+                                  buf_)) {}
+  std::string_view view() const { return {buf_, size_}; }
+
+ private:
+  char buf_[Net::kMaxChars];
+  size_t size_;
+};
+
 }  // namespace
 
 void export_experiments_csv(const measure::RecordStore& records,
@@ -62,10 +80,10 @@ void export_experiments_csv(const measure::RecordStore& records,
     csv.typed_row(experiment.experiment_id, context.device_id,
                   records.carrier_name(context.carrier_index),
                   context.started.hours(),
-                  std::string(cellular::radio_tech_name(context.radio)),
+                  cellular::radio_tech_name(context.radio),
                   context.location.lat_deg, context.location.lon_deg,
-                  context.gateway_index, context.public_ip.to_string(),
-                  context.configured_resolver.to_string());
+                  context.gateway_index, NetText(context.public_ip).view(),
+                  NetText(context.configured_resolver).view());
   }
 }
 
@@ -74,15 +92,16 @@ void export_resolutions_csv(const measure::RecordStore& records,
   util::CsvWriter csv(out);
   csv.row({"experiment_id", "carrier", "resolver", "domain", "second_lookup",
            "responded", "resolution_ms", "addresses"});
+  std::string addresses;
   for (const auto r : records.resolutions()) {
-    std::string addresses;
+    addresses.clear();
     for (const auto address : r.addresses) {
       if (!addresses.empty()) addresses += ' ';
-      addresses += address.to_string();
+      addresses += NetText(address).view();
     }
     csv.typed_row(r.experiment_id,
                   records.carrier_name(r.context().carrier_index),
-                  std::string(measure::resolver_kind_name(r.resolver)),
+                  measure::resolver_kind_name(r.resolver),
                   cdn::study_domains()[r.domain_index].host,
                   int(r.second_lookup), int(r.responded), r.resolution_ms,
                   addresses);
@@ -97,14 +116,14 @@ void export_probes_csv(const measure::RecordStore& records,
   for (const auto p : records.probes()) {
     csv.typed_row(p.experiment_id,
                   records.carrier_name(p.context().carrier_index),
-                  std::string(target_kind_name(p.target_kind)),
-                  std::string(measure::resolver_kind_name(p.resolver)),
+                  target_kind_name(p.target_kind),
+                  measure::resolver_kind_name(p.resolver),
                   p.target_kind == measure::ProbeTargetKind::kReplica
-                      ? cdn::study_domains()[p.domain_index].host
-                      : std::string(),
-                  p.target_ip.to_string(),
-                  std::string(p.is_http ? "http" : "ping"), int(p.responded),
-                  p.rtt_ms);
+                      ? std::string_view(
+                            cdn::study_domains()[p.domain_index].host)
+                      : std::string_view(),
+                  NetText(p.target_ip).view(), p.is_http ? "http" : "ping",
+                  int(p.responded), p.rtt_ms);
   }
 }
 
@@ -113,16 +132,16 @@ void export_traceroutes_csv(const measure::RecordStore& records,
   util::CsvWriter csv(out);
   csv.row({"experiment_id", "carrier", "target_ip", "target_kind", "reached",
            "hops"});
+  std::string hops;
   for (const auto t : records.traceroutes()) {
-    std::string hops;
+    hops.clear();
     for (size_t i = 0; i < t.hop_count; ++i) {
       if (!hops.empty()) hops += '|';
       hops += t.hop(i);
     }
     csv.typed_row(t.experiment_id,
                   records.carrier_name(t.context().carrier_index),
-                  t.target_ip.to_string(),
-                  std::string(target_kind_name(t.target_kind)),
+                  NetText(t.target_ip).view(), target_kind_name(t.target_kind),
                   int(t.reached), hops);
   }
 }
@@ -135,9 +154,9 @@ void export_resolver_observations_csv(const measure::RecordStore& records,
   for (const auto o : records.observations()) {
     csv.typed_row(o.experiment_id,
                   records.carrier_name(o.context().carrier_index),
-                  std::string(measure::resolver_kind_name(o.resolver)),
-                  int(o.responded), o.external_ip.to_string(),
-                  net::Prefix(o.external_ip.slash24(), 24).to_string(),
+                  measure::resolver_kind_name(o.resolver), int(o.responded),
+                  NetText(o.external_ip).view(),
+                  NetText(net::Prefix(o.external_ip.slash24(), 24)).view(),
                   o.resolution_ms);
   }
 }
@@ -148,7 +167,7 @@ void export_vantage_probes_csv(const measure::RecordStore& records,
   csv.row({"carrier", "target_ip", "ping_responded", "traceroute_reached"});
   for (const auto& v : records.vantage_probes()) {
     csv.typed_row(records.carrier_name(v.carrier_index),
-                  v.target_ip.to_string(), int(v.ping_responded),
+                  NetText(v.target_ip).view(), int(v.ping_responded),
                   int(v.traceroute_reached));
   }
 }

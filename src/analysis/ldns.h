@@ -37,11 +37,28 @@ struct ResolverTimeline {
   size_t unique_slash24s() const;
 };
 
+/// One responding resolver observation joined to its experiment context.
+struct JoinedObservation {
+  const measure::ExperimentContext* context;
+  net::Ipv4Addr external_ip;
+};
+
+/// A carrier's responding observations of one resolver kind, ordered by
+/// experiment start: the input every timeline below is built from. A
+/// caller that needs several timeline views of one carrier and kind (the
+/// report's Figs. 8/9) joins once and passes the result to the overloads
+/// that take it; the results are the same as the dataset overloads'.
+std::vector<JoinedObservation> joined_observations(
+    const measure::RecordStore& dataset, int carrier_index,
+    measure::ResolverKind kind);
+
 /// Timelines for all devices of a carrier, for the given resolver kind
 /// (kLocal reproduces Figs. 8/9; kGoogle reproduces Fig. 12).
 std::vector<ResolverTimeline> resolver_timelines(
     const measure::RecordStore& dataset, int carrier_index,
     measure::ResolverKind kind);
+std::vector<ResolverTimeline> resolver_timelines(
+    const std::vector<JoinedObservation>& joined, int carrier_index);
 
 /// Same, but keeping only observations within `radius_km` of the device's
 /// modal location — the paper's "static location" filter (Fig. 9 uses
@@ -49,5 +66,8 @@ std::vector<ResolverTimeline> resolver_timelines(
 std::vector<ResolverTimeline> static_resolver_timelines(
     const measure::RecordStore& dataset, int carrier_index,
     measure::ResolverKind kind, double radius_km = 10.0);
+std::vector<ResolverTimeline> static_resolver_timelines(
+    const std::vector<JoinedObservation>& joined, int carrier_index,
+    double radius_km = 10.0);
 
 }  // namespace curtain::analysis

@@ -201,8 +201,9 @@ void write_report(const RecordStore& dataset, const ReportConfig& config,
   table_header(out, {"Carrier", "mean IPs/client", "max IPs", "max /24s",
                      "static clients w/ churn"});
   for (int c = 0; c < static_cast<int>(carriers.size()); ++c) {
-    const auto timelines =
-        resolver_timelines(dataset, c, measure::ResolverKind::kLocal);
+    const auto joined =
+        joined_observations(dataset, c, measure::ResolverKind::kLocal);
+    const auto timelines = resolver_timelines(joined, c);
     double mean_ips = 0.0;
     size_t max_ips = 0;
     size_t max_prefixes = 0;
@@ -212,8 +213,7 @@ void write_report(const RecordStore& dataset, const ReportConfig& config,
       max_prefixes = std::max(max_prefixes, timeline.unique_slash24s());
     }
     if (!timelines.empty()) mean_ips /= static_cast<double>(timelines.size());
-    const auto static_timelines =
-        static_resolver_timelines(dataset, c, measure::ResolverKind::kLocal);
+    const auto static_timelines = static_resolver_timelines(joined, c);
     size_t churning = 0;
     for (const auto& timeline : static_timelines) {
       if (timeline.unique_ips() > 1) ++churning;
@@ -334,7 +334,9 @@ void write_report(const RecordStore& dataset, const ReportConfig& config,
          "aggregation; public DNS replicas equal-or-better **>75%** of the "
          "time.\n\n";
   table_header(out, {"Carrier", "Service", "exactly 0", "equal-or-better"});
-  for (const auto& [carrier, group] : fig14_public_replica_delta(dataset)) {
+  // One pass feeds both the per-carrier table and the pooled headline.
+  const auto fig14 = fig14_public_replica_delta(dataset);
+  for (const auto& [carrier, group] : fig14) {
     for (const auto& [kind, cdf] : group) {
       size_t zeros = 0;
       for (const double v : cdf.sorted_values()) {
@@ -348,7 +350,7 @@ void write_report(const RecordStore& dataset, const ReportConfig& config,
   }
   {
     Ecdf pooled;
-    for (const auto& [carrier, group] : fig14_public_replica_delta(dataset)) {
+    for (const auto& [carrier, group] : fig14) {
       for (const auto& [kind, cdf] : group) pooled.add_all(cdf.sorted_values());
     }
     const auto interval = bootstrap_fraction_at_or_below(pooled, 0.0, 500, 7);

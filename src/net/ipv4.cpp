@@ -1,6 +1,9 @@
 #include "net/ipv4.h"
 
 #include <charconv>
+#include <cstddef>
+
+#include "util/contract.h"
 
 namespace curtain::net {
 namespace {
@@ -33,14 +36,19 @@ std::optional<Ipv4Addr> Ipv4Addr::parse(std::string_view text) {
   return Ipv4Addr(octets[0], octets[1], octets[2], octets[3]);
 }
 
-std::string Ipv4Addr::to_string() const {
-  std::string out;
-  out.reserve(15);
+char* Ipv4Addr::to_chars(char* first, char* last) const {
+  CURTAIN_DCHECK(last - first >= static_cast<std::ptrdiff_t>(kMaxChars))
+      << "Ipv4Addr::to_chars needs " << kMaxChars << " bytes";
   for (int i = 0; i < 4; ++i) {
-    if (i != 0) out += '.';
-    out += std::to_string(octet(i));
+    if (i != 0) *first++ = '.';
+    first = std::to_chars(first, last, octet(i)).ptr;
   }
-  return out;
+  return first;
+}
+
+std::string Ipv4Addr::to_string() const {
+  char buf[kMaxChars];
+  return std::string(buf, to_chars(buf, buf + sizeof(buf)));
 }
 
 std::optional<Prefix> Prefix::parse(std::string_view text) {
@@ -59,8 +67,17 @@ std::optional<Prefix> Prefix::parse(std::string_view text) {
   return Prefix(*addr, len);
 }
 
+char* Prefix::to_chars(char* first, char* last) const {
+  CURTAIN_DCHECK(last - first >= static_cast<std::ptrdiff_t>(kMaxChars))
+      << "Prefix::to_chars needs " << kMaxChars << " bytes";
+  first = addr_.to_chars(first, last);
+  *first++ = '/';
+  return std::to_chars(first, last, length_).ptr;
+}
+
 std::string Prefix::to_string() const {
-  return addr_.to_string() + "/" + std::to_string(length_);
+  char buf[kMaxChars];
+  return std::string(buf, to_chars(buf, buf + sizeof(buf)));
 }
 
 }  // namespace curtain::net

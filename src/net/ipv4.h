@@ -8,6 +8,7 @@
 #pragma once
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -28,6 +29,14 @@ class Ipv4Addr {
   static std::optional<Ipv4Addr> parse(std::string_view text);
 
   constexpr uint32_t value() const { return value_; }
+
+  /// Length of the longest dotted quad, "255.255.255.255".
+  static constexpr size_t kMaxChars = 15;
+  /// Writes the dotted quad into [first, last), which must hold kMaxChars
+  /// bytes, and returns one past the last byte written. The only address
+  /// formatter: to_string() and Prefix::to_chars() are built on it, and
+  /// the CSV export calls it into a stack buffer.
+  char* to_chars(char* first, char* last) const;
   std::string to_string() const;
 
   /// The /24 network containing this address (e.g. 192.0.2.0 for 192.0.2.1).
@@ -77,6 +86,11 @@ class Prefix {
     return Ipv4Addr(addr_.value() | static_cast<uint32_t>(i & (size() - 1)));
   }
 
+  /// Length of the longest rendering, "255.255.255.255/32".
+  static constexpr size_t kMaxChars = Ipv4Addr::kMaxChars + 3;
+  /// Writes "a.b.c.d/len" into [first, last), which must hold kMaxChars
+  /// bytes, and returns one past the last byte written.
+  char* to_chars(char* first, char* last) const;
   std::string to_string() const;
 
   friend constexpr auto operator<=>(const Prefix& a, const Prefix& b) = default;

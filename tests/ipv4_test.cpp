@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "net/ip_allocator.h"
 #include "net/ipv4.h"
 
@@ -27,6 +29,35 @@ TEST(Ipv4, ToStringRoundTrip) {
   const Ipv4Addr addr{10, 20, 30, 40};
   EXPECT_EQ(addr.to_string(), "10.20.30.40");
   EXPECT_EQ(Ipv4Addr::parse(addr.to_string()), addr);
+}
+
+TEST(Ipv4, ToCharsFillsAtMostMaxChars) {
+  // The stack formatter is what to_string and the CSV export use; check
+  // its widths and every octet value against a plain decimal rendering.
+  char buf[Ipv4Addr::kMaxChars];
+  const auto text = [&](Ipv4Addr a) {
+    return std::string(buf, a.to_chars(buf, buf + sizeof(buf)));
+  };
+  EXPECT_EQ(text(Ipv4Addr{}), "0.0.0.0");
+  EXPECT_EQ(text(Ipv4Addr{255, 255, 255, 255}), "255.255.255.255");
+  EXPECT_EQ(text(Ipv4Addr{255, 255, 255, 255}).size(), Ipv4Addr::kMaxChars);
+  for (int v = 0; v < 256; ++v) {
+    const auto o = static_cast<uint8_t>(v);
+    const std::string d = std::to_string(v);
+    ASSERT_EQ(text(Ipv4Addr{o, 9, o, 100}), d + ".9." + d + ".100");
+    ASSERT_EQ(Ipv4Addr(o, 0, 10, o).to_string(), d + ".0.10." + d);
+  }
+}
+
+TEST(Prefix, ToCharsAndToStringAgree) {
+  char buf[Prefix::kMaxChars];
+  const Prefix widest(Ipv4Addr{255, 255, 255, 255}, 32);
+  EXPECT_EQ(std::string(buf, widest.to_chars(buf, buf + sizeof(buf))),
+            "255.255.255.255/32");
+  EXPECT_EQ(widest.to_string().size(), Prefix::kMaxChars);
+  EXPECT_EQ(Prefix(Ipv4Addr{192, 0, 2, 77}, 24).to_string(), "192.0.2.0/24");
+  EXPECT_EQ(Prefix(Ipv4Addr{10, 1, 2, 3}, 0).to_string(), "0.0.0.0/0");
+  EXPECT_EQ(Prefix::parse("172.16.0.0/12")->to_string(), "172.16.0.0/12");
 }
 
 TEST(Ipv4, Octets) {

@@ -564,6 +564,27 @@ std::string render();
   EXPECT_EQ(count_rule(findings, "hot-alloc"), 0);
 }
 
+TEST(LintHotAlloc, FlagsStringTemporariesButNotEmptyOnes) {
+  const auto findings = lint_file("src/analysis/fixture.cpp", R"cpp(
+// lint-hot-path
+void row(int kind) {
+  write(std::string(kind_name(kind)), std::string(host, 3));
+  write(std::string(), std::string_view(host));
+}
+)cpp");
+  EXPECT_EQ(count_rule(findings, "hot-alloc"), 2);
+}
+
+TEST(LintHotAlloc, StringTemporaryWaiverSuppresses) {
+  const auto findings = lint_file(
+      "src/analysis/fixture.cpp",
+      "// lint-hot-path\n"
+      "std::string copy(const char* s) {\n"
+      "  return std::string(s);  // lint: hot-alloc (cold path)\n"
+      "}\n");
+  EXPECT_EQ(count_rule(findings, "hot-alloc"), 0);
+}
+
 TEST(LintHotAlloc, MarkerWorksFromBlockComments) {
   const auto findings = lint_file(
       "src/dns/fixture.cpp",
@@ -676,6 +697,19 @@ TEST(LintTree, FixtureTreeFiresEveryRuleAndHonorsWaivers) {
     EXPECT_EQ(finding.file.find("waived_ok"), std::string::npos)
         << format(finding);
   }
+}
+
+TEST(LintTree, CsvCellFixtureFlagsEachCopyOnce) {
+  const std::string root = CURTAIN_SOURCE_ROOT;
+  const auto findings = lint_tree({root + "/tools/lint/testdata"});
+  int copies = 0;
+  for (const Finding& finding : findings) {
+    if (finding.file.find("bad_csv_cells.cpp") == std::string::npos) continue;
+    EXPECT_EQ(finding.rule, "hot-alloc") << format(finding);
+    ++copies;
+  }
+  // Two per-cell copies on one line; the empty temporaries do not count.
+  EXPECT_EQ(copies, 2);
 }
 
 TEST(LintTree, RealSourcesAreClean) {

@@ -626,6 +626,22 @@ class Linter {
         // `std::string*` and member declarations are fine.
         const Token* next = i + 1 < toks.size() ? &toks[i + 1] : nullptr;
         if (next == nullptr) continue;
+        const bool empty_parens = i + 2 < toks.size() &&
+                                  toks[i + 2].kind == TokenKind::kPunct &&
+                                  toks[i + 2].text == ")";
+        if (next->kind == TokenKind::kPunct && next->text == "(" &&
+            !empty_parens && i >= 2 && toks[i - 1].kind == TokenKind::kPunct &&
+            toks[i - 1].text == "::" && toks[i - 2].kind == TokenKind::kIdent &&
+            toks[i - 2].text == "std") {
+          // `std::string(...)`: a functional-cast temporary, typically a
+          // per-cell copy of a view or a C string. Write the view instead.
+          // An empty `std::string()` copies nothing and is not flagged.
+          report(t.line, "hot-alloc",
+                 "std::string(...) temporary on a lint-hot-path file copies "
+                 "(and likely allocates) per use; pass the std::string_view "
+                 "or const char* itself");
+          continue;
+        }
         bool by_value = false;
         if (next->kind == TokenKind::kPunct &&
             (next->text == "," || next->text == ")")) {

@@ -25,6 +25,10 @@ int* scratch_slot() {
   return new int(0);  // lint: hot-alloc (fixture exercises a waived allocation)
 }
 
+std::string label_copy(const char* label) {
+  return std::string(label);  // lint: hot-alloc (fixture exercises a waived temporary)
+}
+
 struct OkRetainer {
   std::vector<DnsMeasurement> sealed_rows;       // lint: bounded
   std::vector<RecordBlock> retained;             // lint: record-growth (test keeps blocks)
