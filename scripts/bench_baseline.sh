@@ -25,6 +25,9 @@ cd "$(dirname "$0")/.."
 
 LABEL="${1:-run}"
 SUITE="${CURTAIN_BENCH_SUITE:-core_hotpath}"
+# Every line records the host's core count: a perf pair compares only
+# when both halves ran on the same host.
+HOST_CORES="$(nproc)"
 BUILD="${CURTAIN_BENCH_BUILD:-build}"
 # Small but stable campaign: fixed scale/seed/shards so labels compare.
 CAMPAIGN_SCALE="${CURTAIN_BENCH_SCALE:-0.02}"
@@ -32,20 +35,20 @@ CAMPAIGN_SCALE="${CURTAIN_BENCH_SCALE:-0.02}"
 # Normalizes one google-benchmark console line to a JSON series line.
 #   BM_CacheLookupHit        123 ns        123 ns   5673126
 emit_series() {  # $1 = bench name, reads console output on stdin
-  awk -v bench="$1" -v label="$LABEL" '
+  awk -v bench="$1" -v label="$LABEL" -v cores="$HOST_CORES" '
     $1 ~ /^BM_/ && ($3 == "ns" || $3 == "us" || $3 == "ms" || $3 == "s") {
       ns = $2
       if ($3 == "us") ns = $2 * 1000
       if ($3 == "ms") ns = $2 * 1000000
       if ($3 == "s")  ns = $2 * 1000000000
-      printf("{\"bench_series\":\"%s\",\"label\":\"%s\",\"benchmark\":\"%s\",\"real_ns_per_op\":%.1f}\n",
-             bench, label, $1, ns)
+      printf("{\"bench_series\":\"%s\",\"label\":\"%s\",\"benchmark\":\"%s\",\"real_ns_per_op\":%.1f,\"host_cores\":%d}\n",
+             bench, label, $1, ns, cores)
     }'
 }
 
 annotate_records() {  # reads bench stdout, re-emits bench_record lines + label
   grep '^{"bench_record"' |
-    sed "s/^{\"bench_record\":/{\"label\":\"$LABEL\",\"bench_record\":/"
+    sed "s/^{\"bench_record\":/{\"label\":\"$LABEL\",\"host_cores\":$HOST_CORES,\"bench_record\":/"
 }
 
 if [ "$SUITE" = "cohort_scaling" ]; then
