@@ -1,9 +1,12 @@
 // Microbenchmarks at the campaign level: world construction and full
 // experiment throughput — what bounds a CURTAIN_SCALE=1 run — plus the
 // analysis pass that follows it: the probes CSV export and the headline
-// bootstrap.
+// bootstrap. BM_FullExperiment also counts the heap allocations one
+// experiment makes, through a counting operator new local to this binary.
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
+#include <new>
 #include <ostream>
 #include <streambuf>
 
@@ -15,6 +18,23 @@
 #include "core/world.h"
 #include "dns/stub.h"
 #include "measure/experiment.h"
+
+/// Heap allocations made by the calling thread through operator new (the
+/// array and nothrow forms forward to it).
+thread_local uint64_t thread_allocations = 0;
+
+void* operator new(std::size_t size) {
+  ++thread_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// GCC pairs the inlined free() with the new-expressions it deletes and
+// warns; both halves are the replacements above, so they match.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace {
 
@@ -39,12 +59,16 @@ void BM_FullExperiment(benchmark::State& state) {
   measure::RecordStore records;
   auto rng = bench::bench_rng("micro_study/full-experiment");
   int64_t hour = 0;
+  const uint64_t allocations_before = thread_allocations;
   for (auto _ : state) {
     runner.run(device, 0, net::SimTime::from_hours(static_cast<double>(++hour)), rng, records);
   }
-  state.SetLabel(std::to_string(records.resolution_count() /
-                                std::max<size_t>(1, records.experiment_count())) +
-                 " resolutions/experiment");
+  const uint64_t allocations = thread_allocations - allocations_before;
+  const size_t experiments = std::max<size_t>(1, records.experiment_count());
+  state.SetLabel(std::to_string(records.resolution_count() / experiments) +
+                 " resolutions/experiment, " +
+                 std::to_string(allocations / experiments) +
+                 " allocations/experiment");
 }
 BENCHMARK(BM_FullExperiment)->Unit(benchmark::kMillisecond);
 

@@ -41,8 +41,15 @@ emit_series() {  # $1 = bench name, reads console output on stdin
       if ($3 == "us") ns = $2 * 1000
       if ($3 == "ms") ns = $2 * 1000000
       if ($3 == "s")  ns = $2 * 1000000000
-      printf("{\"bench_series\":\"%s\",\"label\":\"%s\",\"benchmark\":\"%s\",\"real_ns_per_op\":%.1f,\"host_cores\":%d}\n",
-             bench, label, $1, ns, cores)
+      # A case that counts heap allocations labels itself
+      # "<n> allocations/experiment" (BM_FullExperiment).
+      allocs = ""
+      for (i = 5; i <= NF; ++i) {
+        if ($i ~ /^allocations\/experiment/) allocs = $(i - 1)
+      }
+      printf("{\"bench_series\":\"%s\",\"label\":\"%s\",\"benchmark\":\"%s\",\"real_ns_per_op\":%.1f,", bench, label, $1, ns)
+      if (allocs != "") printf("\"allocations_per_op\":%d,", allocs)
+      printf("\"host_cores\":%d}\n", cores)
     }'
 }
 

@@ -16,8 +16,10 @@
 #             which drives real worker thread pools against the shared
 #             World — including the 16-cohort × 16-worker stress case
 #             (96 shards, more cohorts than any carrier has devices) —
-#             and PublicDnsTest.IngressMemoMatchesFreshRanking, two threads
-#             querying one public-DNS service's anycast ingress. The
+#             PublicDnsTest.IngressMemoMatchesFreshRanking, two threads
+#             querying one public-DNS service's anycast ingress, and
+#             CdnTest.NearestClusterMemoMatchesFreshScan, two threads
+#             filling one CDN provider's per-/24 cluster memos. The
 #             world's mutable state is device-scoped or worker-owned and
 #             takes no locks (DESIGN.md §18), so any report here is a
 #             real cross-thread share.
@@ -80,12 +82,12 @@ sanitize_leg() {
 }
 
 tsan_leg() {
-  run_leg "TSan build + shard determinism (16x16 stress) + ingress memo"
+  run_leg "TSan build + shard determinism (16x16 stress) + ingress and cluster memos"
   cmake -B build-tsan -S . -DCURTAIN_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" \
-    --target shard_determinism_test publicdns_test
+    --target shard_determinism_test publicdns_test cdn_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'ShardDeterminism|PublicDnsTest\.IngressMemoMatchesFreshRanking'
+    -R 'ShardDeterminism|PublicDnsTest\.IngressMemoMatchesFreshRanking|CdnTest\.NearestClusterMemoMatchesFreshScan'
   # The stress case must have actually run: it is the leg's reason to exist.
   ./build-tsan/tests/shard_determinism_test \
     --gtest_filter='ShardDeterminism.StressManyCohortsManyWorkers' \

@@ -4,6 +4,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/contract.h"
 #include "util/index.h"
 
 namespace curtain::cdn {
@@ -34,7 +35,7 @@ CdnMetrics& cdn_metrics() {
 }
 
 // Replica servers per metro cluster.
-constexpr int kReplicasPerCluster = 3;
+constexpr size_t kReplicasPerCluster = 3;
 
 // How many A records one response carries; production CDNs typically
 // return a couple of addresses from the selected cluster.
@@ -66,12 +67,8 @@ CdnProvider::CdnProvider(std::string name, dns::DnsName zone_apex,
   adns_->set_dynamic_handler(
       [this](const dns::Question& question, net::Ipv4Addr resolver_ip,
              const std::optional<dns::EdnsClientSubnet>& ecs, net::SimTime now,
-             net::Rng& rng) {
-        auto answers = answer_query(question, resolver_ip, ecs, now, rng);
-        return answers.empty()
-                   ? std::optional<std::vector<dns::ResourceRecord>>{}
-                   : std::optional<std::vector<dns::ResourceRecord>>{
-                         std::move(answers)};
+             net::Rng& /*rng*/) -> dns::DynamicAnswer {
+        return answer_query(question, resolver_ip, ecs, now);
       },
       answer_ttl_s_);
 }
@@ -85,7 +82,7 @@ void CdnProvider::build_clusters(const CdnBuildContext& context) {
     cluster.country = country;
     cluster.prefix = context.allocator->alloc_block(24);
     const net::NodeId backbone = context.nearest_backbone(metro.location);
-    for (int r = 0; r < kReplicasPerCluster; ++r) {
+    for (size_t r = 0; r < kReplicasPerCluster; ++r) {
       const net::Ipv4Addr ip = context.allocator->alloc_host(cluster.prefix);
       net::Node node;
       node.name = provider_name_ + "-" + metro.name + "-r" + std::to_string(r);
@@ -131,14 +128,35 @@ void CdnProvider::build_clusters(const CdnBuildContext& context) {
 }
 
 dns::DnsName CdnProvider::add_customer(const std::string& label) {
-  customers_[label] = true;
-  return *zone_apex_.child(label);
+  const dns::DnsName edge = *zone_apex_.child(label);
+  // Every answer answer_query() can give: per cluster, one rrset per
+  // rotation start, each the next kAnswersPerResponse replicas.
+  std::vector<dns::Rrset> answers;
+  answers.reserve(clusters_.size() * kReplicasPerCluster);
+  for (const ReplicaCluster& cluster : clusters_) {
+    const size_t size = cluster.replica_ips.size();
+    CURTAIN_CHECK(size == kReplicasPerCluster)
+        << cluster.metro << " has " << size << " replicas";
+    const size_t n = std::min(kAnswersPerResponse, size);
+    for (size_t start = 0; start < size; ++start) {
+      dns::Rrset& rrset = answers.emplace_back();
+      for (size_t i = 0; i < n; ++i) {
+        rrset.add(dns::ResourceRecord::a(
+            edge, cluster.replica_ips[(start + i) % size], answer_ttl_s_));
+      }
+    }
+  }
+  customers_.insert_or_assign(label, std::move(answers));
+  return edge;
 }
 
 void CdnProvider::add_prefix_hint(net::Prefix slash24,
                                   const net::GeoPoint& location,
                                   const std::string& country) {
-  prefix_hints_[slash24.address().value()] = Hint{location, country};
+  Hint& hint = prefix_hints_[slash24.address().value()];
+  hint.location = location;
+  hint.country = country;
+  hint.nearest.store(-1, std::memory_order_relaxed);
 }
 
 void CdnProvider::add_prefix_country(net::Prefix slash24,
@@ -167,7 +185,14 @@ const ReplicaCluster& CdnProvider::cluster_for_resolver(
   const auto hint = prefix_hints_.find(slash24);
   if (hint != prefix_hints_.end()) {
     // Measurable prefix: latency-aware mapping to the nearest cluster.
-    return nearest_cluster(hint->second.location, hint->second.country);
+    std::atomic<int>& nearest = hint->second.nearest;
+    int index = nearest.load(std::memory_order_relaxed);
+    if (index < 0) {
+      index = nearest_cluster(hint->second.location, hint->second.country)
+                  .index;
+      nearest.store(index, std::memory_order_relaxed);
+    }
+    return clusters_[util::idx(index)];
   }
   // Opaque prefix (cellular): nothing to measure behind the ingress.
   // Address registration (WHOIS) still reveals the country, so the
@@ -194,19 +219,17 @@ const ReplicaCluster* CdnProvider::cluster_of_replica(
                                                  : &clusters_[util::idx(it->second)];
 }
 
-std::vector<dns::ResourceRecord> CdnProvider::answer_query(
+const dns::Rrset* CdnProvider::answer_query(
     const dns::Question& question, net::Ipv4Addr resolver_ip,
-    const std::optional<dns::EdnsClientSubnet>& ecs, net::SimTime now,
-    net::Rng& rng) {
-  (void)rng;
-  if (question.type != dns::RRType::kA) return {};
+    const std::optional<dns::EdnsClientSubnet>& ecs, net::SimTime now) {
+  if (question.type != dns::RRType::kA) return nullptr;
   // Expect <customer>.<zone_apex>.
   if (!question.name.is_within(zone_apex_) ||
       question.name.label_count() != zone_apex_.label_count() + 1) {
-    return {};
+    return nullptr;
   }
-  const std::string customer(question.name.label(0));
-  if (customers_.find(customer) == customers_.end()) return {};
+  const auto customer = customers_.find(question.name.label(0));
+  if (customer == customers_.end()) return nullptr;
 
   // RFC 7871: when the resolver discloses the client's subnet, map by the
   // client; otherwise fall back to the resolver's address — the paper-era
@@ -225,15 +248,11 @@ std::vector<dns::ResourceRecord> CdnProvider::answer_query(
   const uint64_t base = net::mix_key(
       net::mix_key(seed_, map_key.slash24().value() ^ question.name.hash()),
       bucket);
-  std::vector<dns::ResourceRecord> answers;
-  const size_t n = std::min(kAnswersPerResponse, cluster.replica_ips.size());
-  for (size_t i = 0; i < n; ++i) {
-    const size_t index = (base + i) % cluster.replica_ips.size();
-    answers.push_back(dns::ResourceRecord::a(
-        question.name, cluster.replica_ips[index], answer_ttl_s_));
-  }
+  const dns::Rrset& answers =
+      customer->second[util::idx(cluster.index) * kReplicasPerCluster +
+                       base % cluster.replica_ips.size()];
   cdn_metrics().answer_size.observe(static_cast<double>(answers.size()));
-  return answers;
+  return &answers;
 }
 
 }  // namespace curtain::cdn

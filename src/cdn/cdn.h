@@ -14,8 +14,12 @@
 //   * answers rotate through the cluster with short TTLs.
 #pragma once
 
+#include <atomic>
+#include <functional>
+#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -54,7 +58,9 @@ class CdnProvider {
   const dns::DnsName& zone_apex() const { return zone_apex_; }
 
   /// Registers a customer hostname; returns the edge name the customer's
-  /// origin zone should CNAME to (<label>.<zone_apex>).
+  /// origin zone should CNAME to (<label>.<zone_apex>). Builds every
+  /// answer the ADNS can give for it, one immutable rrset per (cluster,
+  /// rotation start), which responses borrow (dns/rrset.h).
   dns::DnsName add_customer(const std::string& label);
 
   /// Tells the mapper where a resolver /24 *measurably* is. Registered for
@@ -70,7 +76,8 @@ class CdnProvider {
   /// registered country counts as US.
   void add_prefix_country(net::Prefix slash24, const std::string& country);
 
-  /// The cluster the mapper assigns to `resolver_ip`'s /24.
+  /// The cluster the mapper assigns to `resolver_ip`'s /24. A hinted /24's
+  /// nearest cluster is scanned once and memoized in its hint.
   const ReplicaCluster& cluster_for_resolver(net::Ipv4Addr resolver_ip) const;
 
   const std::vector<ReplicaCluster>& clusters() const { return clusters_; }
@@ -84,10 +91,11 @@ class CdnProvider {
                                         const std::string& country) const;
 
  private:
-  std::vector<dns::ResourceRecord> answer_query(
+  /// The rrset the ADNS answers `question` with; nullptr for a name or
+  /// type the provider does not serve.
+  const dns::Rrset* answer_query(
       const dns::Question& question, net::Ipv4Addr resolver_ip,
-      const std::optional<dns::EdnsClientSubnet>& ecs, net::SimTime now,
-      net::Rng& rng);
+      const std::optional<dns::EdnsClientSubnet>& ecs, net::SimTime now);
 
   void build_clusters(const CdnBuildContext& context);
 
@@ -103,10 +111,18 @@ class CdnProvider {
   struct Hint {
     net::GeoPoint location;
     std::string country;
+    /// nearest_cluster(location, country)'s index, or -1 until a lookup
+    /// scans for it. Campaign workers share the provider: whichever
+    /// thread scans first stores the index, and a race only repeats the
+    /// same scan, so a relaxed atomic suffices.
+    mutable std::atomic<int> nearest{-1};
   };
   std::unordered_map<uint32_t, Hint> prefix_hints_;  ///< /24 base -> hint
   std::unordered_map<uint32_t, std::string> prefix_countries_;
-  std::unordered_map<std::string, bool> customers_;
+  /// Customer label -> its answers: the rrset for cluster c rotated to
+  /// start at replica r is at c * kReplicasPerCluster + r. Keyed with a
+  /// transparent comparator so a query looks its label up as a view.
+  std::map<std::string, std::vector<dns::Rrset>, std::less<>> customers_;
   dns::AuthoritativeServer* adns_ = nullptr;  ///< owned by the hierarchy
 };
 

@@ -69,8 +69,12 @@ CarrierMetrics& carrier_metrics() {
 // --- ClientFacingResolver ---------------------------------------------------
 
 ClientFacingResolver::ClientFacingResolver(CellularNetwork* carrier, int index,
-                                           net::Ipv4Addr ip)
-    : carrier_(carrier), index_(index), ip_(ip) {}
+                                           net::Ipv4Addr ip,
+                                           net::Topology& topology)
+    : carrier_(carrier),
+      index_(index),
+      ip_(ip),
+      caches_(topology.issue_device_slot()) {}
 
 dns::Cache& ClientFacingResolver::cache_for(net::NodeId instance) {
   return caches_.get()[instance];  // default-constructed on first use
@@ -218,12 +222,12 @@ void CellularNetwork::build_regions(const CarrierBuildContext& /*context*/) {
 
 void CellularNetwork::build_gateways(const CarrierBuildContext& context) {
   net::Rng rng(net::mix_key(seed_, net::hash_tag("gateways")));
-  gateways_.resize(util::idx(profile_.egress_points));
+  gateways_.reserve(util::idx(profile_.egress_points));
   // Gateways carry addresses so their traceroute hops are PTR-resolvable.
   net::Prefix infra_block = allocator_->alloc_block(24);
   int hosts_in_block = 0;
   for (int g = 0; g < profile_.egress_points; ++g) {
-    Gateway& gateway = gateways_[util::idx(g)];
+    Gateway& gateway = gateways_.emplace_back(topology_->issue_device_slot());
     gateway.region = g % static_cast<int>(regions_.size());
     const Region& region = regions_[util::idx(gateway.region)];
     const GeoPoint location = net::offset_km(
@@ -401,7 +405,7 @@ void CellularNetwork::build_dns(const CarrierBuildContext& context) {
     for (int c = 0; c < dns_cfg.client_resolvers; ++c) {
       const net::Ipv4Addr vip = allocator_->alloc_host(client_blocks.front());
       client_resolvers_.push_back(
-          std::make_unique<ClientFacingResolver>(this, c, vip));
+          std::make_unique<ClientFacingResolver>(this, c, vip, *topology_));
     }
   } else {
     // Pool / tiered: each client address is a concrete host in a region.
@@ -430,7 +434,7 @@ void CellularNetwork::build_dns(const CarrierBuildContext& context) {
                           /*tunneled=*/true);
       client_resolver_nodes_.push_back(id);
       client_resolvers_.push_back(
-          std::make_unique<ClientFacingResolver>(this, c, ip));
+          std::make_unique<ClientFacingResolver>(this, c, ip, *topology_));
     }
     if (dns_cfg.kind == DnsArchKind::kTiered) {
       // Fixed pairing (Verizon): each client-facing front forwards to its

@@ -47,7 +47,9 @@ class CellularNetwork;
 /// repeat) stays in its scope.
 class ClientFacingResolver : public dns::DnsServer {
  public:
-  ClientFacingResolver(CellularNetwork* carrier, int index, net::Ipv4Addr ip);
+  /// Takes its device-state slot from `topology` (net/device_scope.h).
+  ClientFacingResolver(CellularNetwork* carrier, int index, net::Ipv4Addr ip,
+                       net::Topology& topology);
 
   dns::ServedResponse serve(const dns::Message& query,
                             net::Ipv4Addr source_ip, net::SimTime now,
@@ -155,6 +157,7 @@ class CellularNetwork {
 
  private:
   struct Gateway {
+    explicit Gateway(uint32_t device_slot) : nat_cursor(device_slot) {}
     net::NodeId node = net::kInvalidNode;
     int region = 0;
     net::Prefix nat_pool;

@@ -22,11 +22,11 @@ AuthoritativeServer::AuthoritativeServer(DnsName apex, net::NodeId node,
   soa.retry = 900;
   soa.expire = 1209600;
   soa.minimum = 300;
-  soa_rr_ = ResourceRecord::soa(apex_, soa, 3600);
+  soa_ = Rrset({ResourceRecord::soa(apex_, soa, 3600)});
 }
 
 void AuthoritativeServer::add_record(ResourceRecord rr) {
-  records_[{rr.name, rr.type()}].push_back(std::move(rr));
+  records_[{rr.name, rr.type()}].add(std::move(rr));
 }
 
 void AuthoritativeServer::delegate(const DnsName& child_apex,
@@ -34,8 +34,8 @@ void AuthoritativeServer::delegate(const DnsName& child_apex,
                                    uint32_t ttl_s) {
   Delegation d;
   d.apex = child_apex;
-  d.ns = ResourceRecord::ns(child_apex, ns_name, ttl_s);
-  d.glue = ResourceRecord::a(ns_name, ns_addr, ttl_s);
+  d.ns = Rrset({ResourceRecord::ns(child_apex, ns_name, ttl_s)});
+  d.glue = Rrset({ResourceRecord::a(ns_name, ns_addr, ttl_s)});
   delegations_.push_back(std::move(d));
 }
 
@@ -46,7 +46,7 @@ void AuthoritativeServer::set_dynamic_handler(DynamicHandler handler,
 }
 
 void AuthoritativeServer::set_soa(SoaRecord soa, uint32_t ttl_s) {
-  soa_rr_ = ResourceRecord::soa(apex_, std::move(soa), ttl_s);
+  soa_ = Rrset({ResourceRecord::soa(apex_, std::move(soa), ttl_s)});
 }
 
 const AuthoritativeServer::Delegation* AuthoritativeServer::find_delegation(
@@ -57,60 +57,73 @@ const AuthoritativeServer::Delegation* AuthoritativeServer::find_delegation(
   return nullptr;
 }
 
-std::vector<ResourceRecord> AuthoritativeServer::find_static(
-    const DnsName& name, RRType type) const {
+const Rrset* AuthoritativeServer::find_static(const DnsName& name,
+                                              RRType type) const {
   const auto it = records_.find({name, type});
-  return it == records_.end() ? std::vector<ResourceRecord>{} : it->second;
+  return it == records_.end() ? nullptr : &it->second;
 }
 
 bool AuthoritativeServer::name_exists(const DnsName& name) const {
-  for (const auto& [key, rrs] : records_) {
-    if (key.first == name && !rrs.empty()) return true;
-  }
-  return false;
+  // Keys order by name first, so the name's rrsets (never empty) start at
+  // the lower bound of the smallest type.
+  const auto it = records_.lower_bound({name, RRType{0}});
+  return it != records_.end() && it->first.first == name;
 }
 
 void AuthoritativeServer::answer_question(
     const Question& question, net::Ipv4Addr source_ip,
     const std::optional<EdnsClientSubnet>& ecs, net::SimTime now,
     net::Rng& rng, Message& response) {
-  DnsName qname = question.name;
-  if (!qname.is_within(apex_)) {
+  // The name being answered: the question's, then each in-zone CNAME
+  // target, read in place from the zone's own rrsets.
+  const DnsName* qname = &question.name;
+  if (!qname->is_within(apex_)) {
     response.header.rcode = Rcode::kRefused;
     return;
   }
 
   for (size_t chase = 0; chase < kMaxCnameChase; ++chase) {
-    if (const Delegation* d = find_delegation(qname)) {
+    if (const Delegation* d = find_delegation(*qname)) {
       // Referral: not authoritative for the child zone.
       response.header.aa = false;
-      response.authorities.push_back(d->ns);
-      response.additionals.push_back(d->glue);
+      response.authorities.append(d->ns);
+      response.additionals.append(d->glue);
       return;
     }
 
     response.header.aa = true;
-    auto exact = find_static(qname, question.type);
-    if (!exact.empty()) {
-      for (auto& rr : exact) response.answers.push_back(std::move(rr));
+    if (const Rrset* exact = find_static(*qname, question.type)) {
+      response.answers.append(*exact);
       return;
     }
 
-    // In-zone CNAME: append and chase if the target stays in-zone.
-    auto cnames = find_static(qname, RRType::kCNAME);
-    if (!cnames.empty() && question.type != RRType::kCNAME) {
-      const auto& target = std::get<CnameRecord>(cnames.front().rdata).target;
-      response.answers.push_back(cnames.front());
+    // In-zone CNAME: append its first record and chase if the target
+    // stays in-zone.
+    const Rrset* cnames = find_static(*qname, RRType::kCNAME);
+    if (cnames != nullptr && question.type != RRType::kCNAME) {
+      const auto& target = std::get<CnameRecord>(cnames->front().rdata).target;
+      response.answers.append(*cnames, 0, 1);
       if (!target.is_within(apex_)) return;  // resolver continues elsewhere
-      qname = target;
+      qname = &target;
       continue;
     }
 
     if (dynamic_handler_) {
-      auto dynamic = dynamic_handler_(Question{qname, question.type, question.klass},
-                                      source_ip, ecs, now, rng);
-      if (dynamic) {
-        for (auto& rr : *dynamic) {
+      DynamicAnswer dynamic =
+          qname == &question.name
+              ? dynamic_handler_(question, source_ip, ecs, now, rng)
+              : dynamic_handler_(
+                    Question{*qname, question.type, question.klass},
+                    source_ip, ecs, now, rng);
+      if (dynamic.shared != nullptr) {
+        CURTAIN_DCHECK(dynamic.shared->min_ttl() != 0 || dynamic_ttl_s_ == 0)
+            << "shared dynamic rrset with TTL 0 on a zone whose dynamic TTL "
+            << "is " << dynamic_ttl_s_;
+        response.answers.append(*dynamic.shared);
+        return;
+      }
+      if (dynamic.owned) {
+        for (auto& rr : *dynamic.owned) {
           if (rr.ttl == 0) rr.ttl = dynamic_ttl_s_;
           response.answers.push_back(std::move(rr));
         }
@@ -119,8 +132,8 @@ void AuthoritativeServer::answer_question(
     }
 
     // NODATA (name exists, type doesn't) vs NXDOMAIN.
-    if (!name_exists(qname)) response.header.rcode = Rcode::kNxDomain;
-    response.authorities.push_back(soa_rr_);
+    if (!name_exists(*qname)) response.header.rcode = Rcode::kNxDomain;
+    response.authorities.append(soa_);
     return;
   }
   response.header.rcode = Rcode::kServFail;  // CNAME chain too long
@@ -130,7 +143,6 @@ ServedResponse AuthoritativeServer::serve(const Message& query,
                                           net::Ipv4Addr source_ip,
                                           net::SimTime now, net::Rng& rng) {
   CURTAIN_DCHECK(!query.questions.empty()) << "query carries no question";
-  queries_served_.fetch_add(1, std::memory_order_relaxed);
   {
     // Handles re-bind whenever the thread's sheaf changes (obs/metrics.h).
     struct AdnsMetrics {

@@ -8,22 +8,41 @@
 //     (resolver identification à la Mao et al., §3.2).
 // The server also publishes NS delegations for child zones so recursive
 // resolvers can walk root → TLD → zone like the real hierarchy.
+//
+// Zone data — static rrsets, each delegation's NS and glue, the SOA — is
+// held as immutable rrsets (dns/rrset.h) that responses borrow, so a
+// served answer copies no record. The zone is built before it serves:
+// add_record, delegate and set_soa must not run once queries arrive.
 #pragma once
 
-#include <atomic>
+#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
 
-#include "dns/cache.h"
 #include "dns/message.h"
 #include "dns/server.h"
 
 namespace curtain::dns {
 
+/// What a dynamic handler answers: nothing (the server then answers
+/// NXDOMAIN or NODATA), records built for this one query, or an rrset the
+/// handler's owner keeps for the World's lifetime (the CDN's per-cluster
+/// answers), which the response borrows instead of copying.
+struct DynamicAnswer {
+  DynamicAnswer(std::nullopt_t) {}
+  DynamicAnswer(std::vector<ResourceRecord> records)
+      : owned(std::move(records)) {}
+  DynamicAnswer(std::optional<std::vector<ResourceRecord>> records)
+      : owned(std::move(records)) {}
+  DynamicAnswer(const Rrset* rrset) : shared(rrset) {}
+
+  const Rrset* shared = nullptr;  ///< null: see `owned`
+  std::optional<std::vector<ResourceRecord>> owned;
+};
+
 /// Computes an answer for a question the static zone data does not cover.
-/// Returning nullopt yields NXDOMAIN.
-using DynamicHandler = std::function<std::optional<std::vector<ResourceRecord>>(
+using DynamicHandler = std::function<DynamicAnswer(
     const Question& question, net::Ipv4Addr resolver_ip,
     const std::optional<EdnsClientSubnet>& ecs, net::SimTime now,
     net::Rng& rng)>;
@@ -45,6 +64,8 @@ class AuthoritativeServer : public DnsServer {
                 net::Ipv4Addr ns_addr, uint32_t ttl_s = 172800);
 
   /// Handler consulted when static data has no records for the qname.
+  /// Owned records with TTL 0 are served with `dynamic_ttl_s`; a shared
+  /// rrset is served as it is.
   void set_dynamic_handler(DynamicHandler handler, uint32_t dynamic_ttl_s);
 
   /// SOA used in negative responses (a default is synthesized if unset).
@@ -56,15 +77,11 @@ class AuthoritativeServer : public DnsServer {
   net::NodeId node() const override { return node_; }
   net::Ipv4Addr ip() const override { return ip_; }
 
-  uint64_t queries_served() const {
-    return queries_served_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Delegation {
     DnsName apex;
-    ResourceRecord ns;
-    ResourceRecord glue;
+    Rrset ns;
+    Rrset glue;
   };
 
   /// Fills `response` for `question`; follows in-zone CNAME chains.
@@ -73,21 +90,20 @@ class AuthoritativeServer : public DnsServer {
                        net::SimTime now, net::Rng& rng, Message& response);
 
   const Delegation* find_delegation(const DnsName& name) const;
-  std::vector<ResourceRecord> find_static(const DnsName& name, RRType type) const;
+  const Rrset* find_static(const DnsName& name, RRType type) const;
   bool name_exists(const DnsName& name) const;
 
   DnsName apex_;
   net::NodeId node_;
   net::Ipv4Addr ip_;
   // Keyed by (name, type); std::map keeps deterministic iteration for tests.
-  std::map<std::pair<DnsName, RRType>, std::vector<ResourceRecord>> records_;
-  std::vector<Delegation> delegations_;
+  std::map<std::pair<DnsName, RRType>, Rrset> records_;
+  /// A deque: responses borrow each delegation's rrsets, which must not
+  /// move when a later delegation is added.
+  std::deque<Delegation> delegations_;
   DynamicHandler dynamic_handler_;
   uint32_t dynamic_ttl_s_ = 30;
-  ResourceRecord soa_rr_;
-  /// Atomic: authoritative servers are shared world state queried by
-  /// concurrent campaign shards.
-  std::atomic<uint64_t> queries_served_{0};
+  Rrset soa_;
 };
 
 }  // namespace curtain::dns

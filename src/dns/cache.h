@@ -5,27 +5,35 @@
 // cellular resolvers miss ~20% of even very popular names (paper Fig. 7)
 // and puts the full recursion cost in the resolution-time tail (Fig. 5).
 //
-// Hits are served as borrowed views (CacheHit): the record vector is never
-// copied on lookup; TTL aging is computed once per hit and applied lazily
-// by the caller. Eviction runs off an expiry-ordered index (multimap, so
-// equal expiries keep insertion order and eviction stays deterministic)
-// instead of the old O(n) scan per capacity-bound insert. Every insert
-// also sweeps entries already past their TTL: expired entries can only
-// read as misses, so the sweep is invisible to lookups, and it keeps a
-// cache sized by what is *live* — long device timelines would otherwise
-// strand expired short-TTL rrsets until the device's scope closes.
+// An entry stores a Section (dns/rrset.h): runs that borrow the World's
+// immutable rrsets plus the insert time, so caching an authority's answer
+// copies no record, and a hit is a borrowed view whose TTL aging is one
+// elapsed-seconds value. Only records built for one query (a dynamic
+// handler's, a decoded packet's) are copied into the entry.
+//
+// Storage is flat. Entries live in one slot array; a freed slot is reused
+// by the next insert, which assigns into its name and section buffers, so
+// a warm cache inserts without touching the heap. An open-addressing index
+// maps (name, type, scope) to slots, with each key's hash computed once
+// per call and stored. Expiry is a binary min-heap keyed on
+// (expires, insertion sequence): capacity eviction takes the soonest
+// expiry and, among equal expiries, the oldest insert or overwrite — the
+// order the former std::multimap index kept by inserting at the upper
+// bound. Every insert also sweeps entries already past their TTL: expired
+// entries can only read as misses, so the sweep is invisible to lookups,
+// and it keeps a cache sized by what is *live* — long device timelines
+// would otherwise strand expired short-TTL rrsets until the device's scope
+// closes.
 //
 // lint-hot-path: lookup/insert run on every simulated resolution, so
 // curtain_lint holds this file to the hot-alloc rule.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
-#include "dns/record.h"
+#include "dns/rrset.h"
 #include "net/time.h"
 
 namespace curtain::dns {
@@ -42,28 +50,20 @@ struct CacheStats {
   }
 };
 
-/// A positive or negative cached entry for one (name, type).
-struct CachedRrset {
-  std::vector<ResourceRecord> records;  ///< empty for a negative entry
-  bool negative = false;                ///< NXDOMAIN / NODATA marker
-  net::SimTime inserted;
-  net::SimTime expires;
-};
-
-/// A borrowed view of a cache hit. Valid until the cache is next mutated
-/// for this key (overwrite, expiry, eviction, clear); lookups and inserts
-/// of *other* keys do not invalidate it (node-based storage).
+/// A borrowed view of a cache hit. Valid until the cache's next insert or
+/// clear; lookups (which may erase *other*, expired keys) do not move
+/// entries, so a view stays valid across them.
 ///
 /// TTL aging (RFC 1035 §3.2.1) is carried as a single elapsed-seconds
 /// value instead of a re-written record copy; callers that need aged
-/// records materialize them with aged_records()/append_aged().
+/// records append them with append_aged() or copy them with
+/// aged_records().
 class CacheHit {
  public:
-  bool negative() const { return entry_->negative; }
-  /// The stored records with their *original* (un-aged) TTLs.
-  const std::vector<ResourceRecord>& records() const {
-    return entry_->records;
-  }
+  bool negative() const { return negative_; }
+  /// The stored records, aged only by what they had aged before they were
+  /// inserted (an upstream cache's hit, for a forwarded chain).
+  const Section& records() const { return *records_; }
   /// Seconds the entry has spent in cache at lookup time.
   uint32_t elapsed_s() const { return elapsed_s_; }
   /// Ages one stored TTL by the time spent in cache.
@@ -71,27 +71,23 @@ class CacheHit {
     return ttl > elapsed_s_ ? ttl - elapsed_s_ : 0;
   }
 
-  /// Appends copies of the records with aged TTLs.
-  void append_aged(std::vector<ResourceRecord>& out) const {
-    out.reserve(out.size() + entry_->records.size());
-    for (const auto& rr : entry_->records) {
-      out.push_back(rr);
-      out.back().ttl = aged_ttl(rr.ttl);
-    }
-  }
-  /// Materializes an aged copy (the pre-view lookup() return value).
+  /// Appends the records, aged by the time spent in cache; shared runs
+  /// are appended as borrowed runs.
+  void append_aged(Section& out) const { out.append(*records_, elapsed_s_); }
+  /// Owned copies with aged TTLs.
   std::vector<ResourceRecord> aged_records() const {
-    std::vector<ResourceRecord> out;
-    append_aged(out);
-    return out;
+    Section aged;
+    append_aged(aged);
+    return aged.materialize();
   }
 
  private:
   friend class Cache;
-  CacheHit(const CachedRrset* entry, uint32_t elapsed_s)
-      : entry_(entry), elapsed_s_(elapsed_s) {}
+  CacheHit(const Section* records, bool negative, uint32_t elapsed_s)
+      : records_(records), negative_(negative), elapsed_s_(elapsed_s) {}
 
-  const CachedRrset* entry_;
+  const Section* records_;
+  bool negative_;
   uint32_t elapsed_s_;
 };
 
@@ -106,10 +102,16 @@ class Cache {
   std::optional<CacheHit> lookup(const DnsName& name, RRType type,
                                  net::SimTime now, uint32_t scope = 0);
 
-  /// Inserts a positive rrset; entry TTL = min record TTL, clamped to
-  /// [min_ttl_, max_ttl_]. Zero-TTL rrsets are uncacheable (RFC 1035
+  /// Inserts a positive entry; entry TTL = min aged record TTL, clamped
+  /// to [min_ttl_, max_ttl_]. Zero-TTL records are uncacheable (RFC 1035
   /// §3.2.1) and are rejected *before* the clamp — a floor must not
-  /// launder "do not cache" into a cacheable TTL.
+  /// launder "do not cache" into a cacheable TTL. Shared runs are stored
+  /// as borrowed runs; owned records are copied (or moved).
+  void insert(const DnsName& name, RRType type, const Section& records,
+              net::SimTime now, uint32_t scope = 0);
+  void insert(const DnsName& name, RRType type, Section&& records,
+              net::SimTime now, uint32_t scope = 0);
+  /// Owned records (tests and tools).
   void insert(const DnsName& name, RRType type,
               std::vector<ResourceRecord> records, net::SimTime now,
               uint32_t scope = 0);
@@ -119,53 +121,85 @@ class Cache {
                        net::SimTime now, uint32_t scope = 0);
 
   void clear();
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return live_; }
   const CacheStats& stats() const { return stats_; }
 
-  /// Approximate heap bytes held by the entry map, the expiry index and
-  /// the cached rrsets. A profiling gauge (obs/memory.h) — counts node
-  /// and record-vector capacities, not exact allocator accounting.
+  /// Approximate heap bytes held by the slot array, the index, the heap
+  /// and the entries' own buffers (names past the small buffer, owned
+  /// records). Borrowed World rrsets are not counted. A profiling gauge
+  /// (obs/memory.h), not exact allocator accounting.
   size_t approx_bytes() const;
 
   /// TTL clamps; exposed so tests can exercise the bounds.
   void set_ttl_bounds(uint32_t min_ttl_s, uint32_t max_ttl_s);
 
  private:
-  struct Key {
-    DnsName name;
-    RRType type;
-    uint32_t scope = 0;  ///< ECS client-subnet partition; 0 = global
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return (k.name.hash() * 31 + static_cast<size_t>(k.type)) * 31 + k.scope;
-    }
-  };
+  static constexpr uint32_t kNone = UINT32_MAX;
 
-  /// Expiry-ordered eviction index. multimap inserts equal keys at the
-  /// upper bound, so entries sharing an expiry stay in insertion order —
-  /// eviction order is deterministic by construction. Values point at the
-  /// owning map node's key (stable: unordered_map storage is node-based).
-  using ExpiryIndex = std::multimap<net::SimTime, const Key*>;
   struct Entry {
-    CachedRrset data;
-    ExpiryIndex::iterator expiry_it;
+    DnsName name;
+    RRType type = RRType::kA;
+    uint32_t scope = 0;  ///< ECS client-subnet partition; 0 = global
+    size_t hash = 0;
+    Section records;  ///< empty for a negative entry
+    bool negative = false;
+    net::SimTime inserted;
+    net::SimTime expires;
+    uint64_t sequence = 0;     ///< insert/overwrite order (eviction ties)
+    uint32_t heap_at = kNone;  ///< position in heap_
   };
-  using EntryMap = std::unordered_map<Key, Entry, KeyHash>;
 
-  void insert_entry(Key key, CachedRrset entry);
+  static size_t key_hash(const DnsName& name, RRType type, uint32_t scope) {
+    return (name.hash() * 31 + static_cast<size_t>(type)) * 31 + scope;
+  }
+  /// Slot index of the live entry for the key, or kNone.
+  uint32_t find(const DnsName& name, RRType type, uint32_t scope,
+                size_t hash) const;
+  /// The entry's TTL from its records' smallest aged TTL; 0 = uncacheable.
+  uint32_t entry_ttl(uint32_t min_ttl) const;
+  /// Sweeps expired entries, then finds or makes the key's entry and
+  /// stamps it with a fresh sequence and expiry. Returns its slot.
+  uint32_t place(const DnsName& name, RRType type, uint32_t scope,
+                 net::SimTime now, uint32_t ttl_s);
   /// Removes every entry whose expiry is <= now, charging expired stats.
   void purge_expired(net::SimTime now);
   /// Removes the soonest-to-expire (live) entry, charging capacity stats.
   void evict_for_capacity();
-  void erase_expired_entry(EntryMap::iterator it);
+  void erase_expired_entry(uint32_t slot);
+  /// Unlinks a live entry from the index and the heap, frees its slot.
+  void erase(uint32_t slot);
+
+  void index_insert(uint32_t slot);
+  void index_erase(uint32_t slot);
+  void grow_index();
+
+  bool heap_less(uint32_t a, uint32_t b) const {
+    const Entry& x = entries_[a];
+    const Entry& y = entries_[b];
+    return x.expires < y.expires ||
+           (x.expires == y.expires && x.sequence < y.sequence);
+  }
+  void heap_set(size_t at, uint32_t slot) {
+    heap_[at] = slot;
+    entries_[slot].heap_at = static_cast<uint32_t>(at);
+  }
+  void heap_push(uint32_t slot);
+  void heap_remove(size_t at);
+  void heap_fix(size_t at);
+  void sift_up(size_t at);
+  void sift_down(size_t at);
 
   size_t max_entries_;
   uint32_t min_ttl_s_ = 0;
   uint32_t max_ttl_s_ = 86400;
-  EntryMap entries_;
-  ExpiryIndex expiry_;
+  std::vector<Entry> entries_;  ///< slots, live and free
+  std::vector<uint32_t> free_;  ///< freed slots, reused last-freed first
+  /// Open addressing, linear probing: slot + 1, 0 = empty; size is zero or
+  /// a power of two at most half full.
+  std::vector<uint32_t> index_;
+  std::vector<uint32_t> heap_;  ///< live slots, min-heap on (expires, sequence)
+  uint64_t next_sequence_ = 0;
+  size_t live_ = 0;
   CacheStats stats_;
 };
 

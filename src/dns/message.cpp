@@ -84,7 +84,7 @@ void write_rdata(ByteWriter& out, NameCompressor& names, const Rdata& rdata) {
 }
 
 void write_record(ByteWriter& out, NameCompressor& names,
-                  const ResourceRecord& rr) {
+                  const RecordView& rr) {
   names.write_name(out, rr.name);
   out.put_u16(static_cast<uint16_t>(rr.type()));
   out.put_u16(static_cast<uint16_t>(rr.klass));
@@ -253,7 +253,7 @@ std::optional<EdnsClientSubnet> read_opt_rdata(ByteReader& reader,
 /// Reads one record. Ordinary records are appended to `section`; an OPT
 /// pseudo-RR is folded into `message.ecs` instead.
 bool read_record_into(ByteReader& reader, Message& message,
-                      std::vector<ResourceRecord>& section) {
+                      Section& section) {
   auto name = read_name(reader);
   if (!name) return false;
   const uint16_t type = reader.get_u16();
@@ -329,16 +329,16 @@ Message Message::make_response() const {
   return m;
 }
 
-const ResourceRecord* Message::first_answer(RRType type) const {
-  for (const auto& rr : answers) {
-    if (rr.type() == type) return &rr;
+std::optional<RecordView> Message::first_answer(RRType type) const {
+  for (const RecordView rr : answers) {
+    if (rr.type() == type) return rr;
   }
-  return nullptr;
+  return std::nullopt;
 }
 
 std::vector<net::Ipv4Addr> Message::answer_addresses() const {
   std::vector<net::Ipv4Addr> out;
-  for (const auto& rr : answers) {
+  for (const RecordView rr : answers) {
     if (const auto* a = std::get_if<ARecord>(&rr.rdata)) out.push_back(a->address);
   }
   return out;
@@ -359,9 +359,9 @@ std::vector<uint8_t> encode(const Message& message) {
     out.put_u16(static_cast<uint16_t>(q.type));
     out.put_u16(static_cast<uint16_t>(q.klass));
   }
-  for (const auto& rr : message.answers) write_record(out, names, rr);
-  for (const auto& rr : message.authorities) write_record(out, names, rr);
-  for (const auto& rr : message.additionals) write_record(out, names, rr);
+  for (const RecordView rr : message.answers) write_record(out, names, rr);
+  for (const RecordView rr : message.authorities) write_record(out, names, rr);
+  for (const RecordView rr : message.additionals) write_record(out, names, rr);
   if (message.ecs) write_opt_record(out, *message.ecs);
   return out.take();
 }
@@ -390,8 +390,7 @@ std::optional<Message> decode(std::span<const uint8_t> wire) {
     if (!q) return std::nullopt;
     m.questions.push_back(std::move(*q));
   }
-  const auto read_section = [&](uint16_t count,
-                                std::vector<ResourceRecord>& section) {
+  const auto read_section = [&](uint16_t count, Section& section) {
     for (uint16_t i = 0; i < count; ++i) {
       if (!read_record_into(reader, m, section)) return false;
     }

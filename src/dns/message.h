@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "dns/record.h"
+#include "dns/rrset.h"
 
 namespace curtain::dns {
 
@@ -66,12 +67,15 @@ struct EdnsClientSubnet {
   bool operator==(const EdnsClientSubnet&) const = default;
 };
 
+/// A message's sections borrow shared rrsets wherever the data is World
+/// zone data (dns/rrset.h), so building, forwarding and caching a response
+/// copies no record.
 struct Message {
   Header header;
   std::vector<Question> questions;
-  std::vector<ResourceRecord> answers;
-  std::vector<ResourceRecord> authorities;
-  std::vector<ResourceRecord> additionals;
+  Section answers;
+  Section authorities;
+  Section additionals;
   /// EDNS(0) client-subnet option, carried in an OPT pseudo-RR on the
   /// wire (never stored in `additionals`).
   std::optional<EdnsClientSubnet> ecs;
@@ -82,8 +86,8 @@ struct Message {
   /// Response skeleton echoing this query's id and question.
   Message make_response() const;
 
-  /// First answer of the given type, or nullptr.
-  const ResourceRecord* first_answer(RRType type) const;
+  /// First answer of the given type, if any.
+  std::optional<RecordView> first_answer(RRType type) const;
 
   /// All A-record addresses in the answer section, in order.
   std::vector<net::Ipv4Addr> answer_addresses() const;

@@ -5,11 +5,15 @@
 // name <= 255 octets in wire form.
 //
 // Storage is flat: one contiguous byte buffer holding the concatenated
-// labels plus a small inline vector of label end offsets. Typical names
-// ("www.example.com" is 13 label bytes) fit entirely in the std::string
-// small-buffer and the inline offset array, so constructing, copying and
-// hashing a name — the DNS cache's key path — touches no heap at all,
-// where the old std::vector<std::string> cost one allocation per label.
+// labels plus a small inline vector of label end offsets. A name of at
+// most 15 label bytes ("www.example.com" has 13) fits in libstdc++'s
+// std::string small buffer and the inline offset array, so copying it
+// touches no heap, where the old std::vector<std::string> cost one
+// allocation per label. Many of this study's names are longer:
+// "amazon-www.curtaincdn.net" has 23 label bytes and "ns1.curtaincdn.net"
+// 16, so each copy of one allocates. That is why zone data is shared
+// rather than copied (dns/rrset.h), and why a cache slot keeps its name
+// buffer for the next key it holds (dns/cache.h).
 //
 // lint-hot-path: names are the DNS cache's key type, so curtain_lint holds
 // this file to the hot-alloc rule.
@@ -90,8 +94,8 @@ class DnsName {
   /// Heap bytes this name owns beyond its object footprint: the label
   /// buffer once it spills the std::string small-buffer and the offset
   /// array once it spills the inline slots, each charged
-  /// obs::kAllocOverheadBytes. Zero for typical short names — a profiling
-  /// gauge (obs/memory.h), not an exact audit.
+  /// obs::kAllocOverheadBytes. Zero for names of at most 15 label bytes —
+  /// a profiling gauge (obs/memory.h), not an exact audit.
   size_t approx_heap_bytes() const {
     size_t heap = 0;
     if (bytes_.capacity() > std::string().capacity())

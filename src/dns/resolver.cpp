@@ -42,37 +42,47 @@ ResolverMetrics& resolver_metrics() {
   return metrics.get();
 }
 
-/// Borrowed records of one response section; responses hold a handful.
-using RecordRefs = util::SmallVec<const ResourceRecord*, 8>;
+/// Run indices of one response section; responses hold a handful.
+using RunRefs = util::SmallVec<uint32_t, 8>;
 
-bool rrset_key_less(const ResourceRecord* a, const ResourceRecord* b) {
-  if (a->name < b->name) return true;
-  if (b->name < a->name) return false;
-  return a->type() < b->type();
+bool run_key_less(const Section& section, uint32_t a, uint32_t b) {
+  const ResourceRecord& x = section.stored(a, 0);
+  const ResourceRecord& y = section.stored(b, 0);
+  if (x.name < y.name) return true;
+  if (y.name < x.name) return false;
+  return x.type() < y.type();
 }
 
-/// Inserts `refs` into `cache` as one rrset per (name, type), in ascending
-/// (name, type) order with section order kept inside an rrset. The
-/// cache's expiry index breaks ties on insertion order, so this order is
-/// result-visible. Sorts `refs` in place (stable insertion sort).
-void insert_rrsets(Cache& cache, RecordRefs& refs, net::SimTime now,
-                   uint32_t scope) {
-  const ResourceRecord** data = refs.data();
+/// Inserts `section`'s runs into `cache` as one entry per (name, type),
+/// in ascending (name, type) order with section order kept inside an
+/// entry; SOA runs are skipped when `skip_soa`. The cache's expiry order
+/// breaks ties on insertion order, so this order is result-visible. A
+/// stable sort of the runs is a stable sort of their records, since every
+/// record of a run shares the run's name and type.
+void insert_rrsets(Cache& cache, const Section& section, bool skip_soa,
+                   net::SimTime now, uint32_t scope) {
+  RunRefs refs;
+  for (uint32_t i = 0; i < section.run_count(); ++i) {
+    if (skip_soa && section.stored(i, 0).type() == RRType::kSOA) continue;
+    refs.push_back(i);
+  }
+  uint32_t* data = refs.data();
   const size_t n = refs.size();
-  for (size_t i = 1; i < n; ++i) {
-    const ResourceRecord* rr = data[i];
+  for (size_t i = 1; i < n; ++i) {  // stable insertion sort
+    const uint32_t run = data[i];
     size_t j = i;
-    for (; j > 0 && rrset_key_less(rr, data[j - 1]); --j) data[j] = data[j - 1];
-    data[j] = rr;
+    for (; j > 0 && run_key_less(section, run, data[j - 1]); --j) {
+      data[j] = data[j - 1];
+    }
+    data[j] = run;
   }
   for (size_t begin = 0; begin < n;) {
     size_t end = begin + 1;
-    while (end < n && !rrset_key_less(data[begin], data[end])) ++end;
-    std::vector<ResourceRecord> rrset;
-    rrset.reserve(end - begin);
-    for (size_t k = begin; k < end; ++k) rrset.push_back(*data[k]);
-    cache.insert(data[begin]->name, data[begin]->type(), std::move(rrset), now,
-                 scope);
+    while (end < n && !run_key_less(section, data[begin], data[end])) ++end;
+    Section rrset;
+    for (size_t k = begin; k < end; ++k) rrset.append_run(section, data[k]);
+    const ResourceRecord& head = section.stored(data[begin], 0);
+    cache.insert(head.name, head.type(), std::move(rrset), now, scope);
     begin = end;
   }
 }
@@ -81,7 +91,7 @@ void insert_rrsets(Cache& cache, RecordRefs& refs, net::SimTime now,
 
 std::vector<net::Ipv4Addr> ResolutionResult::addresses() const {
   std::vector<net::Ipv4Addr> out;
-  for (const auto& rr : answers) {
+  for (const RecordView rr : answers) {
     if (const auto* a = std::get_if<ARecord>(&rr.rdata)) out.push_back(a->address);
   }
   return out;
@@ -89,7 +99,7 @@ std::vector<net::Ipv4Addr> ResolutionResult::addresses() const {
 
 RecursiveResolver::RecursiveResolver(std::string name, net::NodeId node,
                                      net::Ipv4Addr ip,
-                                     const net::Topology* topology,
+                                     net::Topology* topology,
                                      const ServerRegistry* registry,
                                      net::Ipv4Addr root_ip)
     : name_(std::move(name)),
@@ -97,7 +107,8 @@ RecursiveResolver::RecursiveResolver(std::string name, net::NodeId node,
       ip_(ip),
       topology_(topology),
       registry_(registry),
-      root_ip_(root_ip) {}
+      root_ip_(root_ip),
+      states_(topology->issue_device_slot()) {}
 
 obs::UnboundMemory RecursiveResolver::approx_unbound_bytes() const {
   obs::UnboundMemory memory;
@@ -119,10 +130,7 @@ ResolutionResult RecursiveResolver::resolve(const DnsName& name, RRType type,
   DnsName qname = name;
   bool resolved = false;
   for (size_t chase = 0; chase <= kMaxCnameChase && !resolved; ++chase) {
-    const auto next =
-        resolve_step(qname, type, now, rng, ecs_client, scope, result);
-    if (!next) resolved = true;
-    else qname = *next;
+    resolved = !resolve_step(qname, type, now, rng, ecs_client, scope, result);
   }
   if (!resolved) result.rcode = Rcode::kServFail;  // CNAME chain too long
   span.finish(now.millis() + result.upstream_ms);
@@ -137,26 +145,27 @@ ResolutionResult RecursiveResolver::resolve(const DnsName& name, RRType type,
   return result;
 }
 
-std::optional<DnsName> RecursiveResolver::resolve_step(
-    const DnsName& qname, RRType type, net::SimTime now, net::Rng& rng,
-    net::Ipv4Addr ecs_client, uint32_t scope, ResolutionResult& result) {
+bool RecursiveResolver::resolve_step(DnsName& qname, RRType type,
+                                     net::SimTime now, net::Rng& rng,
+                                     net::Ipv4Addr ecs_client, uint32_t scope,
+                                     ResolutionResult& result) {
   QueryState& state = query_state();
   // Terminal rrset cached (within this client's subnet partition)?
   if (auto cached = state.cache.lookup(qname, type, now, scope)) {
     if (cached->negative()) {
       result.rcode = Rcode::kNxDomain;
-      return std::nullopt;
+      return false;
     }
     cached->append_aged(result.answers);
-    return std::nullopt;
+    return false;
   }
   // Cached CNAME link?
   if (type != RRType::kCNAME) {
     if (auto cached = state.cache.lookup(qname, RRType::kCNAME, now, scope);
         cached && !cached->negative() && !cached->records().empty()) {
-      result.answers.push_back(cached->records().front());
-      result.answers.back().ttl = cached->aged_ttl(result.answers.back().ttl);
-      return std::get<CnameRecord>(cached->records().front().rdata).target;
+      result.answers.append_run(cached->records(), 0, cached->elapsed_s(), 1);
+      qname = std::get<CnameRecord>(cached->records().front().rdata).target;
+      return true;
     }
   }
   // Background-load model: subscribers may have refreshed this name
@@ -175,8 +184,8 @@ std::optional<DnsName> RecursiveResolver::resolve_step(
     state.warming = false;
     // An entry with TTL T that background users re-fetch every I seconds
     // is fresh a T/(T+I) fraction of the time.
-    uint32_t ttl = 300;  // NXDOMAIN / empty answers: negative-cache TTL
-    for (const auto& rr : shadow.answers) ttl = std::min(ttl, rr.ttl);
+    // NXDOMAIN / empty answers: the 300 s negative-cache TTL.
+    const uint32_t ttl = std::min<uint32_t>(300, shadow.answers.min_ttl());
     if (!rng.bernoulli(ttl / (ttl + bg_interarrival_s_))) {
       // Cold after all: the client pays the recursion the shadow ran.
       result.upstream_ms += shadow.upstream_ms;
@@ -186,8 +195,8 @@ std::optional<DnsName> RecursiveResolver::resolve_step(
       resolver_metrics().warm_hits.inc();
     }
     result.rcode = shadow.rcode;
-    for (auto& rr : shadow.answers) result.answers.push_back(std::move(rr));
-    return std::nullopt;  // the shadow resolution followed the whole chain
+    result.answers.append(std::move(shadow.answers));
+    return false;  // the shadow resolution followed the whole chain
   }
   result.from_cache = false;
   return iterate(qname, type, now, rng, ecs_client, scope, result);
@@ -200,11 +209,11 @@ net::Ipv4Addr RecursiveResolver::best_server_for(const DnsName& qname,
   // also have. The root primes the walk when nothing deeper is known.
   DnsName zone = qname;
   while (true) {
-    // Borrowed views are safe across the nested glue lookup: it touches a
-    // different key, so the NS entry's node (and record vector) stay put.
+    // Borrowed views are safe across the nested glue lookup: lookups never
+    // move entries (dns/cache.h), so the NS entry stays put.
     if (auto ns_set = cache.lookup(zone, RRType::kNS, now);
         ns_set && !ns_set->negative()) {
-      for (const auto& rr : ns_set->records()) {
+      for (const RecordView rr : ns_set->records()) {
         const auto& ns_name = std::get<NsRecord>(rr.rdata).nameserver;
         if (auto glue = cache.lookup(ns_name, RRType::kA, now);
             glue && !glue->negative() && !glue->records().empty()) {
@@ -255,65 +264,68 @@ void RecursiveResolver::cache_response_sections(const Message& response,
                                                 net::SimTime now,
                                                 uint32_t answer_scope) {
   // Tailored answers are valid only for this client's subnet; referral
-  // metadata (NS, glue) is subnet-independent.
+  // metadata (NS, glue) is subnet-independent. SOA is negative-caching
+  // metadata, read by iterate() instead.
   Cache& cache = query_state().cache;
-  RecordRefs refs;
-  for (const auto& rr : response.answers) refs.push_back(&rr);
-  insert_rrsets(cache, refs, now, answer_scope);
-  refs.clear();
-  for (const auto* section : {&response.authorities, &response.additionals}) {
-    for (const auto& rr : *section) {
-      // SOA is negative-caching metadata, read by iterate() instead.
-      if (rr.type() != RRType::kSOA) refs.push_back(&rr);
-    }
+  insert_rrsets(cache, response.answers, /*skip_soa=*/false, now,
+                answer_scope);
+  if (response.additionals.empty()) {
+    insert_rrsets(cache, response.authorities, /*skip_soa=*/true, now, 0);
+    return;
   }
-  insert_rrsets(cache, refs, now, /*scope=*/0);
+  Section metadata = response.authorities;
+  metadata.append(response.additionals);
+  insert_rrsets(cache, metadata, /*skip_soa=*/true, now, /*scope=*/0);
 }
 
-std::optional<DnsName> RecursiveResolver::iterate(
-    const DnsName& qname, RRType type, net::SimTime now, net::Rng& rng,
-    net::Ipv4Addr ecs_client, uint32_t scope, ResolutionResult& result) {
+bool RecursiveResolver::iterate(DnsName& qname, RRType type,
+                                net::SimTime now, net::Rng& rng,
+                                net::Ipv4Addr ecs_client, uint32_t scope,
+                                ResolutionResult& result) {
   net::Ipv4Addr server_ip = best_server_for(qname, now);
   for (size_t step = 0; step < kMaxReferrals; ++step) {
     auto response =
         query_server(server_ip, qname, type, now, rng, ecs_client, result);
     if (!response) {
       result.rcode = Rcode::kServFail;
-      return std::nullopt;
+      return false;
     }
     cache_response_sections(*response, now, scope);
 
     if (!response->answers.empty()) {
       // Either the terminal rrset, a CNAME link, or a mix ending in one.
-      std::optional<DnsName> continue_with;
-      for (const auto& rr : response->answers) {
-        result.answers.push_back(rr);
+      const DnsName* continue_with = nullptr;
+      for (const RecordView rr : response->answers) {
         if (rr.type() == RRType::kCNAME && type != RRType::kCNAME) {
-          continue_with = std::get<CnameRecord>(rr.rdata).target;
+          continue_with = &std::get<CnameRecord>(rr.rdata).target;
         }
-        if (rr.type() == type) continue_with.reset();
+        if (rr.type() == type) continue_with = nullptr;
       }
-      return continue_with;
+      // Read the target before the answers (and any records they own)
+      // move into the result.
+      if (continue_with != nullptr) qname = *continue_with;
+      result.answers.append(std::move(response->answers));
+      return continue_with != nullptr;
     }
 
     if (response->header.rcode == Rcode::kNxDomain) {
       uint32_t neg_ttl = 300;
-      for (const auto& rr : response->authorities) {
+      for (const RecordView rr : response->authorities) {
         if (const auto* soa = std::get_if<SoaRecord>(&rr.rdata)) {
           neg_ttl = std::min(rr.ttl, soa->minimum);
         }
       }
       query_state().cache.insert_negative(qname, type, neg_ttl, now, scope);
       result.rcode = Rcode::kNxDomain;
-      return std::nullopt;
+      return false;
     }
 
     // Referral: follow the first NS with glue.
     net::Ipv4Addr next{};
-    for (const auto& ns_rr : response->authorities) {
+    for (const RecordView ns_rr : response->authorities) {
       const auto* ns = std::get_if<NsRecord>(&ns_rr.rdata);
       if (ns == nullptr) continue;
-      for (const auto& add_rr : response->additionals) {
+      for (const RecordView add_rr : response->additionals) {
         const auto* a = std::get_if<ARecord>(&add_rr.rdata);
         if (a != nullptr && add_rr.name == ns->nameserver) {
           next = a->address;
@@ -328,17 +340,17 @@ std::optional<DnsName> RecursiveResolver::iterate(
       // or pointing back at the same server): the latter is a lame
       // delegation and surfaces as SERVFAIL, like production resolvers.
       bool lame_referral = false;
-      for (const auto& rr : response->authorities) {
+      for (const RecordView rr : response->authorities) {
         if (rr.type() == RRType::kNS) lame_referral = true;
       }
       result.rcode =
           lame_referral ? Rcode::kServFail : response->header.rcode;
-      return std::nullopt;
+      return false;
     }
     server_ip = next;
   }
   result.rcode = Rcode::kServFail;
-  return std::nullopt;
+  return false;
 }
 
 ServedResponse RecursiveResolver::serve(const Message& query,

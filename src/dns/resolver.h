@@ -23,8 +23,9 @@ namespace curtain::dns {
 
 struct ResolutionResult {
   Rcode rcode = Rcode::kServFail;
-  /// Full answer chain, CNAMEs first, terminal rrset last.
-  std::vector<ResourceRecord> answers;
+  /// Full answer chain, CNAMEs first, terminal rrset last; mostly borrowed
+  /// runs of the World's rrsets (dns/rrset.h).
+  Section answers;
   /// Latency the resolver spent querying upstream servers (0 on cache hit).
   double upstream_ms = 0.0;
   int upstream_queries = 0;
@@ -37,9 +38,10 @@ struct ResolutionResult {
 class RecursiveResolver : public DnsServer {
  public:
   /// `root_ip` is the priming address of the root server; `registry` and
-  /// `topology` are borrowed and must outlive the resolver.
+  /// `topology` are borrowed and must outlive the resolver, which takes
+  /// its device-state slot from `topology`.
   RecursiveResolver(std::string name, net::NodeId node, net::Ipv4Addr ip,
-                    const net::Topology* topology, const ServerRegistry* registry,
+                    net::Topology* topology, const ServerRegistry* registry,
                     net::Ipv4Addr root_ip);
 
   /// Resolves (name, type), consulting the cache and iterating as needed.
@@ -94,19 +96,19 @@ class RecursiveResolver : public DnsServer {
 
  private:
   /// One step: resolve `qname` to either a terminal rrset or a CNAME.
-  /// Appends to `result.answers`; returns the CNAME target if chasing
-  /// should continue. `scope` is the ECS cache partition (0 = global).
-  std::optional<DnsName> resolve_step(const DnsName& qname, RRType type,
-                                      net::SimTime now, net::Rng& rng,
-                                      net::Ipv4Addr ecs_client, uint32_t scope,
-                                      ResolutionResult& result);
+  /// Appends to `result.answers`; when chasing should continue, sets
+  /// `qname` to the CNAME target and returns true. `scope` is the ECS
+  /// cache partition (0 = global).
+  bool resolve_step(DnsName& qname, RRType type, net::SimTime now,
+                    net::Rng& rng, net::Ipv4Addr ecs_client, uint32_t scope,
+                    ResolutionResult& result);
 
   /// Iterative walk for one (qname, type); fills result from the network.
-  /// Returns the CNAME continuation target, if any.
-  std::optional<DnsName> iterate(const DnsName& qname, RRType type,
-                                 net::SimTime now, net::Rng& rng,
-                                 net::Ipv4Addr ecs_client, uint32_t scope,
-                                 ResolutionResult& result);
+  /// Sets `qname` to the CNAME continuation target and returns true, if
+  /// there is one.
+  bool iterate(DnsName& qname, RRType type, net::SimTime now, net::Rng& rng,
+               net::Ipv4Addr ecs_client, uint32_t scope,
+               ResolutionResult& result);
 
   /// Deepest cached delegation for `qname` (falls back to the root).
   net::Ipv4Addr best_server_for(const DnsName& qname, net::SimTime now);
@@ -122,7 +124,8 @@ class RecursiveResolver : public DnsServer {
 
   /// Caches every rrset in a response, grouped by (name, type). Answer
   /// rrsets go into the `answer_scope` partition (ECS-tailored data);
-  /// referral metadata is cached globally.
+  /// referral metadata is cached globally. Shared rrsets are cached as
+  /// borrowed runs.
   void cache_response_sections(const Message& response, net::SimTime now,
                                uint32_t answer_scope);
 

@@ -65,8 +65,7 @@ void install_reverse_zone(AuthoritativeServer& server,
   server.set_dynamic_handler(
       [topology, suffix](const Question& question, net::Ipv4Addr,
                          const std::optional<EdnsClientSubnet>&, net::SimTime,
-                         net::Rng&)
-          -> std::optional<std::vector<ResourceRecord>> {
+                         net::Rng&) -> DynamicAnswer {
         if (question.type != RRType::kPTR) return std::nullopt;
         const auto address = parse_reverse_name(question.name);
         if (!address) return std::nullopt;

@@ -6,7 +6,7 @@ namespace curtain::dns {
 
 std::vector<net::Ipv4Addr> StubResult::addresses() const {
   std::vector<net::Ipv4Addr> out;
-  for (const auto& rr : answers) {
+  for (const RecordView rr : answers) {
     if (const auto* a = std::get_if<ARecord>(&rr.rdata)) out.push_back(a->address);
   }
   return out;

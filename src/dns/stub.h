@@ -13,7 +13,7 @@ namespace curtain::dns {
 struct StubResult {
   bool responded = false;
   Rcode rcode = Rcode::kServFail;
-  std::vector<ResourceRecord> answers;
+  Section answers;  ///< as the resolver answered (dns/rrset.h)
   /// End-to-end resolution time as the client perceives it.
   double total_ms = 0.0;
 

@@ -15,8 +15,8 @@ dns::DnsName ResolverIdentifier::probe_name(uint64_t device_id,
 }
 
 std::optional<net::Ipv4Addr> ResolverIdentifier::extract(
-    const std::vector<dns::ResourceRecord>& answers) {
-  for (const auto& rr : answers) {
+    const dns::Section& answers) {
+  for (const dns::RecordView rr : answers) {
     if (const auto* a = std::get_if<dns::ARecord>(&rr.rdata)) {
       return a->address;
     }
@@ -28,8 +28,7 @@ void ResolverIdentifier::install_handler(dns::AuthoritativeServer& adns) {
   adns.set_dynamic_handler(
       [](const dns::Question& question, net::Ipv4Addr resolver_ip,
          const std::optional<dns::EdnsClientSubnet>& /*ecs*/,
-         net::SimTime /*now*/, net::Rng& /*rng*/)
-          -> std::optional<std::vector<dns::ResourceRecord>> {
+         net::SimTime /*now*/, net::Rng& /*rng*/) -> dns::DynamicAnswer {
         if (question.type != dns::RRType::kA) return std::nullopt;
         // TTL 0: never cached, every query reaches us (§3.2).
         return std::vector<dns::ResourceRecord>{

@@ -11,6 +11,7 @@
 
 #include "dns/authoritative.h"
 #include "dns/name.h"
+#include "dns/rrset.h"
 
 namespace curtain::measure {
 
@@ -26,8 +27,7 @@ class ResolverIdentifier {
 
   /// The resolver address from an identification answer (the A record the
   /// ADNS synthesized); nullopt if the resolution failed.
-  static std::optional<net::Ipv4Addr> extract(
-      const std::vector<dns::ResourceRecord>& answers);
+  static std::optional<net::Ipv4Addr> extract(const dns::Section& answers);
 
   /// Installs the identification behaviour on the research zone's ADNS:
   /// any A query under "adns.<apex>" is answered with the querying

@@ -22,10 +22,17 @@
 // rather than growing with fleet coverage. Nothing here is shared between
 // threads: a scope lives on its worker's stack, and the inline values are
 // only touched by code with no device bound.
+//
+// Lookup is an array index. Every DeviceLocal takes a slot number when it
+// is built — the world's topology numbers its owners 0, 1, 2, ...
+// (Topology::issue_device_slot) — and each thread keeps one table of
+// state pointers indexed by slot, which its successive scopes share: a
+// scope fills the slots its device touches and empties exactly those when
+// it closes.
 #pragma once
 
-#include <memory>
-#include <unordered_map>
+#include <cstdint>
+#include <vector>
 
 #include "util/contract.h"
 
@@ -35,14 +42,8 @@ class DeviceScope {
  public:
   /// Opens the scope of the device with fleet-wide enrollment ordinal
   /// `ordinal` (1-based) on the calling thread. Scopes do not nest.
-  explicit DeviceScope(int ordinal) : ordinal_(ordinal) {
-    CURTAIN_CHECK(ordinal > 0) << "device ordinal " << ordinal << " not 1-based";
-    CURTAIN_CHECK(bound_ == nullptr)
-        << "device scope " << ordinal << " opened inside scope "
-        << bound_->ordinal_;
-    bound_ = this;
-  }
-  ~DeviceScope() { bound_ = nullptr; }
+  explicit DeviceScope(int ordinal);
+  ~DeviceScope();
   DeviceScope(const DeviceScope&) = delete;
   DeviceScope& operator=(const DeviceScope&) = delete;
 
@@ -58,42 +59,67 @@ class DeviceScope {
   friend class DeviceLocal;
 
   struct Slot {
-    virtual ~Slot() = default;
+    void* state = nullptr;
+    void (*destroy)(void*) = nullptr;
+    const void* owner = nullptr;  ///< the DeviceLocal the state belongs to
   };
-  template <typename T>
-  struct Value final : Slot {
-    T value{};
+  /// The calling thread's slot table, shared by its successive scopes.
+  struct Table {
+    std::vector<Slot> slots;       ///< indexed by DeviceLocal slot
+    std::vector<uint32_t> filled;  ///< slots the open scope filled
   };
 
-  /// This device's T for `owner`, value-initialized on first touch.
   template <typename T>
-  T& state_for(const void* owner) {
-    std::unique_ptr<Slot>& slot = slots_[owner];
-    if (slot == nullptr) slot = std::make_unique<Value<T>>();
-    CURTAIN_DCHECK(dynamic_cast<Value<T>*>(slot.get()) != nullptr)
-        << "device state owner reused with another type";
-    return static_cast<Value<T>&>(*slot).value;
+  static void destroy(void* state) {
+    delete static_cast<T*>(state);
   }
+
+  /// This device's T for `owner`, which holds `slot`; value-initialized
+  /// on first touch.
+  template <typename T>
+  T& state_for(uint32_t slot, const void* owner) {
+    if (slot >= table_->slots.size()) table_->slots.resize(slot + 1);
+    Slot& entry = table_->slots[slot];
+    if (entry.state == nullptr) {
+      entry.state = new T{};
+      entry.destroy = &destroy<T>;
+      entry.owner = owner;
+      table_->filled.push_back(slot);
+    }
+    // Two owners share a slot only if they come from two topologies and
+    // one device uses both: that would mix their states.
+    CURTAIN_CHECK(entry.owner == owner)
+        << "device state slot " << slot << " claimed by two owners";
+    return *static_cast<T*>(entry.state);
+  }
+
+  static Table& thread_table();
 
   inline static thread_local DeviceScope* bound_ = nullptr;
 
   int ordinal_;
-  /// Keyed by the owning DeviceLocal's address; lookups only, never
-  /// iterated, so hash order cannot reach results.
-  std::unordered_map<const void*, std::unique_ptr<Slot>> slots_;
+  Table* table_;
 };
 
 /// One T per device: the bound device's copy while a DeviceScope is open
 /// on the calling thread, the inline copy otherwise. Device copies are
-/// keyed by this object's address, so an owner must not move, and must
-/// outlive, any scope open while it is used (owners are world objects,
-/// built before any device runs and destroyed after the campaign).
+/// found by the slot number the owner was built with, unique among the
+/// owners one device uses (Topology::issue_device_slot numbers a world's).
+/// An owner must not move while a scope holds its state, and must outlive
+/// any scope open while it is used (owners are world objects, built
+/// before any device runs and destroyed after the campaign).
 template <typename T>
 class DeviceLocal {
  public:
+  explicit DeviceLocal(uint32_t slot) : slot_(slot) {}
+  DeviceLocal(DeviceLocal&&) noexcept = default;
+  DeviceLocal(const DeviceLocal&) = delete;
+  DeviceLocal& operator=(const DeviceLocal&) = delete;
+  DeviceLocal& operator=(DeviceLocal&&) = delete;
+
   T& get() {
     DeviceScope* scope = DeviceScope::bound_;
-    return scope == nullptr ? unbound_ : scope->state_for<T>(this);
+    return scope == nullptr ? unbound_ : scope->state_for<T>(slot_, this);
   }
 
   /// The copy code with no device bound uses — all that outlives a
@@ -101,6 +127,7 @@ class DeviceLocal {
   const T& unbound() const { return unbound_; }
 
  private:
+  uint32_t slot_;
   T unbound_{};
 };
 

@@ -125,6 +125,11 @@ class Topology {
   /// their entries with it.
   uint64_t stamp() const { return stamp_; }
 
+  /// Numbers the world's device-scoped state owners (net/device_scope.h):
+  /// 0, 1, 2, ... in build order, so one world's owners index a dense
+  /// table. Not part of the graph: the stamp does not change.
+  uint32_t issue_device_slot() { return device_slots_++; }
+
   /// Shortest path by typical latency, inclusive of both endpoints; empty
   /// if unreachable. Read off the shortest-path tree rooted at `from`,
   /// which is built on the first query from `from` and then cached by the
@@ -176,6 +181,7 @@ class Topology {
   std::vector<std::vector<Edge>> adjacency_;
   std::unordered_map<uint32_t, NodeId> ip_index_;
   uint64_t stamp_ = 0;  ///< see stamp()
+  uint32_t device_slots_ = 0;  ///< see issue_device_slot()
 };
 
 }  // namespace curtain::net

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "cdn/domains.h"
 #include "core/world.h"
@@ -217,6 +220,78 @@ TEST_F(CdnTest, RotationVariesWithinCluster) {
   // The 30 s rotation should cycle through more than one response's worth
   // of replicas inside an hour.
   EXPECT_GT(replicas_seen.size(), 2u);
+}
+
+// A hinted /24's nearest cluster is scanned once and memoized in its hint.
+// The memo must read what a fresh scan gives in every World a thread
+// builds, after a hint moves, and when two threads fill it at once.
+TEST_F(CdnTest, NearestClusterMemoMatchesFreshScan) {
+  struct Hinted {
+    net::Ipv4Addr ip;
+    net::GeoPoint location;
+    std::string country;
+  };
+  // Hints on distinct /24s starting at `first`, spread over the US, Korea
+  // and elsewhere, with countries that have clusters, none, or no filter.
+  const auto make_hints = [](net::Ipv4Addr first, uint64_t seed) {
+    net::Rng rng(seed);
+    const char* countries[] = {"US", "KR", "", "JP"};
+    std::vector<Hinted> hints;
+    for (uint32_t i = 0; i < 120; ++i) {
+      Hinted hint;
+      hint.ip = net::Ipv4Addr(first.value() + (i << 8) + 7);
+      hint.location = {rng.uniform(20.0, 50.0), rng.uniform(-125.0, 130.0)};
+      hint.country = countries[i % 4];
+      hints.push_back(hint);
+    }
+    return hints;
+  };
+  const auto add_hints = [](CdnProvider& provider,
+                            const std::vector<Hinted>& hints) {
+    for (const Hinted& hint : hints) {
+      provider.add_prefix_hint(net::Prefix(hint.ip.slash24(), 24),
+                               hint.location, hint.country);
+    }
+  };
+  const auto mismatches = [](const CdnProvider& provider,
+                             const std::vector<Hinted>& hints) {
+    int count = 0;
+    for (int pass = 0; pass < 2; ++pass) {  // the second reads the memo
+      for (const Hinted& hint : hints) {
+        count += provider.cluster_for_resolver(hint.ip).index !=
+                 provider.nearest_cluster(hint.location, hint.country).index;
+      }
+    }
+    return count;
+  };
+
+  // Worlds built one after the other on this thread, each with its own
+  // hints; then the same /24s re-hinted elsewhere.
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    core::Scenario scenario;
+    scenario.seed = seed;
+    core::World world(scenario);
+    CdnProvider& provider = world.cdn("gcache");
+    const auto hints = make_hints(net::Ipv4Addr{198, 18, 0, 0}, seed);
+    add_hints(provider, hints);
+    EXPECT_EQ(mismatches(provider, hints), 0) << "seed " << seed;
+    const auto moved = make_hints(net::Ipv4Addr{198, 18, 0, 0}, seed + 100);
+    add_hints(provider, moved);
+    EXPECT_EQ(mismatches(provider, moved), 0) << "seed " << seed << ", moved";
+  }
+
+  // Two threads filling one provider's fresh memos at once.
+  CdnProvider& provider = world_->cdn("fastedge");
+  const auto hints = make_hints(net::Ipv4Addr{100, 80, 0, 0}, 7);
+  add_hints(provider, hints);
+  int first = -1;
+  int second = -1;
+  std::thread a([&] { first = mismatches(provider, hints); });
+  std::thread b([&] { second = mismatches(provider, hints); });
+  a.join();
+  b.join();
+  EXPECT_EQ(first, 0);
+  EXPECT_EQ(second, 0);
 }
 
 }  // namespace

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <unordered_map>
+#include <vector>
+
 #include "dns/cache.h"
 
 namespace curtain::dns {
@@ -54,8 +60,8 @@ TEST(Cache, HitIsViewNotCopy) {
                                    SimTime::from_seconds(2));
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
-  // Both hits borrow the same stored vector — lookup copies nothing.
-  EXPECT_EQ(first->records().data(), second->records().data());
+  // Both hits borrow the same stored section — lookup copies nothing.
+  EXPECT_EQ(&first->records(), &second->records());
   EXPECT_EQ(first->aged_ttl(30), 29u);
   EXPECT_EQ(second->aged_ttl(30), 28u);
 }
@@ -237,6 +243,239 @@ TEST(Cache, HitRateAccounting) {
   cache.lookup(name("a.com"), RRType::kA, SimTime::zero());
   cache.lookup(name("b.com"), RRType::kA, SimTime::zero());
   EXPECT_DOUBLE_EQ(cache.stats().hit_rate(), 0.5);
+}
+
+// The cache as it was before entries borrowed shared rrsets: a node-based
+// map of owned record vectors plus a std::multimap expiry index, whose
+// equal-key inserts land at the upper bound. Kept here as the reference
+// the flat cache must match operation for operation.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(size_t max_entries) : max_entries_(max_entries) {}
+
+  struct Hit {
+    bool negative;
+    uint32_t elapsed_s;
+    std::vector<ResourceRecord> stored;
+    std::vector<ResourceRecord> aged;
+  };
+
+  std::optional<Hit> lookup(const DnsName& name, RRType type, SimTime now,
+                            uint32_t scope) {
+    const auto it = entries_.find(Key{name, type, scope});
+    if (it == entries_.end()) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    if (it->second.expires <= now) {
+      erase_expired(it);
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    ++stats_.hits;
+    const Entry& entry = it->second;
+    Hit hit{entry.negative,
+            static_cast<uint32_t>((now - entry.inserted).seconds()),
+            entry.records, entry.records};
+    for (auto& rr : hit.aged) {
+      rr.ttl = rr.ttl > hit.elapsed_s ? rr.ttl - hit.elapsed_s : 0;
+    }
+    return hit;
+  }
+
+  void insert(const DnsName& name, RRType type,
+              std::vector<ResourceRecord> records, SimTime now,
+              uint32_t scope) {
+    if (records.empty()) return;
+    uint32_t ttl = UINT32_MAX;
+    for (const auto& rr : records) ttl = std::min(ttl, rr.ttl);
+    if (ttl == 0) return;
+    ttl = std::clamp(ttl, min_ttl_s_, max_ttl_s_);
+    if (ttl == 0) return;
+    insert_entry(Key{name, type, scope}, std::move(records), false, now, ttl);
+  }
+
+  void insert_negative(const DnsName& name, RRType type, uint32_t ttl,
+                       SimTime now, uint32_t scope) {
+    if (ttl == 0) return;
+    ttl = std::clamp(ttl, min_ttl_s_, max_ttl_s_);
+    if (ttl == 0) return;
+    insert_entry(Key{name, type, scope}, {}, true, now, ttl);
+  }
+
+  void clear() {
+    entries_.clear();
+    expiry_.clear();
+  }
+  void set_ttl_bounds(uint32_t min_ttl_s, uint32_t max_ttl_s) {
+    min_ttl_s_ = min_ttl_s;
+    max_ttl_s_ = std::max(min_ttl_s, max_ttl_s);
+  }
+  size_t size() const { return entries_.size(); }
+  const CacheStats& stats() const { return stats_; }
+
+ private:
+  struct Key {
+    DnsName name;
+    RRType type;
+    uint32_t scope;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& k) const {
+      return (k.name.hash() * 31 + static_cast<size_t>(k.type)) * 31 + k.scope;
+    }
+  };
+  using ExpiryIndex = std::multimap<SimTime, const Key*>;
+  struct Entry {
+    std::vector<ResourceRecord> records;
+    bool negative = false;
+    SimTime inserted;
+    SimTime expires;
+    ExpiryIndex::iterator expiry_it;
+  };
+  using EntryMap = std::unordered_map<Key, Entry, KeyHash>;
+
+  void insert_entry(Key key, std::vector<ResourceRecord> records,
+                    bool negative, SimTime now, uint32_t ttl) {
+    while (!expiry_.empty() && expiry_.begin()->first <= now) {
+      erase_expired(entries_.find(*expiry_.begin()->second));
+    }
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      expiry_.erase(it->second.expiry_it);
+    } else {
+      while (entries_.size() >= max_entries_ && !expiry_.empty()) {
+        const auto victim = expiry_.begin();
+        entries_.erase(*victim->second);
+        expiry_.erase(victim);
+        ++stats_.capacity_evictions;
+      }
+      it = entries_.emplace(std::move(key), Entry{}).first;
+    }
+    Entry& entry = it->second;
+    entry.records = std::move(records);
+    entry.negative = negative;
+    entry.inserted = now;
+    entry.expires = now + SimTime::from_seconds(ttl);
+    entry.expiry_it = expiry_.emplace(entry.expires, &it->first);
+  }
+
+  void erase_expired(EntryMap::iterator it) {
+    expiry_.erase(it->second.expiry_it);
+    entries_.erase(it);
+    ++stats_.expired_evictions;
+  }
+
+  size_t max_entries_;
+  uint32_t min_ttl_s_ = 0;
+  uint32_t max_ttl_s_ = 86400;
+  EntryMap entries_;
+  ExpiryIndex expiry_;
+  CacheStats stats_;
+};
+
+void expect_same_stats(const CacheStats& got, const CacheStats& want,
+                       int step) {
+  EXPECT_EQ(got.hits, want.hits) << "step " << step;
+  EXPECT_EQ(got.misses, want.misses) << "step " << step;
+  EXPECT_EQ(got.expired_evictions, want.expired_evictions) << "step " << step;
+  EXPECT_EQ(got.capacity_evictions, want.capacity_evictions)
+      << "step " << step;
+}
+
+// Random operations on the flat cache and the reference, compared after
+// every step: small capacities with TTLs drawn from a few values, so
+// capacity evictions among equal expiries are common; overwrites of live
+// keys; negative entries; ECS scopes; records held as shared runs that
+// arrive already aged (a forwarded hit), as owned records, or both.
+TEST(Cache, MatchesReferenceCacheOnRandomOperations) {
+  std::mt19937_64 random(20141105);
+  const auto draw = [&](size_t n) { return static_cast<size_t>(random() % n); };
+  // The shared rrsets every insert may borrow from: one per (name, TTL
+  // shape), some with records of unequal TTLs.
+  const char* hosts[] = {"a.com", "b.com", "c.com", "www.example.com",
+                         "amazon-www.curtaincdn.net", "ns1.example.com",
+                         "x.y.z.org", "d.com"};
+  const uint32_t ttls[] = {0, 5, 10, 10, 30, 30, 60};
+  std::vector<Rrset> shared;
+  for (const char* host : hosts) {
+    for (int shape = 0; shape < 4; ++shape) {
+      Rrset rrset;
+      const size_t count = 1 + draw(3);
+      for (size_t k = 0; k < count; ++k) {
+        rrset.add(ResourceRecord::a(
+            name(host), net::Ipv4Addr{10, 0, static_cast<uint8_t>(shape),
+                                      static_cast<uint8_t>(k)},
+            ttls[draw(std::size(ttls))]));
+      }
+      shared.push_back(std::move(rrset));
+    }
+  }
+
+  int step = 0;
+  for (const size_t capacity : {1u, 3u, 8u, 64u}) {
+    Cache cache(capacity);
+    ReferenceCache reference(capacity);
+    if (capacity == 8) {
+      cache.set_ttl_bounds(7, 40);
+      reference.set_ttl_bounds(7, 40);
+    }
+    int64_t now_s = 0;
+    for (int op = 0; op < 20000; ++op, ++step) {
+      now_s += static_cast<int64_t>(draw(4));  // often several ops per second
+      const SimTime now = SimTime::from_seconds(static_cast<double>(now_s));
+      const Rrset& rrset = shared[draw(shared.size())];
+      const DnsName& key_name = rrset.front().name;
+      const RRType type = draw(5) == 0 ? RRType::kCNAME : RRType::kA;
+      const uint32_t scope = draw(3) == 0 ? static_cast<uint32_t>(draw(3)) : 0;
+      const size_t action = draw(10);
+      if (action < 4) {
+        // Shared runs, possibly aged by an upstream hit, possibly two.
+        Section records;
+        const auto aged_by = static_cast<uint32_t>(draw(3) == 0 ? draw(40) : 0);
+        records.append(rrset, aged_by);
+        if (draw(4) == 0) records.append(rrset, 0, 1);
+        reference.insert(key_name, type, records.materialize(), now, scope);
+        if (draw(2) == 0) {
+          cache.insert(key_name, type, records, now, scope);
+        } else {
+          cache.insert(key_name, type, std::move(records), now, scope);
+        }
+      } else if (action < 5) {
+        // Owned records, as a dynamic handler or a decoder builds them.
+        std::vector<ResourceRecord> records = rrset.records();
+        reference.insert(key_name, type, records, now, scope);
+        cache.insert(key_name, type, std::move(records), now, scope);
+      } else if (action < 6) {
+        const auto ttl = static_cast<uint32_t>(draw(4) * 10);
+        reference.insert_negative(key_name, type, ttl, now, scope);
+        cache.insert_negative(key_name, type, ttl, now, scope);
+      } else if (action == 9 && draw(200) == 0) {
+        reference.clear();
+        cache.clear();
+      } else {
+        const auto want = reference.lookup(key_name, type, now, scope);
+        const auto got = cache.lookup(key_name, type, now, scope);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+        if (want) {
+          EXPECT_EQ(got->negative(), want->negative) << "step " << step;
+          EXPECT_EQ(got->elapsed_s(), want->elapsed_s) << "step " << step;
+          EXPECT_EQ(got->records().materialize(), want->stored)
+              << "step " << step;
+          EXPECT_EQ(got->aged_records(), want->aged) << "step " << step;
+        }
+      }
+      ASSERT_EQ(cache.size(), reference.size()) << "step " << step;
+      expect_same_stats(cache.stats(), reference.stats(), step);
+    }
+    // The roomy cache checks the no-pressure path; the others must have
+    // exercised both kinds of eviction.
+    if (capacity < 64) {
+      EXPECT_GT(reference.stats().capacity_evictions, 0u) << capacity;
+    }
+    EXPECT_GT(reference.stats().expired_evictions, 0u) << capacity;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // eviction under pressure, record formatting, EDNS-in-fuzz round trips.
 #include <gtest/gtest.h>
 
+#include "dns/cache.h"
 #include "dns/hierarchy.h"
 #include "dns/message.h"
 #include "net/rng.h"

@@ -182,8 +182,8 @@ TEST(DnsMessage, BadRdlengthRejected) {
 
 TEST(DnsMessage, AnswerHelpers) {
   const Message r = sample_response();
-  ASSERT_NE(r.first_answer(RRType::kCNAME), nullptr);
-  EXPECT_EQ(r.first_answer(RRType::kSOA), nullptr);
+  ASSERT_TRUE(r.first_answer(RRType::kCNAME).has_value());
+  EXPECT_FALSE(r.first_answer(RRType::kSOA).has_value());
   const auto addrs = r.answer_addresses();
   ASSERT_EQ(addrs.size(), 2u);
   EXPECT_EQ(addrs[0], net::Ipv4Addr(20, 1, 2, 3));

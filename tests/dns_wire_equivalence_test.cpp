@@ -188,7 +188,7 @@ bool has_glued_referral(const Message& m) {
   return false;
 }
 
-size_t count_type(const std::vector<ResourceRecord>& section, RRType type) {
+size_t count_type(const Section& section, RRType type) {
   size_t n = 0;
   for (const auto& rr : section) n += rr.type() == type ? 1u : 0u;
   return n;

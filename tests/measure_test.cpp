@@ -18,9 +18,10 @@ TEST(ResolverIdentifier, UniqueNamesPerProbe) {
 }
 
 TEST(ResolverIdentifier, ExtractFindsARecord) {
-  std::vector<dns::ResourceRecord> answers{
+  dns::Section answers;
+  answers.push_back(
       dns::ResourceRecord::a(*dns::DnsName::parse("r1.adns.curtain-study.net"),
-                             net::Ipv4Addr{20, 3, 4, 5}, 0)};
+                             net::Ipv4Addr{20, 3, 4, 5}, 0));
   const auto ip = ResolverIdentifier::extract(answers);
   ASSERT_TRUE(ip.has_value());
   EXPECT_EQ(*ip, net::Ipv4Addr(20, 3, 4, 5));
