@@ -150,6 +150,21 @@ dns::DnsName CdnProvider::add_customer(const std::string& label) {
   return edge;
 }
 
+void CdnProvider::collect_names(dns::NameTable& names) const {
+  names.add(zone_apex_);
+  // A customer's answers are A rrsets owned by its one edge name.
+  for (const auto& [label, answers] : customers_) {
+    if (!answers.empty()) names.add(answers.front().front().name);
+  }
+}
+
+void CdnProvider::intern_names(const dns::NameTable& names) {
+  names.intern(zone_apex_);
+  for (auto& [label, answers] : customers_) {
+    for (dns::Rrset& rrset : answers) rrset.intern_names(names);
+  }
+}
+
 void CdnProvider::add_prefix_hint(net::Prefix slash24,
                                   const net::GeoPoint& location,
                                   const std::string& country) {

@@ -90,6 +90,13 @@ class CdnProvider {
   const ReplicaCluster& nearest_cluster(const net::GeoPoint& location,
                                         const std::string& country) const;
 
+  /// Adds the zone apex and every edge name to `names`.
+  void collect_names(dns::NameTable& names) const;
+  /// Swaps the apex and the answers' names for `names`' handles, so the
+  /// answers the ADNS lends out carry static names. Before the first
+  /// query.
+  void intern_names(const dns::NameTable& names);
+
  private:
   /// The rrset the ADNS answers `question` with; nullptr for a name or
   /// type the provider does not serve.

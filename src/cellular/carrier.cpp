@@ -100,8 +100,8 @@ dns::ServedResponse ClientFacingResolver::serve(const dns::Message& query,
                                                 net::Ipv4Addr source_ip,
                                                 net::SimTime now,
                                                 net::Rng& rng) {
-  CURTAIN_DCHECK(!query.questions.empty()) << "query carries no question";
-  const dns::Question& question = query.questions.front();
+  CURTAIN_DCHECK(query.question.has_value()) << "query carries no question";
+  const dns::Question& question = *query.question;
   const net::NodeId instance = carrier_->client_instance_node(index_, source_ip);
   dns::Cache& cache = cache_for(instance);
   carrier_metrics().client_queries.inc();
@@ -177,6 +177,9 @@ CellularNetwork::CellularNetwork(CarrierProfile profile, uint32_t owner_tag,
   build_gateways(context);
   build_dns(context);
   for (auto& client : client_resolvers_) context.registry->add(client.get());
+  for (size_t i = 0; i < external_resolvers_.size(); ++i) {
+    all_externals_.push_back(static_cast<int>(i));
+  }
 }
 
 CellularNetwork::~CellularNetwork() = default;
@@ -644,24 +647,23 @@ CellularNetwork::PairSelection CellularNetwork::select_pair(
 
   // Candidate set: anycast pairs within the subscriber's region when the
   // region hosts externals; pools load-balance across the whole set.
-  std::vector<int> candidates;
+  const std::vector<int>* pool = &all_externals_;
   uint64_t pair_key = 0;
   {
     int region = 0;
     const int gateway = gateway_of_ip(source_ip);
     if (gateway >= 0) region = gateways_[util::idx(gateway)].region;
     const int site = regions_[util::idx(region)].nearest_site_region;
-    candidates = regions_[util::idx(site)].externals;
+    if (!regions_[util::idx(site)].externals.empty()) {
+      pool = &regions_[util::idx(site)].externals;
+    }
     const char* tag =
         dns_cfg.kind == DnsArchKind::kAnycast ? "anycast-pair" : "pool-pair";
     pair_key = net::mix_key(net::hash_tag(tag),
                             (static_cast<uint64_t>(region) << 8) |
                                 static_cast<uint64_t>(client_index));
   }
-  if (candidates.empty()) {
-    candidates.resize(external_resolvers_.size());
-    for (size_t i = 0; i < candidates.size(); ++i) candidates[i] = int(i);
-  }
+  const std::vector<int>& candidates = *pool;
 
   // Flow-sticky load balancing: the carrier's balancers hash flows onto
   // pool members, so all of a client's queries inside a short window land

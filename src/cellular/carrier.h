@@ -201,6 +201,9 @@ class CellularNetwork {
   std::vector<net::NodeId> client_resolver_nodes_;  ///< pool/tiered entries
   std::vector<int> client_for_region_;  ///< nearest pool/tiered entry
   std::vector<std::unique_ptr<dns::RecursiveResolver>> external_resolvers_;
+  /// 0..n-1 over external_resolvers_: the pairing candidates of a site
+  /// region that hosts no externals.
+  std::vector<int> all_externals_;
   std::vector<int> tiered_pairing_;  ///< client index -> external index
 };
 

@@ -44,6 +44,7 @@ World::World(Scenario config)
   build_public_dns();
   build_carriers();
   register_cdn_hints();
+  intern_names();
 }
 
 World::~World() = default;
@@ -174,9 +175,9 @@ void World::build_public_dns() {
   };
   context.root_dns_ip = hierarchy_->root_ip();
   context.build_seed = config_.seed;
-  const dns::DnsName research = research_apex_;
-  context.warm_eligible = [research](const dns::DnsName& name) {
-    return !name.is_within(research);
+  // Reads the apex at query time, when it is a static name's handle.
+  context.warm_eligible = [this](const dns::DnsName& name) {
+    return !name.is_within(research_apex_);
   };
   // Anycast ingress follows the querying prefix's egress location, which
   // for subscribers is their carrier gateway.
@@ -207,9 +208,8 @@ void World::build_carriers() {
     return nearest_backbone(location);
   };
   context.root_dns_ip = hierarchy_->root_ip();
-  const dns::DnsName research = research_apex_;
-  context.warm_eligible = [research](const dns::DnsName& name) {
-    return !name.is_within(research);
+  context.warm_eligible = [this](const dns::DnsName& name) {
+    return !name.is_within(research_apex_);
   };
   context.build_seed = config_.seed;
 
@@ -218,6 +218,17 @@ void World::build_carriers() {
     carriers_.push_back(std::make_unique<cellular::CellularNetwork>(
         profile, owner_tag++, context));
   }
+}
+
+void World::intern_names() {
+  // Everything that names DNS data exists now: zones, delegations, glue,
+  // CNAME targets and the CDN edges. One sort numbers it all.
+  hierarchy_->collect_names(names_);
+  for (const auto& [name, provider] : cdns_) provider->collect_names(names_);
+  names_.freeze();
+  hierarchy_->bind_names(names_);
+  for (auto& [name, provider] : cdns_) provider->intern_names(names_);
+  names_.intern(research_apex_);
 }
 
 void World::register_cdn_hints() {

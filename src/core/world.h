@@ -9,6 +9,8 @@
 //     architectures,
 //   * the research ADNS used for resolver identification, and
 //   * the wired university vantage point.
+// Construction ends by freezing the world's static namespace into one
+// dns::NameTable and binding every zone and CDN to it (DESIGN.md §21).
 // After construction the world is immutable; campaigns only thread RNG
 // and virtual time through it.
 #pragma once
@@ -64,6 +66,8 @@ class World {
     return cdns_;
   }
 
+  /// Every static DNS name of the world, numbered (dns/name_table.h).
+  const dns::NameTable& names() const { return names_; }
   const dns::DnsName& research_apex() const { return research_apex_; }
   net::NodeId vantage_node() const { return vantage_node_; }
   net::Ipv4Addr vantage_ip() const { return vantage_ip_; }
@@ -87,10 +91,13 @@ class World {
   void build_public_dns();
   void build_carriers();
   void register_cdn_hints();
+  void intern_names();
 
   dns::HostFactory host_factory();
 
   Scenario config_;
+  /// First member, so it outlives every handle the members below hold.
+  dns::NameTable names_;
   net::Topology topology_;
   dns::ServerRegistry registry_;
   std::unique_ptr<net::IpAllocator> allocator_;

@@ -11,16 +11,28 @@
 //
 // Zone data — static rrsets, each delegation's NS and glue, the SOA — is
 // held as immutable rrsets (dns/rrset.h) that responses borrow, so a
-// served answer copies no record. The zone is built before it serves:
-// add_record, delegate and set_soa must not run once queries arrive.
+// served answer copies no record.
+//
+// Serving looks names up by NameId (dns/name_table.h). bind_names() swaps
+// every stored name for a table handle and indexes the zone by id: each
+// static name's rrsets, and the delegation covering it (precomputed along
+// the name's ancestor chain), are array reads. A World binds all of its
+// zones to its one table, after which their data is fixed. A server built
+// by hand serves from a table of its own names, made at its first query
+// and remade at the first query after its data changes (earlier tables
+// live on, since caches may hold their handles). A question whose name is
+// not static (a resolver-identification probe, a PTR name) has no rrsets,
+// and takes the delegation of its deepest static ancestor.
 #pragma once
 
+#include <atomic>
 #include <deque>
 #include <functional>
-#include <map>
+#include <mutex>
 #include <optional>
 
 #include "dns/message.h"
+#include "dns/name_table.h"
 #include "dns/server.h"
 
 namespace curtain::dns {
@@ -71,6 +83,15 @@ class AuthoritativeServer : public DnsServer {
   /// SOA used in negative responses (a default is synthesized if unset).
   void set_soa(SoaRecord soa, uint32_t ttl_s = 3600);
 
+  /// Adds every name the zone's data mentions to `names` (before it
+  /// freezes).
+  void collect_names(NameTable& names) const;
+  /// Swaps the zone's names for handles of `names` (frozen, holding
+  /// collect_names()'s names, and outliving the server) and indexes the
+  /// zone by id. Once per server, before its first query; the zone's data
+  /// is fixed from then on.
+  void bind_names(const NameTable& names);
+
   // DnsServer:
   ServedResponse serve(const Message& query, net::Ipv4Addr source_ip,
                        net::SimTime now, net::Rng& rng) override;
@@ -89,21 +110,43 @@ class AuthoritativeServer : public DnsServer {
                        const std::optional<EdnsClientSubnet>& ecs,
                        net::SimTime now, net::Rng& rng, Message& response);
 
-  const Delegation* find_delegation(const DnsName& name) const;
-  const Rrset* find_static(const DnsName& name, RRType type) const;
-  bool name_exists(const DnsName& name) const;
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  /// What the zone holds for one static name.
+  struct NameSlot {
+    uint32_t first_rrset = kNone;  ///< the name's run in rrsets_
+    uint32_t rrset_count = 0;
+    /// The first-added delegation whose apex is the name or an ancestor.
+    uint32_t delegation = kNone;
+  };
+
+  /// Indexes the zone by a new table of its own names (see the header).
+  void index_own_names();
+  void index(const NameTable& names);
+  /// Marks a hand-built server's index stale; a bound World zone is fixed.
+  void data_changed(const char* what);
+  const Delegation* find_delegation(NameId id) const;
+  const Rrset* find_static(NameId id, RRType type) const;
 
   DnsName apex_;
   net::NodeId node_;
   net::Ipv4Addr ip_;
-  // Keyed by (name, type); std::map keeps deterministic iteration for tests.
-  std::map<std::pair<DnsName, RRType>, Rrset> records_;
+  /// Static rrsets, one per (name, type) in add order until bound, then
+  /// sorted by (id, type); each keeps its records' order.
+  std::vector<Rrset> rrsets_;
   /// A deque: responses borrow each delegation's rrsets, which must not
   /// move when a later delegation is added.
   std::deque<Delegation> delegations_;
   DynamicHandler dynamic_handler_;
   uint32_t dynamic_ttl_s_ = 30;
   Rrset soa_;
+  const NameTable* names_ = nullptr;  ///< the table slots_ is indexed by
+  bool bound_ = false;                ///< by bind_names(): data is fixed
+  std::atomic<bool> indexed_{false};  ///< slots_ reflects the zone data
+  std::mutex index_mutex_;            ///< serializes index_own_names()
+  /// Tables a hand-built server made of its own names; the last is names_.
+  std::deque<NameTable> own_names_;
+  std::vector<NameSlot> slots_;  ///< indexed by NameId
 };
 
 }  // namespace curtain::dns

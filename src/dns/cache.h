@@ -14,8 +14,13 @@
 // Storage is flat. Entries live in one slot array; a freed slot is reused
 // by the next insert, which assigns into its name and section buffers, so
 // a warm cache inserts without touching the heap. An open-addressing index
-// maps (name, type, scope) to slots, with each key's hash computed once
-// per call and stored. Expiry is a binary min-heap keyed on
+// maps (name, type, scope) to slots, with each key's hash stored. The
+// name part of the key is a DnsName (dns/name.h): for the study's static
+// names a NameTable handle — an id, whose hash is read from the table and
+// whose equality is one pointer compare — so the hop's keys cost no label
+// work; a dynamic name (a probe or PTR name) keys by its labels. A dynamic
+// copy of a static name hashes and compares equal to the handle, so it
+// finds the same entry: there is one key type, whatever a name's origin. Expiry is a binary min-heap keyed on
 // (expires, insertion sequence): capacity eviction takes the soonest
 // expiry and, among equal expiries, the oldest insert or overwrite — the
 // order the former std::multimap index kept by inserting at the upper

@@ -63,4 +63,16 @@ void DnsHierarchy::delegate_zone(AuthoritativeServer& zone_server) {
   tld(tld_label).delegate(apex, ns_name, zone_server.ip());
 }
 
+void DnsHierarchy::collect_names(NameTable& names) const {
+  root_->collect_names(names);
+  for (const auto& [label, server] : tlds_) server->collect_names(names);
+  for (const auto& zone : zones_) zone->collect_names(names);
+}
+
+void DnsHierarchy::bind_names(const NameTable& names) {
+  root_->bind_names(names);
+  for (auto& [label, server] : tlds_) server->bind_names(names);
+  for (auto& zone : zones_) zone->bind_names(names);
+}
+
 }  // namespace curtain::dns

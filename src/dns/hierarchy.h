@@ -5,9 +5,9 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dns/authoritative.h"
@@ -45,11 +45,17 @@ class DnsHierarchy {
   /// registered with the ServerRegistry).
   void delegate_zone(AuthoritativeServer& zone_server);
 
+  /// Adds every name of the root, TLD and zone servers to `names`.
+  void collect_names(NameTable& names) const;
+  /// Binds the root, TLD and zone servers to `names` (frozen), before
+  /// their first query (AuthoritativeServer::bind_names).
+  void bind_names(const NameTable& names);
+
  private:
   HostFactory make_host_;
   ServerRegistry* registry_;
   std::unique_ptr<AuthoritativeServer> root_;
-  std::unordered_map<std::string, std::unique_ptr<AuthoritativeServer>> tlds_;
+  std::map<std::string, std::unique_ptr<AuthoritativeServer>> tlds_;
   std::vector<std::unique_ptr<AuthoritativeServer>> zones_;
   uint32_t next_tld_host_ = 0;
 };

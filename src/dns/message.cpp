@@ -1,8 +1,9 @@
+// lint-hot-path (Message::query and make_response run on every DNS hop;
+// the codec below them runs only in DnsServer::serve_wire)
 #include "dns/message.h"
 
-#include <unordered_map>
-
 #include "util/bytes.h"
+#include "util/smallvec.h"
 
 namespace curtain::dns {
 namespace {
@@ -16,20 +17,20 @@ constexpr size_t kMaxPointerChases = 32;
 // --- encoding -------------------------------------------------------------
 
 /// Tracks previously written names so later occurrences compress to
-/// two-byte pointers (RFC 1035 §4.1.4). Keys are dotted suffixes.
+/// two-byte pointers (RFC 1035 §4.1.4): one entry per written suffix (a
+/// name from some label on), found by comparing labels.
 class NameCompressor {
  public:
   void write_name(ByteWriter& out, const DnsName& name) {
     for (size_t i = 0; i < name.label_count(); ++i) {
-      const std::string suffix = suffix_key(name, i);
-      const auto it = offsets_.find(suffix);
-      if (it != offsets_.end()) {
-        out.put_u16(static_cast<uint16_t>(kPointerMask | it->second));
+      if (const Suffix* seen = find(name, i)) {
+        out.put_u16(static_cast<uint16_t>(kPointerMask | seen->offset));
         return;
       }
       // Only offsets expressible in 14 bits may be pointer targets.
       if (out.size() < 0x4000) {
-        offsets_.emplace(suffix, static_cast<uint16_t>(out.size()));
+        written_.push_back(Suffix{&name, static_cast<uint32_t>(i),
+                                  static_cast<uint16_t>(out.size())});
       }
       const std::string_view label = name.label(i);
       out.put_u8(static_cast<uint8_t>(label.size()));
@@ -39,16 +40,27 @@ class NameCompressor {
   }
 
  private:
-  static std::string suffix_key(const DnsName& name, size_t from) {
-    std::string key;
-    for (size_t i = from; i < name.label_count(); ++i) {
-      key += name.label(i);
-      key += '.';
+  struct Suffix {
+    const DnsName* name;  ///< borrowed from the message being encoded
+    uint32_t from;        ///< first label of the suffix
+    uint16_t offset;
+  };
+
+  /// The first-written suffix spelling labels [from, end) of `name`.
+  const Suffix* find(const DnsName& name, size_t from) const {
+    const size_t count = name.label_count() - from;
+    for (const Suffix& seen : written_) {
+      if (seen.name->label_count() - seen.from != count) continue;
+      bool same = true;
+      for (size_t k = 0; k < count && same; ++k) {
+        same = seen.name->label(seen.from + k) == name.label(from + k);
+      }
+      if (same) return &seen;
     }
-    return key;
+    return nullptr;
   }
 
-  std::unordered_map<std::string, uint16_t> offsets_;
+  util::SmallVec<Suffix, 32> written_;
 };
 
 void write_rdata(ByteWriter& out, NameCompressor& names, const Rdata& rdata) {
@@ -317,7 +329,7 @@ Message Message::query(uint16_t id, const DnsName& name, RRType type) {
   Message m;
   m.header.id = id;
   m.header.rd = true;
-  m.questions.push_back(Question{name, type, RRClass::kIN});
+  m.question = Question{name, type, RRClass::kIN};
   return m;
 }
 
@@ -325,7 +337,7 @@ Message Message::make_response() const {
   Message m;
   m.header = header;
   m.header.qr = true;
-  m.questions = questions;
+  m.question = question;
   return m;
 }
 
@@ -349,15 +361,15 @@ std::vector<uint8_t> encode(const Message& message) {
   NameCompressor names;
   out.put_u16(message.header.id);
   out.put_u16(encode_flags(message.header));
-  out.put_u16(static_cast<uint16_t>(message.questions.size()));
+  out.put_u16(message.question ? 1 : 0);
   out.put_u16(static_cast<uint16_t>(message.answers.size()));
   out.put_u16(static_cast<uint16_t>(message.authorities.size()));
   out.put_u16(static_cast<uint16_t>(message.additionals.size() +
                                     (message.ecs ? 1 : 0)));
-  for (const auto& q : message.questions) {
-    names.write_name(out, q.name);
-    out.put_u16(static_cast<uint16_t>(q.type));
-    out.put_u16(static_cast<uint16_t>(q.klass));
+  if (const auto& q = message.question) {
+    names.write_name(out, q->name);
+    out.put_u16(static_cast<uint16_t>(q->type));
+    out.put_u16(static_cast<uint16_t>(q->klass));
   }
   for (const RecordView rr : message.answers) write_record(out, names, rr);
   for (const RecordView rr : message.authorities) write_record(out, names, rr);
@@ -385,10 +397,10 @@ std::optional<Message> decode(std::span<const uint8_t> wire) {
   m.header.ra = (flags & 0x0080) != 0;
   m.header.rcode = static_cast<Rcode>(flags & 0x0f);
 
-  for (uint16_t i = 0; i < qdcount; ++i) {
-    auto q = read_question(reader);
-    if (!q) return std::nullopt;
-    m.questions.push_back(std::move(*q));
+  if (qdcount > 1) return std::nullopt;  // RFC 9619
+  if (qdcount == 1) {
+    m.question = read_question(reader);
+    if (!m.question) return std::nullopt;
   }
   const auto read_section = [&](uint16_t count, Section& section) {
     for (uint16_t i = 0; i < count; ++i) {

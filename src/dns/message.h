@@ -69,10 +69,14 @@ struct EdnsClientSubnet {
 
 /// A message's sections borrow shared rrsets wherever the data is World
 /// zone data (dns/rrset.h), so building, forwarding and caching a response
-/// copies no record.
+/// copies no record. The question is held inline: a query for a static
+/// name (a table handle, dns/name.h) is built, echoed and answered without
+/// touching the heap.
 struct Message {
   Header header;
-  std::vector<Question> questions;
+  /// The one question (RFC 9619: QDCOUNT is at most one). Absent only in a
+  /// FORMERR reply to a packet that carried none.
+  std::optional<Question> question;
   Section answers;
   Section authorities;
   Section additionals;
@@ -100,7 +104,8 @@ struct Message {
 std::vector<uint8_t> encode(const Message& message);
 
 /// Decodes a wire-format message. nullopt on truncation, malformed labels,
-/// forward/looping compression pointers, or unknown RR types.
+/// forward/looping compression pointers, unknown RR types, or more than
+/// one question.
 std::optional<Message> decode(std::span<const uint8_t> wire);
 
 }  // namespace curtain::dns

@@ -1,5 +1,6 @@
 #include "dns/record.h"
 
+#include "dns/name_table.h"
 #include "util/strings.h"
 
 namespace curtain::dns {
@@ -52,6 +53,32 @@ ResourceRecord ResourceRecord::txt(const DnsName& name,
 ResourceRecord ResourceRecord::soa(const DnsName& zone, SoaRecord soa,
                                    uint32_t ttl) {
   return ResourceRecord{zone, RRClass::kIN, ttl, std::move(soa)};
+}
+
+namespace {
+
+/// Calls `fn` on every name field of the rdata.
+template <typename Rd, typename Fn>
+void for_each_rdata_name(Rd& rdata, Fn&& fn) {
+  if (auto* r = std::get_if<CnameRecord>(&rdata)) fn(r->target);
+  if (auto* r = std::get_if<NsRecord>(&rdata)) fn(r->nameserver);
+  if (auto* r = std::get_if<PtrRecord>(&rdata)) fn(r->target);
+  if (auto* r = std::get_if<SoaRecord>(&rdata)) {
+    fn(r->mname);
+    fn(r->rname);
+  }
+}
+
+}  // namespace
+
+void ResourceRecord::collect_names(NameTable& names) const {
+  names.add(name);
+  for_each_rdata_name(rdata, [&](const DnsName& n) { names.add(n); });
+}
+
+void ResourceRecord::intern_names(const NameTable& names) {
+  names.intern(name);
+  for_each_rdata_name(rdata, [&](DnsName& n) { names.intern(n); });
 }
 
 size_t ResourceRecord::approx_heap_bytes() const {

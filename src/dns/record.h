@@ -16,6 +16,8 @@
 
 namespace curtain::dns {
 
+class NameTable;
+
 enum class RRType : uint16_t {
   kA = 1,
   kNS = 2,
@@ -90,6 +92,12 @@ struct ResourceRecord {
   static ResourceRecord soa(const DnsName& zone, SoaRecord soa, uint32_t ttl);
 
   bool operator==(const ResourceRecord&) const = default;
+
+  /// Adds the owner and every name in the rdata to `names` (World build).
+  void collect_names(NameTable& names) const;
+  /// Swaps the owner and the rdata names for `names`' handles where they
+  /// are static. Only before the record is served.
+  void intern_names(const NameTable& names);
 
   /// Heap bytes the record owns beyond sizeof(ResourceRecord): name and
   /// rdata-name spill, TXT string storage. A profiling gauge

@@ -1,3 +1,4 @@
+// lint-hot-path (every recursive resolution; see dns/resolver.h)
 #include "dns/resolver.h"
 
 #include <algorithm>
@@ -97,11 +98,10 @@ std::vector<net::Ipv4Addr> ResolutionResult::addresses() const {
   return out;
 }
 
-RecursiveResolver::RecursiveResolver(std::string name, net::NodeId node,
-                                     net::Ipv4Addr ip,
-                                     net::Topology* topology,
-                                     const ServerRegistry* registry,
-                                     net::Ipv4Addr root_ip)
+RecursiveResolver::RecursiveResolver(
+    std::string name,  // lint: hot-alloc (runs once at World build)
+    net::NodeId node, net::Ipv4Addr ip, net::Topology* topology,
+    const ServerRegistry* registry, net::Ipv4Addr root_ip)
     : name_(std::move(name)),
       node_(node),
       ip_(ip),
@@ -206,12 +206,14 @@ net::Ipv4Addr RecursiveResolver::best_server_for(const DnsName& qname,
                                                  net::SimTime now) {
   Cache& cache = query_state().cache;
   // Walk qname, qname's parent, ... looking for a cached NS whose glue we
-  // also have. The root primes the walk when nothing deeper is known.
-  DnsName zone = qname;
-  while (true) {
+  // also have. The root primes the walk when nothing deeper is known. A
+  // static name climbs its table's ancestor chain; only a dynamic name (a
+  // probe or PTR name) builds its parents, until one is static or root.
+  DnsName dynamic;  // the current zone while the walk is on dynamic names
+  for (const DnsName* zone = &qname;;) {
     // Borrowed views are safe across the nested glue lookup: lookups never
     // move entries (dns/cache.h), so the NS entry stays put.
-    if (auto ns_set = cache.lookup(zone, RRType::kNS, now);
+    if (auto ns_set = cache.lookup(*zone, RRType::kNS, now);
         ns_set && !ns_set->negative()) {
       for (const RecordView rr : ns_set->records()) {
         const auto& ns_name = std::get<NsRecord>(rr.rdata).nameserver;
@@ -221,8 +223,13 @@ net::Ipv4Addr RecursiveResolver::best_server_for(const DnsName& qname,
         }
       }
     }
-    if (zone.is_root()) return root_ip_;
-    zone = zone.parent();
+    if (zone->is_root()) return root_ip_;
+    if (const DnsName* up = zone->static_parent()) {
+      zone = up;
+    } else {
+      dynamic = zone->parent();
+      zone = &dynamic;
+    }
   }
 }
 
@@ -356,8 +363,8 @@ bool RecursiveResolver::iterate(DnsName& qname, RRType type,
 ServedResponse RecursiveResolver::serve(const Message& query,
                                         net::Ipv4Addr source_ip,
                                         net::SimTime now, net::Rng& rng) {
-  CURTAIN_DCHECK(!query.questions.empty()) << "query carries no question";
-  const Question& q = query.questions.front();
+  CURTAIN_DCHECK(query.question.has_value()) << "query carries no question";
+  const Question& q = *query.question;
   // With ECS enabled, the stub's source address seeds the client subnet
   // we disclose upstream.
   ResolutionResult result = resolve(q.name, q.type, now, rng,

@@ -22,6 +22,19 @@ void Rrset::add(ResourceRecord rr) {
   records_.push_back(std::move(rr));
 }
 
+void Rrset::collect_names(NameTable& names) const {
+  for (const ResourceRecord& rr : records_) rr.collect_names(names);
+}
+
+void Rrset::intern_names(const NameTable& names) {
+  // The records share one owner: each takes the first record's, looked up
+  // once, so interning them reads no labels.
+  for (ResourceRecord& rr : records_) {
+    if (&rr != &records_.front()) rr.name = records_.front().name;
+    rr.intern_names(names);
+  }
+}
+
 namespace {
 
 /// Smallest TTL of `count` consecutive records.

@@ -42,6 +42,12 @@ class Rrset {
   /// first query; a borrowed rrset must never change.
   void add(ResourceRecord rr);
 
+  /// Adds every record's names to `names` (World build).
+  void collect_names(NameTable& names) const;
+  /// Swaps the records' names for `names`' handles (dns/name_table.h).
+  /// Like add(), only before any section borrows the rrset.
+  void intern_names(const NameTable& names);
+
   const std::vector<ResourceRecord>& records() const { return records_; }
   size_t size() const { return records_.size(); }
   const ResourceRecord& front() const { return records_.front(); }

@@ -6,7 +6,7 @@ WireResponse DnsServer::serve_wire(std::span<const uint8_t> query_wire,
                                    net::Ipv4Addr source_ip, net::SimTime now,
                                    net::Rng& rng) {
   const std::optional<Message> query = decode(query_wire);
-  if (!query || query->questions.empty()) {
+  if (!query || !query->question) {
     Message failure;
     failure.header.id = query ? query->header.id : 0;
     failure.header.qr = true;

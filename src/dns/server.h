@@ -40,8 +40,7 @@ class DnsServer {
   virtual ~DnsServer() = default;
 
   /// Answers `query`, arriving from `source_ip` at time `now`. The query
-  /// carries at least one question; only the first is answered. The
-  /// response echoes the query's id and question.
+  /// carries a question. The response echoes the query's id and question.
   virtual ServedResponse serve(const Message& query, net::Ipv4Addr source_ip,
                                net::SimTime now, net::Rng& rng) = 0;
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 
 #include "cdn/domains.h"
+#include "dns/name_table.h"
 #include "dns/stub.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "publicdns/public_dns.h"
+#include "util/smallvec.h"
 
 namespace curtain::measure {
 namespace {
@@ -57,7 +59,15 @@ const char* resolver_kind_name(ResolverKind kind) {
 
 ExperimentRunner::ExperimentRunner(WorldView world,
                                    ResolverIdentifier identifier)
-    : world_(world), probes_(world), identifier_(std::move(identifier)) {}
+    : world_(world), probes_(world), identifier_(std::move(identifier)) {
+  // The research apex is one of the world's static names, so when it is a
+  // handle its table is the world's: the hosts join the same table.
+  const dns::NameTable* names = identifier_.apex().table();
+  for (const auto& domain : cdn::study_domains()) {
+    dns::DnsName& host = hosts_.emplace_back(*dns::DnsName::parse(domain.host));
+    if (names != nullptr) names->intern(host);
+  }
+}
 
 void ExperimentRunner::begin_device() {
   ident_counter_ = 0;
@@ -134,7 +144,7 @@ void ExperimentRunner::measure_domains(cellular::Device& device,
                                        RecordStore& records) {
   const auto& domains = cdn::study_domains();
   for (uint16_t d = 0; d < domains.size(); ++d) {
-    const auto host = dns::DnsName::parse(domains[d].host);
+    const dns::DnsName& host = hosts_[d];
     dns::StubResolver stub(device.gateway_node(), device.snapshot().public_ip,
                            world_.topology, world_.registry);
     // First lookup, then an immediate back-to-back repeat (Fig. 7).
@@ -145,7 +155,7 @@ void ExperimentRunner::measure_domains(cellular::Device& device,
       obs::Tracer& tracer = obs::Tracer::instance();
       const bool tracing = sampled && tracer.begin(now.millis());
       const dns::StubResult result =
-          stub.query(resolver_ip, *host, dns::RRType::kA, now, rng, access);
+          stub.query(resolver_ip, host, dns::RRType::kA, now, rng, access);
       DnsMeasurement record;
       record.resolver = kind;
       record.domain_index = d;
@@ -170,13 +180,17 @@ void ExperimentRunner::measure_domains(cellular::Device& device,
 
       if (!second) {
         // Probe every replica the first resolution returned.
-        std::vector<net::Ipv4Addr> replicas = record.addresses;
-        std::sort(replicas.begin(), replicas.end());
-        replicas.erase(std::unique(replicas.begin(), replicas.end()),
-                       replicas.end());
+        util::SmallVec<net::Ipv4Addr, 8> replicas;
+        for (const net::Ipv4Addr replica : record.addresses) {
+          replicas.push_back(replica);
+        }
+        net::Ipv4Addr* const first = replicas.data();
+        std::sort(first, first + replicas.size());
+        const net::Ipv4Addr* const last =
+            std::unique(first, first + replicas.size());
         records.add_resolution(std::move(record));
-        for (const net::Ipv4Addr replica : replicas) {
-          probe_target(device, ProbeTargetKind::kReplica, kind, replica, now,
+        for (const net::Ipv4Addr* replica = first; replica != last; ++replica) {
+          probe_target(device, ProbeTargetKind::kReplica, kind, *replica, now,
                        rng, records, d, /*with_http=*/true);
         }
       } else {

@@ -60,6 +60,9 @@ class ExperimentRunner {
   WorldView world_;
   ProbeEngine probes_;
   ResolverIdentifier identifier_;
+  /// The study domains' hosts (cdn::study_domains() order), as handles of
+  /// the world's name table when the research apex is one.
+  std::vector<dns::DnsName> hosts_;
   uint64_t ident_counter_ = 0;       ///< per device; see begin_device()
   uint64_t resolution_counter_ = 0;  ///< drives trace sampling, per device
 };

@@ -1,6 +1,5 @@
 #include "net/topology.h"
 
-#include <algorithm>
 #include <atomic>
 #include <limits>
 #include <queue>
@@ -10,18 +9,15 @@
 namespace curtain::net {
 namespace {
 
-/// Parent link of a node outside the tree: the root and unreachable nodes.
-constexpr uint32_t kNoLink = UINT32_MAX;
+/// Entering step of a node outside the tree: the root and unreachable
+/// nodes.
+constexpr uint32_t kNoStep = UINT32_MAX;
 
 /// Next topology stamp; 0 is never issued, so a fresh thread cache (stamp
 /// 0) matches no topology.
 uint64_t next_stamp() {
   static std::atomic<uint64_t> counter{0};  // lint: shared-static (atomic; stamps need only be unique)
   return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-NodeId other_end(const Link& link, NodeId node) {
-  return link.a == node ? link.b : link.a;
 }
 
 }  // namespace
@@ -48,10 +44,11 @@ NodeId Topology::add_node(Node node) {
 
 void Topology::add_link(NodeId a, NodeId b, LatencyModel latency, double loss,
                         bool tunneled) {
-  const auto index = static_cast<uint32_t>(links_.size());
-  links_.push_back(Link{a, b, latency, loss, tunneled});
-  adjacency_[a].push_back(Edge{b, index});
-  adjacency_[b].push_back(Edge{a, index});
+  const auto into_b = static_cast<uint32_t>(steps_.size());
+  steps_.push_back(Step{latency, loss, a, b, tunneled});
+  steps_.push_back(Step{latency, loss, b, a, tunneled});
+  adjacency_[a].push_back(Edge{b, into_b});
+  adjacency_[b].push_back(Edge{a, into_b + 1});
   stamp_ = next_stamp();
 }
 
@@ -60,16 +57,13 @@ NodeId Topology::find_by_ip(Ipv4Addr ip) const {
   return it == ip_index_.end() ? kInvalidNode : it->second;
 }
 
-const std::vector<Topology::Hop>* Topology::route_hops(NodeId from,
-                                                      NodeId to) const {
+const std::vector<uint32_t>& Topology::tree_from(NodeId from) const {
   // The calling thread's shortest-path trees for the topology carrying
-  // `stamp`: trees[from][n] is the link by which the tree rooted at `from`
-  // enters node n (kNoLink for `from` and unreachable nodes), and is empty
-  // until the thread first routes from `from`.
+  // `stamp`: trees[from][n] is the step by which the tree rooted at `from`
+  // enters node n, and is empty until the thread first routes from `from`.
   struct RouteCache {
     uint64_t stamp = 0;
     std::vector<std::vector<uint32_t>> trees;
-    std::vector<Hop> hops;  ///< the last route walked, in travel order
   };
   static thread_local RouteCache cache;
   if (cache.stamp != stamp_) {
@@ -77,57 +71,66 @@ const std::vector<Topology::Hop>* Topology::route_hops(NodeId from,
     cache.trees.resize(nodes_.size());
     cache.stamp = stamp_;
   }
-  std::vector<uint32_t>& parent = cache.trees[from];
-  if (parent.empty()) {
-    // Dijkstra over typical link latency from `from`, run to completion.
-    // Up to the pop of any node it does exactly what a search stopped
-    // there would, and no later relaxation beats a popped node's distance,
-    // so the tree holds the same path to every node as a search per pair.
-    // Of several parallel links, the first with the lowest latency is
-    // kept, including when two latencies round to one path length.
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    std::vector<double> dist(nodes_.size(), kInf);
-    parent.assign(nodes_.size(), kNoLink);
-    using Entry = std::pair<double, NodeId>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
-    dist[from] = 0.0;
-    heap.emplace(0.0, from);
-    while (!heap.empty()) {
-      const auto [d, u] = heap.top();
-      heap.pop();
-      if (d > dist[u]) continue;
-      for (const Edge& edge : adjacency_[u]) {
-        const double typical = links_[edge.link_index].latency.typical_ms();
-        const double nd = d + typical;
-        uint32_t& entered_by = parent[edge.peer];
-        if (nd < dist[edge.peer]) {
-          dist[edge.peer] = nd;
-          entered_by = edge.link_index;
-          heap.emplace(nd, edge.peer);
-        } else if (nd == dist[edge.peer] && entered_by != kNoLink &&
-                   other_end(links_[entered_by], edge.peer) == u &&
-                   typical < links_[entered_by].latency.typical_ms()) {
-          entered_by = edge.link_index;
-        }
+  std::vector<uint32_t>& entered_by = cache.trees[from];
+  if (!entered_by.empty()) return entered_by;
+  // Dijkstra over typical link latency from `from`, run to completion. Up
+  // to the pop of any node it does exactly what a search stopped there
+  // would, and no later relaxation beats a popped node's distance, so the
+  // tree holds the same path to every node as a search per pair. Of
+  // several parallel links, the first with the lowest latency is kept,
+  // including when two latencies round to one path length.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> dist(nodes_.size(), kInf);
+  entered_by.assign(nodes_.size(), kNoStep);
+  using Entry = std::pair<double, NodeId>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+  dist[from] = 0.0;
+  heap.emplace(0.0, from);
+  while (!heap.empty()) {
+    const auto [d, u] = heap.top();
+    heap.pop();
+    if (d > dist[u]) continue;
+    for (const Edge& edge : adjacency_[u]) {
+      const double typical = steps_[edge.step].latency.typical_ms();
+      const double nd = d + typical;
+      uint32_t& step = entered_by[edge.peer];
+      if (nd < dist[edge.peer]) {
+        dist[edge.peer] = nd;
+        step = edge.step;
+        heap.emplace(nd, edge.peer);
+      } else if (nd == dist[edge.peer] && step != kNoStep &&
+                 steps_[step].prev == u &&
+                 typical < steps_[step].latency.typical_ms()) {
+        step = edge.step;
       }
     }
   }
+  return entered_by;
+}
 
-  if (to != from && parent[to] == kNoLink) return nullptr;
-  std::vector<Hop>& hops = cache.hops;
-  hops.clear();
-  for (NodeId at = to; at != from; at = other_end(links_[parent[at]], at)) {
-    hops.push_back(Hop{parent[at], at});
+bool Topology::route_steps(NodeId from, NodeId to, Route& route) const {
+  const std::vector<uint32_t>& entered_by = tree_from(from);
+  if (to != from && entered_by[to] == kNoStep) return false;
+  // Count the hops, then store them back to front: the walk goes up the
+  // tree from `to`, and the route reads in travel order.
+  size_t hops = 0;
+  for (NodeId at = to; at != from; at = steps_[entered_by[at]].prev) ++hops;
+  if (hops > Route::kInlineHops) {
+    route.spill_.resize(hops);
+    route.steps_ = route.spill_.data();
   }
-  std::reverse(hops.begin(), hops.end());
-  return &hops;
+  route.size_ = hops;
+  for (NodeId at = to; hops > 0; at = route.steps_[hops]->prev) {
+    route.steps_[--hops] = &steps_[entered_by[at]];
+  }
+  return true;
 }
 
 std::vector<NodeId> Topology::route(NodeId from, NodeId to) const {
-  const auto* hops = route_hops(from, to);
-  if (hops == nullptr) return {};
+  Route steps;
+  if (!route_steps(from, to, steps)) return {};
   std::vector<NodeId> path{from};
-  for (const Hop& hop : *hops) path.push_back(hop.node);
+  for (const Step* step : steps) path.push_back(step->node);
   return path;
 }
 
@@ -138,12 +141,11 @@ bool Topology::probe_blocked_at(ZoneId origin_zone, NodeId target) const {
 
 std::optional<double> Topology::transport_rtt_ms(NodeId from, NodeId to,
                                                  Rng& rng) const {
-  const auto* hops = route_hops(from, to);
-  if (hops == nullptr) return std::nullopt;
+  Route route;
+  if (!route_steps(from, to, route)) return std::nullopt;
   double rtt = nodes_[to].processing.sample(rng);
-  for (const Hop& hop : *hops) {
-    const Link& link = links_[hop.link_index];
-    rtt += link.latency.sample(rng) + link.latency.sample(rng);
+  for (const Step* step : route) {
+    rtt += step->latency.sample(rng) + step->latency.sample(rng);
   }
   return rtt;
 }
@@ -165,8 +167,8 @@ PingResult Topology::ping(NodeId from, NodeId to, Rng& rng) const {
   auto& [pings, firewalled, unresponsive] = ping_metrics.get();
   pings.inc();
   PingResult result;
-  const auto* hops = route_hops(from, to);
-  if (hops == nullptr) {
+  Route route;
+  if (!route_steps(from, to, route)) {
     result.failure = PingResult::Failure::kNoRoute;
     return result;
   }
@@ -177,18 +179,17 @@ PingResult Topology::ping(NodeId from, NodeId to, Rng& rng) const {
   }
   const ZoneId origin_zone = nodes_[from].zone;
   double rtt = nodes_[to].processing.sample(rng);
-  for (const Hop& hop : *hops) {
-    if (probe_blocked_at(origin_zone, hop.node)) {
+  for (const Step* step : route) {
+    if (probe_blocked_at(origin_zone, step->node)) {
       result.failure = PingResult::Failure::kFirewalled;
       firewalled.inc();
       return result;
     }
-    const Link& link = links_[hop.link_index];
-    if (rng.bernoulli(link.loss) || rng.bernoulli(link.loss)) {
+    if (rng.bernoulli(step->loss) || rng.bernoulli(step->loss)) {
       result.failure = PingResult::Failure::kLoss;
       return result;
     }
-    rtt += link.latency.sample(rng) + link.latency.sample(rng);
+    rtt += step->latency.sample(rng) + step->latency.sample(rng);
   }
   result.responded = true;
   result.rtt_ms = rtt;
@@ -197,25 +198,26 @@ PingResult Topology::ping(NodeId from, NodeId to, Rng& rng) const {
 
 TracerouteResult Topology::traceroute(NodeId from, NodeId to, Rng& rng) const {
   TracerouteResult result;
-  const auto* hops = route_hops(from, to);
-  if (hops == nullptr) return result;
+  Route route;
+  if (!route_steps(from, to, route)) return result;
   const ZoneId origin_zone = nodes_[from].zone;
+  result.hops.reserve(route.size());
 
   double cumulative_one_way = 0.0;
-  for (const auto& [link_index, hop] : *hops) {
+  for (const Step* step : route) {
+    const NodeId hop = step->node;
     if (probe_blocked_at(origin_zone, hop)) {
       // Firewalled ingress: probes die silently beyond this point (§4.4).
       return result;
     }
-    const Link& link = links_[link_index];
-    cumulative_one_way += link.latency.sample(rng);
+    cumulative_one_way += step->latency.sample(rng);
     const bool is_destination = (hop == to);
     const Node& hop_node = nodes_[hop];
 
     // Interior hops of tunneled links never decrement TTL (MPLS, §4.2);
     // they simply do not appear. The destination always terminates the
     // trace even when reached through a tunnel.
-    if (link.tunneled && !is_destination) continue;
+    if (step->tunneled && !is_destination) continue;
 
     TracerouteHop entry;
     entry.node = hop;
@@ -228,7 +230,7 @@ TracerouteResult Topology::traceroute(NodeId from, NodeId to, Rng& rng) const {
             ? hop_node.responds_to_traceroute &&
                   hop_node.answers_ping_from(nodes_[from].owner_tag)
             : hop_node.responds_to_traceroute;
-    if (answers && !rng.bernoulli(link.loss)) {
+    if (answers && !rng.bernoulli(step->loss)) {
       entry.responded = true;
       entry.rtt_ms = 2.0 * cumulative_one_way + hop_node.processing.sample(rng);
     } else {
@@ -241,12 +243,12 @@ TracerouteResult Topology::traceroute(NodeId from, NodeId to, Rng& rng) const {
 }
 
 NodeId Topology::zone_boundary(NodeId from, NodeId to) const {
-  const auto* hops = route_hops(from, to);
-  if (hops == nullptr) return kInvalidNode;
+  Route route;
+  if (!route_steps(from, to, route)) return kInvalidNode;
   const ZoneId target_zone = nodes_[to].zone;
   if (nodes_[from].zone == target_zone) return from;
-  for (const Hop& hop : *hops) {
-    if (nodes_[hop.node].zone == target_zone) return hop.node;
+  for (const Step* step : route) {
+    if (nodes_[step->node].zone == target_zone) return step->node;
   }
   return kInvalidNode;
 }

@@ -68,14 +68,6 @@ struct Node {
   LatencyModel processing = LatencyModel::fixed(0.1);
 };
 
-struct Link {
-  NodeId a = kInvalidNode;
-  NodeId b = kInvalidNode;
-  LatencyModel latency;
-  double loss = 0.0;      ///< per-traversal loss probability
-  bool tunneled = false;  ///< interior endpoint hidden from traceroute
-};
-
 struct PingResult {
   bool responded = false;
   double rtt_ms = 0.0;
@@ -105,6 +97,9 @@ class Topology {
 
   ZoneId add_zone(std::string name, bool blocks_inbound_probes);
   NodeId add_node(Node node);  ///< node.id is assigned by the topology
+  /// An undirected link: each traversal samples `latency` and is lost with
+  /// probability `loss`; a `tunneled` link hides its interior endpoint
+  /// from traceroute.
   void add_link(NodeId a, NodeId b, LatencyModel latency, double loss = 0.0,
                 bool tunneled = false);
 
@@ -157,27 +152,55 @@ class Topology {
   NodeId zone_boundary(NodeId from, NodeId to) const;
 
  private:
+  /// One direction of a link, as a route crosses it: from `prev` into
+  /// `node`. add_link stores each link as two steps, so a shortest-path
+  /// tree names the step that enters each node, and a route reads every
+  /// hop's latency and loss from its step.
+  struct Step {
+    LatencyModel latency;
+    double loss = 0.0;
+    NodeId prev = kInvalidNode;
+    NodeId node = kInvalidNode;
+    bool tunneled = false;
+  };
+
   struct Edge {
     NodeId peer;
-    uint32_t link_index;
+    uint32_t step;  ///< the step into `peer`
   };
 
-  /// One step of a route: the link taken and the node it enters.
-  struct Hop {
-    uint32_t link_index;
-    NodeId node;
+  /// A route's steps in travel order. The caller's stack holds routes of
+  /// up to kInlineHops steps; a longer one spills to the heap.
+  class Route {
+   public:
+    Route() = default;
+    Route(const Route&) = delete;
+    Route& operator=(const Route&) = delete;
+    const Step* const* begin() const { return steps_; }
+    const Step* const* end() const { return steps_ + size_; }
+    size_t size() const { return size_; }
+
+   private:
+    friend class Topology;
+    static constexpr size_t kInlineHops = 32;
+    const Step* inline_[kInlineHops];
+    std::vector<const Step*> spill_;
+    const Step** steps_ = inline_;
+    size_t size_ = 0;
   };
 
-  /// The hops from `from` to `to` in travel order, walked up the cached
-  /// shortest-path tree into a buffer owned by the calling thread (valid
-  /// until its next route query); nullptr if `to` is unreachable.
-  const std::vector<Hop>* route_hops(NodeId from, NodeId to) const;
+  /// The calling thread's shortest-path tree rooted at `from`: the step
+  /// entering each node (kNoStep for `from` and unreachable nodes).
+  const std::vector<uint32_t>& tree_from(NodeId from) const;
+  /// Fills `route` with the steps from `from` to `to`, walked up the tree
+  /// from `to` and stored back to front; false if `to` is unreachable.
+  bool route_steps(NodeId from, NodeId to, Route& route) const;
   /// True if a probe from `origin_zone` is dropped when entering `target`.
   bool probe_blocked_at(ZoneId origin_zone, NodeId target) const;
 
   std::vector<Zone> zones_;
   std::vector<Node> nodes_;
-  std::vector<Link> links_;
+  std::vector<Step> steps_;  ///< link i is steps 2i (a to b) and 2i + 1
   std::vector<std::vector<Edge>> adjacency_;
   std::unordered_map<uint32_t, NodeId> ip_index_;
   uint64_t stamp_ = 0;  ///< see stamp()

@@ -73,7 +73,7 @@ class SmallVec {
   }
 
   void push_back(T value) {
-    if (size_ == capacity_) grow(capacity_ * 2);
+    if (size_ == capacity_) grow(size_t{capacity_} * 2);
     data()[size_++] = value;
   }
 
@@ -91,10 +91,10 @@ class SmallVec {
   void assign(const T* src, size_t n) {
     if (n > N) {
       heap_ = new T[n];
-      capacity_ = n;
+      capacity_ = static_cast<uint32_t>(n);
     }
     std::memcpy(data(), src, n * sizeof(T));
-    size_ = n;
+    size_ = static_cast<uint32_t>(n);
   }
 
   /// Takes `other`'s storage (heap buffer or inline bytes), leaving it empty.
@@ -121,17 +121,19 @@ class SmallVec {
   }
 
   void grow(size_t wanted) {
-    const size_t new_capacity = std::max(wanted, capacity_ * 2);
+    const size_t new_capacity = std::max(wanted, size_t{capacity_} * 2);
     T* grown = new T[new_capacity];
     std::memcpy(grown, data(), size_ * sizeof(T));
     delete[] heap_;
     heap_ = grown;
-    capacity_ = new_capacity;
+    capacity_ = static_cast<uint32_t>(new_capacity);
   }
 
   T* heap_ = nullptr;  ///< null while the inline buffer suffices
-  size_t size_ = 0;
-  size_t capacity_ = N;
+  /// 32-bit counts keep a SmallVec<uint8_t, 8> at 24 bytes: DnsName holds
+  /// one beside its table pointer within the flat name's old footprint.
+  uint32_t size_ = 0;
+  uint32_t capacity_ = N;
   T inline_[N];
 };
 

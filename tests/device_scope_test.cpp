@@ -36,7 +36,7 @@ class RecordingRoot : public dns::DnsServer {
     dns::ServedResponse served{query.make_response(), 0.0};
     served.message.header.aa = true;
     served.message.answers.push_back(dns::ResourceRecord::a(
-        query.questions.front().name, net::Ipv4Addr{50, 1, 1, 1}, 3600));
+        query.question->name, net::Ipv4Addr{50, 1, 1, 1}, 3600));
     return served;
   }
   net::NodeId node() const override { return node_; }

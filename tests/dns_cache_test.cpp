@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "dns/cache.h"
+#include "dns/name_table.h"
 
 namespace curtain::dns {
 namespace {
@@ -388,7 +389,10 @@ void expect_same_stats(const CacheStats& got, const CacheStats& want,
 // every step: small capacities with TTLs drawn from a few values, so
 // capacity evictions among equal expiries are common; overwrites of live
 // keys; negative entries; ECS scopes; records held as shared runs that
-// arrive already aged (a forwarded hit), as owned records, or both.
+// arrive already aged (a forwarded hit), as owned records, or both. Keys
+// are NameTable handles (the first five hosts), dynamic names (the rest),
+// or dynamic copies of handles, which must find the handle's entry: the
+// reference keys every name by a dynamic copy.
 TEST(Cache, MatchesReferenceCacheOnRandomOperations) {
   std::mt19937_64 random(20141105);
   const auto draw = [&](size_t n) { return static_cast<size_t>(random() % n); };
@@ -398,6 +402,9 @@ TEST(Cache, MatchesReferenceCacheOnRandomOperations) {
                          "amazon-www.curtaincdn.net", "ns1.example.com",
                          "x.y.z.org", "d.com"};
   const uint32_t ttls[] = {0, 5, 10, 10, 30, 30, 60};
+  NameTable names;
+  for (size_t i = 0; i < 5; ++i) names.add(name(hosts[i]));
+  names.freeze();
   std::vector<Rrset> shared;
   for (const char* host : hosts) {
     for (int shape = 0; shape < 4; ++shape) {
@@ -409,9 +416,15 @@ TEST(Cache, MatchesReferenceCacheOnRandomOperations) {
                                       static_cast<uint8_t>(k)},
             ttls[draw(std::size(ttls))]));
       }
+      rrset.intern_names(names);
       shared.push_back(std::move(rrset));
     }
   }
+  ASSERT_TRUE(shared.front().front().name.interned());
+  ASSERT_FALSE(shared.back().front().name.interned());
+  const auto dynamic_copy = [](const DnsName& n) {
+    return *DnsName::parse(n.to_string());
+  };
 
   int step = 0;
   for (const size_t capacity : {1u, 3u, 8u, 64u}) {
@@ -426,7 +439,9 @@ TEST(Cache, MatchesReferenceCacheOnRandomOperations) {
       now_s += static_cast<int64_t>(draw(4));  // often several ops per second
       const SimTime now = SimTime::from_seconds(static_cast<double>(now_s));
       const Rrset& rrset = shared[draw(shared.size())];
-      const DnsName& key_name = rrset.front().name;
+      const DnsName& owner = rrset.front().name;
+      const DnsName copy = dynamic_copy(owner);
+      const DnsName& key_name = draw(2) == 0 ? owner : copy;
       const RRType type = draw(5) == 0 ? RRType::kCNAME : RRType::kA;
       const uint32_t scope = draw(3) == 0 ? static_cast<uint32_t>(draw(3)) : 0;
       const size_t action = draw(10);
@@ -436,7 +451,7 @@ TEST(Cache, MatchesReferenceCacheOnRandomOperations) {
         const auto aged_by = static_cast<uint32_t>(draw(3) == 0 ? draw(40) : 0);
         records.append(rrset, aged_by);
         if (draw(4) == 0) records.append(rrset, 0, 1);
-        reference.insert(key_name, type, records.materialize(), now, scope);
+        reference.insert(copy, type, records.materialize(), now, scope);
         if (draw(2) == 0) {
           cache.insert(key_name, type, records, now, scope);
         } else {
@@ -445,17 +460,17 @@ TEST(Cache, MatchesReferenceCacheOnRandomOperations) {
       } else if (action < 5) {
         // Owned records, as a dynamic handler or a decoder builds them.
         std::vector<ResourceRecord> records = rrset.records();
-        reference.insert(key_name, type, records, now, scope);
+        reference.insert(copy, type, records, now, scope);
         cache.insert(key_name, type, std::move(records), now, scope);
       } else if (action < 6) {
         const auto ttl = static_cast<uint32_t>(draw(4) * 10);
-        reference.insert_negative(key_name, type, ttl, now, scope);
+        reference.insert_negative(copy, type, ttl, now, scope);
         cache.insert_negative(key_name, type, ttl, now, scope);
       } else if (action == 9 && draw(200) == 0) {
         reference.clear();
         cache.clear();
       } else {
-        const auto want = reference.lookup(key_name, type, now, scope);
+        const auto want = reference.lookup(copy, type, now, scope);
         const auto got = cache.lookup(key_name, type, now, scope);
         ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
         if (want) {

@@ -41,7 +41,7 @@ TEST(DnsEdge, MaxLengthNameRoundTrip) {
   const Message m = Message::query(2, *max_name, RRType::kA);
   const auto decoded = decode(encode(m));
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->questions.front().name, *max_name);
+  EXPECT_EQ(decoded->question->name, *max_name);
 }
 
 TEST(DnsEdge, TxtWithEmptyAndLongStrings) {

@@ -61,7 +61,7 @@ TEST(DnsMessage, CompressionShrinksRepeatedNames) {
   // Uncompressed, the four fastedge.net names alone would be ~100 bytes;
   // compression should keep the whole message well under that ceiling.
   size_t uncompressed = 12;
-  for (const auto& q : r.questions) uncompressed += q.name.wire_length() + 4;
+  if (r.question) uncompressed += r.question->name.wire_length() + 4;
   for (const auto* section : {&r.answers, &r.authorities, &r.additionals}) {
     for (const auto& rr : *section) {
       uncompressed += rr.name.wire_length() + 10;
@@ -169,6 +169,20 @@ TEST(DnsMessage, NonInClassRejected) {
   // Question class is the last two bytes; set to CH (3).
   wire[wire.size() - 1] = 3;
   EXPECT_FALSE(decode(wire).has_value());
+}
+
+TEST(DnsMessage, SecondQuestionRejected) {
+  // RFC 9619: a message carries at most one question. Append a copy of
+  // the question and count it in QDCOUNT.
+  auto wire = encode(Message::query(9, name("a.com"), RRType::kA));
+  const std::vector<uint8_t> question(wire.begin() + 12, wire.end());
+  wire.insert(wire.end(), question.begin(), question.end());
+  wire[5] = 2;
+  EXPECT_FALSE(decode(wire).has_value());
+  wire[5] = 1;
+  wire.resize(wire.size() - question.size());
+  ASSERT_TRUE(decode(wire).has_value());
+  EXPECT_EQ(decode(wire)->question->name, name("a.com"));
 }
 
 TEST(DnsMessage, BadRdlengthRejected) {

@@ -168,7 +168,7 @@ TEST_F(FailureTest, MismatchedQueryIdRejected) {
       ServedResponse served{query.make_response(), 0.0};
       served.message.header.id = static_cast<uint16_t>(query.header.id + 1);
       served.message.answers.push_back(ResourceRecord::a(
-          query.questions.front().name, net::Ipv4Addr{66, 66, 66, 66}, 60));
+          query.question->name, net::Ipv4Addr{66, 66, 66, 66}, 60));
       return served;
     }
     net::NodeId node() const override { return node_; }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
+#include <optional>
 #include <queue>
 #include <thread>
 
@@ -215,6 +217,19 @@ TEST_F(TopologyTest, ZoneAccessors) {
 }
 
 
+// One undirected link, as the reference implementations below store it.
+struct Link {
+  NodeId a = kInvalidNode;
+  NodeId b = kInvalidNode;
+  LatencyModel latency;
+  double loss = 0.0;
+  bool tunneled = false;
+};
+
+NodeId other_end(const Link& link, NodeId node) {
+  return link.a == node ? link.b : link.a;
+}
+
 // The routing and probe code as it was before routes came from per-source
 // shortest-path trees: Dijkstra per (from, to) pair, stopped when `to` is
 // popped, then the first lowest-latency parallel link looked up per hop.
@@ -379,15 +394,173 @@ class PairwiseReference {
   std::vector<std::vector<std::pair<NodeId, uint32_t>>> adjacency_;
 };
 
-// A seeded random graph built identically into a Topology and the
-// pairwise reference: three zones (one firewalled), mixed probe policies,
+// The probe code as it was before routes were walked as steps: the same
+// per-source shortest-path trees, kept as each node's parent link, and per
+// call a hop vector built up the tree from `to`, reversed into travel
+// order, with each hop's link read from the link table.
+class HopVectorReference {
+ public:
+  void add_zone(bool blocks_inbound_probes) {
+    blocks_.push_back(blocks_inbound_probes);
+  }
+  void add_node(const Node& node) {
+    nodes_.push_back(node);
+    adjacency_.emplace_back();
+    trees_.clear();
+  }
+  void add_link(NodeId a, NodeId b, LatencyModel latency, double loss,
+                bool tunneled) {
+    const auto index = static_cast<uint32_t>(links_.size());
+    links_.push_back(Link{a, b, latency, loss, tunneled});
+    adjacency_[a].push_back({b, index});
+    adjacency_[b].push_back({a, index});
+    trees_.clear();
+  }
+
+  std::optional<double> transport_rtt_ms(NodeId from, NodeId to, Rng& rng) {
+    const auto* hops = route_hops(from, to);
+    if (hops == nullptr) return std::nullopt;
+    double rtt = nodes_[to].processing.sample(rng);
+    for (const Hop& hop : *hops) {
+      const Link& link = links_[hop.link_index];
+      rtt += link.latency.sample(rng) + link.latency.sample(rng);
+    }
+    return rtt;
+  }
+
+  PingResult ping(NodeId from, NodeId to, Rng& rng) {
+    PingResult result;
+    const auto* hops = route_hops(from, to);
+    if (hops == nullptr) {
+      result.failure = PingResult::Failure::kNoRoute;
+      return result;
+    }
+    if (!nodes_[to].answers_ping_from(nodes_[from].owner_tag)) {
+      result.failure = PingResult::Failure::kUnresponsive;
+      return result;
+    }
+    const ZoneId origin_zone = nodes_[from].zone;
+    double rtt = nodes_[to].processing.sample(rng);
+    for (const Hop& hop : *hops) {
+      if (blocked_at(origin_zone, hop.node)) {
+        result.failure = PingResult::Failure::kFirewalled;
+        return result;
+      }
+      const Link& link = links_[hop.link_index];
+      if (rng.bernoulli(link.loss) || rng.bernoulli(link.loss)) {
+        result.failure = PingResult::Failure::kLoss;
+        return result;
+      }
+      rtt += link.latency.sample(rng) + link.latency.sample(rng);
+    }
+    result.responded = true;
+    result.rtt_ms = rtt;
+    return result;
+  }
+
+  TracerouteResult traceroute(NodeId from, NodeId to, Rng& rng) {
+    TracerouteResult result;
+    const auto* hops = route_hops(from, to);
+    if (hops == nullptr) return result;
+    const ZoneId origin_zone = nodes_[from].zone;
+    double cumulative_one_way = 0.0;
+    for (const auto& [link_index, hop] : *hops) {
+      if (blocked_at(origin_zone, hop)) return result;
+      const Link& link = links_[link_index];
+      cumulative_one_way += link.latency.sample(rng);
+      const bool is_destination = (hop == to);
+      const Node& hop_node = nodes_[hop];
+      if (link.tunneled && !is_destination) continue;
+      TracerouteHop entry;
+      entry.node = hop;
+      const bool answers =
+          is_destination
+              ? hop_node.responds_to_traceroute &&
+                    hop_node.answers_ping_from(nodes_[from].owner_tag)
+              : hop_node.responds_to_traceroute;
+      if (answers && !rng.bernoulli(link.loss)) {
+        entry.responded = true;
+        entry.rtt_ms =
+            2.0 * cumulative_one_way + hop_node.processing.sample(rng);
+      } else {
+        entry.node = kInvalidNode;
+      }
+      result.hops.push_back(entry);
+      if (is_destination) result.reached_destination = entry.responded;
+    }
+    return result;
+  }
+
+ private:
+  static constexpr uint32_t kNoLink = UINT32_MAX;
+
+  struct Hop {
+    uint32_t link_index;
+    NodeId node;
+  };
+
+  const std::vector<Hop>* route_hops(NodeId from, NodeId to) {
+    std::vector<uint32_t>& parent = trees_[from];
+    if (parent.empty()) {
+      constexpr double kInf = std::numeric_limits<double>::infinity();
+      std::vector<double> dist(nodes_.size(), kInf);
+      parent.assign(nodes_.size(), kNoLink);
+      using Entry = std::pair<double, NodeId>;
+      std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+      dist[from] = 0.0;
+      heap.emplace(0.0, from);
+      while (!heap.empty()) {
+        const auto [d, u] = heap.top();
+        heap.pop();
+        if (d > dist[u]) continue;
+        for (const auto& [peer, link_index] : adjacency_[u]) {
+          const double typical = links_[link_index].latency.typical_ms();
+          const double nd = d + typical;
+          uint32_t& entered_by = parent[peer];
+          if (nd < dist[peer]) {
+            dist[peer] = nd;
+            entered_by = link_index;
+            heap.emplace(nd, peer);
+          } else if (nd == dist[peer] && entered_by != kNoLink &&
+                     other_end(links_[entered_by], peer) == u &&
+                     typical < links_[entered_by].latency.typical_ms()) {
+            entered_by = link_index;
+          }
+        }
+      }
+    }
+    if (to != from && parent[to] == kNoLink) return nullptr;
+    hops_.clear();
+    for (NodeId at = to; at != from; at = other_end(links_[parent[at]], at)) {
+      hops_.push_back(Hop{parent[at], at});
+    }
+    std::reverse(hops_.begin(), hops_.end());
+    return &hops_;
+  }
+
+  bool blocked_at(ZoneId origin_zone, NodeId target) const {
+    const ZoneId target_zone = nodes_[target].zone;
+    return target_zone != origin_zone && blocks_[target_zone];
+  }
+
+  std::vector<bool> blocks_{false};  // zone 0: the open Internet
+  std::vector<Node> nodes_;
+  std::vector<Link> links_;
+  std::vector<std::vector<std::pair<NodeId, uint32_t>>> adjacency_;
+  std::map<NodeId, std::vector<uint32_t>> trees_;
+  std::vector<Hop> hops_;
+};
+
+// A seeded random graph built identically into a Topology and each
+// reference: three zones (one firewalled), mixed probe policies,
 // zero-latency links, parallel links of equal, higher, lower and
 // one-ulp-lower typical latency, and nodes left unreachable.
-void build_random_graph(uint64_t seed, Topology& topo, PairwiseReference& ref) {
+template <typename... Refs>
+void build_random_graph(uint64_t seed, Topology& topo, Refs&... refs) {
   Rng rng(seed);
   for (const bool blocks : {true, false}) {
     topo.add_zone("z", blocks);
-    ref.add_zone(blocks);
+    (refs.add_zone(blocks), ...);
   }
   const auto n = static_cast<NodeId>(rng.uniform_u64(6, 28));
   const NodeId isolated = static_cast<NodeId>(rng.uniform_u64(0, 2));
@@ -402,7 +575,7 @@ void build_random_graph(uint64_t seed, Topology& topo, PairwiseReference& ref) {
                           ? LatencyModel::fixed(rng.uniform(0.0, 1.0))
                           : LatencyModel::jittered(rng.uniform(0.1, 1.0));
     topo.add_node(node);
-    ref.add_node(node);
+    (refs.add_node(node), ...);
   }
   const auto random_latency = [&rng] {
     const uint64_t kind = rng.uniform_u64(0, 3);
@@ -420,7 +593,7 @@ void build_random_graph(uint64_t seed, Topology& topo, PairwiseReference& ref) {
     const double loss = rng.bernoulli(0.3) ? rng.uniform(0.0, 0.4) : 0.0;
     const bool tunneled = rng.bernoulli(0.2);
     topo.add_link(a, b, latency, loss, tunneled);
-    ref.add_link(a, b, latency, loss, tunneled);
+    (refs.add_link(a, b, latency, loss, tunneled), ...);
   };
   // Nodes [n - isolated, n) get no links at all.
   const NodeId linked = n - isolated;
@@ -504,6 +677,85 @@ TEST_F(TopologyTest, TreeRoutesMatchPairwiseDijkstra) {
       }
       expect_same_rng_state(trace_actual, trace_expected);
     }
+  }
+}
+
+// Compares one probe of each kind from `from` to `to` against the hop
+// vector walk: same values, and the generator left in the same state.
+void expect_same_draws(Topology& topo, HopVectorReference& ref, NodeId from,
+                       NodeId to, uint64_t probe_seed) {
+  SCOPED_TRACE(std::to_string(from) + " -> " + std::to_string(to));
+  Rng rtt_actual(probe_seed), rtt_expected(probe_seed);
+  EXPECT_EQ(topo.transport_rtt_ms(from, to, rtt_actual),
+            ref.transport_rtt_ms(from, to, rtt_expected));
+  expect_same_rng_state(rtt_actual, rtt_expected);
+
+  Rng ping_actual(probe_seed + 1), ping_expected(probe_seed + 1);
+  const PingResult ping = topo.ping(from, to, ping_actual);
+  const PingResult ping_ref = ref.ping(from, to, ping_expected);
+  EXPECT_EQ(ping.responded, ping_ref.responded);
+  EXPECT_EQ(ping.rtt_ms, ping_ref.rtt_ms);
+  EXPECT_EQ(ping.failure, ping_ref.failure);
+  expect_same_rng_state(ping_actual, ping_expected);
+
+  Rng trace_actual(probe_seed + 2), trace_expected(probe_seed + 2);
+  const TracerouteResult trace = topo.traceroute(from, to, trace_actual);
+  const TracerouteResult trace_ref = ref.traceroute(from, to, trace_expected);
+  EXPECT_EQ(trace.reached_destination, trace_ref.reached_destination);
+  ASSERT_EQ(trace.hops.size(), trace_ref.hops.size());
+  for (size_t h = 0; h < trace.hops.size(); ++h) {
+    EXPECT_EQ(trace.hops[h].node, trace_ref.hops[h].node);
+    EXPECT_EQ(trace.hops[h].responded, trace_ref.hops[h].responded);
+    EXPECT_EQ(trace.hops[h].rtt_ms, trace_ref.hops[h].rtt_ms);
+  }
+  expect_same_rng_state(trace_actual, trace_expected);
+}
+
+TEST_F(TopologyTest, StepWalkDrawsLikeHopVectorWalk) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("graph seed " + std::to_string(seed));
+    Topology topo;
+    HopVectorReference ref;
+    build_random_graph(seed, topo, ref);
+    const auto n = static_cast<NodeId>(topo.node_count());
+    // Random pairs, plus every same-node route and every route into the
+    // last node (unreachable whenever the graph left it isolated).
+    Rng pick(seed ^ 0x57e9ULL);
+    for (int i = 0; i < 60; ++i) {
+      const auto from = static_cast<NodeId>(pick.uniform_u64(0, n - 1));
+      const auto to = static_cast<NodeId>(pick.uniform_u64(0, n - 1));
+      expect_same_draws(topo, ref, from, to, seed * 7919 + static_cast<uint64_t>(i));
+    }
+    for (NodeId node = 0; node < n; ++node) {
+      expect_same_draws(topo, ref, node, node, seed * 104729 + node);
+      expect_same_draws(topo, ref, node, n - 1, seed * 130363 + node);
+    }
+  }
+}
+
+TEST_F(TopologyTest, LongRoutesSpillPastTheInlineBuffer) {
+  // A 100-node chain: routes from one end are longer than the steps a
+  // route holds on the stack.
+  Topology topo;
+  HopVectorReference ref;
+  Rng rng(42);
+  constexpr NodeId kNodes = 100;
+  for (NodeId i = 0; i < kNodes; ++i) {
+    Node node;
+    node.processing = LatencyModel::jittered(0.5);
+    topo.add_node(node);
+    ref.add_node(node);
+  }
+  for (NodeId i = 0; i + 1 < kNodes; ++i) {
+    const LatencyModel latency = LatencyModel::wan(rng.uniform(0.5, 3.0), 0.4);
+    const double loss = i % 7 == 0 ? 0.01 : 0.0;
+    topo.add_link(i, i + 1, latency, loss, /*tunneled=*/i % 5 == 0);
+    ref.add_link(i, i + 1, latency, loss, /*tunneled=*/i % 5 == 0);
+  }
+  EXPECT_EQ(topo.route(0, kNodes - 1).size(), kNodes);
+  for (const NodeId to : {NodeId{1}, NodeId{32}, NodeId{33}, kNodes - 1}) {
+    expect_same_draws(topo, ref, 0, to, 1000 + to);
+    expect_same_draws(topo, ref, kNodes - 1, kNodes - 1 - to, 2000 + to);
   }
 }
 
