@@ -3,10 +3,10 @@
 #
 #   scripts/check.sh          # full matrix (plain, asan+ubsan, tsan, lint,
 #                             # bench-smoke, profile-smoke, rss-smoke,
-#                             # campaign-smoke)
+#                             # campaign-smoke, experiments-current)
 #   scripts/check.sh plain    # just one leg: plain | sanitize | tsan | lint
 #                             #   | bench-smoke | profile-smoke | rss-smoke
-#                             #   | campaign-smoke
+#                             #   | campaign-smoke | experiments-current
 #
 # Legs:
 #   plain     default build (all warnings + -Werror) and the full ctest
@@ -54,6 +54,12 @@
 #             per-layer counts repeatable — so a src/ API change that
 #             breaks the benchmark's build or its checks fails here
 #             (~75 s on 4 cores, build included).
+#   experiments-current
+#             rebuilds examples/full_report, regenerates EXPERIMENTS.md at
+#             its recorded settings (seed 20141105, CURTAIN_SCALE=0.1,
+#             CURTAIN_SHARDS=4) and fails on any diff, so a change that
+#             moves a reported number or a claim-ledger verdict must carry
+#             the regenerated record (~6 s on 4 cores after the build).
 #
 # Every leg uses its own build directory, so re-runs are incremental.
 set -euo pipefail
@@ -182,6 +188,24 @@ campaign_smoke_leg() {
   python3 campaignbench/smoke_test.py
 }
 
+experiments_current_leg() {
+  run_leg "EXPERIMENTS.md current (full_report at scale 0.1, 4 workers)"
+  cmake -B build -S . >/dev/null
+  cmake --build build -j "$JOBS" --target full_report
+  local fresh
+  fresh="$(mktemp -t curtain_experiments.XXXXXX.md)"
+  CURTAIN_SEED=20141105 CURTAIN_SCALE=0.1 CURTAIN_SHARDS=4 \
+    ./build/examples/full_report >"$fresh" 2>/dev/null
+  if ! diff -u EXPERIMENTS.md "$fresh"; then
+    rm -f "$fresh"
+    echo "experiments-current: EXPERIMENTS.md is stale; regenerate with" >&2
+    echo "  CURTAIN_SCALE=0.1 CURTAIN_SHARDS=4 ./build/examples/full_report > EXPERIMENTS.md" >&2
+    exit 1
+  fi
+  rm -f "$fresh"
+  echo "experiments-current: ok"
+}
+
 case "$LEG" in
   plain)    plain_leg ;;
   sanitize) sanitize_leg ;;
@@ -191,6 +215,7 @@ case "$LEG" in
   profile-smoke) profile_smoke_leg ;;
   rss-smoke) rss_smoke_leg ;;
   campaign-smoke) campaign_smoke_leg ;;
+  experiments-current) experiments_current_leg ;;
   all)
     plain_leg
     sanitize_leg
@@ -200,11 +225,12 @@ case "$LEG" in
     profile_smoke_leg
     rss_smoke_leg
     campaign_smoke_leg
+    experiments_current_leg
     echo
     echo "=== check.sh: all legs green ==="
     ;;
   *)
-    echo "usage: scripts/check.sh [plain|sanitize|tsan|lint|bench-smoke|profile-smoke|rss-smoke|campaign-smoke|all]" >&2
+    echo "usage: scripts/check.sh [plain|sanitize|tsan|lint|bench-smoke|profile-smoke|rss-smoke|campaign-smoke|experiments-current|all]" >&2
     exit 2
     ;;
 esac
