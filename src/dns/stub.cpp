@@ -7,9 +7,7 @@ namespace curtain::dns {
 std::vector<net::Ipv4Addr> StubResult::addresses() const {
   std::vector<net::Ipv4Addr> out;
   out.reserve(answers.size());
-  for (const RecordView rr : answers) {
-    if (const auto* a = std::get_if<ARecord>(&rr.rdata)) out.push_back(a->address);
-  }
+  append_addresses(out);
   return out;
 }
 

@@ -18,6 +18,16 @@ struct StubResult {
   double total_ms = 0.0;
 
   std::vector<net::Ipv4Addr> addresses() const;
+  /// Appends the A-record addresses, in answer order, to any container
+  /// with push_back (the measurement record's inline SmallVec).
+  template <typename Out>
+  void append_addresses(Out& out) const {
+    for (const RecordView rr : answers) {
+      if (const auto* a = std::get_if<ARecord>(&rr.rdata)) {
+        out.push_back(a->address);
+      }
+    }
+  }
 };
 
 class StubResolver {

@@ -26,6 +26,7 @@
 #include "net/geo.h"
 #include "net/ipv4.h"
 #include "net/time.h"
+#include "util/smallvec.h"
 
 namespace curtain::measure {
 
@@ -54,7 +55,9 @@ struct DnsMeasurement {
   bool responded = false;
   bool second_lookup = false;  ///< back-to-back repeat (Fig. 7)
   double resolution_ms = 0.0;
-  std::vector<net::Ipv4Addr> addresses;
+  /// A-record answers in answer order; inline up to eight, so recording a
+  /// resolution allocates nothing on the way to the block's address pool.
+  util::SmallVec<net::Ipv4Addr, 8> addresses;
   /// Slot of this resolution's hop-by-hop trace in its experiment's record
   /// block (RecordStore::add_trace) when it was sampled; -1 otherwise.
   int32_t trace_slot = -1;

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <initializer_list>
 #include <type_traits>
 
 namespace curtain::util {
@@ -29,6 +30,9 @@ class SmallVec {
 
  public:
   SmallVec() = default;
+  SmallVec(std::initializer_list<T> values) {
+    assign(values.begin(), values.size());
+  }
 
   SmallVec(const SmallVec& other) { assign(other.data(), other.size_); }
   SmallVec(SmallVec&& other) noexcept { steal(other); }
