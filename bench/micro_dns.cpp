@@ -5,6 +5,7 @@
 
 #include "bench_common.h"
 #include "dns/hierarchy.h"
+#include "dns/name_table.h"
 #include "dns/resolver.h"
 
 namespace {
@@ -96,6 +97,25 @@ void BM_CacheLookupHit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CacheLookupHit);
+
+/// The campaign's hop: a static name is a table handle, so the cache key
+/// hashes and compares an id rather than label text.
+void BM_CacheLookupHitInterned(benchmark::State& state) {
+  dns::NameTable names;
+  names.add(*dns::DnsName::parse("www.example.com"));
+  names.freeze();
+  const dns::DnsName& name =
+      names.name(names.find(*dns::DnsName::parse("www.example.com")));
+  dns::Cache cache;
+  cache.insert(name, dns::RRType::kA,
+               {dns::ResourceRecord::a(name, net::Ipv4Addr{1, 2, 3, 4}, 3600)},
+               net::SimTime::zero());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        cache.lookup(name, dns::RRType::kA, net::SimTime::from_seconds(1)));
+  }
+}
+BENCHMARK(BM_CacheLookupHitInterned);
 
 // --- cache series (ISSUE-5 before/after comparison workloads) ---------------
 
@@ -221,6 +241,51 @@ void BM_CachedResolution(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CachedResolution);
+
+/// BM_CachedResolution on the campaign path: zones bound to a frozen name
+/// table and the query name a table handle.
+void BM_CachedResolutionInterned(benchmark::State& state) {
+  // Declared first: the zones keep a pointer to the table.
+  dns::NameTable names;
+  net::Topology topo;
+  dns::ServerRegistry registry;
+  net::Node hub;
+  hub.name = "hub";
+  const net::NodeId hub_id = topo.add_node(hub);
+  const auto attach = [&](const std::string& name, net::NodeKind kind,
+                          const net::GeoPoint& loc, net::Ipv4Addr ip) {
+    net::Node node;
+    node.name = name;
+    node.kind = kind;
+    node.location = loc;
+    node.ip = ip;
+    const net::NodeId id = topo.add_node(node);
+    topo.add_link(id, hub_id, net::LatencyModel::fixed(1.0));
+    return id;
+  };
+  dns::DnsHierarchy hierarchy(attach, &registry);
+  auto& zone = hierarchy.create_zone(*dns::DnsName::parse("example.com"),
+                                     {40, -74}, net::Ipv4Addr{50, 0, 0, 1});
+  const auto host = *dns::DnsName::parse("www.example.com");
+  zone.add_record(dns::ResourceRecord::a(host, net::Ipv4Addr{9, 8, 7, 6}, 3600));
+  // Bind the hierarchy to its names as a World does, and query by handle.
+  hierarchy.collect_names(names);
+  names.freeze();
+  hierarchy.bind_names(names);
+  dns::DnsName interned = host;
+  names.intern(interned);
+  const net::NodeId rnode =
+      attach("resolver", net::NodeKind::kResolver, {41, -87}, net::Ipv4Addr{});
+  dns::RecursiveResolver resolver("bench", rnode, net::Ipv4Addr{9, 9, 9, 9},
+                                  &topo, &registry, hierarchy.root_ip());
+  auto rng = bench::bench_rng("micro_dns/resolve-warm-interned");
+  resolver.resolve(interned, dns::RRType::kA, net::SimTime::zero(), rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(resolver.resolve(
+        interned, dns::RRType::kA, net::SimTime::from_seconds(1), rng));
+  }
+}
+BENCHMARK(BM_CachedResolutionInterned);
 
 }  // namespace
 

@@ -27,6 +27,14 @@ void BM_RngLognormal(benchmark::State& state) {
 }
 BENCHMARK(BM_RngLognormal);
 
+void BM_RngNormal(benchmark::State& state) {
+  auto rng = bench::bench_rng("micro_net/normal");
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(rng.normal());
+  }
+}
+BENCHMARK(BM_RngNormal);
+
 void BM_Haversine(benchmark::State& state) {
   const net::GeoPoint a{40.71, -74.01};
   const net::GeoPoint b{34.05, -118.24};
