@@ -7,8 +7,11 @@
 //
 // The core generator is xoshiro256**, seeded via splitmix64 as its authors
 // recommend; both are tiny, fast and statistically strong for simulation.
+// Normal draws use a 256-layer ziggurat (DESIGN.md §22): one 64-bit word
+// per draw on the fast path, no log, sqrt or trigonometry.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -96,7 +99,8 @@ class Rng {
   uint64_t uniform_u64(uint64_t lo, uint64_t hi);
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
-  /// Standard normal via Box-Muller (one value cached).
+  /// Standard normal via the ziggurat below. Each call draws afresh:
+  /// nothing is cached between calls.
   double normal();
   double normal(double mean, double stddev);
   /// Lognormal with the given *median* and shape sigma: median * e^(sigma·Z).
@@ -129,9 +133,19 @@ class Rng {
 
   uint64_t seed_;  // construction seed, retained for derive()
   uint64_t s_[4];
-  bool has_cached_normal_ = false;
-  double cached_normal_ = 0.0;
 };
+
+/// The standard-normal ziggurat behind Rng::normal (Marsaglia & Tsang,
+/// "The Ziggurat Method for Generating Random Variables", JSS 2000): 256
+/// layers of equal area V under f(x) = exp(-x²/2). Layer i >= 1 is the
+/// rectangle [0, x[i]) × [f[i], f[i+1]); layer 0 is the base strip
+/// [0, x[0]) × [0, f(R)), whose part beyond R stands for the tail, so
+/// x[0] = V / f(R), x[1] = R and x[256] = 0. Constant data, defined in
+/// rng.cpp as hex-float literals; tests/rng_test.cpp recomputes it.
+inline constexpr double kZigguratR = 0x1.d3bb48209ad33p+1;  // 3.6541528853610088
+extern const std::array<double, 257> kZigguratX;
+/// f(x[i]) = exp(-x[i]²/2), increasing from f(x[0]) to f(0) = 1.
+extern const std::array<double, 257> kZigguratF;
 
 /// Uniform draws from [0, bound), bound >= 1, without modulo bias: a draw
 /// at or above the largest multiple of `bound` that fits in 64 bits is
