@@ -110,22 +110,10 @@ void write_report(const RecordStore& dataset, const ReportConfig& config,
   out << "Paper: distinct bands — LTE fastest, 3G ~50 ms slower at the "
          "median, 2G near 1 s.\n\n";
   table_header(out, {"Carrier", "LTE p50", "3G band p50", "2G band p50"});
-  for (const auto& [carrier, by_tech] : fig3_radio_bands(dataset)) {
-    Ecdf g3;
-    Ecdf g2;
-    double lte = 0.0;
-    for (const auto& [tech_name, cdf] : by_tech) {
-      if (tech_name == "LTE") {
-        lte = cdf.median();
-      } else if (tech_name == "1xRTT" || tech_name == "GPRS" ||
-                 tech_name == "EDGE") {
-        g2.add_all(cdf.sorted_values());
-      } else {
-        g3.add_all(cdf.sorted_values());
-      }
-    }
-    table_row(out, {carrier, ms(lte), g3.empty() ? "-" : ms(g3.median()),
-                    g2.empty() ? "-" : ms(g2.median())});
+  for (const auto& [carrier, bands] : fig3_band_summary(dataset)) {
+    table_row(out, {carrier, ms(bands.lte_p50),
+                    bands.g3.empty() ? "-" : ms(bands.g3.median()),
+                    bands.g2.empty() ? "-" : ms(bands.g2.median())});
   }
 
   // --- Table 3 ---------------------------------------------------------
@@ -200,28 +188,15 @@ void write_report(const RecordStore& dataset, const ReportConfig& config,
          "stationary clients still churn.\n\n";
   table_header(out, {"Carrier", "mean IPs/client", "max IPs", "max /24s",
                      "static clients w/ churn"});
-  for (int c = 0; c < static_cast<int>(carriers.size()); ++c) {
-    const auto joined =
-        joined_observations(dataset, c, measure::ResolverKind::kLocal);
-    const auto timelines = resolver_timelines(joined, c);
-    double mean_ips = 0.0;
-    size_t max_ips = 0;
-    size_t max_prefixes = 0;
-    for (const auto& timeline : timelines) {
-      mean_ips += static_cast<double>(timeline.unique_ips());
-      max_ips = std::max(max_ips, timeline.unique_ips());
-      max_prefixes = std::max(max_prefixes, timeline.unique_slash24s());
-    }
-    if (!timelines.empty()) mean_ips /= static_cast<double>(timelines.size());
-    const auto static_timelines = static_resolver_timelines(joined, c);
-    size_t churning = 0;
-    for (const auto& timeline : static_timelines) {
-      if (timeline.unique_ips() > 1) ++churning;
-    }
-    table_row(out, {dataset.carrier_name(c), util::format_double(mean_ips, 1),
-                    std::to_string(max_ips), std::to_string(max_prefixes),
-                    std::to_string(churning) + "/" +
-                        std::to_string(static_timelines.size())});
+  const auto churn = fig8_fig9_churn(dataset);
+  for (int c = 0; c < static_cast<int>(churn.size()); ++c) {
+    const ChurnSummary& row = churn[static_cast<size_t>(c)];
+    table_row(out, {dataset.carrier_name(c),
+                    util::format_double(row.mean_ips, 1),
+                    std::to_string(row.max_ips),
+                    std::to_string(row.max_slash24s),
+                    std::to_string(row.static_churning) + "/" +
+                        std::to_string(row.static_clients)});
   }
 
   // --- Fig 10 ----------------------------------------------------------
@@ -298,19 +273,13 @@ void write_report(const RecordStore& dataset, const ReportConfig& config,
   out << "Paper: despite one anycast VIP, clients drift across several of "
          "Google's 30 geographic /24s over time.\n\n";
   table_header(out, {"Carrier", "clients seeing >1 Google /24", "max /24s"});
-  for (int c = 0; c < static_cast<int>(carriers.size()); ++c) {
-    const auto timelines =
-        resolver_timelines(dataset, c, measure::ResolverKind::kGoogle);
-    size_t multi = 0;
-    size_t max_prefixes = 0;
-    for (const auto& timeline : timelines) {
-      if (timeline.unique_slash24s() > 1) ++multi;
-      max_prefixes = std::max(max_prefixes, timeline.unique_slash24s());
-    }
+  const auto drift = fig12_google_drift(dataset);
+  for (int c = 0; c < static_cast<int>(drift.size()); ++c) {
+    const GoogleDrift& row = drift[static_cast<size_t>(c)];
     table_row(out, {dataset.carrier_name(c),
-                    std::to_string(multi) + "/" +
-                        std::to_string(timelines.size()),
-                    std::to_string(max_prefixes)});
+                    std::to_string(row.multi_slash24) + "/" +
+                        std::to_string(row.clients),
+                    std::to_string(row.max_slash24s)});
   }
 
   // --- Fig 13 ----------------------------------------------------------
