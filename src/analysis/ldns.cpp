@@ -77,9 +77,11 @@ std::vector<LdnsPairStats> ldns_pair_stats(const measure::RecordStore& dataset) 
     std::set<std::pair<uint32_t, uint32_t>> pairs;
     // client resolver -> external -> count, for modal consistency.
     std::map<uint32_t, std::map<uint32_t, uint64_t>> pair_counts;
+    size_t indirect = 0;
     for (const auto& j : joined) {
       const uint32_t client = j.context->configured_resolver.value();
       const uint32_t external = j.external_ip.value();
+      if (external != client) ++indirect;
       clients.insert(client);
       externals.insert(external);
       pairs.emplace(client, external);
@@ -88,6 +90,10 @@ std::vector<LdnsPairStats> ldns_pair_stats(const measure::RecordStore& dataset) 
     stats.client_resolvers = clients.size();
     stats.external_resolvers = externals.size();
     stats.pairs = pairs.size();
+    if (!joined.empty()) {
+      stats.indirect_share =
+          static_cast<double>(indirect) / static_cast<double>(joined.size());
+    }
 
     uint64_t total = 0;
     uint64_t modal = 0;

@@ -19,6 +19,9 @@ struct LdnsPairStats {
   /// % of measurements in which a client resolver was paired with its
   /// modal external resolver (the paper's "consistency").
   double consistency_percent = 0.0;
+  /// Share of measurements whose external resolver is not the configured
+  /// one: indirect resolution.
+  double indirect_share = 0.0;
 };
 
 /// Computes Table 3 from the dataset (local resolver kind only).
