@@ -72,7 +72,7 @@ void Device::reattach(const net::GeoPoint& where, bool allow_gateway_change,
                     rng.bernoulli(profile.gateway_change_on_reassign))) {
     f.gateway_index_[index_] = f.carrier_->pick_gateway(where, rng);
   }
-  f.public_ip_[index_] = f.carrier_->assign_ip(f.gateway_index_[index_], rng);
+  f.public_ip_[index_] = f.carrier_->assign_ip(f.gateway_index_[index_]);
   f.configured_resolver_[index_] =
       f.carrier_->configured_resolver(f.id_[index_], f.gateway_index_[index_]);
   f.attach_location_[index_] = where;
