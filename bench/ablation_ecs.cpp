@@ -13,6 +13,7 @@
 #include "core/world.h"
 #include "dns/stub.h"
 #include "measure/probes.h"
+#include "net/device_scope.h"
 
 namespace {
 
@@ -45,6 +46,7 @@ Sample measure_path(core::World& world, size_t carrier_index,
     fleet.enroll(0, static_cast<uint64_t>(d + 1),
                  metros[static_cast<size_t>(d) % metros.size()].location);
     cellular::Device device = fleet.device(0);
+    net::DeviceScope scope(d + 1);  // this device's caches and NAT cursor
     for (int hour = 0; hour < 72; hour += 6) {
       const auto now = net::SimTime::from_hours(hour);
       const auto snapshot = device.begin_experiment(now, rng);

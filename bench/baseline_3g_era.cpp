@@ -14,6 +14,7 @@
 #include "core/world.h"
 #include "dns/stub.h"
 #include "measure/probes.h"
+#include "net/device_scope.h"
 
 namespace {
 
@@ -44,6 +45,7 @@ EraStats measure_era(core::World& world, uint64_t seed) {
           net::us_metros()[static_cast<size_t>(d) % net::us_metros().size()]
               .location);
       cellular::Device device = fleet.device(0);
+      net::DeviceScope scope(d + 1);  // this device's caches and NAT cursor
       for (int hour = 0; hour < 48; hour += 4) {
         const auto now = net::SimTime::from_hours(hour);
         const auto snapshot = device.begin_experiment(now, rng);

@@ -13,6 +13,7 @@
 #include "cellular/device.h"
 #include "core/world.h"
 #include "measure/pageload.h"
+#include "net/device_scope.h"
 
 namespace {
 
@@ -61,6 +62,7 @@ int main() {
                      ? net::GeoPoint{37.57, 126.98}
                      : net::GeoPoint{33.75, -84.39});
     cellular::Device device = fleet.device(0);
+    net::DeviceScope scope(1);  // this device's caches and NAT cursor
     Series ping_series;
     Series plt_series;
     Series plt_best;

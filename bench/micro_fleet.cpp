@@ -98,11 +98,6 @@ struct RunPoint {
   double streamed_mb = 0.0;
   double peak_block_mb = 0.0;
   double fleet_arena_mb = 0.0;
-  /// Query-time state left in the world after the run, held by code with
-  /// no device bound (device state died with each timeline). Expected ~0.
-  /// Reported under the lane_*_mb JSON keys.
-  double lane_cache_mb = 0.0;
-  double lane_state_mb = 0.0;
   /// Resident memory after the run. The bounded-memory claim is that
   /// THIS stays flat as the campaign streams more records.
   double rss_after_mb = 0.0;
@@ -159,11 +154,6 @@ RunPoint run_campaign(core::World& world, double duration_days, int workers,
     peak_block = std::max(peak_block, sink->peak_block_bytes());
   }
   point.peak_block_mb = static_cast<double>(peak_block) / (1024.0 * 1024.0);
-  const obs::UnboundMemory unbound = world.approx_unbound_state_bytes();
-  point.lane_cache_mb =
-      static_cast<double>(unbound.cache_bytes) / (1024.0 * 1024.0);
-  point.lane_state_mb =
-      static_cast<double>(unbound.state_bytes) / (1024.0 * 1024.0);
   point.rss_after_mb =
       static_cast<double>(obs::read_current_rss_bytes()) / (1024.0 * 1024.0);
   point.wall_ms = wall_ms;
@@ -207,13 +197,11 @@ int main() {
         "\"duration_days\":%.2f,\"shards\":%zu,\"workers\":%d,"
         "\"experiments\":%zu,\"records\":%zu,\"streamed_mb\":%.1f,"
         "\"peak_block_mb\":%.2f,\"fleet_arena_mb\":%.1f,"
-        "\"lane_cache_mb\":%.1f,\"lane_state_mb\":%.1f,"
         "\"rss_after_mb\":%.1f,"
         "\"peak_rss_mb\":%.1f,\"wall_ms\":%.1f,\"host_cores\":%u}\n",
         point.devices, point.duration_days, point.shards, workers,
         point.experiments, point.records, point.streamed_mb,
-        point.peak_block_mb, point.fleet_arena_mb, point.lane_cache_mb,
-        point.lane_state_mb, point.rss_after_mb,
+        point.peak_block_mb, point.fleet_arena_mb, point.rss_after_mb,
         static_cast<double>(obs::read_peak_rss_bytes()) / (1024.0 * 1024.0),
         point.wall_ms, host_cores);
   }

@@ -18,6 +18,7 @@
 #include "core/world.h"
 #include "dns/stub.h"
 #include "measure/experiment.h"
+#include "net/device_scope.h"
 
 /// Heap allocations made by the calling thread through operator new (the
 /// array and nothrow forms forward to it).
@@ -56,6 +57,9 @@ void BM_FullExperiment(benchmark::State& state) {
   cellular::Fleet fleet(&world.carrier(0), 1);
   fleet.enroll(0, 1, net::GeoPoint{40.71, -74.01});
   cellular::Device device = fleet.device(0);
+  // The device's caches and NAT cursor live in its scope, opened once so
+  // they persist across iterations as over one device's timeline.
+  net::DeviceScope scope(1);
   measure::RecordStore records;
   auto rng = bench::bench_rng("micro_study/full-experiment");
   int64_t hour = 0;
@@ -78,6 +82,7 @@ void BM_SingleCellResolution(benchmark::State& state) {
   cellular::Fleet fleet(&carrier, 1);
   fleet.enroll(0, 2, net::GeoPoint{40.71, -74.01});
   cellular::Device device = fleet.device(0);
+  net::DeviceScope scope(2);  // one device's state across iterations
   auto rng = bench::bench_rng("micro_study/single-resolution");
   const auto host = dns::DnsName::parse("www.buzzfeed.com");
   int64_t second = 0;
@@ -101,6 +106,7 @@ void BM_SingleCellResolutionWarm(benchmark::State& state) {
   cellular::Fleet fleet(&carrier, 1);
   fleet.enroll(0, 3, net::GeoPoint{40.71, -74.01});
   cellular::Device device = fleet.device(0);
+  net::DeviceScope scope(3);  // one device's state across iterations
   auto rng = bench::bench_rng("micro_study/single-resolution-warm");
   const auto host = dns::DnsName::parse("www.buzzfeed.com");
   int64_t second = 0;

@@ -17,6 +17,7 @@
 #include "cellular/device.h"
 #include "core/world.h"
 #include "measure/probes.h"
+#include "net/device_scope.h"
 
 int main() {
   using namespace curtain;
@@ -36,6 +37,8 @@ int main() {
                      ? net::GeoPoint{35.18, 129.08}    // Busan
                      : net::GeoPoint{39.74, -104.99});  // Denver
     cellular::Device device = fleet.device(0);
+    // The device's caches and NAT cursor live for its two weeks.
+    net::DeviceScope scope(1);
     double sum_resolver = 0.0;
     double sum_oracle = 0.0;
     double sum_country = 0.0;

@@ -14,6 +14,7 @@
 #include "core/world.h"
 #include "dns/stub.h"
 #include "measure/probes.h"
+#include "net/device_scope.h"
 
 int main(int argc, char** argv) {
   using namespace curtain;
@@ -33,6 +34,7 @@ int main(int argc, char** argv) {
   cellular::Fleet fleet(carrier, 1);
   fleet.enroll(0, 1, net::GeoPoint{41.88, -87.63});  // Chicago
   cellular::Device device = fleet.device(0);
+  net::DeviceScope scope(1);  // the device's caches and NAT cursor
   const auto snapshot = device.begin_experiment(net::SimTime::zero(), rng);
   std::printf("device on %s  gateway=%d  public IP=%s  configured DNS=%s\n\n",
               carrier->profile().name.c_str(), snapshot.gateway_index,

@@ -12,6 +12,7 @@
 #include "core/world.h"
 #include "dns/stub.h"
 #include "measure/resolver_ident.h"
+#include "net/device_scope.h"
 
 int main() {
   using namespace curtain;
@@ -29,6 +30,8 @@ int main() {
     cellular::Fleet fleet(carrier.get(), 1, /*travel_probability=*/0.0);
     fleet.enroll(0, device_id++, home);
     cellular::Device device = fleet.device(0);
+    // The device's caches and NAT cursor live for its 30 days.
+    net::DeviceScope scope(1);
 
     std::printf("%s (stationary device, 30 days of hourly probes)\n",
                 carrier->profile().name.c_str());

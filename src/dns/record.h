@@ -99,11 +99,6 @@ struct ResourceRecord {
   /// are static. Only before the record is served.
   void intern_names(const NameTable& names);
 
-  /// Heap bytes the record owns beyond sizeof(ResourceRecord): name and
-  /// rdata-name spill, TXT string storage. A profiling gauge
-  /// (obs/memory.h) for cache accounting, not an exact audit.
-  size_t approx_heap_bytes() const;
-
   /// Human-readable zone-file-ish line for logs and tests.
   std::string to_string() const;
 };

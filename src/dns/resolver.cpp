@@ -110,12 +110,6 @@ RecursiveResolver::RecursiveResolver(
       root_ip_(root_ip),
       states_(topology->issue_device_slot()) {}
 
-obs::UnboundMemory RecursiveResolver::approx_unbound_bytes() const {
-  obs::UnboundMemory memory;
-  memory.cache_bytes = states_.unbound().cache.approx_bytes();
-  return memory;
-}
-
 ResolutionResult RecursiveResolver::resolve(const DnsName& name, RRType type,
                                             net::SimTime now, net::Rng& rng,
                                             net::Ipv4Addr ecs_client) {

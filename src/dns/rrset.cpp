@@ -3,7 +3,6 @@
 
 #include <algorithm>
 
-#include "obs/memory.h"
 #include "util/contract.h"
 
 namespace curtain::dns {
@@ -134,19 +133,6 @@ std::vector<ResourceRecord> Section::materialize() const {
   out.reserve(size_);
   for (const RecordView rr : *this) out.push_back(rr.materialize());
   return out;
-}
-
-size_t Section::approx_heap_bytes() const {
-  size_t bytes = 0;
-  if (!runs_.inlined()) {
-    bytes += runs_.capacity() * sizeof(Run) + obs::kAllocOverheadBytes;
-  }
-  if (owned_.capacity() != 0) {
-    bytes += owned_.capacity() * sizeof(ResourceRecord) +
-             obs::kAllocOverheadBytes;
-  }
-  for (const auto& rr : owned_) bytes += rr.approx_heap_bytes();
-  return bytes;
 }
 
 bool Section::operator==(const Section& other) const {

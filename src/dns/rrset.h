@@ -160,11 +160,6 @@ class Section {
   /// Owned copies of every record with aged TTLs.
   std::vector<ResourceRecord> materialize() const;
 
-  /// Heap bytes this section owns: its run array once it spills the
-  /// inline slots and its owned records. Borrowed records are the World's
-  /// and are not counted. A profiling gauge (obs/memory.h).
-  size_t approx_heap_bytes() const;
-
   /// Record-wise: same names, classes, aged TTLs and data in order,
   /// however the records are split into runs.
   bool operator==(const Section& other) const;

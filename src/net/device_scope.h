@@ -11,17 +11,17 @@
 //    open on a thread, every DeviceLocal<T> that thread reads resolves to
 //    a T the scope value-initializes on first touch. Destroying the scope
 //    at the end of the device's timeline frees all of it.
-//  * Code with no device bound (world construction, the vantage sweep,
-//    tests, tools) reads the single T each DeviceLocal holds inline, which
-//    persists for the owner's lifetime.
+//  * A bound scope is a precondition of every read: DeviceLocal::get
+//    fails a CURTAIN_CHECK on a thread with none. World construction and
+//    the vantage sweep touch no device state; tests, examples and benches
+//    that drive world objects directly open a scope of their own.
 //
 // A device's state therefore starts empty and evolves only with the
 // device's own operations, whichever cohort or worker runs it — which is
 // what keeps campaign exports byte-identical across CURTAIN_SHARDS and
 // CURTAIN_COHORTS — and live state is bounded by one device per worker
 // rather than growing with fleet coverage. Nothing here is shared between
-// threads: a scope lives on its worker's stack, and the inline values are
-// only touched by code with no device bound.
+// threads: a scope lives on its worker's stack.
 //
 // Lookup is an array index. Every DeviceLocal takes a slot number when it
 // is built — the world's topology numbers its owners 0, 1, 2, ...
@@ -47,12 +47,10 @@ class DeviceScope {
   DeviceScope(const DeviceScope&) = delete;
   DeviceScope& operator=(const DeviceScope&) = delete;
 
-  /// Ordinal of the device bound to the calling thread; 0 when none. Part
-  /// of result-visible seeds (the NAT cursors), so it depends only on the
-  /// fleet, never on the cohort partition.
-  static int current_ordinal() {
-    return bound_ == nullptr ? 0 : bound_->ordinal_;
-  }
+  /// Ordinal of the device bound to the calling thread; a scope must be
+  /// bound. Part of result-visible seeds (the NAT cursors), so it depends
+  /// only on the fleet, never on the cohort partition.
+  static int current_ordinal() { return bound_->ordinal_; }
 
  private:
   template <typename T>
@@ -101,10 +99,10 @@ class DeviceScope {
   Table* table_;
 };
 
-/// One T per device: the bound device's copy while a DeviceScope is open
-/// on the calling thread, the inline copy otherwise. Device copies are
-/// found by the slot number the owner was built with, unique among the
-/// owners one device uses (Topology::issue_device_slot numbers a world's).
+/// One T per device: the bound device's copy, which exists only while a
+/// DeviceScope is open on the calling thread. Device copies are found by
+/// the slot number the owner was built with, unique among the owners one
+/// device uses (Topology::issue_device_slot numbers a world's).
 /// An owner must not move while a scope holds its state, and must outlive
 /// any scope open while it is used (owners are world objects, built
 /// before any device runs and destroyed after the campaign).
@@ -119,16 +117,13 @@ class DeviceLocal {
 
   T& get() {
     DeviceScope* scope = DeviceScope::bound_;
-    return scope == nullptr ? unbound_ : scope->state_for<T>(slot_, this);
+    CURTAIN_CHECK(scope != nullptr)
+        << "device state read with no DeviceScope bound";
+    return scope->state_for<T>(slot_, this);
   }
-
-  /// The copy code with no device bound uses — all that outlives a
-  /// campaign (memory accounting, tests).
-  const T& unbound() const { return unbound_; }
 
  private:
   uint32_t slot_;
-  T unbound_{};
 };
 
 }  // namespace curtain::net

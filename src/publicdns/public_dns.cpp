@@ -67,16 +67,6 @@ PublicDnsService::PublicDnsService(std::string name, net::Ipv4Addr vip,
 
 PublicDnsService::~PublicDnsService() = default;
 
-obs::UnboundMemory PublicDnsService::approx_unbound_bytes() const {
-  obs::UnboundMemory memory;
-  for (const PublicDnsSite& site : sites_) {
-    for (const auto& instance : site.instances) {
-      memory += instance->approx_unbound_bytes();
-    }
-  }
-  return memory;
-}
-
 const PublicDnsService::IngressCandidates&
 PublicDnsService::ingress_candidates(net::NodeId egress) const {
   // The calling thread's candidates, one table per service, each indexed

@@ -66,10 +66,6 @@ class PublicDnsService : public dns::DnsServer {
   const std::string& service_name() const { return name_; }
   const std::vector<PublicDnsSite>& sites() const { return sites_; }
 
-  /// Approximate heap bytes of the no-device query state across every
-  /// site's instances. A profiling gauge — see obs/memory.h.
-  obs::UnboundMemory approx_unbound_bytes() const;
-
   // DnsServer:
   dns::ServedResponse serve(const dns::Message& query,
                             net::Ipv4Addr source_ip, net::SimTime now,

@@ -57,7 +57,6 @@ class SmallVec {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t capacity() const { return capacity_; }
-  bool inlined() const { return heap_ == nullptr; }
 
   const T* data() const { return heap_ != nullptr ? heap_ : inline_; }
   T* data() { return heap_ != nullptr ? heap_ : inline_; }

@@ -8,6 +8,7 @@
 #include "cdn/domains.h"
 #include "core/world.h"
 #include "dns/resolver.h"
+#include "net/device_scope.h"
 
 namespace curtain::cdn {
 namespace {
@@ -21,6 +22,8 @@ class CdnTest : public ::testing::Test {
   }
   static core::World* world_;
   net::Rng rng_{31337};
+  // Resolver caches, query ids and NAT cursors exist only inside a scope.
+  net::DeviceScope scope_{1};
 };
 
 core::World* CdnTest::world_ = nullptr;

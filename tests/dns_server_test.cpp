@@ -3,6 +3,7 @@
 #include "dns/hierarchy.h"
 #include "dns/resolver.h"
 #include "dns/stub.h"
+#include "net/device_scope.h"
 
 namespace curtain::dns {
 namespace {
@@ -95,6 +96,8 @@ class DnsWorldTest : public ::testing::Test {
   net::Rng rng_{12345};
   int dynamic_calls_ = 0;
   net::Ipv4Addr last_seen_resolver_;
+  // Resolver caches and query ids exist only inside a scope.
+  net::DeviceScope scope_{1};
 };
 
 // --- authoritative behaviour -------------------------------------------

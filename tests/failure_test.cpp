@@ -10,6 +10,7 @@
 #include "dns/resolver.h"
 #include "dns/stub.h"
 #include "measure/probes.h"
+#include "net/device_scope.h"
 
 namespace curtain {
 namespace {
@@ -67,6 +68,8 @@ class FailureTest : public ::testing::Test {
   net::NodeId hub_ = 0;
   net::NodeId client_ = 0;
   net::Rng rng_{777};
+  // Resolver caches and query ids exist only inside a scope.
+  net::DeviceScope scope_{1};
 };
 
 TEST_F(FailureTest, GluelessDelegationDegradesToError) {

@@ -3,6 +3,7 @@
 #include "core/world.h"
 #include "dns/resolver.h"
 #include "dns/reverse.h"
+#include "net/device_scope.h"
 #include "util/strings.h"
 
 namespace curtain::dns {
@@ -44,6 +45,8 @@ class ReverseZoneTest : public ::testing::Test {
   }
   static core::World* world_;
   net::Rng rng_{11011};
+  // Resolver caches, query ids and NAT cursors exist only inside a scope.
+  net::DeviceScope scope_{1};
 
   ResolutionResult resolve_ptr(net::Ipv4Addr address) {
     // A wired recursive resolver doing the PTR lookup a traceroute tool
