@@ -3,10 +3,12 @@
 #
 #   scripts/check.sh          # full matrix (plain, asan+ubsan, tsan, lint,
 #                             # bench-smoke, profile-smoke, rss-smoke,
-#                             # campaign-smoke, experiments-current)
+#                             # run-smoke, campaign-smoke,
+#                             # experiments-current)
 #   scripts/check.sh plain    # just one leg: plain | sanitize | tsan | lint
 #                             #   | bench-smoke | profile-smoke | rss-smoke
-#                             #   | campaign-smoke | experiments-current
+#                             #   | run-smoke | campaign-smoke
+#                             #   | experiments-current
 #
 # Legs:
 #   plain     default build (all warnings + -Werror) and the full ctest
@@ -46,6 +48,13 @@
 #             RSS after the 1-day point exceeds 1.5x that after the
 #             0.25-day point plus 128 MB — the bounded-memory gate for
 #             streamed records and device-scoped state.
+#   run-smoke
+#             runs every binary under build/examples/ and every non-micro_*
+#             binary under build/bench/ at CURTAIN_SCALE=0.005, in a
+#             throwaway working directory, and fails on any nonzero exit —
+#             ctest runs none of them, so an API precondition they break
+#             (say, a DeviceScope they forgot to open) shows up here
+#             (~10 s on 4 cores after the build).
 #   campaign-smoke
 #             runs campaignbench/smoke_test.py, which builds the campaign
 #             benchmark from src/ in its own directory (.bench_build/) and
@@ -183,6 +192,32 @@ rss_smoke_leg() {
     ./build/bench/micro_fleet
 }
 
+run_smoke_leg() {
+  run_leg "run smoke (every example and figure bench at CURTAIN_SCALE=0.005)"
+  cmake -B build -S . >/dev/null
+  cmake --build build -j "$JOBS"
+  local root work bin name failed=0
+  root="$(pwd)"
+  work="$(mktemp -d -t curtain_run_smoke.XXXXXX)"
+  for bin in "$root"/build/examples/* "$root"/build/bench/*; do
+    [[ -f "$bin" && -x "$bin" ]] || continue
+    name="${bin#"$root"/}"
+    [[ "$(basename "$bin")" == micro_* ]] && continue
+    if (cd "$work" && CURTAIN_SCALE=0.005 "$bin" >"$work/out.log" 2>&1); then
+      echo "run-smoke: $name ok"
+    else
+      echo "run-smoke: $name exited nonzero; last lines:" >&2
+      tail -n 5 "$work/out.log" >&2
+      failed=1
+    fi
+  done
+  rm -rf "$work"
+  if [[ "$failed" != 0 ]]; then
+    echo "run-smoke: at least one binary failed (see above)" >&2
+    exit 1
+  fi
+}
+
 campaign_smoke_leg() {
   run_leg "campaign smoke (campaignbench build + smoke-size workloads)"
   python3 campaignbench/smoke_test.py
@@ -214,6 +249,7 @@ case "$LEG" in
   bench-smoke) bench_smoke_leg ;;
   profile-smoke) profile_smoke_leg ;;
   rss-smoke) rss_smoke_leg ;;
+  run-smoke) run_smoke_leg ;;
   campaign-smoke) campaign_smoke_leg ;;
   experiments-current) experiments_current_leg ;;
   all)
@@ -224,13 +260,14 @@ case "$LEG" in
     bench_smoke_leg
     profile_smoke_leg
     rss_smoke_leg
+    run_smoke_leg
     campaign_smoke_leg
     experiments_current_leg
     echo
     echo "=== check.sh: all legs green ==="
     ;;
   *)
-    echo "usage: scripts/check.sh [plain|sanitize|tsan|lint|bench-smoke|profile-smoke|rss-smoke|campaign-smoke|experiments-current|all]" >&2
+    echo "usage: scripts/check.sh [plain|sanitize|tsan|lint|bench-smoke|profile-smoke|rss-smoke|run-smoke|campaign-smoke|experiments-current|all]" >&2
     exit 2
     ;;
 esac
