@@ -14,10 +14,11 @@
 // run must stay flat. Every point is an independent campaign on the same
 // world: no device state survives from the previous point.
 //
-// Every run uses CampaignEngine::run_streaming with a discard sink per
-// shard: the engine's bounded-memory path. Each sink sees its shard's
-// experiment-aligned blocks with shard-local experiment ids; nothing here
-// writes CSV (analysis::export_records walks a retained, merged store).
+// Every run gives CampaignEngine::run one record store per shard, each
+// draining to a discard sink of its own: the bounded-memory use of the
+// engine's one run path. Each sink sees its shard's experiment-aligned
+// blocks with shard-local experiment ids; nothing here writes CSV
+// (analysis::export_records walks a retained, merged store).
 //
 // Emits one `fleet_memory` JSON line per duration point (committed as
 // BENCH_fleet_memory.json). It exits nonzero if RSS after the longest run
@@ -32,7 +33,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -40,6 +40,7 @@
 #include "cellular/carrier_profile.h"
 #include "core/world.h"
 #include "exec/engine.h"
+#include "measure/record_store.h"
 #include "obs/memory.h"
 
 namespace {
@@ -125,15 +126,12 @@ RunPoint run_campaign(core::World& world, double duration_days, int workers,
       measure::WorldView{world.topology(), world.registry()},
       world.research_apex(), std::move(carriers), config);
 
-  std::vector<std::unique_ptr<DiscardSink>> sinks;
-  std::vector<measure::RecordSink*> sink_ptrs;
-  for (size_t s = 0; s < engine.shard_count(); ++s) {
-    sinks.push_back(std::make_unique<DiscardSink>());
-    sink_ptrs.push_back(sinks.back().get());
-  }
+  std::vector<DiscardSink> sinks(engine.shard_count());
+  std::vector<measure::RecordStore> stores(engine.shard_count());
+  for (size_t s = 0; s < stores.size(); ++s) stores[s].drain_to(&sinks[s]);
 
   const auto start = std::chrono::steady_clock::now();  // lint: wallclock
-  engine.run_streaming(sink_ptrs);
+  engine.run(stores);
   const double wall_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)  // lint: wallclock
@@ -146,12 +144,12 @@ RunPoint run_campaign(core::World& world, double duration_days, int workers,
   point.fleet_arena_mb =
       static_cast<double>(engine.fleet_arena_bytes()) / (1024.0 * 1024.0);
   size_t peak_block = 0;
-  for (const auto& sink : sinks) {
-    point.experiments += sink->experiments();
-    point.records += sink->records();
+  for (const DiscardSink& sink : sinks) {
+    point.experiments += sink.experiments();
+    point.records += sink.records();
     point.streamed_mb +=
-        static_cast<double>(sink->bytes()) / (1024.0 * 1024.0);
-    peak_block = std::max(peak_block, sink->peak_block_bytes());
+        static_cast<double>(sink.bytes()) / (1024.0 * 1024.0);
+    peak_block = std::max(peak_block, sink.peak_block_bytes());
   }
   point.peak_block_mb = static_cast<double>(peak_block) / (1024.0 * 1024.0);
   point.rss_after_mb =

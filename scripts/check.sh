@@ -21,10 +21,12 @@
 #             PublicDnsTest.IngressMemoMatchesFreshRanking, two threads
 #             querying one public-DNS service's anycast ingress, and
 #             CdnTest.NearestClusterMemoMatchesFreshScan, two threads
-#             filling one CDN provider's per-/24 cluster memos. The
-#             world's mutable state is device-scoped or worker-owned and
-#             takes no locks (DESIGN.md §18), so any report here is a
-#             real cross-thread share.
+#             filling one CDN provider's per-/24 cluster memos, and the
+#             DnsWireEquivalence suite, whose wire-side world runs on a
+#             helper thread that takes each call over through a mutex and
+#             a condition variable. The world's mutable state is
+#             device-scoped or worker-owned and takes no locks (DESIGN.md
+#             §18), so any report here is a real cross-thread share.
 #   lint      curtain_lint over src/ bench/ examples/ tools/ plus the
 #             waiver-inventory diff: `curtain_lint --waivers` must match
 #             the committed tools/lint/WAIVERS.txt exactly, so every new
@@ -97,12 +99,13 @@ sanitize_leg() {
 }
 
 tsan_leg() {
-  run_leg "TSan build + shard determinism (16x16 stress) + ingress and cluster memos"
+  run_leg "TSan build + shard determinism (16x16 stress) + ingress and cluster memos + wire equivalence"
   cmake -B build-tsan -S . -DCURTAIN_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" \
-    --target shard_determinism_test publicdns_test cdn_test
+    --target shard_determinism_test publicdns_test cdn_test \
+    dns_wire_equivalence_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'ShardDeterminism|PublicDnsTest\.IngressMemoMatchesFreshRanking|CdnTest\.NearestClusterMemoMatchesFreshScan'
+    -R 'ShardDeterminism|PublicDnsTest\.IngressMemoMatchesFreshRanking|CdnTest\.NearestClusterMemoMatchesFreshScan|DnsWireEquivalence'
   # The stress case must have actually run: it is the leg's reason to exist.
   ./build-tsan/tests/shard_determinism_test \
     --gtest_filter='ShardDeterminism.StressManyCohortsManyWorkers' \

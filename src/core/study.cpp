@@ -1,6 +1,7 @@
 #include "core/study.h"
 
 #include <chrono>
+#include <vector>
 
 #include "measure/vantage.h"
 #include "obs/export.h"
@@ -105,7 +106,20 @@ void Study::run() {
 
   const int64_t campaign_start_us = profiling ? recorder.now_us() : 0;
   const auto campaign_start = std::chrono::steady_clock::now();  // lint: wallclock
-  engine_->run(records_);
+  std::vector<measure::RecordStore> shard_records(engine_->shard_count());
+  engine_->run(shard_records);
+  // Deterministic merge: shard-index order — (carrier, cohort) order, i.e.
+  // global device-enrollment order — independent of which worker finished
+  // when. records_ numbers experiments as blocks join it, so the merged
+  // stream is indistinguishable from one sequential run, which is what
+  // makes every (cohorts, workers, block-rows) setting export
+  // byte-identical results.
+  const int64_t merge_records_start_us = profiling ? recorder.now_us() : 0;
+  for (measure::RecordStore& shard : shard_records) shard.hand_off(records_);
+  if (profiling) {
+    recorder.record_phase(0, "merge_records", merge_records_start_us,
+                          recorder.now_us());
+  }
   report_.add_phase("campaign", wall_ms_since(campaign_start));
   if (profiling) {
     recorder.record_phase(0, "campaign", campaign_start_us,

@@ -124,7 +124,8 @@ ResolutionResult RecursiveResolver::resolve(const DnsName& name, RRType type,
   DnsName qname = name;
   bool resolved = false;
   for (size_t chase = 0; chase <= kMaxCnameChase && !resolved; ++chase) {
-    resolved = !resolve_step(qname, type, now, rng, ecs_client, scope, result);
+    resolved =
+        !resolve_step(state, qname, type, now, rng, ecs_client, scope, result);
   }
   if (!resolved) result.rcode = Rcode::kServFail;  // CNAME chain too long
   span.finish(now.millis() + result.upstream_ms);
@@ -139,11 +140,10 @@ ResolutionResult RecursiveResolver::resolve(const DnsName& name, RRType type,
   return result;
 }
 
-bool RecursiveResolver::resolve_step(DnsName& qname, RRType type,
-                                     net::SimTime now, net::Rng& rng,
-                                     net::Ipv4Addr ecs_client, uint32_t scope,
-                                     ResolutionResult& result) {
-  QueryState& state = query_state();
+bool RecursiveResolver::resolve_step(QueryState& state, DnsName& qname,
+                                     RRType type, net::SimTime now,
+                                     net::Rng& rng, net::Ipv4Addr ecs_client,
+                                     uint32_t scope, ResolutionResult& result) {
   // Terminal rrset cached (within this client's subnet partition)?
   if (auto cached = state.cache.lookup(qname, type, now, scope)) {
     if (cached->negative()) {
@@ -193,12 +193,13 @@ bool RecursiveResolver::resolve_step(DnsName& qname, RRType type,
     return false;  // the shadow resolution followed the whole chain
   }
   result.from_cache = false;
-  return iterate(qname, type, now, rng, ecs_client, scope, result);
+  return iterate(state, qname, type, now, rng, ecs_client, scope, result);
 }
 
-net::Ipv4Addr RecursiveResolver::best_server_for(const DnsName& qname,
+net::Ipv4Addr RecursiveResolver::best_server_for(QueryState& state,
+                                                 const DnsName& qname,
                                                  net::SimTime now) {
-  Cache& cache = query_state().cache;
+  Cache& cache = state.cache;
   // Walk qname, qname's parent, ... looking for a cached NS whose glue we
   // also have. The root primes the walk when nothing deeper is known. A
   // static name climbs its table's ancestor chain; only a dynamic name (a
@@ -228,8 +229,9 @@ net::Ipv4Addr RecursiveResolver::best_server_for(const DnsName& qname,
 }
 
 std::optional<Message> RecursiveResolver::query_server(
-    net::Ipv4Addr server_ip, const DnsName& qname, RRType type, net::SimTime now,
-    net::Rng& rng, net::Ipv4Addr ecs_client, ResolutionResult& result) {
+    QueryState& state, net::Ipv4Addr server_ip, const DnsName& qname,
+    RRType type, net::SimTime now, net::Rng& rng, net::Ipv4Addr ecs_client,
+    ResolutionResult& result) {
   ++result.upstream_queries;
   resolver_metrics().upstream.inc();
   obs::ScopedSpan span("upstream_query", now.millis() + result.upstream_ms);
@@ -247,7 +249,7 @@ std::optional<Message> RecursiveResolver::query_server(
     span.finish(now.millis() + result.upstream_ms);
     return std::nullopt;
   }
-  Message query = Message::query(query_state().next_query_id++, qname, type);
+  Message query = Message::query(state.next_query_id++, qname, type);
   if (ecs_enabled_ && !ecs_client.is_unspecified()) {
     // Masked here exactly as the wire codec would, so the authority sees
     // the same source-prefix address on the typed path.
@@ -261,13 +263,14 @@ std::optional<Message> RecursiveResolver::query_server(
   return std::move(served.message);
 }
 
-void RecursiveResolver::cache_response_sections(const Message& response,
+void RecursiveResolver::cache_response_sections(QueryState& state,
+                                                const Message& response,
                                                 net::SimTime now,
                                                 uint32_t answer_scope) {
   // Tailored answers are valid only for this client's subnet; referral
   // metadata (NS, glue) is subnet-independent. SOA is negative-caching
   // metadata, read by iterate() instead.
-  Cache& cache = query_state().cache;
+  Cache& cache = state.cache;
   insert_rrsets(cache, response.answers, /*skip_soa=*/false, now,
                 answer_scope);
   if (response.additionals.empty()) {
@@ -279,19 +282,19 @@ void RecursiveResolver::cache_response_sections(const Message& response,
   insert_rrsets(cache, metadata, /*skip_soa=*/true, now, /*scope=*/0);
 }
 
-bool RecursiveResolver::iterate(DnsName& qname, RRType type,
-                                net::SimTime now, net::Rng& rng,
+bool RecursiveResolver::iterate(QueryState& state, DnsName& qname,
+                                RRType type, net::SimTime now, net::Rng& rng,
                                 net::Ipv4Addr ecs_client, uint32_t scope,
                                 ResolutionResult& result) {
-  net::Ipv4Addr server_ip = best_server_for(qname, now);
+  net::Ipv4Addr server_ip = best_server_for(state, qname, now);
   for (size_t step = 0; step < kMaxReferrals; ++step) {
-    auto response =
-        query_server(server_ip, qname, type, now, rng, ecs_client, result);
+    auto response = query_server(state, server_ip, qname, type, now, rng,
+                                 ecs_client, result);
     if (!response) {
       result.rcode = Rcode::kServFail;
       return false;
     }
-    cache_response_sections(*response, now, scope);
+    cache_response_sections(state, *response, now, scope);
 
     if (!response->answers.empty()) {
       // Either the terminal rrset, a CNAME link, or a mix ending in one.
@@ -316,7 +319,7 @@ bool RecursiveResolver::iterate(DnsName& qname, RRType type,
           neg_ttl = std::min(rr.ttl, soa->minimum);
         }
       }
-      query_state().cache.insert_negative(qname, type, neg_ttl, now, scope);
+      state.cache.insert_negative(qname, type, neg_ttl, now, scope);
       result.rcode = Rcode::kNxDomain;
       return false;
     }

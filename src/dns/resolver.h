@@ -85,40 +85,6 @@ class RecursiveResolver : public DnsServer {
   }
 
  private:
-  /// One step: resolve `qname` to either a terminal rrset or a CNAME.
-  /// Appends to `result.answers`; when chasing should continue, sets
-  /// `qname` to the CNAME target and returns true. `scope` is the ECS
-  /// cache partition (0 = global).
-  bool resolve_step(DnsName& qname, RRType type, net::SimTime now,
-                    net::Rng& rng, net::Ipv4Addr ecs_client, uint32_t scope,
-                    ResolutionResult& result);
-
-  /// Iterative walk for one (qname, type); fills result from the network.
-  /// Sets `qname` to the CNAME continuation target and returns true, if
-  /// there is one.
-  bool iterate(DnsName& qname, RRType type, net::SimTime now, net::Rng& rng,
-               net::Ipv4Addr ecs_client, uint32_t scope,
-               ResolutionResult& result);
-
-  /// Deepest cached delegation for `qname` (falls back to the root).
-  net::Ipv4Addr best_server_for(const DnsName& qname, net::SimTime now);
-
-  /// Sends one query to the server at `server_ip`, accounting RTT into
-  /// `result`. nullopt if the server is unknown or unreachable, or if the
-  /// reply does not echo the query's transaction id.
-  std::optional<Message> query_server(net::Ipv4Addr server_ip,
-                                      const DnsName& qname, RRType type,
-                                      net::SimTime now, net::Rng& rng,
-                                      net::Ipv4Addr ecs_client,
-                                      ResolutionResult& result);
-
-  /// Caches every rrset in a response, grouped by (name, type). Answer
-  /// rrsets go into the `answer_scope` partition (ECS-tailored data);
-  /// referral metadata is cached globally. Shared rrsets are cached as
-  /// borrowed runs.
-  void cache_response_sections(const Message& response, net::SimTime now,
-                               uint32_t answer_scope);
-
   /// Mutable query-time state, one copy per device.
   struct QueryState {
     /// CDN-era resolvers honor short TTLs; cap at a day like common
@@ -134,7 +100,44 @@ class RecursiveResolver : public DnsServer {
   /// were its only client, whichever cohort shard runs it; the
   /// population-level cache warmth devices would share is carried by the
   /// background-load model instead (see set_background_load).
+  /// resolve() reads it once and passes it down the helpers below.
   QueryState& query_state() const { return states_.get(); }
+
+  /// One step: resolve `qname` to either a terminal rrset or a CNAME.
+  /// Appends to `result.answers`; when chasing should continue, sets
+  /// `qname` to the CNAME target and returns true. `scope` is the ECS
+  /// cache partition (0 = global).
+  bool resolve_step(QueryState& state, DnsName& qname, RRType type,
+                    net::SimTime now, net::Rng& rng, net::Ipv4Addr ecs_client,
+                    uint32_t scope, ResolutionResult& result);
+
+  /// Iterative walk for one (qname, type); fills result from the network.
+  /// Sets `qname` to the CNAME continuation target and returns true, if
+  /// there is one.
+  bool iterate(QueryState& state, DnsName& qname, RRType type,
+               net::SimTime now, net::Rng& rng, net::Ipv4Addr ecs_client,
+               uint32_t scope, ResolutionResult& result);
+
+  /// Deepest cached delegation for `qname` (falls back to the root).
+  net::Ipv4Addr best_server_for(QueryState& state, const DnsName& qname,
+                                net::SimTime now);
+
+  /// Sends one query to the server at `server_ip`, accounting RTT into
+  /// `result`. nullopt if the server is unknown or unreachable, or if the
+  /// reply does not echo the query's transaction id.
+  std::optional<Message> query_server(QueryState& state,
+                                      net::Ipv4Addr server_ip,
+                                      const DnsName& qname, RRType type,
+                                      net::SimTime now, net::Rng& rng,
+                                      net::Ipv4Addr ecs_client,
+                                      ResolutionResult& result);
+
+  /// Caches every rrset in a response, grouped by (name, type). Answer
+  /// rrsets go into the `answer_scope` partition (ECS-tailored data);
+  /// referral metadata is cached globally. Shared rrsets are cached as
+  /// borrowed runs.
+  void cache_response_sections(QueryState& state, const Message& response,
+                               net::SimTime now, uint32_t answer_scope);
 
   std::string name_;
   net::NodeId node_;

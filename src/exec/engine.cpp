@@ -106,7 +106,10 @@ size_t CampaignEngine::fleet_arena_bytes() const {
   return bytes;
 }
 
-void CampaignEngine::run_pool() {
+void CampaignEngine::run(std::span<measure::RecordStore> stores) {
+  CURTAIN_CHECK(stores.size() == shards_.size())
+      << "run needs one record store per shard: " << stores.size()
+      << " stores for " << shards_.size() << " shards";
   stats_.assign(shards_.size(), ShardStat{});
   for (size_t i = 0; i < shards_.size(); ++i) {
     stats_[i].label = shards_[i]->label();
@@ -144,7 +147,7 @@ void CampaignEngine::run_pool() {
   const int64_t queue_open_us = profiling ? recorder.now_us() : 0;
 
   std::atomic<size_t> next{0};
-  auto work = [this, &next, &recorder, profiling,
+  auto work = [this, stores, &next, &recorder, profiling,
                queue_open_us](uint16_t worker_lane) {
     for (;;) {
       const size_t i = next.fetch_add(1, std::memory_order_relaxed);
@@ -156,7 +159,10 @@ void CampaignEngine::run_pool() {
       const auto started = std::chrono::steady_clock::now();  // lint: wallclock
       {
         obs::ScopedMetricsSheaf sheaf(shard.sheaf());
-        shard.run();
+        shard.run(stores[i]);
+        // A draining store forwards its last block and finishes its sink
+        // here, on the worker thread.
+        stores[i].finish();
       }
       const auto elapsed =
           std::chrono::steady_clock::now() - started;  // lint: wallclock
@@ -171,7 +177,7 @@ void CampaignEngine::run_pool() {
             worker_lane, static_cast<int32_t>(i), pickup_us,
             recorder.now_us(), pickup_us - queue_open_us,
             static_cast<double>(shards_.size() - pulled),
-            obs::read_current_rss_bytes(), shard.approx_record_bytes());
+            obs::read_current_rss_bytes(), stores[i].approx_bytes());
         stats_[i].queue_wait_ms =
             static_cast<double>(pickup_us - queue_open_us) / 1000.0;
         stats_[i].worker = worker_lane;
@@ -184,46 +190,8 @@ void CampaignEngine::run_pool() {
     threads.emplace_back(work, static_cast<uint16_t>(w + 1));
   }
   for (auto& thread : threads) thread.join();
-}
 
-void CampaignEngine::run(measure::RecordSink& sink) {
-  run_pool();
-
-  obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
-  const bool profiling = recorder.enabled();
-
-  // Deterministic merge: shard-index order — (carrier, cohort) order,
-  // i.e. global device-enrollment order — independent of which worker
-  // finished when. The sink numbers experiments as blocks join it, so the
-  // merged stream is indistinguishable from one sequential run, which is
-  // what makes every (cohorts, workers, block-rows) setting export
-  // byte-identical results.
-  const int64_t merge_records_start_us = profiling ? recorder.now_us() : 0;
-  for (auto& shard : shards_) shard->records().hand_off(sink);
-  sink.finish();
-  if (profiling) {
-    recorder.record_phase(0, "merge_records", merge_records_start_us,
-                          recorder.now_us());
-  }
-  merge_metrics();
-}
-
-void CampaignEngine::run_streaming(
-    const std::vector<measure::RecordSink*>& sinks) {
-  CURTAIN_CHECK(sinks.size() == shards_.size())
-      << "run_streaming needs one sink per shard: " << sinks.size()
-      << " sinks for " << shards_.size() << " shards";
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    CURTAIN_CHECK(sinks[i] != nullptr) << "null sink for shard " << i;
-    shards_[i]->stream_to(sinks[i]);
-  }
-  run_pool();
-  merge_metrics();
-}
-
-void CampaignEngine::merge_metrics() {
-  obs::FlightRecorder& recorder = obs::FlightRecorder::instance();
-  const bool profiling = recorder.enabled();
+  // Sheaves merge in shard-index order, whichever worker finished when.
   const int64_t merge_metrics_start_us = profiling ? recorder.now_us() : 0;
   for (auto& shard : shards_) {
     obs::metrics().merge_snapshot(shard->sheaf().snapshot());

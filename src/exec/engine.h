@@ -20,28 +20,32 @@
 // deterministic.
 // Fleets are built once per carrier (as SoA arenas the engine owns) and
 // sliced into device handles, so the devices themselves are
-// partition-invariant too. The merge happens in (carrier, cohort) order,
-// which equals global device-enrollment order; together this makes the
-// merged record stream and metrics byte-identical for every cohort count
-// and worker count — both knobs are purely wall-clock levers.
+// partition-invariant too. Shard-index order is (carrier, cohort) order,
+// which equals global device-enrollment order, and shard outputs merge in
+// that order; together this makes the merged record stream and metrics
+// byte-identical for every cohort count and worker count — both knobs are
+// purely wall-clock levers.
 //
-// Two output modes:
-//   * run(sink): each shard retains its record blocks; after the join the
-//     engine hands them to `sink` in shard-index order. Record identity is
-//     positional (measure/record_block.h), so nothing is renumbered here:
-//     a RecordStore sink numbers the blocks as they join it, which makes
-//     the stream indistinguishable from one sequential run over the same
-//     shard order;
-//   * run_streaming(sinks): each shard drains sealed blocks to its own
-//     sink *during* the run, on the worker thread, with shard-local ids —
-//     the bounded-memory path for 10^6-device fleets (peak record memory
-//     is one open block per shard).
-// In both modes each shard's metrics sheaf is summed into the calling
+// One run path: the caller owns one measure::RecordStore per shard, and
+// shard i appends into stores[i] on its worker thread, which calls
+// stores[i].finish() when the shard ends. Whether a store keeps its
+// blocks or drains them is the caller's choice (RecordStore::drain_to):
+//   * core::Study keeps them and, after the run, hands each shard's store
+//     to its merged store in shard-index order (RecordStore::hand_off).
+//     Record identity is positional (measure/record_block.h), so the
+//     merged store numbers blocks as they join it and the stream is
+//     indistinguishable from one sequential run over the same shard order;
+//   * bench/micro_fleet drains each store to a sink of its own, which sees
+//     its shard's sealed blocks during the run, on the worker thread, with
+//     shard-local ids — the bounded-memory path for 10^6-device fleets
+//     (peak record memory is one open block per shard).
+// After the join, each shard's metrics sheaf is summed into the calling
 // thread's registry, in shard order; histogram sums accumulate in fixed
 // point, so even the merged totals are exact and partition-invariant.
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,29 +114,17 @@ class CampaignEngine {
   size_t fleet_arena_bytes() const;
 
   /// Runs every shard on a pool of min(workers, shards) threads pulling
-  /// from a deterministic queue, then hands shard record blocks to `sink`
-  /// (in shard-index order, finish()ed at the end) and merges shard metric
-  /// sheaves into the calling thread's registry.
-  void run(measure::RecordSink& sink);
+  /// from a deterministic queue: shard i appends into `stores[i]`, and its
+  /// worker calls stores[i].finish() when the shard ends (so stores of
+  /// different shards fill concurrently). `stores` must have exactly
+  /// shard_count() entries. Then merges shard metric sheaves into the
+  /// calling thread's registry, in shard order.
+  void run(std::span<measure::RecordStore> stores);
 
-  /// Bounded-memory mode: `sinks[i]` consumes shard i's sealed blocks on
-  /// the worker thread as they fill, with shard-local experiment ids.
-  /// `sinks` must have exactly shard_count() entries; each sink sees its
-  /// shard's complete stream (finish() included) but sinks for different
-  /// shards run concurrently. Metrics merge as in run().
-  void run_streaming(const std::vector<measure::RecordSink*>& sinks);
-
-  /// Populated by run()/run_streaming(): one entry per shard, in shard
-  /// order.
+  /// Populated by run(): one entry per shard, in shard order.
   const std::vector<ShardStat>& shard_stats() const { return stats_; }
 
  private:
-  /// The shared worker-pool execution (everything up to the join).
-  void run_pool();
-  /// Sums shard metric sheaves into the calling thread's registry, in
-  /// shard order (the tail both output modes share).
-  void merge_metrics();
-
   EngineConfig config_;
   int cohorts_ = 1;
   measure::WorldView world_;

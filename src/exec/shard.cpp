@@ -39,14 +39,7 @@ Shard::Shard(int shard_index, int carrier_index, int cohort_index,
   sheaf_.set_label(label_);
 }
 
-void Shard::stream_to(measure::RecordSink* sink) {
-  stream_sink_ = sink;
-  records_.drain_to(sink);
-}
-
-size_t Shard::approx_record_bytes() const { return records_.approx_bytes(); }
-
-void Shard::run() {
+void Shard::run(measure::RecordStore& records) {
   shard_metrics().devices.set(static_cast<double>(devices_.size()));
   const net::SimTime horizon = net::SimTime::from_days(campaign_.duration_days);
   // The device-stream base deliberately mixes in no shard or cohort index:
@@ -72,16 +65,10 @@ void Shard::run() {
     while (at < horizon) {
       shard_metrics().wakeups.inc();
       if (rng.bernoulli(campaign_.participation)) {
-        runner_.run(entry.device, carrier_index_, at, rng, records_);
+        runner_.run(entry.device, carrier_index_, at, rng, records);
       }
       at = at + net::SimTime::from_hours(1.0);
     }
-  }
-  if (stream_sink_ != nullptr) {
-    // Forward the final partial block and let the sink flush, still on
-    // the worker thread: the engine never touches streamed records.
-    records_.flush();
-    stream_sink_->finish();
   }
 }
 

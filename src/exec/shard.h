@@ -8,8 +8,7 @@
 //
 //   * the cohort's devices (handles into the carrier's SoA fleet built by
 //     cellular::build_carrier_fleet), each carrying its global ordinal,
-//   * an ExperimentRunner whose sampling counters reset per device,
-//   * a private RecordStore the measurements append to, and
+//   * an ExperimentRunner whose sampling counters reset per device, and
 //   * a private metrics sheaf (obs::MetricsRegistry) all metric handles
 //     on the executing thread bind to while the shard runs.
 //
@@ -21,13 +20,10 @@
 // draw comes from the device's own stream, derived from (study seed,
 // device id) alone — no shard or cohort index anywhere — so the shard's
 // output is the concatenation of its devices' outputs regardless of the
-// partition. CampaignEngine merges shard record streams in (carrier,
-// cohort) order, which makes the merged stream byte-identical for every
-// cohort count and worker count.
-//
-// For memory-bounded runs, stream_to() puts the shard's store into
-// draining mode: sealed record blocks are forwarded to the given sink on
-// the worker thread (with shard-local ids) instead of being retained.
+// partition. Records go to a RecordStore the engine's caller owns, one per
+// shard, which keeps or drains its blocks as that caller chose; merging the
+// stores in (carrier, cohort) order makes the merged stream byte-identical
+// for every cohort count and worker count.
 #pragma once
 
 #include <string>
@@ -65,23 +61,13 @@ class Shard {
   /// "<carrier>/cohort<k>", the sheaf label and log/stat identity.
   const std::string& label() const { return label_; }
 
-  /// The shard's private outputs; owned here until the engine merges them.
-  measure::RecordStore& records() { return records_; }
+  /// The shard's private metrics; owned here until the engine merges them.
   obs::MetricsRegistry& sheaf() { return sheaf_; }
 
-  /// Streams sealed record blocks to `sink` (on the worker thread, with
-  /// shard-local ids) instead of retaining them. Must be set before run().
-  void stream_to(measure::RecordSink* sink);
-
-  /// Approximate heap bytes of the shard's private record store — what
-  /// this shard contributed to the run's memory high-water mark. A
-  /// profiling gauge for the flight recorder (obs/memory.h).
-  size_t approx_record_bytes() const;
-
-  /// Runs the shard's whole campaign into its private record store. Must
-  /// run with the sheaf (obs::ScopedMetricsSheaf) bound; opens each
+  /// Runs the shard's whole campaign, appending its records to `records`.
+  /// Must run with the sheaf (obs::ScopedMetricsSheaf) bound; opens each
   /// device's net::DeviceScope itself.
-  void run();
+  void run(measure::RecordStore& records);
 
  private:
   int shard_index_;
@@ -92,8 +78,6 @@ class Shard {
   uint64_t seed_;
   measure::ExperimentRunner runner_;
   std::vector<CohortDevice> devices_;
-  measure::RecordStore records_;
-  measure::RecordSink* stream_sink_ = nullptr;
   obs::MetricsRegistry sheaf_;
 };
 

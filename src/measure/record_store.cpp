@@ -95,6 +95,11 @@ void RecordStore::drain_to(RecordSink* sink) {
 
 void RecordStore::flush() { seal_open(); }
 
+void RecordStore::finish() {
+  flush();
+  if (drain_ != nullptr) drain_->finish();
+}
+
 void RecordStore::consume(RecordBlock&& block) {
   if (block.empty()) return;
   seal_open();

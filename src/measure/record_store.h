@@ -7,15 +7,19 @@
 // no other append seals. Every row therefore lives in the same block as
 // its experiment, and row views reach their ExperimentContext (and a
 // sampled resolution its trace) inside that block in O(1) — the store
-// keeps no cross-block index. What happens to sealed blocks is the mode
-// switch:
+// keeps no cross-block index. What happens to sealed blocks is the
+// owner's choice, made before the first append:
 //
 //   * retained (default): sealed blocks accumulate in the store, and
 //     analyses walk them through the cursor ranges below — the in-memory
-//     workflow.
+//     workflow (core::Study).
 //   * draining (drain_to): sealed blocks are forwarded to a RecordSink and
 //     freed, so the store holds at most one open block regardless of
-//     campaign length — the bounded-memory workflow for 10^6-device fleets.
+//     campaign length — the bounded-memory workflow for 10^6-device fleets
+//     (bench/micro_fleet). finish() forwards the last block and then
+//     finishes the sink.
+//
+// exec::CampaignEngine::run fills one store per shard, in either mode.
 //
 // Record identity is positional (record_block.h): producers never see an
 // experiment id, and a block's ids are assigned by the store it joins —
@@ -142,7 +146,10 @@ struct VantageAdapter {
 
 }  // namespace detail
 
-class RecordStore final : public RecordSink {
+/// Cache-line aligned: the engine's callers keep one store per shard side
+/// by side in one array, and workers bump these counters on every append,
+/// so two stores must never share a line.
+class alignas(64) RecordStore final : public RecordSink {
  public:
   /// Block row budget 0 means "read CURTAIN_BLOCK_ROWS" (util/flags.h).
   explicit RecordStore(size_t block_rows = 0);
@@ -172,14 +179,15 @@ class RecordStore final : public RecordSink {
   /// freed instead of retained. Must be set before the first append.
   /// The cursor ranges see nothing while draining.
   void drain_to(RecordSink* sink);
-  /// Seals the open block (forwarding it when draining). Call at
-  /// end-of-stream; appending after a flush starts a fresh block.
+  /// Seals the open block (forwarding it when draining). Appending after
+  /// a flush starts a fresh block.
   void flush();
 
   /// RecordSink: appends someone else's sealed block, numbering its
   /// experiments on from this store's count (first_experiment_id).
   void consume(RecordBlock&& block) override;
-  void finish() override { flush(); }
+  /// End of stream: flushes, then, when draining, finishes the sink.
+  void finish() override;
 
   /// Flushes and moves every retained block into `sink` in order, leaving
   /// this store empty. This is the deterministic shard merge: handing each

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/study.h"
 
@@ -121,6 +123,67 @@ TEST(RecordStore, RowsAttachToTheLatestExperimentAndTakeIdsFromTheirStore) {
   // 3. A row appended before any experiment aborts.
   RecordStore empty;
   EXPECT_DEATH(empty.add_probe(probe_to(1)), "before any experiment");
+}
+
+/// Keeps the blocks a draining store forwards, and logs each consume and
+/// finish call in order.
+class RecordingSink final : public RecordSink {
+ public:
+  void consume(RecordBlock&& block) override {
+    calls.push_back("consume");
+    blocks.push_back(std::move(block));
+  }
+  void finish() override { calls.push_back("finish"); }
+
+  std::vector<RecordBlock> blocks;
+  std::vector<std::string> calls;
+};
+
+// A draining store forwards each block once, when the next experiment
+// seals it, numbered densely from 0; finish() forwards the open block and
+// then finishes the sink, once.
+TEST(RecordStore, DrainingForwardsEachSealedBlockOnceThenFinishesTheSink) {
+  RecordingSink sink;
+  RecordStore store(1);  // budget 1: every experiment seals the last one
+  store.drain_to(&sink);
+  for (const uint64_t device : {10u, 11u, 12u}) {
+    store.add_experiment(context_of(device));
+    store.add_probe(probe_to(static_cast<uint8_t>(device)));
+  }
+  EXPECT_EQ(sink.calls, (std::vector<std::string>{"consume", "consume"}));
+
+  store.finish();
+  EXPECT_EQ(sink.calls, (std::vector<std::string>{"consume", "consume",
+                                                  "consume", "finish"}));
+  ASSERT_EQ(sink.blocks.size(), 3u);
+  for (size_t b = 0; b < sink.blocks.size(); ++b) {
+    const RecordBlock& block = sink.blocks[b];
+    EXPECT_EQ(block.first_experiment_id, b);
+    ASSERT_EQ(block.experiments.size(), 1u);
+    EXPECT_EQ(block.experiments[0].device_id, 10u + b);
+    ASSERT_EQ(block.probes.size(), 1u);
+    EXPECT_EQ(block.probe_row(0).target_ip.octet(3), 10u + b);
+  }
+  EXPECT_EQ(store.experiment_count(), 3u);
+  EXPECT_EQ(store.probe_count(), 3u);
+  EXPECT_TRUE(store.blocks().empty());
+}
+
+TEST(RecordStore, EmptyDrainingStoreForwardsNoBlock) {
+  RecordingSink sink;
+  RecordStore store;
+  store.drain_to(&sink);
+  store.finish();
+  EXPECT_TRUE(sink.blocks.empty());
+  EXPECT_EQ(sink.calls, (std::vector<std::string>{"finish"}));
+}
+
+TEST(RecordStore, DrainToAfterTheFirstAppendAborts) {
+  RecordingSink sink;
+  RecordStore store;
+  store.add_experiment(context_of(1));
+  EXPECT_DEATH(store.drain_to(&sink),
+               "drain_to must be set before the first append");
 }
 
 TEST(CampaignConfig, ScaledShortensDuration) {

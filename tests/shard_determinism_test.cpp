@@ -13,8 +13,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/export.h"
@@ -192,12 +194,33 @@ void expect_experiment_aligned(const measure::RecordBlock& block) {
   }
 }
 
-// The bounded-memory engine path: run_streaming hands each shard's sealed
-// blocks to that shard's own sink on the worker thread. Each sink must
-// see a complete shard-local stream (block bases running dense from 0,
-// experiment-aligned blocks, one finish()), and the shards together must
-// carry exactly the campaign run() merges. The minimum block budget makes
-// every shard seal many blocks.
+/// An engine over `world` with the scenario's execution settings, built
+/// as core::Study builds its own.
+std::unique_ptr<exec::CampaignEngine> make_engine(
+    core::World& world, const core::Scenario& config) {
+  exec::EngineConfig engine_config;
+  engine_config.seed = config.seed;
+  engine_config.workers = config.shards;
+  engine_config.cohorts = config.cohorts;
+  engine_config.campaign = config.campaign_config();
+  std::vector<exec::CampaignEngine::CarrierRef> carriers;
+  for (size_t c = 0; c < world.carriers().size(); ++c) {
+    carriers.push_back(exec::CampaignEngine::CarrierRef{
+        world.carrier(c), static_cast<int>(c)});
+  }
+  return std::make_unique<exec::CampaignEngine>(
+      measure::WorldView{world.topology(), world.registry()},
+      world.research_apex(), std::move(carriers), engine_config);
+}
+
+// The bounded-memory use of the engine: each shard's store drains its
+// sealed blocks to that shard's own sink on the worker thread. Each sink
+// must see a complete shard-local stream (block bases running dense from
+// 0, experiment-aligned blocks, one finish()), and the shards together
+// must carry exactly the campaign Study merges from retained stores —
+// consumed into one store in shard order, the streams export the same
+// campaign bytes. The minimum block budget makes every shard seal many
+// blocks.
 TEST(ShardDeterminism, StreamingRunDeliversAlignedShardStreams) {
   ::setenv("CURTAIN_BLOCK_ROWS", "256", 1);
   for (const int workers : {1, 4}) {
@@ -209,23 +232,11 @@ TEST(ShardDeterminism, StreamingRunDeliversAlignedShardStreams) {
     const measure::RecordStore& merged = study.records();
 
     core::World world(config);
-    exec::EngineConfig engine_config;
-    engine_config.seed = config.seed;
-    engine_config.workers = config.shards;
-    engine_config.cohorts = config.cohorts;
-    engine_config.campaign = config.campaign_config();
-    std::vector<exec::CampaignEngine::CarrierRef> carriers;
-    for (size_t c = 0; c < world.carriers().size(); ++c) {
-      carriers.push_back(exec::CampaignEngine::CarrierRef{
-          world.carrier(c), static_cast<int>(c)});
-    }
-    exec::CampaignEngine engine(
-        measure::WorldView{world.topology(), world.registry()},
-        world.research_apex(), std::move(carriers), engine_config);
-    std::vector<CollectingSink> sinks(engine.shard_count());
-    std::vector<measure::RecordSink*> sink_ptrs;
-    for (auto& sink : sinks) sink_ptrs.push_back(&sink);
-    engine.run_streaming(sink_ptrs);
+    const auto engine = make_engine(world, config);
+    std::vector<CollectingSink> sinks(engine->shard_count());
+    std::vector<measure::RecordStore> stores(engine->shard_count());
+    for (size_t s = 0; s < stores.size(); ++s) stores[s].drain_to(&sinks[s]);
+    engine->run(stores);
 
     size_t experiments = 0;
     size_t resolutions = 0;
@@ -260,8 +271,47 @@ TEST(ShardDeterminism, StreamingRunDeliversAlignedShardStreams) {
     EXPECT_EQ(observations, merged.observation_count());
     EXPECT_EQ(traces, merged.trace_count());
     EXPECT_GT(traces, 0u);
+
+    // Draining and retaining give the same stream. Vantage probes are left
+    // out: Study adds them after its merge.
+    measure::RecordStore replayed;
+    replayed.set_carriers(config.carrier_table());
+    for (CollectingSink& sink : sinks) {
+      for (measure::RecordBlock& block : sink.blocks) {
+        replayed.consume(std::move(block));
+      }
+    }
+    using Writer = void (*)(const measure::RecordStore&, std::ostream&);
+    static constexpr std::pair<const char*, Writer> kCampaignSurfaces[] = {
+        {"experiments", analysis::export_experiments_csv},
+        {"resolutions", analysis::export_resolutions_csv},
+        {"probes", analysis::export_probes_csv},
+        {"traceroutes", analysis::export_traceroutes_csv},
+        {"resolver_observations", analysis::export_resolver_observations_csv},
+    };
+    for (const auto& [surface, writer] : kCampaignSurfaces) {
+      std::ostringstream from_study;
+      std::ostringstream from_streams;
+      writer(merged, from_study);
+      writer(replayed, from_streams);
+      EXPECT_FALSE(from_study.str().empty()) << surface;
+      EXPECT_EQ(from_streams.str(), from_study.str())
+          << "drained streams diverged from the merged store: " << surface;
+    }
   }
   ::unsetenv("CURTAIN_BLOCK_ROWS");
+}
+
+// run() takes exactly one record store per shard.
+TEST(ShardDeterminism, RunNeedsOneStorePerShard) {
+  const core::Scenario config = scenario(3, 1);
+  core::World world(config);
+  const auto engine = make_engine(world, config);
+  ASSERT_EQ(engine->shard_count(), 18u);
+  std::vector<measure::RecordStore> too_few(engine->shard_count() - 1);
+  EXPECT_DEATH(engine->run(too_few), "one record store per shard: 17 stores");
+  std::vector<measure::RecordStore> too_many(engine->shard_count() + 1);
+  EXPECT_DEATH(engine->run(too_many), "one record store per shard: 19 stores");
 }
 
 // Drops the curtain_mem_* gauges a profiled run registers — the only
