@@ -13,7 +13,7 @@
 #include "core/world.h"
 #include "dns/stub.h"
 #include "measure/probes.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 namespace {
 
@@ -46,16 +46,17 @@ Sample measure_path(core::World& world, size_t carrier_index,
     fleet.enroll(0, static_cast<uint64_t>(d + 1),
                  metros[static_cast<size_t>(d) % metros.size()].location);
     cellular::Device device = fleet.device(0);
-    net::DeviceScope scope(d + 1);  // this device's caches and NAT cursor
+    net::DeviceState device_state(d + 1);  // its caches and NAT cursor
     for (int hour = 0; hour < 72; hour += 6) {
       const auto now = net::SimTime::from_hours(hour);
-      const auto snapshot = device.begin_experiment(now, rng);
+      const auto snapshot = device.begin_experiment(now, rng, device_state);
       const net::Ipv4Addr target = resolver_ip.is_unspecified()
                                        ? snapshot.configured_resolver
                                        : resolver_ip;
       dns::StubResolver stub(device.gateway_node(), snapshot.public_ip,
                              world.topology(), world.registry());
-      const auto result = stub.query(target, *host, dns::RRType::kA, now, rng);
+      const auto result =
+          stub.query(target, *host, dns::RRType::kA, now, rng, device_state);
       if (!result.responded || result.addresses().empty()) continue;
       const measure::ProbeOrigin origin{device.gateway_node(),
                                         snapshot.public_ip, 0.0};

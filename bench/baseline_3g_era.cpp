@@ -14,7 +14,7 @@
 #include "core/world.h"
 #include "dns/stub.h"
 #include "measure/probes.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 namespace {
 
@@ -45,15 +45,17 @@ EraStats measure_era(core::World& world, uint64_t seed) {
           net::us_metros()[static_cast<size_t>(d) % net::us_metros().size()]
               .location);
       cellular::Device device = fleet.device(0);
-      net::DeviceScope scope(d + 1);  // this device's caches and NAT cursor
+      net::DeviceState device_state(d + 1);  // its caches and NAT cursor
       for (int hour = 0; hour < 48; hour += 4) {
         const auto now = net::SimTime::from_hours(hour);
-        const auto snapshot = device.begin_experiment(now, rng);
+        const auto snapshot =
+            device.begin_experiment(now, rng, device_state);
         dns::StubResolver stub(device.gateway_node(), snapshot.public_ip,
                                world.topology(), world.registry());
         const double access = device.access_rtt_ms(now, rng);
-        const auto result = stub.query(snapshot.configured_resolver, *host,
-                                       dns::RRType::kA, now, rng, access);
+        const auto result =
+            stub.query(snapshot.configured_resolver, *host, dns::RRType::kA,
+                       now, rng, device_state, access);
         if (!result.responded || result.addresses().empty()) continue;
 
         const measure::ProbeOrigin wired{device.gateway_node(),

@@ -13,7 +13,7 @@
 #include "cellular/device.h"
 #include "core/world.h"
 #include "measure/pageload.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 namespace {
 
@@ -62,14 +62,14 @@ int main() {
                      ? net::GeoPoint{37.57, 126.98}
                      : net::GeoPoint{33.75, -84.39});
     cellular::Device device = fleet.device(0);
-    net::DeviceScope scope(1);  // this device's caches and NAT cursor
+    net::DeviceState device_state(1);  // its caches and NAT cursor
     Series ping_series;
     Series plt_series;
     Series plt_best;
     Series plt_assigned;
     for (int hour = 0; hour < 96; hour += 2) {
       const auto now = net::SimTime::from_hours(hour);
-      const auto snapshot = device.begin_experiment(now, rng);
+      const auto snapshot = device.begin_experiment(now, rng, device_state);
       // Control for radio context like the paper (§3.3): LTE-only, so the
       // metric comparison is not drowned by technology switching.
       if (snapshot.radio != cellular::RadioTech::kLte) continue;

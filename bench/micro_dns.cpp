@@ -7,7 +7,7 @@
 #include "dns/hierarchy.h"
 #include "dns/name_table.h"
 #include "dns/resolver.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 namespace {
 
@@ -197,16 +197,16 @@ void BM_RecursiveResolution(benchmark::State& state) {
       attach("resolver", net::NodeKind::kResolver, {41, -87}, net::Ipv4Addr{});
   dns::RecursiveResolver resolver("bench", rnode, net::Ipv4Addr{9, 9, 9, 9},
                                   &topo, &registry, hierarchy.root_ip());
-  // One device's scope across every iteration holds the resolver's cache
+  // One device's state across every iteration holds the resolver's cache
   // and query ids, as one campaign device's timeline does.
-  net::DeviceScope scope(1);
+  net::DeviceState device(1);
   auto rng = bench::bench_rng("micro_dns/resolve-cold");
   int64_t t = 0;
   for (auto _ : state) {
     // Advance past the 30 s TTL so every iteration resolves cold.
     t += 31'000'000;
     benchmark::DoNotOptimize(
-        resolver.resolve(host, dns::RRType::kA, net::SimTime{t}, rng));
+        resolver.resolve(host, dns::RRType::kA, net::SimTime{t}, rng, device));
   }
 }
 BENCHMARK(BM_RecursiveResolution);
@@ -237,12 +237,12 @@ void BM_CachedResolution(benchmark::State& state) {
       attach("resolver", net::NodeKind::kResolver, {41, -87}, net::Ipv4Addr{});
   dns::RecursiveResolver resolver("bench", rnode, net::Ipv4Addr{9, 9, 9, 9},
                                   &topo, &registry, hierarchy.root_ip());
-  net::DeviceScope scope(1);  // one device's cache, warm across iterations
+  net::DeviceState device(1);  // one device's cache, warm across iterations
   auto rng = bench::bench_rng("micro_dns/resolve-warm");
-  resolver.resolve(host, dns::RRType::kA, net::SimTime::zero(), rng);
+  resolver.resolve(host, dns::RRType::kA, net::SimTime::zero(), rng, device);
   for (auto _ : state) {
     benchmark::DoNotOptimize(resolver.resolve(
-        host, dns::RRType::kA, net::SimTime::from_seconds(1), rng));
+        host, dns::RRType::kA, net::SimTime::from_seconds(1), rng, device));
   }
 }
 BENCHMARK(BM_CachedResolution);
@@ -283,12 +283,14 @@ void BM_CachedResolutionInterned(benchmark::State& state) {
       attach("resolver", net::NodeKind::kResolver, {41, -87}, net::Ipv4Addr{});
   dns::RecursiveResolver resolver("bench", rnode, net::Ipv4Addr{9, 9, 9, 9},
                                   &topo, &registry, hierarchy.root_ip());
-  net::DeviceScope scope(1);  // one device's cache, warm across iterations
+  net::DeviceState device(1);  // one device's cache, warm across iterations
   auto rng = bench::bench_rng("micro_dns/resolve-warm-interned");
-  resolver.resolve(interned, dns::RRType::kA, net::SimTime::zero(), rng);
+  resolver.resolve(interned, dns::RRType::kA, net::SimTime::zero(), rng,
+                   device);
   for (auto _ : state) {
     benchmark::DoNotOptimize(resolver.resolve(
-        interned, dns::RRType::kA, net::SimTime::from_seconds(1), rng));
+        interned, dns::RRType::kA, net::SimTime::from_seconds(1), rng,
+        device));
   }
 }
 BENCHMARK(BM_CachedResolutionInterned);

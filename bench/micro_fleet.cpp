@@ -6,8 +6,8 @@
 // experiment boundaries) and one live device per worker — never by how
 // many records the campaign streams or
 // how many devices it has touched. Each device's resolver caches, query
-// ids and NAT cursors live in its net::DeviceScope and are freed when its
-// timeline ends. This bench proves it by enrolling a 10^6-device fleet
+// ids and NAT cursors live in its worker's net::DeviceState and are freed
+// when its timeline ends. This bench proves it by enrolling a 10^6-device fleet
 // (four US-carrier profiles widened to 250k study clients each) and
 // running the same streaming campaign at increasing durations: records
 // streamed grow linearly with length, while resident memory after each

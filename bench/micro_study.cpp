@@ -18,7 +18,7 @@
 #include "core/world.h"
 #include "dns/stub.h"
 #include "measure/experiment.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 /// Heap allocations made by the calling thread through operator new (the
 /// array and nothrow forms forward to it).
@@ -57,15 +57,16 @@ void BM_FullExperiment(benchmark::State& state) {
   cellular::Fleet fleet(&world.carrier(0), 1);
   fleet.enroll(0, 1, net::GeoPoint{40.71, -74.01});
   cellular::Device device = fleet.device(0);
-  // The device's caches and NAT cursor live in its scope, opened once so
+  // The device's caches and NAT cursor live in its state, made once so
   // they persist across iterations as over one device's timeline.
-  net::DeviceScope scope(1);
+  net::DeviceState device_state(1);
   measure::RecordStore records;
   auto rng = bench::bench_rng("micro_study/full-experiment");
   int64_t hour = 0;
   const uint64_t allocations_before = thread_allocations;
   for (auto _ : state) {
-    runner.run(device, 0, net::SimTime::from_hours(static_cast<double>(++hour)), rng, records);
+    runner.run(device, 0, net::SimTime::from_hours(static_cast<double>(++hour)),
+               rng, device_state, records);
   }
   const uint64_t allocations = thread_allocations - allocations_before;
   const size_t experiments = std::max<size_t>(1, records.experiment_count());
@@ -82,17 +83,18 @@ void BM_SingleCellResolution(benchmark::State& state) {
   cellular::Fleet fleet(&carrier, 1);
   fleet.enroll(0, 2, net::GeoPoint{40.71, -74.01});
   cellular::Device device = fleet.device(0);
-  net::DeviceScope scope(2);  // one device's state across iterations
+  net::DeviceState device_state(2);  // one device's state across iterations
   auto rng = bench::bench_rng("micro_study/single-resolution");
   const auto host = dns::DnsName::parse("www.buzzfeed.com");
   int64_t second = 0;
   for (auto _ : state) {
     const auto now = net::SimTime::from_seconds(static_cast<double>(second += 61));
-    const auto snapshot = device.begin_experiment(now, rng);
+    const auto snapshot = device.begin_experiment(now, rng, device_state);
     dns::StubResolver stub(device.gateway_node(), snapshot.public_ip,
                            world.topology(), world.registry());
     benchmark::DoNotOptimize(stub.query(snapshot.configured_resolver, *host,
-                                        dns::RRType::kA, now, rng));
+                                        dns::RRType::kA, now, rng,
+                                        device_state));
   }
 }
 BENCHMARK(BM_SingleCellResolution);
@@ -106,17 +108,18 @@ void BM_SingleCellResolutionWarm(benchmark::State& state) {
   cellular::Fleet fleet(&carrier, 1);
   fleet.enroll(0, 3, net::GeoPoint{40.71, -74.01});
   cellular::Device device = fleet.device(0);
-  net::DeviceScope scope(3);  // one device's state across iterations
+  net::DeviceState device_state(3);  // one device's state across iterations
   auto rng = bench::bench_rng("micro_study/single-resolution-warm");
   const auto host = dns::DnsName::parse("www.buzzfeed.com");
   int64_t second = 0;
   for (auto _ : state) {
     const auto now = net::SimTime::from_seconds(static_cast<double>(++second));
-    const auto snapshot = device.begin_experiment(now, rng);
+    const auto snapshot = device.begin_experiment(now, rng, device_state);
     dns::StubResolver stub(device.gateway_node(), snapshot.public_ip,
                            world.topology(), world.registry());
     benchmark::DoNotOptimize(stub.query(snapshot.configured_resolver, *host,
-                                        dns::RRType::kA, now, rng));
+                                        dns::RRType::kA, now, rng,
+                                        device_state));
   }
 }
 BENCHMARK(BM_SingleCellResolutionWarm);

@@ -17,7 +17,7 @@
 #include "cellular/device.h"
 #include "core/world.h"
 #include "measure/probes.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 int main() {
   using namespace curtain;
@@ -38,14 +38,14 @@ int main() {
                      : net::GeoPoint{39.74, -104.99});  // Denver
     cellular::Device device = fleet.device(0);
     // The device's caches and NAT cursor live for its two weeks.
-    net::DeviceScope scope(1);
+    net::DeviceState device_state(1);
     double sum_resolver = 0.0;
     double sum_oracle = 0.0;
     double sum_country = 0.0;
     int samples = 0;
     for (int hour = 0; hour < 24 * 14; hour += 3) {
       const auto now = net::SimTime::from_hours(hour);
-      const auto snapshot = device.begin_experiment(now, rng);
+      const auto snapshot = device.begin_experiment(now, rng, device_state);
       const auto pair =
           carrier->select_pair(0, snapshot.public_ip, now, rng);
       if (pair.external == nullptr) continue;

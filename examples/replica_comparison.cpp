@@ -14,7 +14,7 @@
 #include "core/world.h"
 #include "dns/stub.h"
 #include "measure/probes.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 int main(int argc, char** argv) {
   using namespace curtain;
@@ -34,8 +34,9 @@ int main(int argc, char** argv) {
   cellular::Fleet fleet(carrier, 1);
   fleet.enroll(0, 1, net::GeoPoint{41.88, -87.63});  // Chicago
   cellular::Device device = fleet.device(0);
-  net::DeviceScope scope(1);  // the device's caches and NAT cursor
-  const auto snapshot = device.begin_experiment(net::SimTime::zero(), rng);
+  net::DeviceState device_state(1);  // the device's caches and NAT cursor
+  const auto snapshot =
+      device.begin_experiment(net::SimTime::zero(), rng, device_state);
   std::printf("device on %s  gateway=%d  public IP=%s  configured DNS=%s\n\n",
               carrier->profile().name.c_str(), snapshot.gateway_index,
               snapshot.public_ip.to_string().c_str(),
@@ -62,7 +63,8 @@ int main(int argc, char** argv) {
       const auto host = dns::DnsName::parse(domain.host);
       const double access = device.access_rtt_ms(now, rng);
       const auto result =
-          stub.query(resolver.ip, *host, dns::RRType::kA, now, rng, access);
+          stub.query(resolver.ip, *host, dns::RRType::kA, now, rng,
+                     device_state, access);
       now += net::SimTime::from_millis(result.total_ms);
       if (!result.responded) {
         std::printf("  %-10s (no response)\n", resolver.label);

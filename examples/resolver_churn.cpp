@@ -12,7 +12,7 @@
 #include "core/world.h"
 #include "dns/stub.h"
 #include "measure/resolver_ident.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 int main() {
   using namespace curtain;
@@ -31,7 +31,7 @@ int main() {
     fleet.enroll(0, device_id++, home);
     cellular::Device device = fleet.device(0);
     // The device's caches and NAT cursor live for its 30 days.
-    net::DeviceScope scope(1);
+    net::DeviceState device_state(1);
 
     std::printf("%s (stationary device, 30 days of hourly probes)\n",
                 carrier->profile().name.c_str());
@@ -40,13 +40,13 @@ int main() {
     int prefix_changes = 0;
     for (int hour = 0; hour < 24 * 30; ++hour) {
       const auto now = net::SimTime::from_hours(hour);
-      const auto snapshot = device.begin_experiment(now, rng);
+      const auto snapshot = device.begin_experiment(now, rng, device_state);
       dns::StubResolver stub(device.gateway_node(), snapshot.public_ip,
                              world.topology(), world.registry());
       const auto probe = identifier.probe_name(device.id(), probe_counter++);
       const auto result =
           stub.query(snapshot.configured_resolver, probe, dns::RRType::kA, now,
-                     rng, device.access_rtt_ms(now, rng));
+                     rng, device_state, device.access_rtt_ms(now, rng));
       const auto external = measure::ResolverIdentifier::extract(result.answers);
       if (!external) continue;
       if (*external != last_external) {

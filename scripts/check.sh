@@ -21,12 +21,10 @@
 #             PublicDnsTest.IngressMemoMatchesFreshRanking, two threads
 #             querying one public-DNS service's anycast ingress, and
 #             CdnTest.NearestClusterMemoMatchesFreshScan, two threads
-#             filling one CDN provider's per-/24 cluster memos, and the
-#             DnsWireEquivalence suite, whose wire-side world runs on a
-#             helper thread that takes each call over through a mutex and
-#             a condition variable. The world's mutable state is
-#             device-scoped or worker-owned and takes no locks (DESIGN.md
-#             §18), so any report here is a real cross-thread share.
+#             filling one CDN provider's per-/24 cluster memos. The
+#             world's mutable state is per device or worker-owned and
+#             takes no locks (DESIGN.md §18), so any report here is a real
+#             cross-thread share.
 #   lint      curtain_lint over src/ bench/ examples/ tools/ plus the
 #             waiver-inventory diff: `curtain_lint --waivers` must match
 #             the committed tools/lint/WAIVERS.txt exactly, so every new
@@ -49,13 +47,13 @@
 #             bench exits nonzero if peak RSS breaches the ceiling or if
 #             RSS after the 1-day point exceeds 1.5x that after the
 #             0.25-day point plus 128 MB — the bounded-memory gate for
-#             streamed records and device-scoped state.
+#             streamed records and per-device state.
 #   run-smoke
 #             runs every binary under build/examples/ and every non-micro_*
 #             binary under build/bench/ at CURTAIN_SCALE=0.005, in a
 #             throwaway working directory, and fails on any nonzero exit —
 #             ctest runs none of them, so an API precondition they break
-#             (say, a DeviceScope they forgot to open) shows up here
+#             (say, a device state reused across two worlds) shows up here
 #             (~10 s on 4 cores after the build).
 #   campaign-smoke
 #             runs campaignbench/smoke_test.py, which builds the campaign
@@ -99,13 +97,12 @@ sanitize_leg() {
 }
 
 tsan_leg() {
-  run_leg "TSan build + shard determinism (16x16 stress) + ingress and cluster memos + wire equivalence"
+  run_leg "TSan build + shard determinism (16x16 stress) + ingress and cluster memos"
   cmake -B build-tsan -S . -DCURTAIN_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" \
-    --target shard_determinism_test publicdns_test cdn_test \
-    dns_wire_equivalence_test
+    --target shard_determinism_test publicdns_test cdn_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'ShardDeterminism|PublicDnsTest\.IngressMemoMatchesFreshRanking|CdnTest\.NearestClusterMemoMatchesFreshScan|DnsWireEquivalence'
+    -R 'ShardDeterminism|PublicDnsTest\.IngressMemoMatchesFreshRanking|CdnTest\.NearestClusterMemoMatchesFreshScan'
   # The stress case must have actually run: it is the leg's reason to exist.
   ./build-tsan/tests/shard_determinism_test \
     --gtest_filter='ShardDeterminism.StressManyCohortsManyWorkers' \

@@ -76,18 +76,20 @@ ClientFacingResolver::ClientFacingResolver(CellularNetwork* carrier, int index,
       ip_(ip),
       caches_(topology.issue_device_slot()) {}
 
-dns::Cache& ClientFacingResolver::cache_for(net::NodeId instance) {
-  return caches_.get()[instance];  // default-constructed on first use
+dns::Cache& ClientFacingResolver::cache_for(net::NodeId instance,
+                                            net::DeviceState& device) {
+  return caches_.get(device)[instance];  // default-constructed on first use
 }
 
 dns::ServedResponse ClientFacingResolver::serve(const dns::Message& query,
                                                 net::Ipv4Addr source_ip,
                                                 net::SimTime now,
-                                                net::Rng& rng) {
+                                                net::Rng& rng,
+                                                net::DeviceState& device) {
   CURTAIN_DCHECK(query.question.has_value()) << "query carries no question";
   const dns::Question& question = *query.question;
   const net::NodeId instance = carrier_->client_instance_node(index_, source_ip);
-  dns::Cache& cache = cache_for(instance);
+  dns::Cache& cache = cache_for(instance, device);
   carrier_metrics().client_queries.inc();
 
   // Serve from this instance's cache unless the query hashed onto a cold
@@ -117,7 +119,7 @@ dns::ServedResponse ClientFacingResolver::serve(const dns::Message& query,
   carrier_metrics().forwards.inc();
   obs::ScopedSpan span("forward_external", now.millis());
   dns::ServedResponse served =
-      selection.external->serve(query, source_ip, now, rng);
+      selection.external->serve(query, source_ip, now, rng, device);
   // Forwarding leg: client-facing instance to the external resolver and
   // back. Collocated architectures (SK Telecom) contribute ~0 here.
   served.server_side_ms += carrier_->internal_forward_ms(
@@ -507,21 +509,21 @@ int CellularNetwork::pick_gateway(const GeoPoint& location,
       rng.uniform_u64(0, candidates.size() - 1))];
 }
 
-net::Ipv4Addr CellularNetwork::assign_ip(int gateway_index) {
+net::Ipv4Addr CellularNetwork::assign_ip(int gateway_index,
+                                         net::DeviceState& device) {
   // Same walk as IpAllocator::alloc_host, but on per-(gateway, device)
   // cursors: subscriber address churn is carrier-private runtime state,
   // kept out of the shared (post-construction immutable) world allocator,
-  // and device-scoped so one device's address sequence never depends on
+  // and per device so one device's address sequence never depends on
   // how many cohorts share its carrier. A device's cursor is seeded from
   // (carrier seed, gateway, device ordinal) on first use, then walks
   // sequentially — the same churn pattern the shared cursor produced,
   // minus the cross-device interleaving.
   Gateway& gateway = gateways_[static_cast<size_t>(gateway_index)];
-  uint64_t& cursor = gateway.nat_cursor.get();
+  uint64_t& cursor = gateway.nat_cursor.get(device);
   const uint64_t hosts = gateway.nat_pool.size() - 1;
   if (cursor == 0) {
-    const auto ordinal =
-        static_cast<uint64_t>(net::DeviceScope::current_ordinal());
+    const auto ordinal = static_cast<uint64_t>(device.ordinal());
     cursor = net::mix_key(net::mix_key(seed_, net::hash_tag("nat-cursor")),
                           (static_cast<uint64_t>(gateway_index) << 32) |
                               ordinal) %

@@ -18,9 +18,9 @@
 #include "cellular/carrier_profile.h"
 #include "dns/resolver.h"
 #include "dns/server.h"
+#include "net/device_state.h"
 #include "net/ip_allocator.h"
 #include "net/ipv4.h"
-#include "net/device_scope.h"
 #include "net/topology.h"
 
 namespace curtain::cellular {
@@ -37,22 +37,22 @@ class CellularNetwork;
 /// al.), so a fraction of queries lands on a machine whose cache has not
 /// seen the name — the residual miss tail of Fig. 7.
 ///
-/// Caches are device-scoped (net/device_scope.h): each device sees its own
+/// Caches are per device (net/device_state.h): each device sees its own
 /// copy of every instance cache, created cold on first use and freed when
 /// its timeline ends, so cohorts of the same carrier never contend and a
 /// device's cache-hit pattern is independent of the cohort partition.
 /// Population-level warmth is the external tier's background-load model;
 /// what a device's *own* queries left behind (the Fig. 7 back-to-back
-/// repeat) stays in its scope.
+/// repeat) stays in its net::DeviceState.
 class ClientFacingResolver : public dns::DnsServer {
  public:
-  /// Takes its device-state slot from `topology` (net/device_scope.h).
+  /// Takes its device-state slot from `topology` (net/device_state.h).
   ClientFacingResolver(CellularNetwork* carrier, int index, net::Ipv4Addr ip,
                        net::Topology& topology);
 
   dns::ServedResponse serve(const dns::Message& query,
                             net::Ipv4Addr source_ip, net::SimTime now,
-                            net::Rng& rng) override;
+                            net::Rng& rng, net::DeviceState& device) override;
   net::NodeId node() const override;
   net::Ipv4Addr ip() const override { return ip_; }
   net::NodeId node_for(net::Ipv4Addr source, net::SimTime now) const override;
@@ -62,8 +62,8 @@ class ClientFacingResolver : public dns::DnsServer {
  private:
   using InstanceCaches = std::unordered_map<net::NodeId, dns::Cache>;
 
-  /// The bound device's cache for `instance`, created on first touch.
-  dns::Cache& cache_for(net::NodeId instance);
+  /// `device`'s cache for `instance`, created on first touch.
+  dns::Cache& cache_for(net::NodeId instance, net::DeviceState& device);
 
   CellularNetwork* carrier_;
   int index_;
@@ -101,9 +101,9 @@ class CellularNetwork {
   /// Gateway index a device at `location` attaches to; weighted toward
   /// the nearest region with occasional spill-over to neighbours.
   int pick_gateway(const net::GeoPoint& location, net::Rng& rng) const;
-  /// A fresh public IP from the gateway's NAT pool; reads the bound
-  /// device's cursor, so a DeviceScope must be open.
-  net::Ipv4Addr assign_ip(int gateway_index);
+  /// A fresh public IP for `device` from the gateway's NAT pool, drawn
+  /// from the device's own cursor.
+  net::Ipv4Addr assign_ip(int gateway_index, net::DeviceState& device);
   /// The gateway's NAT pool: the one /24 its subscriber addresses come
   /// from.
   const net::Prefix& nat_pool(int gateway_index) const {
@@ -159,7 +159,7 @@ class CellularNetwork {
     /// cursor is always in [1, hosts]). It lives here (not in the world's
     /// IpAllocator) so address churn is carrier-private state campaign
     /// shards can mutate without touching the shared world, and it is
-    /// device-scoped so a device's address sequence is independent of the
+    /// per device so a device's address sequence is independent of the
     /// cohort partition.
     net::DeviceLocal<uint64_t> nat_cursor;
   };

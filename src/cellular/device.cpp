@@ -64,7 +64,8 @@ void Fleet::enroll(size_t index, uint64_t device_id, net::GeoPoint home) {
 }
 
 void Device::reattach(const net::GeoPoint& where, bool allow_gateway_change,
-                      net::SimTime now, net::Rng& rng) {
+                      net::SimTime now, net::Rng& rng,
+                      net::DeviceState& device_state) {
   Fleet& f = *fleet_;
   const auto& profile = f.carrier_->profile();
   const bool attached = f.attached_[index_] != 0;
@@ -72,7 +73,8 @@ void Device::reattach(const net::GeoPoint& where, bool allow_gateway_change,
                     rng.bernoulli(profile.gateway_change_on_reassign))) {
     f.gateway_index_[index_] = f.carrier_->pick_gateway(where, rng);
   }
-  f.public_ip_[index_] = f.carrier_->assign_ip(f.gateway_index_[index_]);
+  f.public_ip_[index_] =
+      f.carrier_->assign_ip(f.gateway_index_[index_], device_state);
   f.configured_resolver_[index_] =
       f.carrier_->configured_resolver(f.id_[index_], f.gateway_index_[index_]);
   f.attach_location_[index_] = where;
@@ -82,7 +84,8 @@ void Device::reattach(const net::GeoPoint& where, bool allow_gateway_change,
                 rng.exponential(profile.ip_reassign_mean.seconds()));
 }
 
-DeviceSnapshot Device::begin_experiment(net::SimTime now, net::Rng& rng) {
+DeviceSnapshot Device::begin_experiment(net::SimTime now, net::Rng& rng,
+                                        net::DeviceState& device_state) {
   Fleet& f = *fleet_;
   // Mobility: mostly at home (scattered within a neighborhood so Fig. 9's
   // 10 km static-location filter keeps these), sometimes travelling.
@@ -104,11 +107,11 @@ DeviceSnapshot Device::begin_experiment(net::SimTime now, net::Rng& rng) {
       attached &&
       net::distance_km(where, f.attach_location_[index_]) > kReattachDistanceKm;
   if (!attached || moved_far) {
-    reattach(where, /*allow_gateway_change=*/true, now, rng);
+    reattach(where, /*allow_gateway_change=*/true, now, rng, device_state);
   } else if (now >= f.next_reassign_[index_]) {
     // Periodic IP reassignment; may or may not change the gateway.
     reattach(f.attach_location_[index_], /*allow_gateway_change=*/true, now,
-             rng);
+             rng, device_state);
   }
 
   f.radio_[index_] = f.carrier_->sample_radio(rng);

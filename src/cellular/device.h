@@ -99,8 +99,10 @@ class Device {
   const net::GeoPoint& home() const { return fleet_->home_[index_]; }
 
   /// Advances attachment state to `now` (reassignment, mobility, radio
-  /// draw) and returns the experiment context.
-  DeviceSnapshot begin_experiment(net::SimTime now, net::Rng& rng);
+  /// draw) and returns the experiment context. A new address comes from
+  /// the NAT cursor in `device_state`, this device's state.
+  DeviceSnapshot begin_experiment(net::SimTime now, net::Rng& rng,
+                                  net::DeviceState& device_state);
 
   /// Radio access RTT for one probe at `now` on the current technology,
   /// paying RRC promotion if the radio idled.
@@ -121,7 +123,8 @@ class Device {
 
  private:
   void reattach(const net::GeoPoint& where, bool allow_gateway_change,
-                net::SimTime now, net::Rng& rng);
+                net::SimTime now, net::Rng& rng,
+                net::DeviceState& device_state);
 
   Fleet* fleet_ = nullptr;
   size_t index_ = 0;

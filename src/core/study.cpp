@@ -168,19 +168,20 @@ void Study::run() {
         .gauge("curtain_mem_fleet_arena_bytes",
                "SoA fleet arena bytes across all carriers")
         .set(static_cast<double>(engine_->fleet_arena_bytes()));
-    // Device state lives only inside DeviceScopes (net/device_scope.h), so
-    // none outlives a device's timeline: both gauges read 0 by
-    // construction. They keep their names for readers that expect them.
+    // Each shard resets its net::DeviceState (net/device_state.h) at every
+    // device, so no device state outlives a device's timeline: both gauges
+    // read 0 by construction. They keep their names for readers that
+    // expect them.
     obs::metrics()
         .gauge("curtain_mem_dns_cache_bytes",
                "DNS cache bytes held past device timelines: 0, since "
-               "device state lives only inside device scopes")
+               "device state is freed when each timeline ends")
         .set(0.0);
     obs::metrics()
         .gauge("curtain_mem_lane_state_bytes",
                "non-cache query-time state bytes held past device "
-               "timelines: 0, since device state lives only inside device "
-               "scopes")
+               "timelines: 0, since device state is freed when each "
+               "timeline ends")
         .set(0.0);
     obs::metrics()
         .gauge("curtain_mem_rss_bytes", "resident set size at end of run")

@@ -242,7 +242,8 @@ void AuthoritativeServer::answer_question(
 
 ServedResponse AuthoritativeServer::serve(const Message& query,
                                           net::Ipv4Addr source_ip,
-                                          net::SimTime now, net::Rng& rng) {
+                                          net::SimTime now, net::Rng& rng,
+                                          net::DeviceState& /*device*/) {
   CURTAIN_DCHECK(query.question.has_value()) << "query carries no question";
   if (!indexed_.load(std::memory_order_acquire)) index_own_names();
   {

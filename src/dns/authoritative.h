@@ -93,8 +93,10 @@ class AuthoritativeServer : public DnsServer {
   void bind_names(const NameTable& names);
 
   // DnsServer:
+  /// Keeps nothing per device.
   ServedResponse serve(const Message& query, net::Ipv4Addr source_ip,
-                       net::SimTime now, net::Rng& rng) override;
+                       net::SimTime now, net::Rng& rng,
+                       net::DeviceState& device) override;
   net::NodeId node() const override { return node_; }
   net::Ipv4Addr ip() const override { return ip_; }
 

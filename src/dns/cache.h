@@ -27,8 +27,8 @@
 // bound. Every insert also sweeps entries already past their TTL: expired
 // entries can only read as misses, so the sweep is invisible to lookups,
 // and it keeps a cache sized by what is *live* — long device timelines
-// would otherwise strand expired short-TTL rrsets until the device's scope
-// closes.
+// would otherwise strand expired short-TTL rrsets until the device's state
+// is reset.
 //
 // lint-hot-path: lookup/insert run on every simulated resolution, so
 // curtain_lint holds this file to the hot-alloc rule.

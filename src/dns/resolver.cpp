@@ -112,8 +112,9 @@ RecursiveResolver::RecursiveResolver(
 
 ResolutionResult RecursiveResolver::resolve(const DnsName& name, RRType type,
                                             net::SimTime now, net::Rng& rng,
+                                            net::DeviceState& device,
                                             net::Ipv4Addr ecs_client) {
-  QueryState& state = query_state();
+  QueryState& state = states_.get(device);
   ResolutionResult result;
   result.rcode = Rcode::kNoError;
   if (!state.warming) resolver_metrics().queries.inc();
@@ -125,7 +126,8 @@ ResolutionResult RecursiveResolver::resolve(const DnsName& name, RRType type,
   bool resolved = false;
   for (size_t chase = 0; chase <= kMaxCnameChase && !resolved; ++chase) {
     resolved =
-        !resolve_step(state, qname, type, now, rng, ecs_client, scope, result);
+        !resolve_step(state, qname, type, now, rng, device, ecs_client, scope,
+                      result);
   }
   if (!resolved) result.rcode = Rcode::kServFail;  // CNAME chain too long
   span.finish(now.millis() + result.upstream_ms);
@@ -142,8 +144,9 @@ ResolutionResult RecursiveResolver::resolve(const DnsName& name, RRType type,
 
 bool RecursiveResolver::resolve_step(QueryState& state, DnsName& qname,
                                      RRType type, net::SimTime now,
-                                     net::Rng& rng, net::Ipv4Addr ecs_client,
-                                     uint32_t scope, ResolutionResult& result) {
+                                     net::Rng& rng, net::DeviceState& device,
+                                     net::Ipv4Addr ecs_client, uint32_t scope,
+                                     ResolutionResult& result) {
   // Terminal rrset cached (within this client's subnet partition)?
   if (auto cached = state.cache.lookup(qname, type, now, scope)) {
     if (cached->negative()) {
@@ -173,7 +176,7 @@ bool RecursiveResolver::resolve_step(QueryState& state, DnsName& qname,
     // The shadow recursion models work other subscribers already did; its
     // spans are not part of this client's resolution timeline.
     obs::Tracer::instance().pause();
-    ResolutionResult shadow = resolve(qname, type, now, rng);
+    ResolutionResult shadow = resolve(qname, type, now, rng, device);
     obs::Tracer::instance().resume();
     state.warming = false;
     // An entry with TTL T that background users re-fetch every I seconds
@@ -193,7 +196,8 @@ bool RecursiveResolver::resolve_step(QueryState& state, DnsName& qname,
     return false;  // the shadow resolution followed the whole chain
   }
   result.from_cache = false;
-  return iterate(state, qname, type, now, rng, ecs_client, scope, result);
+  return iterate(state, qname, type, now, rng, device, ecs_client, scope,
+                 result);
 }
 
 net::Ipv4Addr RecursiveResolver::best_server_for(QueryState& state,
@@ -230,8 +234,8 @@ net::Ipv4Addr RecursiveResolver::best_server_for(QueryState& state,
 
 std::optional<Message> RecursiveResolver::query_server(
     QueryState& state, net::Ipv4Addr server_ip, const DnsName& qname,
-    RRType type, net::SimTime now, net::Rng& rng, net::Ipv4Addr ecs_client,
-    ResolutionResult& result) {
+    RRType type, net::SimTime now, net::Rng& rng, net::DeviceState& device,
+    net::Ipv4Addr ecs_client, ResolutionResult& result) {
   ++result.upstream_queries;
   resolver_metrics().upstream.inc();
   obs::ScopedSpan span("upstream_query", now.millis() + result.upstream_ms);
@@ -256,7 +260,7 @@ std::optional<Message> RecursiveResolver::query_server(
     const net::Prefix subnet(ecs_client.slash24(), ecs_prefix_len_);
     query.ecs = EdnsClientSubnet{subnet.address(), ecs_prefix_len_, 0};
   }
-  ServedResponse served = server->serve(query, ip_, now, rng);
+  ServedResponse served = server->serve(query, ip_, now, rng, device);
   result.upstream_ms += *rtt + served.server_side_ms;
   span.finish(now.millis() + result.upstream_ms);
   if (served.message.header.id != query.header.id) return std::nullopt;
@@ -284,12 +288,13 @@ void RecursiveResolver::cache_response_sections(QueryState& state,
 
 bool RecursiveResolver::iterate(QueryState& state, DnsName& qname,
                                 RRType type, net::SimTime now, net::Rng& rng,
+                                net::DeviceState& device,
                                 net::Ipv4Addr ecs_client, uint32_t scope,
                                 ResolutionResult& result) {
   net::Ipv4Addr server_ip = best_server_for(state, qname, now);
   for (size_t step = 0; step < kMaxReferrals; ++step) {
     auto response = query_server(state, server_ip, qname, type, now, rng,
-                                 ecs_client, result);
+                                 device, ecs_client, result);
     if (!response) {
       result.rcode = Rcode::kServFail;
       return false;
@@ -359,13 +364,15 @@ bool RecursiveResolver::iterate(QueryState& state, DnsName& qname,
 
 ServedResponse RecursiveResolver::serve(const Message& query,
                                         net::Ipv4Addr source_ip,
-                                        net::SimTime now, net::Rng& rng) {
+                                        net::SimTime now, net::Rng& rng,
+                                        net::DeviceState& device) {
   CURTAIN_DCHECK(query.question.has_value()) << "query carries no question";
   const Question& q = *query.question;
   // With ECS enabled, the stub's source address seeds the client subnet
   // we disclose upstream.
-  ResolutionResult result = resolve(q.name, q.type, now, rng,
-                                    ecs_enabled_ ? source_ip : net::Ipv4Addr{});
+  ResolutionResult result =
+      resolve(q.name, q.type, now, rng, device,
+              ecs_enabled_ ? source_ip : net::Ipv4Addr{});
   ServedResponse served;
   served.message = query.make_response();
   served.message.header.ra = true;

@@ -16,7 +16,7 @@
 #include "dns/cache.h"
 #include "dns/message.h"
 #include "dns/server.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 namespace curtain::dns {
 
@@ -43,12 +43,13 @@ class RecursiveResolver : public DnsServer {
                     net::Topology* topology, const ServerRegistry* registry,
                     net::Ipv4Addr root_ip);
 
-  /// Resolves (name, type), consulting the cache and iterating as needed.
-  /// When ECS is enabled and `ecs_client` is a real address, upstream
-  /// queries carry the client's subnet and tailored answers are cached
-  /// per subnet (RFC 7871).
+  /// Resolves (name, type) for `device`, consulting its cache and
+  /// iterating as needed. When ECS is enabled and `ecs_client` is a real
+  /// address, upstream queries carry the client's subnet and tailored
+  /// answers are cached per subnet (RFC 7871).
   ResolutionResult resolve(const DnsName& name, RRType type, net::SimTime now,
-                           net::Rng& rng, net::Ipv4Addr ecs_client = {});
+                           net::Rng& rng, net::DeviceState& device,
+                           net::Ipv4Addr ecs_client = {});
 
   /// Turns on EDNS client-subnet towards authoritative servers (what
   /// Google Public DNS deployed for opted-in CDNs; the paper-era cell
@@ -61,7 +62,8 @@ class RecursiveResolver : public DnsServer {
 
   // DnsServer:
   ServedResponse serve(const Message& query, net::Ipv4Addr source_ip,
-                       net::SimTime now, net::Rng& rng) override;
+                       net::SimTime now, net::Rng& rng,
+                       net::DeviceState& device) override;
   net::NodeId node() const override { return node_; }
   net::Ipv4Addr ip() const override { return ip_; }
 
@@ -85,7 +87,13 @@ class RecursiveResolver : public DnsServer {
   }
 
  private:
-  /// Mutable query-time state, one copy per device.
+  /// Mutable query-time state, one copy per device, created cold on the
+  /// device's first query and freed with its net::DeviceState. Each device
+  /// thus sees the resolver as if it were its only client, whichever
+  /// cohort shard runs it; the population-level cache warmth devices would
+  /// share is carried by the background-load model instead (see
+  /// set_background_load). resolve() looks it up once and passes it down
+  /// the helpers below.
   struct QueryState {
     /// CDN-era resolvers honor short TTLs; cap at a day like common
     /// software.
@@ -94,29 +102,23 @@ class RecursiveResolver : public DnsServer {
     uint16_t next_query_id = 1;
     bool warming = false;  ///< reentrancy guard for the warm-hit path
   };
-  /// The query state of the device bound to the calling thread, created
-  /// cold on its first query and freed with its DeviceScope
-  /// (net/device_scope.h). Each device thus sees the resolver as if it
-  /// were its only client, whichever cohort shard runs it; the
-  /// population-level cache warmth devices would share is carried by the
-  /// background-load model instead (see set_background_load).
-  /// resolve() reads it once and passes it down the helpers below.
-  QueryState& query_state() const { return states_.get(); }
 
   /// One step: resolve `qname` to either a terminal rrset or a CNAME.
   /// Appends to `result.answers`; when chasing should continue, sets
   /// `qname` to the CNAME target and returns true. `scope` is the ECS
   /// cache partition (0 = global).
   bool resolve_step(QueryState& state, DnsName& qname, RRType type,
-                    net::SimTime now, net::Rng& rng, net::Ipv4Addr ecs_client,
-                    uint32_t scope, ResolutionResult& result);
+                    net::SimTime now, net::Rng& rng, net::DeviceState& device,
+                    net::Ipv4Addr ecs_client, uint32_t scope,
+                    ResolutionResult& result);
 
   /// Iterative walk for one (qname, type); fills result from the network.
   /// Sets `qname` to the CNAME continuation target and returns true, if
   /// there is one.
   bool iterate(QueryState& state, DnsName& qname, RRType type,
-               net::SimTime now, net::Rng& rng, net::Ipv4Addr ecs_client,
-               uint32_t scope, ResolutionResult& result);
+               net::SimTime now, net::Rng& rng, net::DeviceState& device,
+               net::Ipv4Addr ecs_client, uint32_t scope,
+               ResolutionResult& result);
 
   /// Deepest cached delegation for `qname` (falls back to the root).
   net::Ipv4Addr best_server_for(QueryState& state, const DnsName& qname,
@@ -129,6 +131,7 @@ class RecursiveResolver : public DnsServer {
                                       net::Ipv4Addr server_ip,
                                       const DnsName& qname, RRType type,
                                       net::SimTime now, net::Rng& rng,
+                                      net::DeviceState& device,
                                       net::Ipv4Addr ecs_client,
                                       ResolutionResult& result);
 
@@ -145,7 +148,7 @@ class RecursiveResolver : public DnsServer {
   const net::Topology* topology_;
   const ServerRegistry* registry_;
   net::Ipv4Addr root_ip_;
-  mutable net::DeviceLocal<QueryState> states_;
+  net::DeviceLocal<QueryState> states_;
   double bg_interarrival_s_ = 0.0;
   bool ecs_enabled_ = false;
   uint8_t ecs_prefix_len_ = 24;

@@ -4,7 +4,8 @@ namespace curtain::dns {
 
 WireResponse DnsServer::serve_wire(std::span<const uint8_t> query_wire,
                                    net::Ipv4Addr source_ip, net::SimTime now,
-                                   net::Rng& rng) {
+                                   net::Rng& rng,
+                                   net::DeviceState& device) {
   const std::optional<Message> query = decode(query_wire);
   if (!query || !query->question) {
     Message failure;
@@ -13,7 +14,7 @@ WireResponse DnsServer::serve_wire(std::span<const uint8_t> query_wire,
     failure.header.rcode = Rcode::kFormErr;
     return WireResponse{encode(failure), 0.0};
   }
-  const ServedResponse served = serve(*query, source_ip, now, rng);
+  const ServedResponse served = serve(*query, source_ip, now, rng, device);
   return WireResponse{encode(served.message), served.server_side_ms};
 }
 

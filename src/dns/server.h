@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "dns/message.h"
+#include "net/device_state.h"
 #include "net/ipv4.h"
 #include "net/rng.h"
 #include "net/time.h"
@@ -39,10 +40,13 @@ class DnsServer {
  public:
   virtual ~DnsServer() = default;
 
-  /// Answers `query`, arriving from `source_ip` at time `now`. The query
-  /// carries a question. The response echoes the query's id and question.
+  /// Answers `query`, arriving from `source_ip` at time `now` on behalf of
+  /// `device`, whose state (net/device_state.h) holds what this server
+  /// keeps per device. The query carries a question. The response echoes
+  /// the query's id and question.
   virtual ServedResponse serve(const Message& query, net::Ipv4Addr source_ip,
-                               net::SimTime now, net::Rng& rng) = 0;
+                               net::SimTime now, net::Rng& rng,
+                               net::DeviceState& device) = 0;
 
   /// Wire adapter over serve(): decodes `query_wire`, answers FORMERR
   /// (echoing the id when the header decodes) to a packet that does not
@@ -50,7 +54,7 @@ class DnsServer {
   /// packet never reaches serve() and draws nothing from `rng`.
   WireResponse serve_wire(std::span<const uint8_t> query_wire,
                           net::Ipv4Addr source_ip, net::SimTime now,
-                          net::Rng& rng);
+                          net::Rng& rng, net::DeviceState& device);
 
   /// Topology node this server is bound to.
   virtual net::NodeId node() const = 0;

@@ -19,6 +19,7 @@ StubResolver::StubResolver(net::NodeId node, net::Ipv4Addr client_ip,
 
 StubResult StubResolver::query(net::Ipv4Addr resolver_ip, const DnsName& name,
                                RRType type, net::SimTime now, net::Rng& rng,
+                               net::DeviceState& device,
                                double extra_latency_ms) {
   StubResult result;
   result.total_ms = extra_latency_ms;
@@ -38,7 +39,7 @@ StubResult StubResolver::query(net::Ipv4Addr resolver_ip, const DnsName& name,
 
   const Message query = Message::query(next_id_++, name, type);
   obs::ScopedSpan ldns("ldns", t0 + extra_latency_ms);
-  ServedResponse served = server->serve(query, client_ip_, now, rng);
+  ServedResponse served = server->serve(query, client_ip_, now, rng, device);
   const double after_server = t0 + extra_latency_ms + served.server_side_ms;
   ldns.finish(after_server);
   if (served.message.header.id != query.header.id) return result;

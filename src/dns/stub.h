@@ -37,11 +37,11 @@ class StubResolver {
   StubResolver(net::NodeId node, net::Ipv4Addr client_ip,
                const net::Topology& topology, const ServerRegistry& registry);
 
-  /// Queries the server at `resolver_ip` for (name, type).
-  /// `extra_latency_ms` is prepended latency the transport cannot see
-  /// (radio access for cellular clients).
+  /// Queries the server at `resolver_ip` for (name, type) on behalf of
+  /// `device`. `extra_latency_ms` is prepended latency the transport
+  /// cannot see (radio access for cellular clients).
   StubResult query(net::Ipv4Addr resolver_ip, const DnsName& name, RRType type,
-                   net::SimTime now, net::Rng& rng,
+                   net::SimTime now, net::Rng& rng, net::DeviceState& device,
                    double extra_latency_ms = 0.0);
 
  private:

@@ -11,9 +11,9 @@
 //
 // Determinism: every result-affecting draw comes from a per-device stream
 // keyed by (seed, device id) alone; every piece of result-visible mutable
-// state lives in the device's own scope (net/device_scope.h), created
-// cold when its timeline starts and freed when it ends, and the one value
-// the scope carries into results — the device's global ordinal — depends
+// state lives in the device's net::DeviceState (net/device_state.h),
+// empty when its timeline starts and freed when it ends, and the one value
+// that state carries into results — the device's global ordinal — depends
 // only on the fleet, never on cohort or worker counts. Workers own
 // nothing result-visible: their private structures are the topology
 // route cache and the anycast ingress ranking, whose entries are

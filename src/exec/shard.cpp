@@ -1,7 +1,7 @@
 // lint-hot-path (per-device hourly wake loop)
 #include "exec/shard.h"
 
-#include "net/device_scope.h"
+#include "net/device_state.h"
 #include "net/time.h"
 
 namespace curtain::exec {
@@ -53,10 +53,12 @@ void Shard::run(measure::RecordStore& records) {
   // only from their own streams, so no cross-device interleave by
   // simulated time is needed — within a device the timeline is still
   // strictly time-ordered, and the shard's output is the concatenation of
-  // its devices' outputs in enrollment order.
+  // its devices' outputs in enrollment order. One DeviceState serves the
+  // devices in turn: reset() frees what the last device left, so a
+  // device's state lives exactly as long as its timeline.
+  net::DeviceState device_state(1);
   for (CohortDevice& entry : devices_) {
-    // The device's state lives exactly as long as its timeline.
-    net::DeviceScope scope(entry.ordinal);
+    device_state.reset(entry.ordinal);
     runner_.begin_device();
     net::Rng rng = campaign_rng.derive("device-stream", entry.device.id());
     // Hourly wakes from a per-device phase; each wake tosses the
@@ -65,7 +67,8 @@ void Shard::run(measure::RecordStore& records) {
     while (at < horizon) {
       shard_metrics().wakeups.inc();
       if (rng.bernoulli(campaign_.participation)) {
-        runner_.run(entry.device, carrier_index_, at, rng, records);
+        runner_.run(entry.device, carrier_index_, at, rng, device_state,
+                    records);
       }
       at = at + net::SimTime::from_hours(1.0);
     }

@@ -1,7 +1,7 @@
 // Shard: one (carrier, cohort) slice of the campaign.
 //
 // The campaign is embarrassingly parallel per *device*: a device only
-// ever touches its own device-scoped state (net/device_scope.h) plus the
+// ever touches its own device state (net/device_state.h) plus the
 // immutable world substrate, so the fleet can be partitioned into any
 // number of cohorts per carrier. A shard owns everything mutable its slice
 // of devices touches during the run:
@@ -13,17 +13,18 @@
 //     on the executing thread bind to while the shard runs.
 //
 // Execution is device-major: each device's whole timeline (hourly wakes
-// from its phase to the horizon) runs to completion inside its own
-// net::DeviceScope, which frees the device's resolver caches, query ids
-// and NAT cursors when the timeline ends, before the next device starts.
-// Live device state is thus one device per worker. Every result-affecting
-// draw comes from the device's own stream, derived from (study seed,
-// device id) alone — no shard or cohort index anywhere — so the shard's
-// output is the concatenation of its devices' outputs regardless of the
-// partition. Records go to a RecordStore the engine's caller owns, one per
-// shard, which keeps or drains its blocks as that caller chose; merging the
-// stores in (carrier, cohort) order makes the merged stream byte-identical
-// for every cohort count and worker count.
+// from its phase to the horizon) runs to completion against the shard's
+// one net::DeviceState, which is reset at the start of each device, so
+// the last device's resolver caches, query ids and NAT cursors are freed
+// before the next device starts. Live device state is thus one device per
+// worker. Every result-affecting draw comes from the device's own stream,
+// derived from (study seed, device id) alone — no shard or cohort index
+// anywhere — so the shard's output is the concatenation of its devices'
+// outputs regardless of the partition. Records go to a RecordStore the
+// engine's caller owns, one per shard, which keeps or drains its blocks as
+// that caller chose; merging the stores in (carrier, cohort) order makes
+// the merged stream byte-identical for every cohort count and worker
+// count.
 #pragma once
 
 #include <string>
@@ -43,7 +44,7 @@ namespace curtain::exec {
 class Shard {
  public:
   /// One enrolled device plus its fleet-wide enrollment ordinal
-  /// (1-based; carried by its net::DeviceScope, it seeds NAT cursors).
+  /// (1-based; carried by its net::DeviceState, it seeds NAT cursors).
   struct CohortDevice {
     cellular::Device device;
     int ordinal = 0;
@@ -65,8 +66,8 @@ class Shard {
   obs::MetricsRegistry& sheaf() { return sheaf_; }
 
   /// Runs the shard's whole campaign, appending its records to `records`.
-  /// Must run with the sheaf (obs::ScopedMetricsSheaf) bound; opens each
-  /// device's net::DeviceScope itself.
+  /// Must run with the sheaf (obs::ScopedMetricsSheaf) bound; keeps the
+  /// devices' net::DeviceState itself.
   void run(measure::RecordStore& records);
 
  private:

@@ -141,6 +141,7 @@ void ExperimentRunner::measure_domains(cellular::Device& device,
                                        ResolverKind kind,
                                        net::Ipv4Addr resolver_ip,
                                        net::SimTime& now, net::Rng& rng,
+                                       net::DeviceState& device_state,
                                        RecordStore& records) {
   const auto& domains = cdn::study_domains();
   for (uint16_t d = 0; d < domains.size(); ++d) {
@@ -154,8 +155,8 @@ void ExperimentRunner::measure_domains(cellular::Device& device,
       const bool sampled = resolution_counter_++ % kTraceSampleEvery == 0;
       obs::Tracer& tracer = obs::Tracer::instance();
       const bool tracing = sampled && tracer.begin(now.millis());
-      const dns::StubResult result =
-          stub.query(resolver_ip, host, dns::RRType::kA, now, rng, access);
+      const dns::StubResult result = stub.query(
+          resolver_ip, host, dns::RRType::kA, now, rng, device_state, access);
       DnsMeasurement record;
       record.resolver = kind;
       record.domain_index = d;
@@ -201,14 +202,15 @@ void ExperimentRunner::identify_resolver(cellular::Device& device,
                                          ResolverKind kind,
                                          net::Ipv4Addr resolver_ip,
                                          net::SimTime& now, net::Rng& rng,
+                                         net::DeviceState& device_state,
                                          RecordStore& records) {
   const dns::DnsName probe =
       identifier_.probe_name(device.id(), ident_counter_++);
   dns::StubResolver stub(device.gateway_node(), device.snapshot().public_ip,
                          world_.topology, world_.registry);
   const double access = device.access_rtt_ms(now, rng);
-  const dns::StubResult result =
-      stub.query(resolver_ip, probe, dns::RRType::kA, now, rng, access);
+  const dns::StubResult result = stub.query(
+      resolver_ip, probe, dns::RRType::kA, now, rng, device_state, access);
   ResolverObservation observation;
   observation.resolver = kind;
   observation.resolution_ms = result.total_ms;
@@ -230,9 +232,11 @@ void ExperimentRunner::identify_resolver(cellular::Device& device,
 
 net::SimTime ExperimentRunner::run(cellular::Device& device, int carrier_index,
                                    net::SimTime start, net::Rng& rng,
+                                   net::DeviceState& device_state,
                                    RecordStore& records) {
   experiment_metrics().experiments.inc();
-  const cellular::DeviceSnapshot snapshot = device.begin_experiment(start, rng);
+  const cellular::DeviceSnapshot snapshot =
+      device.begin_experiment(start, rng, device_state);
 
   ExperimentContext context;
   context.device_id = device.id();
@@ -256,16 +260,19 @@ net::SimTime ExperimentRunner::run(cellular::Device& device, int carrier_index,
 
   // 2. Domain resolutions + replica probes for all three resolver kinds.
   measure_domains(device, ResolverKind::kLocal, snapshot.configured_resolver,
-                  now, rng, records);
-  measure_domains(device, ResolverKind::kGoogle, google, now, rng, records);
-  measure_domains(device, ResolverKind::kOpenDns, opendns, now, rng, records);
+                  now, rng, device_state, records);
+  measure_domains(device, ResolverKind::kGoogle, google, now, rng,
+                  device_state, records);
+  measure_domains(device, ResolverKind::kOpenDns, opendns, now, rng,
+                  device_state, records);
 
   // 3. Resolver identification (+ external resolver probes).
   identify_resolver(device, ResolverKind::kLocal, snapshot.configured_resolver,
-                    now, rng, records);
-  identify_resolver(device, ResolverKind::kGoogle, google, now, rng, records);
+                    now, rng, device_state, records);
+  identify_resolver(device, ResolverKind::kGoogle, google, now, rng,
+                    device_state, records);
   identify_resolver(device, ResolverKind::kOpenDns, opendns, now, rng,
-                    records);
+                    device_state, records);
 
   // 4. Probes to the configured resolver and the public VIPs (Figs. 4, 11).
   probe_target(device, ProbeTargetKind::kClientResolver, ResolverKind::kLocal,

@@ -33,21 +33,25 @@ class ExperimentRunner {
   /// (device id, per-device counter).
   void begin_device();
 
-  /// Runs one experiment for `device` starting at `start`; appends the
+  /// Runs one experiment for `device` starting at `start`, against the
+  /// resolver caches and NAT cursors in `device_state`; appends the
   /// experiment and then its measurements to `records` (which attaches
   /// them to it) and returns the experiment's end time.
   net::SimTime run(cellular::Device& device, int carrier_index,
-                   net::SimTime start, net::Rng& rng, RecordStore& records);
+                   net::SimTime start, net::Rng& rng,
+                   net::DeviceState& device_state, RecordStore& records);
 
  private:
   /// One resolver kind's slice of the experiment (step 2 for one column).
   void measure_domains(cellular::Device& device, ResolverKind kind,
                        net::Ipv4Addr resolver_ip, net::SimTime& now,
-                       net::Rng& rng, RecordStore& records);
+                       net::Rng& rng, net::DeviceState& device_state,
+                       RecordStore& records);
 
   void identify_resolver(cellular::Device& device, ResolverKind kind,
                          net::Ipv4Addr resolver_ip, net::SimTime& now,
-                         net::Rng& rng, RecordStore& records);
+                         net::Rng& rng, net::DeviceState& device_state,
+                         RecordStore& records);
 
   void probe_target(cellular::Device& device, ProbeTargetKind target_kind,
                     ResolverKind kind, net::Ipv4Addr target, net::SimTime& now,

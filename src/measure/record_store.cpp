@@ -88,7 +88,10 @@ int32_t RecordStore::add_trace(obs::ResolutionTrace&& trace) {
 }
 
 void RecordStore::drain_to(RecordSink* sink) {
-  CURTAIN_CHECK(blocks_.empty())
+  // A draining store is empty again after each seal, so the counts, not
+  // the blocks, tell whether anything was appended.
+  CURTAIN_CHECK(blocks_.empty() && experiment_count_ == 0 &&
+                vantage_count_ == 0)
       << "drain_to must be set before the first append";
   drain_ = sink;
 }

@@ -120,7 +120,7 @@ class Topology {
   /// their entries with it.
   uint64_t stamp() const { return stamp_; }
 
-  /// Numbers the world's device-scoped state owners (net/device_scope.h):
+  /// Numbers the world's device-state owners (net/device_state.h):
   /// 0, 1, 2, ... in build order, so one world's owners index a dense
   /// table. Not part of the graph: the stamp does not change.
   uint32_t issue_device_slot() { return device_slots_++; }

@@ -12,7 +12,7 @@
 // The accounting reports heap *capacities*, not sizes: RSS is driven by
 // what vectors reserved, not what they filled. Still approximations
 // intended for megabyte-scale attribution, not byte-exact audits. Device
-// state (net/device_scope.h) is not accounted: it lives only while its
+// state (net/device_state.h) is not accounted: it lives only while its
 // device's timeline runs.
 //
 // Everything here is profiling-only: values are host-dependent and must

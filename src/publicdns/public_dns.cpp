@@ -156,14 +156,15 @@ net::NodeId PublicDnsService::node_for(net::Ipv4Addr source,
 
 dns::ServedResponse PublicDnsService::serve(const dns::Message& query,
                                             net::Ipv4Addr source_ip,
-                                            net::SimTime now, net::Rng& rng) {
+                                            net::SimTime now, net::Rng& rng,
+                                            net::DeviceState& device) {
   PublicDnsSite& site = sites_[static_cast<size_t>(route_site(source_ip, now))];
   // Load balancing inside the site spreads queries over instance IPs —
   // this is why clients observe many resolver addresses inside one /24
   // (Table 5's IP counts vs /24 counts).
   auto& instance = site.instances[static_cast<size_t>(
       rng.uniform_u64(0, site.instances.size() - 1))];
-  return instance->serve(query, source_ip, now, rng);
+  return instance->serve(query, source_ip, now, rng, device);
 }
 
 }  // namespace curtain::publicdns

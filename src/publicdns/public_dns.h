@@ -69,7 +69,7 @@ class PublicDnsService : public dns::DnsServer {
   // DnsServer:
   dns::ServedResponse serve(const dns::Message& query,
                             net::Ipv4Addr source_ip, net::SimTime now,
-                            net::Rng& rng) override;
+                            net::Rng& rng, net::DeviceState& device) override;
   net::NodeId node() const override;
   net::Ipv4Addr ip() const override { return vip_; }
   /// Anycast: the instance node a packet from `source` lands on at `now`

@@ -7,7 +7,7 @@
 
 #include "cellular/device.h"
 #include "core/world.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 namespace curtain::cellular {
 namespace {
@@ -21,8 +21,8 @@ class CarrierInternalsTest : public ::testing::Test {
   }
   static core::World* world_;
   net::Rng rng_{606};
-  // Resolver caches, query ids and NAT cursors exist only inside a scope.
-  net::DeviceScope scope_{1};
+  // The one device whose resolver caches and NAT cursors the tests use.
+  net::DeviceState device_{1};
 };
 
 core::World* CarrierInternalsTest::world_ = nullptr;
@@ -60,8 +60,8 @@ TEST_F(CarrierInternalsTest, AnycastInstanceFollowsSubscriberRegion) {
     }
   }
   ASSERT_GE(gateway_b, 0);
-  const net::Ipv4Addr src_a = att.assign_ip(0);
-  const net::Ipv4Addr src_b = att.assign_ip(gateway_b);
+  const net::Ipv4Addr src_a = att.assign_ip(0, device_);
+  const net::Ipv4Addr src_b = att.assign_ip(gateway_b, device_);
   EXPECT_NE(att.client_instance_node(0, src_a),
             att.client_instance_node(0, src_b));
   // And the same subscriber consistently hits the same instance.
@@ -78,7 +78,7 @@ TEST_F(CarrierInternalsTest, CollocatedForwardLegIsFree) {
 TEST_F(CarrierInternalsTest, ForwardLegCostsForDistantPair) {
   auto& sprint = world_->carrier(1);
   const net::NodeId client = sprint.client_instance_node(
-      0, sprint.assign_ip(0));
+      0, sprint.assign_ip(0, device_));
   double max_cost = 0.0;
   for (const auto& resolver : sprint.external_resolvers()) {
     if (resolver->node() == client) continue;
@@ -93,7 +93,7 @@ TEST_F(CarrierInternalsTest, PoolCandidatesScopedToServingSite) {
   // serving site: over many windows the observed set stays a strict
   // subset of the whole pool.
   auto& lg = world_->carrier(5);
-  const net::Ipv4Addr src = lg.assign_ip(0);
+  const net::Ipv4Addr src = lg.assign_ip(0, device_);
   std::set<const void*> seen;
   for (int window = 0; window < 500; ++window) {
     const auto pick =
@@ -172,19 +172,20 @@ TEST(XuEra, BuildableWorld) {
   core::World world(
       core::Scenario::paper_2014().with_carriers(xu_era_carriers()));
   ASSERT_EQ(world.carriers().size(), 4u);
-  net::DeviceScope device_scope(1);
+  net::DeviceState device_state(1);
   net::Rng rng(99);
   // A device can attach and resolve through the 3G deployment.
   Fleet fleet(&world.carrier(0), 1);
   fleet.enroll(0, 1, net::GeoPoint{40.71, -74.01});
   Device device = fleet.device(0);
-  const auto snapshot = device.begin_experiment(net::SimTime::zero(), rng);
+  const auto snapshot =
+      device.begin_experiment(net::SimTime::zero(), rng, device_state);
   EXPECT_FALSE(snapshot.configured_resolver.is_unspecified());
   EXPECT_NE(snapshot.radio, RadioTech::kLte);
   // Access latency is 3G-class: well above LTE's ~28 ms median.
   double access_sum = 0.0;
   for (int i = 0; i < 50; ++i) {
-    device.begin_experiment(net::SimTime::from_hours(i + 1), rng);
+    device.begin_experiment(net::SimTime::from_hours(i + 1), rng, device_state);
     device.access_rtt_ms(net::SimTime::from_hours(i + 1), rng);  // bootstrap
     access_sum += device.access_rtt_ms(net::SimTime::from_hours(i + 1), rng);
   }

@@ -8,7 +8,7 @@
 #include "cdn/domains.h"
 #include "core/world.h"
 #include "dns/resolver.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 namespace curtain::cdn {
 namespace {
@@ -22,8 +22,8 @@ class CdnTest : public ::testing::Test {
   }
   static core::World* world_;
   net::Rng rng_{31337};
-  // Resolver caches, query ids and NAT cursors exist only inside a scope.
-  net::DeviceScope scope_{1};
+  // The one device whose resolver caches and NAT cursors the tests use.
+  net::DeviceState device_{1};
 };
 
 core::World* CdnTest::world_ = nullptr;
@@ -162,7 +162,7 @@ TEST_F(CdnTest, AdnsSelectsByResolverAddress) {
 
   const auto result =
       resolver.resolve(*dns::DnsName::parse("m.yelp.com"), dns::RRType::kA,
-                       net::SimTime::zero(), rng_);
+                       net::SimTime::zero(), rng_, device_);
   ASSERT_EQ(result.rcode, dns::Rcode::kNoError);
   const auto addresses = result.addresses();
   ASSERT_FALSE(addresses.empty());
@@ -192,7 +192,7 @@ TEST_F(CdnTest, ShortTtlOnReplicaAnswers) {
                                   world_->root_dns_ip());
   const auto result =
       resolver.resolve(*dns::DnsName::parse("www.buzzfeed.com"),
-                       dns::RRType::kA, net::SimTime::zero(), rng_);
+                       dns::RRType::kA, net::SimTime::zero(), rng_, device_);
   for (const auto& rr : result.answers) {
     if (rr.type() == dns::RRType::kA) {
       EXPECT_LE(rr.ttl, world_->config().cdn_answer_ttl_s);
@@ -215,7 +215,7 @@ TEST_F(CdnTest, RotationVariesWithinCluster) {
   for (int minute = 0; minute < 60; minute += 2) {
     const auto result = resolver.resolve(
         *dns::DnsName::parse("www.amazon.com"), dns::RRType::kA,
-        net::SimTime::from_seconds(minute * 60.0), rng_);
+        net::SimTime::from_seconds(minute * 60.0), rng_, device_);
     for (const auto address : result.addresses()) {
       replicas_seen.insert(address.value());
     }

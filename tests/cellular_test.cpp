@@ -6,7 +6,7 @@
 
 #include "cellular/device.h"
 #include "core/world.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 namespace curtain::cellular {
 namespace {
@@ -164,8 +164,8 @@ class BuiltCarrierTest : public ::testing::Test {
   }
   static core::World* world_;
   net::Rng rng_{77};
-  // Resolver caches, query ids and NAT cursors exist only inside a scope.
-  net::DeviceScope scope_{1};
+  // The one device whose resolver caches and NAT cursors the tests use.
+  net::DeviceState device_state_{1};
 };
 
 core::World* BuiltCarrierTest::world_ = nullptr;
@@ -209,7 +209,7 @@ TEST_F(BuiltCarrierTest, SkPairsShareSlash24) {
 TEST_F(BuiltCarrierTest, NatPoolMapsBackToGateway) {
   auto& att = world_->carrier(0);
   for (int g = 0; g < 5; ++g) {
-    const net::Ipv4Addr ip = att.assign_ip(g);
+    const net::Ipv4Addr ip = att.assign_ip(g, device_state_);
     EXPECT_EQ(att.gateway_of_ip(ip), g);
   }
   EXPECT_EQ(att.gateway_of_ip(net::Ipv4Addr{1, 1, 1, 1}), -1);
@@ -242,7 +242,7 @@ TEST_F(BuiltCarrierTest, ConfiguredResolverStablePerDevice) {
 
 TEST_F(BuiltCarrierTest, TieredPairingIsDeterministic) {
   auto& verizon = world_->carrier(3);
-  const net::Ipv4Addr src = verizon.assign_ip(3);
+  const net::Ipv4Addr src = verizon.assign_ip(3, device_state_);
   const auto a = verizon.select_pair(2, src, net::SimTime::zero(), rng_);
   const auto b =
       verizon.select_pair(2, src, net::SimTime::from_days(100), rng_);
@@ -253,7 +253,7 @@ TEST_F(BuiltCarrierTest, PoolPairingFlowSticky) {
   // Selection is flow-sticky: constant within a balancer window, variable
   // across windows with the configured consistency.
   auto& sprint = world_->carrier(1);
-  const net::Ipv4Addr src = sprint.assign_ip(0);
+  const net::Ipv4Addr src = sprint.assign_ip(0, device_state_);
   const auto at = net::SimTime::from_hours(5.0);
   const auto a = sprint.select_pair(0, src, at, rng_);
   const auto b =
@@ -279,7 +279,7 @@ TEST_F(BuiltCarrierTest, PoolPairingFlowSticky) {
 TEST_F(BuiltCarrierTest, RepairEpochChangesHomeEventually) {
   auto& lg = world_->carrier(5);
   ASSERT_EQ(lg.profile().name, "LG U+");
-  const net::Ipv4Addr src = lg.assign_ip(0);
+  const net::Ipv4Addr src = lg.assign_ip(0, device_state_);
   std::set<const void*> homes;
   // Sample the modal pick across two weeks; LG U+ re-pairs every ~5 hours.
   for (int hour = 0; hour < 14 * 24; hour += 6) {
@@ -311,7 +311,8 @@ TEST_F(BuiltCarrierTest, DeviceChurnsIpOverTime) {
   std::set<int> gateways;
   for (int hour = 0; hour < 24 * 30; ++hour) {
     const auto snapshot =
-        device.begin_experiment(net::SimTime::from_hours(hour), rng_);
+        device.begin_experiment(net::SimTime::from_hours(hour), rng_,
+                                device_state_);
     ips.insert(snapshot.public_ip.value());
     gateways.insert(snapshot.gateway_index);
   }
@@ -328,7 +329,8 @@ TEST_F(BuiltCarrierTest, DeviceRadioMixMostlyLte) {
   const int trials = 400;
   for (int i = 0; i < trials; ++i) {
     const auto snapshot =
-        device.begin_experiment(net::SimTime::from_hours(i), rng_);
+        device.begin_experiment(net::SimTime::from_hours(i), rng_,
+                                device_state_);
     if (snapshot.radio == RadioTech::kLte) ++lte;
   }
   EXPECT_GT(lte, trials * 0.6);

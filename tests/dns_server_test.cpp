@@ -3,7 +3,7 @@
 #include "dns/hierarchy.h"
 #include "dns/resolver.h"
 #include "dns/stub.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 namespace curtain::dns {
 namespace {
@@ -82,7 +82,7 @@ class DnsWorldTest : public ::testing::Test {
                         RRType type, net::Ipv4Addr source = {9, 9, 9, 9}) {
     const Message query = Message::query(77, name(qname), type);
     return server.serve_wire(encode(query), source, net::SimTime::zero(),
-                             rng_);
+                             rng_, device_);
   }
 
   net::Topology topo_;
@@ -96,8 +96,8 @@ class DnsWorldTest : public ::testing::Test {
   net::Rng rng_{12345};
   int dynamic_calls_ = 0;
   net::Ipv4Addr last_seen_resolver_;
-  // Resolver caches and query ids exist only inside a scope.
-  net::DeviceScope scope_{1};
+  // The one device whose resolver caches and query ids the tests use.
+  net::DeviceState device_{1};
 };
 
 // --- authoritative behaviour -------------------------------------------
@@ -171,7 +171,7 @@ TEST_F(DnsWorldTest, AuthDynamicHandlerSeesResolverIp) {
 TEST_F(DnsWorldTest, AuthMalformedQueryGetsFormErr) {
   const std::vector<uint8_t> garbage{1, 2, 3};
   const auto served = origin_->serve_wire(garbage, net::Ipv4Addr{1, 1, 1, 1},
-                                          net::SimTime::zero(), rng_);
+                                          net::SimTime::zero(), rng_, device_);
   const auto response = decode(served.wire);
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->header.rcode, Rcode::kFormErr);
@@ -182,7 +182,8 @@ TEST_F(DnsWorldTest, RootDelegatesToTld) {
   const auto response = decode(
       root.serve_wire(encode(Message::query(1, name("static.example.com"),
                                             RRType::kA)),
-                      net::Ipv4Addr{9, 9, 9, 9}, net::SimTime::zero(), rng_)
+                      net::Ipv4Addr{9, 9, 9, 9}, net::SimTime::zero(), rng_,
+                      device_)
           .wire);
   ASSERT_TRUE(response.has_value());
   EXPECT_TRUE(response->answers.empty());
@@ -196,7 +197,7 @@ TEST_F(DnsWorldTest, RootDelegatesToTld) {
 
 TEST_F(DnsWorldTest, ColdResolutionWalksHierarchy) {
   const auto result = resolver_->resolve(name("static.example.com"), RRType::kA,
-                                         net::SimTime::zero(), rng_);
+                                         net::SimTime::zero(), rng_, device_);
   EXPECT_EQ(result.rcode, Rcode::kNoError);
   ASSERT_FALSE(result.addresses().empty());
   EXPECT_EQ(result.addresses()[0], net::Ipv4Addr(50, 1, 1, 1));
@@ -208,9 +209,10 @@ TEST_F(DnsWorldTest, ColdResolutionWalksHierarchy) {
 
 TEST_F(DnsWorldTest, WarmResolutionServedFromCache) {
   resolver_->resolve(name("static.example.com"), RRType::kA,
-                     net::SimTime::zero(), rng_);
+                     net::SimTime::zero(), rng_, device_);
   const auto warm = resolver_->resolve(name("static.example.com"), RRType::kA,
-                                       net::SimTime::from_seconds(10), rng_);
+                                       net::SimTime::from_seconds(10), rng_,
+                                       device_);
   EXPECT_TRUE(warm.from_cache);
   EXPECT_EQ(warm.upstream_queries, 0);
   EXPECT_DOUBLE_EQ(warm.upstream_ms, 0.0);
@@ -218,19 +220,20 @@ TEST_F(DnsWorldTest, WarmResolutionServedFromCache) {
 
 TEST_F(DnsWorldTest, CachedTldCutShortensSecondResolution) {
   resolver_->resolve(name("static.example.com"), RRType::kA,
-                     net::SimTime::zero(), rng_);
+                     net::SimTime::zero(), rng_, device_);
   // Different name, same zone: NS for example.com is cached, so the
   // resolver goes straight to the zone ADNS.
   origin_->add_record(ResourceRecord::a(name("other.example.com"),
                                         net::Ipv4Addr{50, 1, 1, 2}, 600));
   const auto result = resolver_->resolve(name("other.example.com"), RRType::kA,
-                                         net::SimTime::from_seconds(1), rng_);
+                                         net::SimTime::from_seconds(1), rng_,
+                                         device_);
   EXPECT_EQ(result.upstream_queries, 1);
 }
 
 TEST_F(DnsWorldTest, CrossZoneCnameChase) {
   const auto result = resolver_->resolve(name("www.example.com"), RRType::kA,
-                                         net::SimTime::zero(), rng_);
+                                         net::SimTime::zero(), rng_, device_);
   EXPECT_EQ(result.rcode, Rcode::kNoError);
   ASSERT_EQ(result.answers.size(), 2u);
   EXPECT_EQ(result.answers[0].type(), RRType::kCNAME);
@@ -240,20 +243,22 @@ TEST_F(DnsWorldTest, CrossZoneCnameChase) {
 
 TEST_F(DnsWorldTest, NxdomainIsNegativeCached) {
   const auto first = resolver_->resolve(name("missing.example.com"), RRType::kA,
-                                        net::SimTime::zero(), rng_);
+                                        net::SimTime::zero(), rng_, device_);
   EXPECT_EQ(first.rcode, Rcode::kNxDomain);
   const auto second = resolver_->resolve(name("missing.example.com"),
                                          RRType::kA,
-                                         net::SimTime::from_seconds(5), rng_);
+                                         net::SimTime::from_seconds(5), rng_,
+                                         device_);
   EXPECT_EQ(second.rcode, Rcode::kNxDomain);
   EXPECT_EQ(second.upstream_queries, 0);
 }
 
 TEST_F(DnsWorldTest, ExpiredEntryRefetched) {
   resolver_->resolve(name("static.example.com"), RRType::kA,
-                     net::SimTime::zero(), rng_);
+                     net::SimTime::zero(), rng_, device_);
   const auto later = resolver_->resolve(name("static.example.com"), RRType::kA,
-                                        net::SimTime::from_seconds(601), rng_);
+                                        net::SimTime::from_seconds(601), rng_,
+                                        device_);
   EXPECT_FALSE(later.from_cache);
   EXPECT_GT(later.upstream_queries, 0);
 }
@@ -272,10 +277,11 @@ TEST_F(DnsWorldTest, TtlZeroAnswersNeverCached) {
       },
       /*dynamic_ttl_s=*/0);
   const auto first = resolver_->resolve(name("unique1.cdnzone.net"), RRType::kA,
-                                        net::SimTime::zero(), rng_);
+                                        net::SimTime::zero(), rng_, device_);
   EXPECT_FALSE(first.addresses().empty());
   const auto again = resolver_->resolve(name("unique1.cdnzone.net"), RRType::kA,
-                                        net::SimTime::from_millis(1), rng_);
+                                        net::SimTime::from_millis(1), rng_,
+                                        device_);
   EXPECT_FALSE(again.from_cache);  // TTL 0 was not cached
 }
 
@@ -286,7 +292,7 @@ constexpr double kAlwaysWarmInterarrivalS = 1e-30;
 TEST_F(DnsWorldTest, WarmHitProbabilityServesMissAsHit) {
   resolver_->set_background_load(kAlwaysWarmInterarrivalS);
   const auto result = resolver_->resolve(name("static.example.com"), RRType::kA,
-                                         net::SimTime::zero(), rng_);
+                                         net::SimTime::zero(), rng_, device_);
   EXPECT_TRUE(result.from_cache);
   EXPECT_DOUBLE_EQ(result.upstream_ms, 0.0);
   EXPECT_FALSE(result.addresses().empty());
@@ -300,7 +306,7 @@ TEST_F(DnsWorldTest, WarmEligibilityExcludesNames) {
   });
   const auto excluded = resolver_->resolve(name("r1.adns.curtain-study.net"),
                                            RRType::kA, net::SimTime::zero(),
-                                           rng_);
+                                           rng_, device_);
   EXPECT_FALSE(excluded.from_cache);  // warming skipped, real iteration ran
 }
 
@@ -308,7 +314,8 @@ TEST_F(DnsWorldTest, ResolverHandleQueryWire) {
   const Message query =
       Message::query(321, name("static.example.com"), RRType::kA);
   const auto served = resolver_->serve_wire(
-      encode(query), net::Ipv4Addr{7, 7, 7, 7}, net::SimTime::zero(), rng_);
+      encode(query), net::Ipv4Addr{7, 7, 7, 7}, net::SimTime::zero(), rng_,
+      device_);
   EXPECT_GT(served.server_side_ms, 0.0);
   const auto response = decode(served.wire);
   ASSERT_TRUE(response.has_value());
@@ -319,7 +326,7 @@ TEST_F(DnsWorldTest, ResolverHandleQueryWire) {
 
 TEST_F(DnsWorldTest, UnknownTldServfails) {
   const auto result = resolver_->resolve(name("host.nosuchtld"), RRType::kA,
-                                         net::SimTime::zero(), rng_);
+                                         net::SimTime::zero(), rng_, device_);
   EXPECT_EQ(result.rcode, Rcode::kNxDomain);  // the root answers NXDOMAIN
 }
 
@@ -330,7 +337,8 @@ TEST_F(DnsWorldTest, StubEndToEnd) {
                     registry_);
   const auto result =
       stub.query(net::Ipv4Addr{9, 9, 9, 9}, name("static.example.com"),
-                 RRType::kA, net::SimTime::zero(), rng_, /*extra=*/25.0);
+                 RRType::kA, net::SimTime::zero(), rng_, device_,
+                 /*extra=*/25.0);
   EXPECT_TRUE(result.responded);
   EXPECT_EQ(result.rcode, Rcode::kNoError);
   EXPECT_FALSE(result.addresses().empty());
@@ -343,7 +351,7 @@ TEST_F(DnsWorldTest, StubUnknownResolverFails) {
                     registry_);
   const auto result =
       stub.query(net::Ipv4Addr{203, 0, 113, 1}, name("static.example.com"),
-                 RRType::kA, net::SimTime::zero(), rng_);
+                 RRType::kA, net::SimTime::zero(), rng_, device_);
   EXPECT_FALSE(result.responded);
 }
 

@@ -13,28 +13,22 @@
 // packet seen is then round-tripped and run through the truncation and
 // bit-flip sweeps of wire_damage.h.
 //
-// Resolver caches, query ids and NAT cursors exist only inside a
-// net::DeviceScope, and the twins' owners share slot numbers, so one
-// scope cannot hold both worlds' state: the typed side runs in a scope on
-// the test thread, the wire side in a scope on a thread of its own.
+// Resolver caches, query ids and NAT cursors live in a net::DeviceState,
+// and the twins' owners share slot numbers, so one state cannot hold both
+// worlds' state: each twin has a DeviceState of its own, and both run on
+// the test thread.
 #include <gtest/gtest.h>
 
-#include <condition_variable>
-#include <exception>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <string>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "cdn/domains.h"
 #include "core/world.h"
 #include "dns/hierarchy.h"
 #include "dns/resolver.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 #include "wire_damage.h"
 
 namespace curtain::dns {
@@ -138,76 +132,27 @@ class MiniWorld {
   std::vector<std::optional<EdnsClientSubnet>> ecs_seen_;
 };
 
-/// A thread that holds one DeviceScope for its lifetime and runs the
-/// calls handed to it, one at a time, while the caller waits; an
-/// exception a call throws is rethrown to the caller.
-class ScopedThread {
- public:
-  explicit ScopedThread(int ordinal)
-      : thread_([this, ordinal] {
-          net::DeviceScope scope(ordinal);
-          std::unique_lock<std::mutex> lock(mutex_);
-          for (;;) {
-            ready_.wait(lock, [this] { return task_ != nullptr || done_; });
-            if (task_ == nullptr) return;
-            try {
-              (*task_)();
-            } catch (...) {
-              failure_ = std::current_exception();
-            }
-            task_ = nullptr;
-            ready_.notify_all();
-          }
-        }) {}
-  ~ScopedThread() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      done_ = true;
-    }
-    ready_.notify_all();
-    thread_.join();
-  }
-  ScopedThread(const ScopedThread&) = delete;
-  ScopedThread& operator=(const ScopedThread&) = delete;
-
-  void run(const std::function<void()>& task) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    task_ = &task;
-    ready_.notify_all();
-    ready_.wait(lock, [this] { return task_ == nullptr; });
-    if (failure_) std::rethrow_exception(std::exchange(failure_, nullptr));
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable ready_;
-  const std::function<void()>* task_ = nullptr;
-  std::exception_ptr failure_;
-  bool done_ = false;
-  std::thread thread_;  // last: starts once the members above exist
-};
-
 /// Runs queries through serve() on one world and serve_wire() on its
 /// twin, asserting identical outcomes, and keeps every packet for the
-/// codec sweeps. The typed world's device state lives in a scope on the
-/// calling thread, the wire twin's in a scope on `wire_side_`.
+/// codec sweeps. Each world has its own RNG and its own device state.
 class Exchanger {
  public:
   explicit Exchanger(uint64_t seed) : typed_rng_(seed), wire_rng_(seed) {}
 
-  /// Runs `task` where the wire twin's device state lives.
-  void on_wire_side(const std::function<void()>& task) { wire_side_.run(task); }
+  /// The device state each twin's queries run against.
+  net::DeviceState& typed_device() { return typed_device_; }
+  net::DeviceState& wire_device() { return wire_device_; }
 
   /// Returns the typed answer so callers can assert the case's shape.
   Message exchange(DnsServer& typed, DnsServer& wire, const Message& query,
                    net::Ipv4Addr source, net::SimTime now,
                    const std::string& label) {
     SCOPED_TRACE(label);
-    const ServedResponse served = typed.serve(query, source, now, typed_rng_);
+    const ServedResponse served =
+        typed.serve(query, source, now, typed_rng_, typed_device_);
     const std::vector<uint8_t> query_wire = encode(query);
-    WireResponse wired;
-    wire_side_.run(
-        [&] { wired = wire.serve_wire(query_wire, source, now, wire_rng_); });
+    const WireResponse wired =
+        wire.serve_wire(query_wire, source, now, wire_rng_, wire_device_);
     const auto decoded = decode(wired.wire);
     EXPECT_TRUE(decoded.has_value());
     if (decoded) {
@@ -227,9 +172,9 @@ class Exchanger {
  private:
   net::Rng typed_rng_;
   net::Rng wire_rng_;
+  net::DeviceState typed_device_{1};
+  net::DeviceState wire_device_{1};
   std::set<std::vector<uint8_t>> corpus_;
-  net::DeviceScope typed_side_{1};
-  ScopedThread wire_side_{1};
 };
 
 /// Round-trips and damages every packet an Exchanger saw.
@@ -378,10 +323,9 @@ TEST(DnsWireEquivalence, StudyWorldEveryServerKind) {
   for (size_t c = 0; c < typed.carriers().size(); ++c) {
     auto& typed_carrier = typed.carrier(c);
     auto& wire_carrier = wire.carrier(c);
-    const net::Ipv4Addr source = typed_carrier.assign_ip(0);
-    net::Ipv4Addr wire_source;
-    ex.on_wire_side([&] { wire_source = wire_carrier.assign_ip(0); });
-    ASSERT_EQ(wire_source, source);
+    const net::Ipv4Addr source =
+        typed_carrier.assign_ip(0, ex.typed_device());
+    ASSERT_EQ(wire_carrier.assign_ip(0, ex.wire_device()), source);
     const std::string label = typed_carrier.profile().name;
 
     std::vector<DnsName> names;

@@ -10,7 +10,7 @@
 #include "core/world.h"
 #include "dns/hierarchy.h"
 #include "dns/resolver.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 namespace curtain::dns {
 namespace {
@@ -139,11 +139,12 @@ TEST(EcsResolver, NonSlash24PrefixMaskedBeforeAdns) {
                                net::Ipv4Addr{9, 9, 9, 9}, &topo, &registry,
                                hierarchy.root_ip());
     resolver.enable_ecs(c.prefix);
-    net::DeviceScope device(1);
+    net::DeviceState device(1);
     net::Rng rng(7);
     seen.reset();
     const auto result = resolver.resolve(name("edge.cdnzone.net"), RRType::kA,
-                                         net::SimTime::zero(), rng, client);
+                                         net::SimTime::zero(), rng, device,
+                                         client);
     ASSERT_EQ(result.rcode, Rcode::kNoError);
     ASSERT_TRUE(seen.has_value()) << int{c.prefix};
     EXPECT_EQ(seen->address, c.expected) << int{c.prefix};
@@ -172,8 +173,8 @@ class EcsWorldTest : public ::testing::Test {
   }
   static core::World* world_;
   net::Rng rng_{555};
-  // Resolver caches, query ids and NAT cursors exist only inside a scope.
-  net::DeviceScope scope_{1};
+  // The one device whose resolver caches and NAT cursors the tests use.
+  net::DeviceState device_{1};
 };
 
 core::World* EcsWorldTest::world_ = nullptr;
@@ -205,7 +206,7 @@ TEST_F(EcsWorldTest, CdnMapsByClientSubnetWhenEcsPresent) {
     }
   }
   ASSERT_GE(seattle_gateway, 0);
-  const net::Ipv4Addr client = carrier.assign_ip(seattle_gateway);
+  const net::Ipv4Addr client = carrier.assign_ip(seattle_gateway, device_);
 
   // Build an ECS-enabled probe resolver far from the client (NYC).
   auto& topo = world_->topology();
@@ -220,7 +221,8 @@ TEST_F(EcsWorldTest, CdnMapsByClientSubnetWhenEcsPresent) {
   resolver.enable_ecs();
 
   const auto result = resolver.resolve(name("m.yelp.com"), RRType::kA,
-                                       net::SimTime::zero(), rng_, client);
+                                       net::SimTime::zero(), rng_, device_,
+                                       client);
   ASSERT_EQ(result.rcode, Rcode::kNoError);
   ASSERT_FALSE(result.addresses().empty());
   for (const auto address : result.addresses()) {
@@ -243,21 +245,24 @@ TEST_F(EcsWorldTest, ScopedAnswersNotSharedAcrossSubnets) {
   resolver.enable_ecs();
 
   auto& carrier = world_->carrier(0);  // AT&T
-  const net::Ipv4Addr client_a = carrier.assign_ip(0);
-  const net::Ipv4Addr client_b = carrier.assign_ip(1);
+  const net::Ipv4Addr client_a = carrier.assign_ip(0, device_);
+  const net::Ipv4Addr client_b = carrier.assign_ip(1, device_);
   ASSERT_NE(client_a.slash24(), client_b.slash24());
 
   const auto first = resolver.resolve(name("www.bing.com"), RRType::kA,
-                                      net::SimTime::zero(), rng_, client_a);
+                                      net::SimTime::zero(), rng_, device_,
+                                      client_a);
   ASSERT_FALSE(first.addresses().empty());
   // Same subnet immediately after: cache hit.
   const auto repeat = resolver.resolve(name("www.bing.com"), RRType::kA,
                                        net::SimTime::from_seconds(1), rng_,
+                                       device_,
                                        client_a);
   EXPECT_TRUE(repeat.from_cache);
   // Different subnet: the tailored entry must not be reused.
   const auto other = resolver.resolve(name("www.bing.com"), RRType::kA,
                                       net::SimTime::from_seconds(2), rng_,
+                                      device_,
                                       client_b);
   EXPECT_FALSE(other.from_cache);
 }
@@ -277,10 +282,11 @@ TEST_F(EcsWorldTest, ResearchAdnsStillSeesResolver) {
                              &world_->registry(), world_->root_dns_ip());
   resolver.enable_ecs();
   auto& carrier = world_->carrier(1);
-  const net::Ipv4Addr client = carrier.assign_ip(0);
+  const net::Ipv4Addr client = carrier.assign_ip(0, device_);
   const auto probe = name("r1.d9.adns.curtain-study.net");
   const auto result =
-      resolver.resolve(probe, RRType::kA, net::SimTime::zero(), rng_, client);
+      resolver.resolve(probe, RRType::kA, net::SimTime::zero(), rng_, device_,
+                       client);
   ASSERT_FALSE(result.addresses().empty());
   EXPECT_EQ(result.addresses()[0], resolver_ip);
 }

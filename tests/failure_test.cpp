@@ -10,7 +10,7 @@
 #include "dns/resolver.h"
 #include "dns/stub.h"
 #include "measure/probes.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 namespace curtain {
 namespace {
@@ -68,8 +68,8 @@ class FailureTest : public ::testing::Test {
   net::NodeId hub_ = 0;
   net::NodeId client_ = 0;
   net::Rng rng_{777};
-  // Resolver caches and query ids exist only inside a scope.
-  net::DeviceScope scope_{1};
+  // The one device whose resolver caches and query ids the tests use.
+  net::DeviceState device_{1};
 };
 
 TEST_F(FailureTest, GluelessDelegationDegradesToError) {
@@ -78,7 +78,7 @@ TEST_F(FailureTest, GluelessDelegationDegradesToError) {
                   net::Ipv4Addr{203, 0, 113, 99});
   const auto result = resolver_->resolve(name("www.broken.example.com"),
                                          RRType::kA, net::SimTime::zero(),
-                                         rng_);
+                                         rng_, device_);
   EXPECT_EQ(result.rcode, Rcode::kServFail);
   EXPECT_TRUE(result.addresses().empty());
   // The attempt cost real time (timeout), mirroring a client's experience.
@@ -92,7 +92,7 @@ TEST_F(FailureTest, SelfReferentialDelegationTerminates) {
                   zone_->ip());
   const auto result = resolver_->resolve(name("www.loop.example.com"),
                                          RRType::kA, net::SimTime::zero(),
-                                         rng_);
+                                         rng_, device_);
   EXPECT_NE(result.rcode, Rcode::kNoError);
 }
 
@@ -102,7 +102,7 @@ TEST_F(FailureTest, CnameLoopTerminates) {
   zone_->add_record(ResourceRecord::cname(name("b.example.com"),
                                           name("a.example.com"), 60));
   const auto result = resolver_->resolve(name("a.example.com"), RRType::kA,
-                                         net::SimTime::zero(), rng_);
+                                         net::SimTime::zero(), rng_, device_);
   EXPECT_EQ(result.rcode, Rcode::kServFail);
 }
 
@@ -117,7 +117,7 @@ TEST_F(FailureTest, StubSurvivesGarbageResponder) {
     net::Rng before = rng_;
     const WireResponse served =
         server->serve_wire(garbage, net::Ipv4Addr{7, 7, 7, 7},
-                           net::SimTime::zero(), rng_);
+                           net::SimTime::zero(), rng_, device_);
     EXPECT_EQ(rng_.next_u64(), before.next_u64());
     const auto response = decode(served.wire);
     ASSERT_TRUE(response.has_value());
@@ -136,7 +136,7 @@ TEST_F(FailureTest, StubSurvivesGarbageResponder) {
     GarbageServer(net::NodeId node, net::Ipv4Addr ip, Message reply)
         : node_(node), ip_(ip), reply_(std::move(reply)) {}
     ServedResponse serve(const Message&, net::Ipv4Addr, net::SimTime,
-                         net::Rng&) override {
+                         net::Rng&, net::DeviceState&) override {
       return ServedResponse{reply_, 0.0};
     }
     net::NodeId node() const override { return node_; }
@@ -156,7 +156,7 @@ TEST_F(FailureTest, StubSurvivesGarbageResponder) {
   StubResolver stub(client_, net::Ipv4Addr{7, 7, 7, 7}, topo_, registry_);
   const auto result = stub.query(net::Ipv4Addr{6, 6, 6, 6},
                                  name("www.example.com"), RRType::kA,
-                                 net::SimTime::zero(), rng_);
+                                 net::SimTime::zero(), rng_, device_);
   EXPECT_FALSE(result.responded);
 }
 
@@ -167,7 +167,7 @@ TEST_F(FailureTest, MismatchedQueryIdRejected) {
    public:
     WrongIdServer(net::NodeId node, net::Ipv4Addr ip) : node_(node), ip_(ip) {}
     ServedResponse serve(const Message& query, net::Ipv4Addr, net::SimTime,
-                         net::Rng&) override {
+                         net::Rng&, net::DeviceState&) override {
       ServedResponse served{query.make_response(), 0.0};
       served.message.header.id = static_cast<uint16_t>(query.header.id + 1);
       served.message.answers.push_back(ResourceRecord::a(
@@ -189,7 +189,7 @@ TEST_F(FailureTest, MismatchedQueryIdRejected) {
   StubResolver stub(client_, net::Ipv4Addr{7, 7, 7, 7}, topo_, registry_);
   const auto result =
       stub.query(net::Ipv4Addr{6, 6, 6, 7}, name("www.example.com"),
-                 RRType::kA, net::SimTime::zero(), rng_);
+                 RRType::kA, net::SimTime::zero(), rng_, device_);
   EXPECT_FALSE(result.responded);
   EXPECT_TRUE(result.addresses().empty());
 
@@ -199,7 +199,7 @@ TEST_F(FailureTest, MismatchedQueryIdRejected) {
                   net::Ipv4Addr{6, 6, 6, 7});
   const auto resolved = resolver_->resolve(name("www.poison.example.com"),
                                            RRType::kA, net::SimTime::zero(),
-                                           rng_);
+                                           rng_, device_);
   EXPECT_EQ(resolved.rcode, Rcode::kServFail);
   EXPECT_TRUE(resolved.addresses().empty());
 }

@@ -186,6 +186,20 @@ TEST(RecordStore, DrainToAfterTheFirstAppendAborts) {
                "drain_to must be set before the first append");
 }
 
+TEST(RecordStore, DrainToAfterAFlushAborts) {
+  // The first sink already holds the flushed block; a second drain_to
+  // would split the stream across two sinks.
+  RecordingSink first;
+  RecordingSink second;
+  RecordStore store;
+  store.drain_to(&first);
+  store.add_experiment(context_of(1));
+  store.flush();
+  ASSERT_TRUE(store.blocks().empty());
+  EXPECT_DEATH(store.drain_to(&second),
+               "drain_to must be set before the first append");
+}
+
 TEST(CampaignConfig, ScaledShortensDuration) {
   const auto full = CampaignConfig::scaled(1.0);
   EXPECT_DOUBLE_EQ(full.duration_days, 153.0);

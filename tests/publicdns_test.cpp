@@ -7,7 +7,7 @@
 
 #include "core/world.h"
 #include "dns/stub.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 
 namespace curtain::publicdns {
 namespace {
@@ -67,13 +67,13 @@ net::NodeId fresh_site_node(const core::World& world,
 
 // One subscriber address behind every gateway of every carrier, plus an
 // address owned by a plain node and one nobody owns. Subscriber addresses
-// come from device NAT cursors, drawn here in a scope of their own.
+// come from device NAT cursors, here those of one device.
 std::vector<net::Ipv4Addr> ingress_sources(core::World& world) {
-  net::DeviceScope device(1);
+  net::DeviceState device(1);
   std::vector<net::Ipv4Addr> sources;
   for (const auto& carrier : world.carriers()) {
     for (int g = 0; g < carrier->num_gateways(); ++g) {
-      sources.push_back(carrier->assign_ip(g));
+      sources.push_back(carrier->assign_ip(g, device));
     }
   }
   sources.push_back(world.vantage_ip());
@@ -108,9 +108,9 @@ TEST_F(PublicDnsTest, VipRegisteredInRegistry) {
 TEST_F(PublicDnsTest, AnycastRoutesNearEgress) {
   // A subscriber behind an AT&T gateway should land on a site within a
   // continental distance of that gateway.
-  net::DeviceScope device(1);
+  net::DeviceState device(1);
   auto& att = world_->carrier(0);
-  const net::Ipv4Addr src = att.assign_ip(0);
+  const net::Ipv4Addr src = att.assign_ip(0, device);
   const auto& gateway_node = world_->topology().node(att.gateway_node(0));
   const net::NodeId site_node =
       world_->google_dns().node_for(src, net::SimTime::zero());
@@ -119,9 +119,9 @@ TEST_F(PublicDnsTest, AnycastRoutesNearEgress) {
 }
 
 TEST_F(PublicDnsTest, IngressStableWithinEpoch) {
-  net::DeviceScope device(1);
+  net::DeviceState device(1);
   auto& att = world_->carrier(0);
-  const net::Ipv4Addr src = att.assign_ip(1);
+  const net::Ipv4Addr src = att.assign_ip(1, device);
   const auto t = net::SimTime::from_hours(3.0);
   const net::NodeId a = world_->google_dns().node_for(src, t);
   const net::NodeId b = world_->google_dns().node_for(
@@ -131,9 +131,9 @@ TEST_F(PublicDnsTest, IngressStableWithinEpoch) {
 
 TEST_F(PublicDnsTest, IngressDriftsAcrossEpochs) {
   // Over many ingress epochs a prefix visits several sites (Fig. 12).
-  net::DeviceScope device(1);
+  net::DeviceState device(1);
   auto& att = world_->carrier(0);
-  const net::Ipv4Addr src = att.assign_ip(2);
+  const net::Ipv4Addr src = att.assign_ip(2, device);
   std::set<net::NodeId> sites;
   for (int day = 0; day < 60; ++day) {
     sites.insert(
@@ -144,14 +144,14 @@ TEST_F(PublicDnsTest, IngressDriftsAcrossEpochs) {
 }
 
 TEST_F(PublicDnsTest, ResolvesStudyDomainEndToEnd) {
-  net::DeviceScope device(1);
+  net::DeviceState device(1);
   auto& att = world_->carrier(0);
-  const net::Ipv4Addr src = att.assign_ip(3);
+  const net::Ipv4Addr src = att.assign_ip(3, device);
   dns::StubResolver stub(att.gateway_node(0), src, world_->topology(),
                          world_->registry());
   const auto result =
       stub.query(net::Ipv4Addr{8, 8, 8, 8}, *dns::DnsName::parse("m.yelp.com"),
-                 dns::RRType::kA, net::SimTime::zero(), rng_);
+                 dns::RRType::kA, net::SimTime::zero(), rng_, device);
   EXPECT_TRUE(result.responded);
   EXPECT_EQ(result.rcode, dns::Rcode::kNoError);
   EXPECT_FALSE(result.addresses().empty());
@@ -164,9 +164,9 @@ TEST_F(PublicDnsTest, InstancesSpreadWithinSite) {
   // IPs, few /24s). The research ADNS answers each query with the address
   // of the instance that asked, and every name is fresh, so each answer
   // names the instance the service picked.
-  net::DeviceScope device(1);
+  net::DeviceState device(1);
   auto& att = world_->carrier(0);
-  const net::Ipv4Addr src = att.assign_ip(4);
+  const net::Ipv4Addr src = att.assign_ip(4, device);
   std::set<uint32_t> instances;
   std::set<uint32_t> slash24s;
   for (int i = 0; i < 12; ++i) {
@@ -175,7 +175,7 @@ TEST_F(PublicDnsTest, InstancesSpreadWithinSite) {
     const auto served = world_->google_dns().serve_wire(
         dns::encode(dns::Message::query(static_cast<uint16_t>(9 + i), qname,
                                         dns::RRType::kA)),
-        src, net::SimTime::from_seconds(i), rng_);
+        src, net::SimTime::from_seconds(i), rng_, device);
     const auto response = dns::decode(served.wire);
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->header.id, 9 + i);

@@ -3,7 +3,7 @@
 #include "core/world.h"
 #include "dns/resolver.h"
 #include "dns/reverse.h"
-#include "net/device_scope.h"
+#include "net/device_state.h"
 #include "util/strings.h"
 
 namespace curtain::dns {
@@ -45,8 +45,8 @@ class ReverseZoneTest : public ::testing::Test {
   }
   static core::World* world_;
   net::Rng rng_{11011};
-  // Resolver caches, query ids and NAT cursors exist only inside a scope.
-  net::DeviceScope scope_{1};
+  // The one device whose resolver caches and NAT cursors the tests use.
+  net::DeviceState device_{1};
 
   ResolutionResult resolve_ptr(net::Ipv4Addr address) {
     // A wired recursive resolver doing the PTR lookup a traceroute tool
@@ -65,7 +65,7 @@ class ReverseZoneTest : public ::testing::Test {
                                    world_->root_dns_ip());
     }();
     return resolver->resolve(reverse_name(address), RRType::kPTR,
-                             net::SimTime::zero(), rng_);
+                             net::SimTime::zero(), rng_, device_);
   }
 };
 
