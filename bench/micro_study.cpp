@@ -1,7 +1,7 @@
 // Microbenchmarks at the campaign level: world construction and full
 // experiment throughput — what bounds a CURTAIN_SCALE=1 run — plus the
-// analysis pass that follows it: the probes CSV export and the headline
-// bootstrap. BM_FullExperiment also counts the heap allocations one
+// analysis pass that follows it: the probes CSV export, Fig. 14's replica
+// grouping and the headline bootstrap. BM_FullExperiment also counts the heap allocations one
 // experiment makes, through a counting operator new local to this binary.
 #include <benchmark/benchmark.h>
 
@@ -11,10 +11,12 @@
 #include <streambuf>
 
 #include "analysis/export.h"
+#include "analysis/figures.h"
 #include "analysis/stats.h"
 #include "bench_common.h"
 #include "cdn/domains.h"
 #include "cellular/device.h"
+#include "core/study.h"
 #include "core/world.h"
 #include "dns/stub.h"
 #include "measure/experiment.h"
@@ -174,6 +176,23 @@ void BM_ExportProbesCsv(benchmark::State& state) {
                           static_cast<int64_t>(records.probe_count()));
 }
 BENCHMARK(BM_ExportProbesCsv)->Unit(benchmark::kMillisecond);
+
+/// Fig. 14's grouping of replica HTTP samples into public-vs-local deltas,
+/// over a paper_repro campaign (paper_2014, seed 20141105, scale 0.02:
+/// ~230k probes, ~41k deltas). The campaign runs once per benchmark run,
+/// outside the timed loop.
+void BM_Fig14Delta(benchmark::State& state) {
+  core::Study study(
+      core::Scenario::paper_2014().with_seed(20141105).with_scale(0.02));
+  study.run();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        analysis::fig14_public_replica_delta(study.records()));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(study.records().probe_count()));
+}
+BENCHMARK(BM_Fig14Delta)->Unit(benchmark::kMillisecond);
 
 /// The report's headline interval at paper_repro size: 500 resamples of
 /// n = 40k public-vs-local replica deltas, ~80 % of them at or below 0

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <string>
+#include <vector>
 
 #include "analysis/census.h"
 #include "analysis/ldns.h"
@@ -79,6 +80,19 @@ std::vector<GoogleDrift> fig12_google_drift(const measure::RecordStore& d);
 
 /// Fig. 13: per carrier, resolution times local vs Google vs OpenDNS.
 std::map<std::string, CdfGroup> fig13_public_resolution(const measure::RecordStore& d);
+
+/// One Fig. 14 comparison: for one experiment and domain, the percent
+/// difference between the mean HTTP latency of the replicas a public
+/// service selected and of those the local resolver selected; 0 when the
+/// two /24 sets intersect.
+struct ReplicaDelta {
+  int carrier_index = 0;
+  measure::ResolverKind service = measure::ResolverKind::kGoogle;
+  double percent = 0.0;
+};
+/// Every Fig. 14 comparison, by experiment, then domain, Google before
+/// OpenDNS.
+std::vector<ReplicaDelta> fig14_replica_deltas(const measure::RecordStore& d);
 
 /// Fig. 14: per carrier and public service, CDF of the percent difference
 /// between public-DNS-selected and local-DNS-selected replica latency,
