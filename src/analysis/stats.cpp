@@ -78,32 +78,28 @@ ConfidenceInterval bootstrap_fraction_at_or_below(const Ecdf& cdf, double x,
                                                   double confidence) {
   ConfidenceInterval interval;
   interval.point = cdf.fraction_at_or_below(x);
+  // A resample draws n samples with replacement; the number at or below x
+  // among them is exactly Binomial(n, rank / n), where rank counts the
+  // samples at or below x. So each resample draws that count directly: one
+  // uniform through the binomial's CDF table (DESIGN.md §19). With rank 0
+  // or n every resample repeats the point estimate.
   const auto& samples = cdf.sorted_values();
-  if (samples.size() < 2 || resamples <= 0) {
-    interval.low = interval.high = interval.point;
-    return interval;
-  }
-  // Each resample draws n indices uniformly from [0, n) and counts those
-  // whose sample is <= x. The samples are sorted, so that holds exactly for
-  // the indices below `rank`: the loop compares the drawn index with it and
-  // never loads a sample. One UniformBelow(n) serves every draw, consuming
-  // the generator as uniform_u64(0, n - 1) would, so the resample fractions
-  // (and the interval) are unchanged (DESIGN.md §19).
   const uint64_t n = samples.size();
   const auto rank = static_cast<uint64_t>(
       std::partition_point(samples.begin(), samples.end(),
                            [x](double v) { return v <= x; }) -
       samples.begin());
-  const net::UniformBelow draw_index(n);
+  if (n < 2 || resamples <= 0 || rank == 0 || rank == n) {
+    interval.low = interval.high = interval.point;
+    return interval;
+  }
+  const net::Binomial draw_count(
+      n, static_cast<double>(rank) / static_cast<double>(n));
   net::Rng rng(seed);
   std::vector<double> fractions;
   fractions.reserve(static_cast<size_t>(resamples));
   for (int r = 0; r < resamples; ++r) {
-    uint64_t at_or_below = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-      if (draw_index(rng) < rank) ++at_or_below;
-    }
-    fractions.push_back(static_cast<double>(at_or_below) /
+    fractions.push_back(static_cast<double>(draw_count(rng)) /
                         static_cast<double>(n));
   }
   std::sort(fractions.begin(), fractions.end());

@@ -1,6 +1,8 @@
 #include "net/rng.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/contract.h"
 
@@ -273,6 +275,53 @@ size_t Rng::weighted_index(const std::vector<double>& weights) {
     target -= w;
   }
   return weights.empty() ? 0 : weights.size() - 1;
+}
+
+Binomial::Binomial(uint64_t n, double p) {
+  CURTAIN_CHECK(p >= 0.0 && p <= 1.0) << "Binomial(" << n << ", " << p << ")";
+  const uint64_t mode = std::min(
+      n, static_cast<uint64_t>(static_cast<double>(n + 1) * p));
+  // Unnormalised terms, with pmf(mode) = 1; each side of the mode decreases
+  // away from it, so the first term below the smallest normal double ends
+  // that side. (Subnormal terms would lose precision until a ratio above
+  // 1/2 rounded the smallest of them to itself, and a side never ended.)
+  constexpr double kSmallest = std::numeric_limits<double>::min();
+  // The odds are used only on a side that has terms: at p = 0 the mode is
+  // 0 and at p = 1 it is n.
+  const double odds = p / (1.0 - p);
+  const double inverse_odds = (1.0 - p) / p;
+  std::vector<double> below;  // pmf(mode - 1), pmf(mode - 2), ...
+  double term = 1.0;
+  for (uint64_t k = mode; k > 0; --k) {
+    term *= static_cast<double>(k) / static_cast<double>(n - k + 1) *
+            inverse_odds;
+    if (term < kSmallest) break;
+    below.push_back(term);
+  }
+  first_ = mode - below.size();
+  cdf_.assign(below.rbegin(), below.rend());
+  cdf_.push_back(1.0);
+  term = 1.0;
+  for (uint64_t k = mode; k < n; ++k) {
+    term *= static_cast<double>(n - k) / static_cast<double>(k + 1) * odds;
+    if (term < kSmallest) break;
+    cdf_.push_back(term);
+  }
+  double total = 0.0;
+  for (double& entry : cdf_) {
+    total += entry;
+    entry = total;
+  }
+  // The last entry becomes total / total: exactly 1, so every u in [0, 1)
+  // finds an entry above it.
+  for (double& entry : cdf_) entry /= total;
+}
+
+uint64_t Binomial::operator()(Rng& rng) const {
+  const double u = rng.next_double();
+  return first_ + static_cast<uint64_t>(
+                      std::upper_bound(cdf_.begin(), cdf_.end(), u) -
+                      cdf_.begin());
 }
 
 }  // namespace curtain::net

@@ -80,8 +80,7 @@ class Rng {
   Rng derive(std::string_view tag) const;
   Rng derive(std::string_view tag, uint64_t id) const;
 
-  /// Defined here so draw loops inline it (the report's bootstrap makes
-  /// ~20 M draws).
+  /// Defined here so draw loops (uniform_u64, normal) inline it.
   uint64_t next_u64() {
     const uint64_t result = rotl(s_[1] * 5, 7) * 9;
     const uint64_t t = s_[1] << 17;
@@ -150,9 +149,9 @@ extern const std::array<double, 257> kZigguratF;
 /// Uniform draws from [0, bound), bound >= 1, without modulo bias: a draw
 /// at or above the largest multiple of `bound` that fits in 64 bits is
 /// rejected and redrawn, and the rest are reduced by ReciprocalRemainder.
-/// Rng::uniform_u64 draws through one; a loop with a fixed bound (the
-/// bootstrap's resampling) builds one once and reuses it, which consumes
-/// the generator exactly as repeated uniform_u64(0, bound - 1) calls do.
+/// Rng::uniform_u64 draws through one; a loop with a fixed bound can build
+/// one once and reuse it, which consumes the generator exactly as repeated
+/// uniform_u64(0, bound - 1) calls do.
 class UniformBelow {
  public:
   constexpr explicit UniformBelow(uint64_t bound)
@@ -167,6 +166,28 @@ class UniformBelow {
  private:
   uint64_t limit_;
   ReciprocalRemainder remainder_;
+};
+
+/// Draws from Binomial(n, p), 0 <= p <= 1, by inversion: one next_double()
+/// per draw, looked up in a CDF table built at construction. The table
+/// holds the pmf from the mode outward by the ratio recurrence
+/// pmf(k+1) / pmf(k) = (n-k)/(k+1) · p/(1-p), for as long as a term stays
+/// a normal double (about 38 standard deviations each side), then is
+/// cumulated and normalised. Building is O(that width), a draw a binary
+/// search over it. p = 0 and p = 1 give one entry.
+class Binomial {
+ public:
+  Binomial(uint64_t n, double p);
+
+  uint64_t operator()(Rng& rng) const;
+
+  /// Smallest outcome in the table; entry i is P(X <= first() + i).
+  uint64_t first() const { return first_; }
+  const std::vector<double>& cdf() const { return cdf_; }
+
+ private:
+  uint64_t first_ = 0;
+  std::vector<double> cdf_;
 };
 
 }  // namespace curtain::net

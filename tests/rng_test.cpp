@@ -393,5 +393,132 @@ TEST(ReciprocalRemainder, RandomDivisorsMatchModulo) {
   }
 }
 
+// --- Binomial draws ----------------------------------------------------------
+
+// Binomial(n, p) pmf at k from lgamma, independent of the sampler's ratio
+// recurrence. Long double: at n = 10^6 the log-gammas are ~1.3e7, where a
+// double's ulp (1.9e-9) would limit the pmf to about 1e-8 relative.
+double binomial_pmf(uint64_t n, double p, uint64_t k) {
+  const auto nd = static_cast<long double>(n);
+  const auto kd = static_cast<long double>(k);
+  const long double pd = p;
+  return static_cast<double>(
+      std::exp(std::lgamma(nd + 1) - std::lgamma(kd + 1) -
+               std::lgamma(nd - kd + 1) + kd * std::log(pd) +
+               (nd - kd) * std::log1p(-pd)));
+}
+
+// Pearson's chi-square of `draws` Binomial(n, p) draws from `seed` against
+// the exact pmf. Outcomes pool into cells of expected count >= 5, the lowest
+// cell taking everything below it and the highest everything above; the
+// statistic must stay under the 0.1 % critical value (Wilson-Hilferty).
+void expect_binomial_fits(uint64_t n, double p, uint64_t seed) {
+  constexpr int kDraws = 200000;
+  const Binomial binomial(n, p);
+  Rng rng(seed);
+  std::vector<uint64_t> drawn(kDraws);
+  for (uint64_t& k : drawn) k = binomial(rng);
+  std::sort(drawn.begin(), drawn.end());
+  ASSERT_LE(drawn.back(), n);
+
+  const double mean = static_cast<double>(n) * p;
+  const double sd = std::sqrt(mean * (1.0 - p));
+  const auto lo = static_cast<uint64_t>(std::max(0.0, mean - 12 * sd - 5));
+  const auto hi = std::min(n, static_cast<uint64_t>(mean + 12 * sd + 5));
+  // Cell upper bounds, closed when the expected count reaches 5.
+  std::vector<uint64_t> upper;
+  std::vector<double> expected;
+  double pending = 0.0;
+  for (uint64_t k = lo; k <= hi; ++k) {
+    pending += kDraws * binomial_pmf(n, p, k);
+    if (pending >= 5.0) {
+      upper.push_back(k);
+      expected.push_back(pending);
+      pending = 0.0;
+    }
+  }
+  expected.back() += pending;  // the highest cell runs to n
+  upper.back() = n;
+  ASSERT_GE(expected.size(), 2u);
+  double chi2 = 0.0;
+  auto next = drawn.begin();
+  for (size_t c = 0; c < upper.size(); ++c) {
+    const auto end = std::upper_bound(next, drawn.end(), upper[c]);
+    const auto observed = static_cast<double>(end - next);
+    chi2 += (observed - expected[c]) * (observed - expected[c]) / expected[c];
+    next = end;
+  }
+  const auto df = static_cast<double>(expected.size() - 1);
+  const double h = 2.0 / (9.0 * df);
+  const double critical = df * std::pow(1.0 - h + 3.09 * std::sqrt(h), 3);
+  EXPECT_LT(chi2, critical) << "n=" << n << " p=" << p << " seed=" << seed
+                            << " cells=" << expected.size();
+}
+
+TEST(Binomial, ChiSquareAgainstExactPmf) {
+  for (const uint64_t seed : {uint64_t{20141105}, uint64_t{7}}) {
+    expect_binomial_fits(1, 0.5, seed);
+    expect_binomial_fits(10, 0.3, seed);
+    expect_binomial_fits(40806, 0.816, seed);
+    expect_binomial_fits(1'000'000, 1e-5, seed);
+  }
+}
+
+// The table is the pmf: each entry's step within 1e-10 relative of the
+// lgamma form (plus 1e-15, the rounding of a difference of two CDF values
+// near 1), covering all but a negligible mass, and ending at exactly 1.
+TEST(Binomial, TableMatchesExactPmf) {
+  for (const auto& [n, p] : {std::pair<uint64_t, double>{10, 0.3},
+                             {40806, 0.816},
+                             {1'000'000, 1e-5}}) {
+    const Binomial binomial(n, p);
+    const auto& cdf = binomial.cdf();
+    ASSERT_EQ(cdf.back(), 1.0);
+    double previous = 0.0;
+    double covered = 0.0;
+    for (size_t i = 0; i < cdf.size(); ++i) {
+      const double exact = binomial_pmf(n, p, binomial.first() + i);
+      EXPECT_NEAR(cdf[i] - previous, exact, 1e-10 * exact + 1e-15)
+          << n << " " << p << " " << i;
+      covered += exact;
+      previous = cdf[i];
+    }
+    EXPECT_NEAR(covered, 1.0, 1e-12) << n << " " << p;
+  }
+}
+
+TEST(Binomial, EdgeProbabilitiesAreOnePoint) {
+  for (const uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{40806}}) {
+    const Binomial never(n, 0.0);
+    const Binomial always(n, 1.0);
+    EXPECT_EQ(never.cdf().size(), 1u);
+    EXPECT_EQ(always.cdf().size(), 1u);
+    Rng rng(n + 3);
+    for (int i = 0; i < 1000; ++i) {
+      EXPECT_EQ(never(rng), 0u);
+      EXPECT_EQ(always(rng), n);
+    }
+  }
+}
+
+// One next_double() per draw: a seed fixes the sequence, and the generator
+// ends where the same number of next_double() calls leaves it.
+TEST(Binomial, DeterministicPerSeedOneUniformPerDraw) {
+  const Binomial binomial(40806, 0.816);
+  Rng a(42);
+  Rng b(42);
+  Rng c(43);
+  Rng uniforms(42);
+  int differ = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t k = binomial(a);
+    EXPECT_EQ(binomial(b), k);
+    if (binomial(c) != k) ++differ;
+    uniforms.next_double();
+  }
+  EXPECT_GT(differ, 900);
+  EXPECT_EQ(a.next_u64(), uniforms.next_u64());
+}
+
 }  // namespace
 }  // namespace curtain::net
