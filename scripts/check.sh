@@ -1,18 +1,24 @@
 #!/usr/bin/env bash
 # One-command CI matrix for the curtain tree.
 #
-#   scripts/check.sh          # full matrix (plain, asan+ubsan, tsan, lint,
-#                             # bench-smoke, profile-smoke, rss-smoke,
-#                             # run-smoke, campaign-smoke,
-#                             # experiments-current)
-#   scripts/check.sh plain    # just one leg: plain | sanitize | tsan | lint
-#                             #   | bench-smoke | profile-smoke | rss-smoke
-#                             #   | run-smoke | campaign-smoke
-#                             #   | experiments-current
+#   scripts/check.sh          # full matrix (plain, release-build,
+#                             # asan+ubsan, tsan, lint, bench-smoke,
+#                             # profile-smoke, rss-smoke, run-smoke,
+#                             # campaign-smoke, experiments-current)
+#   scripts/check.sh plain    # just one leg: plain | release-build
+#                             #   | sanitize | tsan | lint | bench-smoke
+#                             #   | profile-smoke | rss-smoke | run-smoke
+#                             #   | campaign-smoke | experiments-current
 #
 # Legs:
 #   plain     default build (all warnings + -Werror) and the full ctest
 #             suite — the tier-1 gate.
+#   release-build
+#             compiles every target with -DCMAKE_BUILD_TYPE=Release (-O3,
+#             build-release/) under -Werror and runs nothing: GCC's -O3
+#             inlining reports warnings the default RelWithDebInfo (-O2)
+#             build never sees, e.g. -Wrestrict on a `"x" + std::string`
+#             temporary, so a tree that builds at -O2 can fail at -O3.
 #   sanitize  ASan+UBSan build tree (build-asan/) and the full ctest suite.
 #   tsan      TSan build tree (build-tsan/) running shard_determinism_test,
 #             which drives real worker thread pools against the shared
@@ -87,6 +93,12 @@ plain_leg() {
   cmake -B build -S . >/dev/null
   cmake --build build -j "$JOBS"
   ctest --test-dir build --output-on-failure -j "$JOBS"
+}
+
+release_build_leg() {
+  run_leg "Release (-O3) build, compile only"
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build-release -j "$JOBS"
 }
 
 sanitize_leg() {
@@ -243,6 +255,7 @@ experiments_current_leg() {
 
 case "$LEG" in
   plain)    plain_leg ;;
+  release-build) release_build_leg ;;
   sanitize) sanitize_leg ;;
   tsan)     tsan_leg ;;
   lint)     lint_leg ;;
@@ -254,6 +267,7 @@ case "$LEG" in
   experiments-current) experiments_current_leg ;;
   all)
     plain_leg
+    release_build_leg
     sanitize_leg
     tsan_leg
     lint_leg
@@ -267,7 +281,7 @@ case "$LEG" in
     echo "=== check.sh: all legs green ==="
     ;;
   *)
-    echo "usage: scripts/check.sh [plain|sanitize|tsan|lint|bench-smoke|profile-smoke|rss-smoke|run-smoke|campaign-smoke|experiments-current|all]" >&2
+    echo "usage: scripts/check.sh [plain|release-build|sanitize|tsan|lint|bench-smoke|profile-smoke|rss-smoke|run-smoke|campaign-smoke|experiments-current|all]" >&2
     exit 2
     ;;
 esac

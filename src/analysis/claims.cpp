@@ -158,7 +158,9 @@ ClaimVerdict fig3_3g_gap(const Inputs& in) {
       continue;
     }
     const double gap = bands.g3.median() - bands.lte_p50;
-    v.row(carrier, "+" + ms(gap), gap >= 25.0 && gap <= 100.0);
+    std::string value = "+";
+    value += ms(gap);
+    v.row(carrier, value, gap >= 25.0 && gap <= 100.0);
   }
   return v.all();
 }

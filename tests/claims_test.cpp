@@ -51,9 +51,10 @@ TEST(Claims, LedgerListsEveryBandAndFlagsMismatches) {
   std::ostringstream matching;
   write_claim_ledger(runs, kClaimScale, matching);
   for (const Claim& claim : claims) {
-    EXPECT_NE(matching.str().find("`" + std::string(claim.id) + "`"),
-              std::string::npos)
-        << claim.id;
+    std::string quoted = "`";
+    quoted += claim.id;
+    quoted += '`';
+    EXPECT_NE(matching.str().find(quoted), std::string::npos) << claim.id;
   }
   EXPECT_NE(matching.str().find(std::to_string(claims.size()) + " of " +
                                 std::to_string(claims.size()) + " bands match"),

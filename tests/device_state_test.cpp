@@ -132,7 +132,9 @@ TEST_F(DeviceStateTest, SecondDeviceSeesColdClientFacingInstance) {
   constexpr int kNames = 12;
   net::DeviceState device(1);
   auto ask = [&](int i, net::Ipv4Addr source) {
-    const std::string qname = "n" + std::to_string(i) + ".example.com";
+    std::string qname = "n";
+    qname += std::to_string(i);
+    qname += ".example.com";
     client.serve(Message::query(7, name(qname.c_str()), RRType::kA), source,
                  now, rng_, device);
   };

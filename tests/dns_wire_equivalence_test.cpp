@@ -132,6 +132,20 @@ class MiniWorld {
   std::vector<std::optional<EdnsClientSubnet>> ecs_seen_;
 };
 
+/// Orders packets by length, then byte by byte. (std::less on two byte
+/// vectors inlines a memcmp whose length GCC 12 at -O3 cannot bound, and
+/// -Wstringop-overread fires.)
+struct ShorterThenBytes {
+  bool operator()(const std::vector<uint8_t>& a,
+                  const std::vector<uint8_t>& b) const {
+    if (a.size() != b.size()) return a.size() < b.size();
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i] != b[i]) return a[i] < b[i];
+    }
+    return false;
+  }
+};
+
 /// Runs queries through serve() on one world and serve_wire() on its
 /// twin, asserting identical outcomes, and keeps every packet for the
 /// codec sweeps. Each world has its own RNG and its own device state.
@@ -167,18 +181,21 @@ class Exchanger {
     return served.message;
   }
 
-  const std::set<std::vector<uint8_t>>& corpus() const { return corpus_; }
+  const std::set<std::vector<uint8_t>, ShorterThenBytes>& corpus() const {
+    return corpus_;
+  }
 
  private:
   net::Rng typed_rng_;
   net::Rng wire_rng_;
   net::DeviceState typed_device_{1};
   net::DeviceState wire_device_{1};
-  std::set<std::vector<uint8_t>> corpus_;
+  std::set<std::vector<uint8_t>, ShorterThenBytes> corpus_;
 };
 
 /// Round-trips and damages every packet an Exchanger saw.
-void expect_corpus_survives(const std::set<std::vector<uint8_t>>& corpus) {
+void expect_corpus_survives(
+    const std::set<std::vector<uint8_t>, ShorterThenBytes>& corpus) {
   for (const auto& wire : corpus) {
     const auto decoded = decode(wire);
     ASSERT_TRUE(decoded.has_value());
