@@ -70,6 +70,7 @@ enum class ProbeTargetKind {
   kPublicVip,         ///< public DNS service address
   kBootstrap,         ///< radio wake-up probe
 };
+constexpr size_t kNumProbeTargetKinds = 5;
 
 /// A ping or HTTP GET (time-to-first-byte) probe.
 struct ProbeMeasurement {
