@@ -1,7 +1,9 @@
 #include "net/ipv4.h"
 
+#include <array>
 #include <charconv>
 #include <cstddef>
+#include <cstring>
 
 #include "util/contract.h"
 
@@ -18,6 +20,28 @@ std::optional<uint8_t> parse_octet(std::string_view s) {
   }
   return static_cast<uint8_t>(value);
 }
+
+/// The decimal text of one octet value, followed by a dot.
+struct OctetText {
+  char text[4];  // digits, '.', then padding
+  uint8_t digits;
+};
+
+constexpr std::array<OctetText, 256> make_octet_texts() {
+  std::array<OctetText, 256> texts{};
+  for (int v = 0; v < 256; ++v) {
+    OctetText& t = texts[static_cast<size_t>(v)];
+    const int hundreds = v / 100;
+    const int tens = v / 10 % 10;
+    if (hundreds != 0) t.text[t.digits++] = static_cast<char>('0' + hundreds);
+    if (v >= 10) t.text[t.digits++] = static_cast<char>('0' + tens);
+    t.text[t.digits++] = static_cast<char>('0' + v % 10);
+    t.text[t.digits] = '.';
+  }
+  return texts;
+}
+
+constexpr std::array<OctetText, 256> kOctetTexts = make_octet_texts();
 
 }  // namespace
 
@@ -39,11 +63,18 @@ std::optional<Ipv4Addr> Ipv4Addr::parse(std::string_view text) {
 char* Ipv4Addr::to_chars(char* first, char* last) const {
   CURTAIN_DCHECK(last - first >= static_cast<std::ptrdiff_t>(kMaxChars))
       << "Ipv4Addr::to_chars needs " << kMaxChars << " bytes";
-  for (int i = 0; i < 4; ++i) {
-    if (i != 0) *first++ = '.';
-    first = std::to_chars(first, last, octet(i)).ptr;
+  // Each copy is fixed-width: the first three octets copy digits, dot and
+  // padding (four bytes, the padding overwritten by the next copy), the
+  // last copies three bytes. The last copy starts at most 12 bytes in, so
+  // nothing lands past first + kMaxChars.
+  for (int i = 0; i < 3; ++i) {
+    const OctetText& t = kOctetTexts[octet(i)];
+    std::memcpy(first, t.text, 4);
+    first += t.digits + 1;
   }
-  return first;
+  const OctetText& t = kOctetTexts[octet(3)];
+  std::memcpy(first, t.text, 3);
+  return first + t.digits;
 }
 
 std::string Ipv4Addr::to_string() const {

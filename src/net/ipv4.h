@@ -33,9 +33,10 @@ class Ipv4Addr {
   /// Length of the longest dotted quad, "255.255.255.255".
   static constexpr size_t kMaxChars = 15;
   /// Writes the dotted quad into [first, last), which must hold kMaxChars
-  /// bytes, and returns one past the last byte written. The only address
+  /// bytes, and returns one past its last character; the bytes from there
+  /// up to first + kMaxChars may be overwritten. The only address
   /// formatter: to_string() and Prefix::to_chars() are built on it, and
-  /// the CSV export calls it into a stack buffer.
+  /// the CSV export calls it straight into its row buffer.
   char* to_chars(char* first, char* last) const;
   std::string to_string() const;
 
@@ -89,7 +90,8 @@ class Prefix {
   /// Length of the longest rendering, "255.255.255.255/32".
   static constexpr size_t kMaxChars = Ipv4Addr::kMaxChars + 3;
   /// Writes "a.b.c.d/len" into [first, last), which must hold kMaxChars
-  /// bytes, and returns one past the last byte written.
+  /// bytes, and returns one past its last character (as
+  /// Ipv4Addr::to_chars, later bytes of the kMaxChars may be overwritten).
   char* to_chars(char* first, char* last) const;
   std::string to_string() const;
 

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cstring>
 #include <string>
 
 #include "net/ip_allocator.h"
 #include "net/ipv4.h"
+#include "net/rng.h"
 
 namespace curtain::net {
 namespace {
@@ -46,6 +49,64 @@ TEST(Ipv4, ToCharsFillsAtMostMaxChars) {
     const std::string d = std::to_string(v);
     ASSERT_EQ(text(Ipv4Addr{o, 9, o, 100}), d + ".9." + d + ".100");
     ASSERT_EQ(Ipv4Addr(o, 0, 10, o).to_string(), d + ".0.10." + d);
+  }
+}
+
+// The reference: each octet through std::to_chars, joined by dots.
+std::string reference_quad(Ipv4Addr a) {
+  std::string out;
+  for (int i = 0; i < 4; ++i) {
+    char digits[3];
+    if (i != 0) out += '.';
+    out.append(digits, std::to_chars(digits, digits + 3, a.octet(i)).ptr);
+  }
+  return out;
+}
+
+// to_chars formats from an octet table with fixed-width copies; bytes
+// after the text are scratch, but nothing may land past kMaxChars.
+TEST(Ipv4, ToCharsMatchesReferenceForEveryOctet) {
+  constexpr char kGuard = '#';
+  char buf[Prefix::kMaxChars + 8];
+  const auto text = [&](Ipv4Addr a) {
+    std::memset(buf, kGuard, sizeof(buf));
+    const char* end = a.to_chars(buf, buf + Ipv4Addr::kMaxChars);
+    for (size_t i = Ipv4Addr::kMaxChars; i < sizeof(buf); ++i) {
+      EXPECT_EQ(buf[i], kGuard) << "byte " << i << " of " << a.to_string();
+    }
+    return std::string(static_cast<const char*>(buf), end);
+  };
+  // Every value in every position, beside the widest and narrowest
+  // neighbours.
+  for (int pos = 0; pos < 4; ++pos) {
+    for (const uint8_t other : {uint8_t{0}, uint8_t{7}, uint8_t{255}}) {
+      for (int v = 0; v < 256; ++v) {
+        uint8_t octets[4] = {other, other, other, other};
+        octets[pos] = static_cast<uint8_t>(v);
+        const Ipv4Addr a(octets[0], octets[1], octets[2], octets[3]);
+        ASSERT_EQ(text(a), reference_quad(a));
+        ASSERT_EQ(a.to_string(), reference_quad(a));
+      }
+    }
+  }
+  net::Rng rng(20141105);
+  for (int i = 0; i < 100000; ++i) {
+    const Ipv4Addr a(static_cast<uint32_t>(rng.next_u64()));
+    ASSERT_EQ(text(a), reference_quad(a));
+  }
+  // Prefix appends "/len" to the network's quad at every length.
+  const Ipv4Addr host{255, 255, 255, 255};
+  for (int length = 0; length <= 32; ++length) {
+    const Prefix prefix(host, length);
+    std::memset(buf, kGuard, sizeof(buf));
+    const char* end = prefix.to_chars(buf, buf + Prefix::kMaxChars);
+    for (size_t i = Prefix::kMaxChars; i < sizeof(buf); ++i) {
+      ASSERT_EQ(buf[i], kGuard) << "byte " << i << " at /" << length;
+    }
+    std::string expected = reference_quad(prefix.address());
+    expected += '/';
+    expected += std::to_string(length);
+    ASSERT_EQ(std::string(static_cast<const char*>(buf), end), expected);
   }
 }
 
