@@ -295,6 +295,33 @@ TEST(Csv, ViewFieldsQuoteOnlyWhenNeeded) {
             "\"\"\"\"\"\"\"\"\"\"\"\"");  // the widest: 2 * 5 + 2
 }
 
+// A name formatted once into a CsvCells table and text written straight
+// into the row both end up quoted as a view cell is.
+TEST(Csv, TableAndInPlaceCellsQuoteAsViewCells) {
+  const std::string_view fields[] = {
+      "plain", "", "a,b", "say \"hi\"", "two\nlines", "cr\rhere", "\"",
+      "\"\"\"", ",", "1.2.3.4 5.6.7.8", "hop|\"x\",y"};
+  CsvCells table;
+  for (const std::string_view field : fields) table.add(field);
+  ASSERT_EQ(table.size(), std::size(fields));
+  for (size_t i = 0; i < table.size(); ++i) {
+    const std::string_view field = fields[i];
+    const std::string expected = csv_escape(std::string(field)) + "\n";
+    std::ostringstream from_table;
+    CsvWriter table_writer(from_table);
+    table_writer.typed_row(table[i]);
+    EXPECT_EQ(from_table.str(), expected) << field;
+    const auto write = [field](char* at) {
+      std::memcpy(at, field.data(), field.size());
+      return at + field.size();
+    };
+    std::ostringstream in_place;
+    CsvWriter in_place_writer(in_place);
+    in_place_writer.typed_row(CsvInPlace{field.size(), write});
+    EXPECT_EQ(in_place.str(), expected) << field;
+  }
+}
+
 TEST(Csv, TypedRowMatchesPerCellEscaping) {
   // One row of every cell type the dataset export writes, against the
   // pre-append-only rule: each cell escaped on its own, joined by commas.
