@@ -177,6 +177,33 @@ void BM_ExportProbesCsv(benchmark::State& state) {
 }
 BENCHMARK(BM_ExportProbesCsv)->Unit(benchmark::kMillisecond);
 
+/// All six CSV surfaces of a paper_repro campaign (paper_2014, seed
+/// 20141105, scale 0.02: ~122k resolutions, ~261k probes) written into a
+/// discarding stream; items are rows. The campaign runs once per benchmark
+/// run, outside the timed loop.
+void BM_ExportDataset(benchmark::State& state) {
+  core::Study study(
+      core::Scenario::paper_2014().with_seed(20141105).with_scale(0.02));
+  study.run();
+  const measure::RecordStore& records = study.records();
+  DiscardBuf buffer;
+  std::ostream out(&buffer);
+  for (auto _ : state) {
+    analysis::export_experiments_csv(records, out);
+    analysis::export_resolutions_csv(records, out);
+    analysis::export_probes_csv(records, out);
+    analysis::export_traceroutes_csv(records, out);
+    analysis::export_resolver_observations_csv(records, out);
+    analysis::export_vantage_probes_csv(records, out);
+  }
+  const size_t rows = records.experiment_count() +
+                      records.resolution_count() + records.probe_count() +
+                      records.traceroute_count() +
+                      records.observation_count() + records.vantage_count();
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(rows));
+}
+BENCHMARK(BM_ExportDataset)->Unit(benchmark::kMillisecond);
+
 /// Fig. 14's grouping of replica HTTP samples into public-vs-local deltas,
 /// over a paper_repro campaign (paper_2014, seed 20141105, scale 0.02:
 /// ~230k probes, ~41k deltas). The campaign runs once per benchmark run,
