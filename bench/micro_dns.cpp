@@ -197,6 +197,7 @@ void BM_RecursiveResolution(benchmark::State& state) {
       attach("resolver", net::NodeKind::kResolver, {41, -87}, net::Ipv4Addr{});
   dns::RecursiveResolver resolver("bench", rnode, net::Ipv4Addr{9, 9, 9, 9},
                                   &topo, &registry, hierarchy.root_ip());
+  topo.freeze();
   // One device's state across every iteration holds the resolver's cache
   // and query ids, as one campaign device's timeline does.
   net::DeviceState device(1);
@@ -237,6 +238,7 @@ void BM_CachedResolution(benchmark::State& state) {
       attach("resolver", net::NodeKind::kResolver, {41, -87}, net::Ipv4Addr{});
   dns::RecursiveResolver resolver("bench", rnode, net::Ipv4Addr{9, 9, 9, 9},
                                   &topo, &registry, hierarchy.root_ip());
+  topo.freeze();
   net::DeviceState device(1);  // one device's cache, warm across iterations
   auto rng = bench::bench_rng("micro_dns/resolve-warm");
   resolver.resolve(host, dns::RRType::kA, net::SimTime::zero(), rng, device);
@@ -283,6 +285,7 @@ void BM_CachedResolutionInterned(benchmark::State& state) {
       attach("resolver", net::NodeKind::kResolver, {41, -87}, net::Ipv4Addr{});
   dns::RecursiveResolver resolver("bench", rnode, net::Ipv4Addr{9, 9, 9, 9},
                                   &topo, &registry, hierarchy.root_ip());
+  topo.freeze();
   net::DeviceState device(1);  // one device's cache, warm across iterations
   auto rng = bench::bench_rng("micro_dns/resolve-warm-interned");
   resolver.resolve(interned, dns::RRType::kA, net::SimTime::zero(), rng,

@@ -44,7 +44,9 @@ void BM_Haversine(benchmark::State& state) {
 }
 BENCHMARK(BM_Haversine);
 
-/// A mid-sized world: full-mesh backbone of 30 metros plus 200 leaves.
+/// A mid-sized world, frozen: full-mesh backbone of 30 metros plus 200
+/// leaves, the first leaf being node 30.
+constexpr uint32_t kFirstLeaf = 30;
 net::Topology make_topology() {
   net::Topology topo;
   std::vector<net::NodeId> backbone;
@@ -73,21 +75,22 @@ net::Topology make_topology() {
                   net::LatencyModel::jittered(1.0, 0.3));
     (void)rng;
   }
+  topo.freeze();
   return topo;
 }
 
 /// One route lookup and walk with its source's shortest-path tree already
-/// cached: the pairs rotate through 200 leaf sources, so every tree is
+/// built: the pairs rotate through 200 leaf sources, so every tree is
 /// built in the first lap and reused after. The cost of building trees is
 /// BM_TransportRttManyTargets's.
 void BM_RouteWarmCache(benchmark::State& state) {
   net::Topology topo = make_topology();
-  uint32_t from = 30;  // first leaf node id
-  uint32_t to = 31;
+  uint32_t from = kFirstLeaf;
+  uint32_t to = kFirstLeaf + 1;
   for (auto _ : state) {
     benchmark::DoNotOptimize(topo.route(from, to));
-    from = 30 + (from + 7) % 200;
-    to = 30 + (to + 13) % 200;
+    from = kFirstLeaf + (from + 7) % 200;
+    to = kFirstLeaf + (to + 13) % 200;
   }
 }
 BENCHMARK(BM_RouteWarmCache);
@@ -101,25 +104,31 @@ void BM_TransportRtt(benchmark::State& state) {
 }
 BENCHMARK(BM_TransportRtt);
 
-/// One source, every other node as a target, starting from a cold route
-/// cache each sweep: the shape of a campaign, where few sources (gateways,
-/// resolvers, the vantage point) reach many targets. Sweeps alternate
-/// between two identical topologies, and switching topology empties the
-/// thread's route cache, so each sweep pays for whatever routing state
-/// one source needs: one shortest-path tree, or one search per target
-/// with a per-pair cache. One op is one sweep.
+/// One source, every other node as a target, from a source whose
+/// shortest-path tree is not built yet: the shape of a campaign, where few
+/// sources (gateways, resolvers, the vantage point) reach many targets.
+/// Each sweep routes from the next leaf of the topology; once every leaf
+/// has swept, a fresh frozen topology is built outside the timed region.
+/// So each sweep pays for whatever routing state one source needs: one
+/// shortest-path tree, or one search per target with a per-pair cache.
+/// One op is one sweep.
 void BM_TransportRttManyTargets(benchmark::State& state) {
-  const net::Topology topologies[] = {make_topology(), make_topology()};
+  net::Topology topo = make_topology();
   auto rng = bench::bench_rng("micro_net/transport-rtt-many-targets");
-  const auto nodes = static_cast<uint32_t>(topologies[0].node_count());
-  const uint32_t from = 30;  // first leaf node id
-  size_t sweep = 0;
+  const auto nodes = static_cast<uint32_t>(topo.node_count());
+  uint32_t from = kFirstLeaf;
   for (auto _ : state) {
-    const net::Topology& topo = topologies[sweep++ % 2];
+    if (from == nodes) {
+      state.PauseTiming();
+      topo = make_topology();
+      from = kFirstLeaf;
+      state.ResumeTiming();
+    }
     for (uint32_t to = 0; to < nodes; ++to) {
       if (to == from) continue;
       benchmark::DoNotOptimize(topo.transport_rtt_ms(from, to, rng));
     }
+    ++from;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(nodes - 1));

@@ -24,13 +24,17 @@
 #             which drives real worker thread pools against the shared
 #             World — including the 16-cohort × 16-worker stress case
 #             (96 shards, more cohorts than any carrier has devices) —
+#             TopologyTest.ThreadsShareOneTreePerSource, four threads
+#             racing to build one topology's route trees,
 #             PublicDnsTest.IngressMemoMatchesFreshRanking, two threads
-#             querying one public-DNS service's anycast ingress, and
-#             CdnTest.NearestClusterMemoMatchesFreshScan, two threads
-#             filling one CDN provider's per-/24 cluster memos. The
-#             world's mutable state is per device or worker-owned and
-#             takes no locks (DESIGN.md §18), so any report here is a real
-#             cross-thread share.
+#             racing to rank one public-DNS service's empty ingress slots,
+#             and CdnTest.NearestClusterMemoMatchesFreshScan, two threads
+#             filling one CDN provider's per-/24 cluster memos. Workers
+#             share exactly those world-derived values: each tree is built
+#             once under std::call_once, and each ingress slot and cluster
+#             memo is one relaxed atomic word that racing workers fill with
+#             the same bits. All other mutable state is per device
+#             (DESIGN.md §18), so any report here is a real unsafe share.
 #   lint      curtain_lint over src/ bench/ examples/ tools/ plus the
 #             waiver-inventory diff: `curtain_lint --waivers` must match
 #             the committed tools/lint/WAIVERS.txt exactly, so every new
@@ -109,12 +113,12 @@ sanitize_leg() {
 }
 
 tsan_leg() {
-  run_leg "TSan build + shard determinism (16x16 stress) + ingress and cluster memos"
+  run_leg "TSan build + shard determinism (16x16 stress) + shared route trees, ingress slots and cluster memos"
   cmake -B build-tsan -S . -DCURTAIN_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" \
-    --target shard_determinism_test publicdns_test cdn_test
+    --target shard_determinism_test topology_test publicdns_test cdn_test
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'ShardDeterminism|PublicDnsTest\.IngressMemoMatchesFreshRanking|CdnTest\.NearestClusterMemoMatchesFreshScan'
+    -R 'ShardDeterminism|TopologyTest\.ThreadsShareOneTreePerSource|PublicDnsTest\.IngressMemoMatchesFreshRanking|CdnTest\.NearestClusterMemoMatchesFreshScan'
   # The stress case must have actually run: it is the leg's reason to exist.
   ./build-tsan/tests/shard_determinism_test \
     --gtest_filter='ShardDeterminism.StressManyCohortsManyWorkers' \

@@ -45,6 +45,7 @@ World::World(Scenario config)
   build_carriers();
   register_cdn_hints();
   intern_names();
+  freeze_topology();
 }
 
 World::~World() = default;
@@ -219,6 +220,15 @@ void World::intern_names() {
   hierarchy_->bind_names(names_);
   for (auto& [name, provider] : cdns_) provider->intern_names(names_);
   names_.intern(research_apex_);
+}
+
+void World::freeze_topology() {
+  // Every node and link exists now. Close the graph and size the per-node
+  // tables that campaign workers fill on first use and then share: the
+  // route trees and each public-DNS service's anycast ingress rankings.
+  topology_.freeze();
+  google_->freeze();
+  opendns_->freeze();
 }
 
 void World::register_cdn_hints() {

@@ -10,9 +10,12 @@
 //   * the research ADNS used for resolver identification, and
 //   * the wired university vantage point.
 // Construction ends by freezing the world's static namespace into one
-// dns::NameTable and binding every zone and CDN to it (DESIGN.md §21).
-// After construction the world is immutable; campaigns only thread RNG
-// and virtual time through it.
+// dns::NameTable and binding every zone and CDN to it (DESIGN.md §21),
+// then freezing the topology (DESIGN.md §18): no node or link may be
+// added after. After construction the world's data is fixed; campaigns
+// only thread RNG and virtual time through it, and the values derived
+// from it (route trees, ingress rankings, nearest clusters) are filled
+// once by whichever worker needs one first and shared by all.
 #pragma once
 
 #include <map>
@@ -84,6 +87,7 @@ class World {
   void build_carriers();
   void register_cdn_hints();
   void intern_names();
+  void freeze_topology();
 
   dns::HostFactory host_factory();
 

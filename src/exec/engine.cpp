@@ -122,9 +122,10 @@ void CampaignEngine::run(std::span<measure::RecordStore> stores) {
   // shard index from an atomic cursor, so shards start in index order no
   // matter which worker frees up first. Which worker runs which shard
   // varies run to run — that's fine, because nothing result-visible is
-  // keyed by the worker: device state is reset for every device and the
-  // only worker-owned state, the route cache and the anycast ingress
-  // ranking, holds deterministic functions of the world.
+  // keyed by the worker: device state is reset for every device, and the
+  // world-derived values that workers share (route trees, anycast ingress
+  // rankings, nearest-cluster memos) are deterministic functions of the
+  // frozen world, whichever worker fills them first.
   const size_t pool = std::min(static_cast<size_t>(config_.workers),
                                shards_.size() == 0 ? size_t{1}
                                                    : shards_.size());

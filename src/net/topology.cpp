@@ -1,10 +1,10 @@
 #include "net/topology.h"
 
-#include <atomic>
 #include <limits>
 #include <queue>
 
 #include "obs/metrics.h"
+#include "util/contract.h"
 
 namespace curtain::net {
 namespace {
@@ -13,16 +13,9 @@ namespace {
 /// nodes.
 constexpr uint32_t kNoStep = UINT32_MAX;
 
-/// Next topology stamp; 0 is never issued, so a fresh thread cache (stamp
-/// 0) matches no topology.
-uint64_t next_stamp() {
-  static std::atomic<uint64_t> counter{0};  // lint: shared-static (atomic; stamps need only be unique)
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
 }  // namespace
 
-Topology::Topology() : stamp_(next_stamp()) {
+Topology::Topology() {
   // Zone 0 is always the open Internet.
   zones_.push_back(Zone{"internet", /*blocks_inbound_probes=*/false});
 }
@@ -33,23 +26,28 @@ ZoneId Topology::add_zone(std::string name, bool blocks_inbound_probes) {
 }
 
 NodeId Topology::add_node(Node node) {
+  CURTAIN_CHECK(!frozen()) << "Topology::add_node after freeze";
   const NodeId id = static_cast<NodeId>(nodes_.size());
   node.id = id;
   if (!node.ip.is_unspecified()) ip_index_[node.ip.value()] = id;
   nodes_.push_back(std::move(node));
   adjacency_.emplace_back();
-  stamp_ = next_stamp();
   return id;
 }
 
 void Topology::add_link(NodeId a, NodeId b, LatencyModel latency, double loss,
                         bool tunneled) {
+  CURTAIN_CHECK(!frozen()) << "Topology::add_link after freeze";
   const auto into_b = static_cast<uint32_t>(steps_.size());
   steps_.push_back(Step{latency, loss, a, b, tunneled});
   steps_.push_back(Step{latency, loss, b, a, tunneled});
   adjacency_[a].push_back(Edge{b, into_b});
   adjacency_[b].push_back(Edge{a, into_b + 1});
-  stamp_ = next_stamp();
+}
+
+void Topology::freeze() {
+  CURTAIN_CHECK(!frozen()) << "Topology::freeze called twice";
+  trees_ = std::make_unique<TreeSlot[]>(nodes_.size());
 }
 
 NodeId Topology::find_by_ip(Ipv4Addr ip) const {
@@ -58,21 +56,13 @@ NodeId Topology::find_by_ip(Ipv4Addr ip) const {
 }
 
 const std::vector<uint32_t>& Topology::tree_from(NodeId from) const {
-  // The calling thread's shortest-path trees for the topology carrying
-  // `stamp`: trees[from][n] is the step by which the tree rooted at `from`
-  // enters node n, and is empty until the thread first routes from `from`.
-  struct RouteCache {
-    uint64_t stamp = 0;
-    std::vector<std::vector<uint32_t>> trees;
-  };
-  static thread_local RouteCache cache;
-  if (cache.stamp != stamp_) {
-    cache.trees.clear();
-    cache.trees.resize(nodes_.size());
-    cache.stamp = stamp_;
-  }
-  std::vector<uint32_t>& entered_by = cache.trees[from];
-  if (!entered_by.empty()) return entered_by;
+  CURTAIN_CHECK(frozen()) << "Topology routed before freeze";
+  TreeSlot& slot = trees_[from];
+  std::call_once(slot.built, [&] { slot.entered_by = build_tree(from); });
+  return slot.entered_by;
+}
+
+std::vector<uint32_t> Topology::build_tree(NodeId from) const {
   // Dijkstra over typical link latency from `from`, run to completion. Up
   // to the pop of any node it does exactly what a search stopped there
   // would, and no later relaxation beats a popped node's distance, so the
@@ -81,7 +71,7 @@ const std::vector<uint32_t>& Topology::tree_from(NodeId from) const {
   // including when two latencies round to one path length.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> dist(nodes_.size(), kInf);
-  entered_by.assign(nodes_.size(), kNoStep);
+  std::vector<uint32_t> entered_by(nodes_.size(), kNoStep);
   using Entry = std::pair<double, NodeId>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
   dist[from] = 0.0;

@@ -13,6 +13,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -89,19 +91,28 @@ struct TracerouteResult {
 
 /// The static graph plus probe semantics.
 ///
-/// Mutation (add_*) happens during world construction; measurement runs
-/// treat the topology as immutable and thread randomness through `Rng&`.
+/// Mutation (add_*) happens during world construction and ends with
+/// freeze(); measurement runs treat the frozen topology as immutable,
+/// share it across workers and thread randomness through `Rng&`.
 class Topology {
  public:
   Topology();
 
   ZoneId add_zone(std::string name, bool blocks_inbound_probes);
-  NodeId add_node(Node node);  ///< node.id is assigned by the topology
+  /// node.id is assigned by the topology. Only before freeze().
+  NodeId add_node(Node node);
   /// An undirected link: each traversal samples `latency` and is lost with
   /// probability `loss`; a `tunneled` link hides its interior endpoint
-  /// from traceroute.
+  /// from traceroute. Only before freeze().
   void add_link(NodeId a, NodeId b, LatencyModel latency, double loss = 0.0,
                 bool tunneled = false);
+
+  /// Closes the graph: no node or link may be added after, and routing may
+  /// start. Sizes the route table, one empty shortest-path tree per source
+  /// node (see route()). Called once, at the end of World construction or
+  /// when a hand-built topology is complete.
+  void freeze();
+  bool frozen() const { return trees_ != nullptr; }
 
   const Zone& zone(ZoneId id) const { return zones_[id]; }
   const Node& node(NodeId id) const { return nodes_[id]; }
@@ -114,26 +125,19 @@ class Topology {
   /// add_node for any node with a non-zero IP.
   NodeId find_by_ip(Ipv4Addr ip) const;
 
-  /// Identifies this graph version: process-unique, and renewed by every
-  /// add_node / add_link, so two topologies (or two versions of one) never
-  /// share it. Per-thread caches of values derived from the graph tag
-  /// their entries with it.
-  uint64_t stamp() const { return stamp_; }
-
   /// Numbers the world's device-state owners (net/device_state.h):
   /// 0, 1, 2, ... in build order, so one world's owners index a dense
-  /// table. Not part of the graph: the stamp does not change.
+  /// table. Not part of the graph, so legal after freeze().
   uint32_t issue_device_slot() { return device_slots_++; }
 
   /// Shortest path by typical latency, inclusive of both endpoints; empty
-  /// if unreachable. Read off the shortest-path tree rooted at `from`,
-  /// which is built on the first query from `from` and then cached by the
-  /// calling thread, so campaign workers never share one. The cache is
-  /// tagged with the topology's stamp: a thread that switches topology, or
-  /// queries one mutated since, starts over. The tree keeps one parent
-  /// link per node, the first lowest-latency parallel link wherever two
-  /// nodes have several; routes are deterministic functions of the graph,
-  /// so where they are cached never changes a result.
+  /// if unreachable. Only after freeze(). Read off the shortest-path tree
+  /// rooted at `from`, which the first query from `from` builds, on
+  /// whichever thread asks first, and every later query on any thread
+  /// reads. The tree keeps one parent link per node, the first
+  /// lowest-latency parallel link wherever two nodes have several; routes
+  /// are deterministic functions of the frozen graph, so which worker
+  /// built a tree never changes a result.
   std::vector<NodeId> route(NodeId from, NodeId to) const;
 
   /// Round-trip time as measured by a transport exchange (no firewall or
@@ -189,9 +193,20 @@ class Topology {
     size_t size_ = 0;
   };
 
-  /// The calling thread's shortest-path tree rooted at `from`: the step
-  /// entering each node (kNoStep for `from` and unreachable nodes).
+  /// One source's entry in the route table: its tree, built once under
+  /// `built` by the first thread to route from the source. Threads that
+  /// arrive during the build wait for it.
+  struct TreeSlot {
+    std::once_flag built;
+    std::vector<uint32_t> entered_by;
+  };
+
+  /// The shortest-path tree rooted at `from`: the step entering each node
+  /// (kNoStep for `from` and unreachable nodes). Built by Dijkstra on the
+  /// first call for `from`, then shared by every thread.
   const std::vector<uint32_t>& tree_from(NodeId from) const;
+  /// Runs Dijkstra from `from` for its slot in the route table.
+  std::vector<uint32_t> build_tree(NodeId from) const;
   /// Fills `route` with the steps from `from` to `to`, walked up the tree
   /// from `to` and stored back to front; false if `to` is unreachable.
   bool route_steps(NodeId from, NodeId to, Route& route) const;
@@ -203,7 +218,9 @@ class Topology {
   std::vector<Step> steps_;  ///< link i is steps 2i (a to b) and 2i + 1
   std::vector<std::vector<Edge>> adjacency_;
   std::unordered_map<uint32_t, NodeId> ip_index_;
-  uint64_t stamp_ = 0;  ///< see stamp()
+  /// The route table: one slot per source node, sized by freeze(); null
+  /// until then.
+  std::unique_ptr<TreeSlot[]> trees_;
   uint32_t device_slots_ = 0;  ///< see issue_device_slot()
 };
 

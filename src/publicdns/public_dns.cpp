@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/contract.h"
 #include "util/index.h"
 
 namespace curtain::publicdns {
@@ -14,6 +15,27 @@ constexpr double kIngressEpochHours = 8.0;
 // Public resolvers serve enormous populations, so popular names are
 // nearly always warm (30 s TTL -> ~93%; Fig. 13's short tail).
 constexpr double kPublicBgInterarrivalS = 2.3;
+// How many nearby sites a source realistically flips between.
+constexpr size_t kIngressCandidates = 4;
+
+// The ingress candidates for an egress at `location`, packed as
+// PublicDnsService::ingress_candidates() returns them.
+uint64_t rank_sites(const net::GeoPoint& location,
+                    const std::vector<PublicDnsSite>& sites) {
+  std::vector<std::pair<double, int>> ranked;
+  ranked.reserve(sites.size());
+  for (size_t s = 0; s < sites.size(); ++s) {
+    ranked.emplace_back(net::distance_km(location, sites[s].location),
+                        static_cast<int>(s));
+  }
+  std::sort(ranked.begin(), ranked.end());
+  const size_t count = std::min(kIngressCandidates, ranked.size());
+  uint64_t packed = count;
+  for (size_t c = 0; c < count; ++c) {
+    packed |= static_cast<uint64_t>(ranked[c].second) << (8 * (c + 1));
+  }
+  return packed;
+}
 
 }  // namespace
 
@@ -27,6 +49,8 @@ PublicDnsService::PublicDnsService(std::string name, net::Ipv4Addr vip,
       seed_(net::mix_key(context.build_seed, net::hash_tag(name_))) {
   const auto& metros = net::world_metros();
   const int sites = std::min<int>(num_sites, static_cast<int>(metros.size()));
+  CURTAIN_CHECK(sites > 0 && sites <= 0xff)
+      << name_ << ": " << sites << " sites do not fit an ingress slot's bytes";
   sites_.reserve(util::idx(sites));
   for (int s = 0; s < sites; ++s) {
     PublicDnsSite site;
@@ -67,54 +91,21 @@ PublicDnsService::PublicDnsService(std::string name, net::Ipv4Addr vip,
 
 PublicDnsService::~PublicDnsService() = default;
 
-const PublicDnsService::IngressCandidates&
-PublicDnsService::ingress_candidates(net::NodeId egress) const {
-  // The calling thread's candidates, one table per service, each indexed
-  // by egress node. Tagged with the topology stamp, so a thread that
-  // moves to another World, or queries one mutated since, starts over.
-  struct IngressMemo {
-    uint64_t stamp = 0;
-    /// (the service's first site node, its table). Within one topology
-    /// version that node names the service: every service adds its own
-    /// site nodes, and building another one renews the stamp. The
-    /// service's address would not do: the next World on this thread may
-    /// reuse it.
-    std::vector<std::pair<net::NodeId, std::vector<IngressCandidates>>>
-        tables;
-  };
-  static thread_local IngressMemo memo;
-  const uint64_t stamp = topology_->stamp();
-  if (memo.stamp != stamp) {
-    memo.tables.clear();
-    memo.stamp = stamp;
+void PublicDnsService::freeze() {
+  CURTAIN_CHECK(topology_->frozen() && ingress_ == nullptr)
+      << name_ << ": ingress table sized twice or before the topology froze";
+  ingress_ = std::make_unique<std::atomic<uint64_t>[]>(topology_->node_count());
+}
+
+uint64_t PublicDnsService::ingress_candidates(net::NodeId egress) const {
+  CURTAIN_CHECK(ingress_ != nullptr) << name_ << " queried before freeze";
+  std::atomic<uint64_t>& slot = ingress_[egress];
+  uint64_t packed = slot.load(std::memory_order_relaxed);
+  if (packed == 0) {
+    packed = rank_sites(topology_->node(egress).location, sites_);
+    slot.store(packed, std::memory_order_relaxed);
   }
-  const net::NodeId key = node();
-  auto table = std::find_if(
-      memo.tables.begin(), memo.tables.end(),
-      [key](const auto& entry) { return entry.first == key; });
-  if (table == memo.tables.end()) {
-    memo.tables.emplace_back(key, std::vector<IngressCandidates>(
-                                      topology_->node_count()));
-    table = std::prev(memo.tables.end());
-  }
-  IngressCandidates& candidates = table->second[egress];
-  if (candidates.count == 0) {
-    // Rank sites by distance to the egress; keep the nearest few.
-    const net::GeoPoint& location = topology_->node(egress).location;
-    std::vector<std::pair<double, int>> ranked;
-    ranked.reserve(sites_.size());
-    for (size_t s = 0; s < sites_.size(); ++s) {
-      ranked.emplace_back(net::distance_km(location, sites_[s].location),
-                          static_cast<int>(s));
-    }
-    std::sort(ranked.begin(), ranked.end());
-    candidates.count = static_cast<uint16_t>(
-        std::min<size_t>(kIngressCandidates, ranked.size()));
-    for (size_t c = 0; c < candidates.count; ++c) {
-      candidates.sites[c] = static_cast<uint16_t>(ranked[c].second);
-    }
-  }
-  return candidates;
+  return packed;
 }
 
 int PublicDnsService::route_site(net::Ipv4Addr source_ip,
@@ -132,15 +123,18 @@ int PublicDnsService::route_site(net::Ipv4Addr source_ip,
   // Flip between the sites nearest the egress: the closest wins most
   // epochs; occasionally routing lands further out. The ranking depends
   // on the egress alone, so it is memoized (ingress_candidates()).
-  const IngressCandidates& candidates = ingress_candidates(egress);
+  const uint64_t candidates = ingress_candidates(egress);
+  const auto count = static_cast<int>(candidates & 0xff);
+  const auto site = [candidates](int c) {
+    return static_cast<int>((candidates >> (8 * (c + 1))) & 0xff);
+  };
   static constexpr double kWeights[] = {0.70, 0.16, 0.09, 0.05};
   double target = static_cast<double>(draw % 10000) / 10000.0;
-  for (int c = 0; c < candidates.count; ++c) {
-    if (target < kWeights[c] || c == candidates.count - 1)
-      return candidates.sites[util::idx(c)];
+  for (int c = 0; c < count; ++c) {
+    if (target < kWeights[c] || c == count - 1) return site(c);
     target -= kWeights[c];
   }
-  return candidates.sites[0];
+  return site(0);
 }
 
 net::NodeId PublicDnsService::node() const {

@@ -10,7 +10,7 @@
 // them is latency-aware — the crux of the paper's headline comparison.
 #pragma once
 
-#include <array>
+#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,9 +42,9 @@ struct PublicDnsBuildContext {
   /// egress: a subscriber's carrier gateway, else the node owning the
   /// address), or kInvalidNode if unknown; drives anycast ingress
   /// selection. The service ranks its sites by distance from each egress
-  /// the first time a thread meets it and reuses that ranking, so the
-  /// answer must depend on the address alone and the egress node must not
-  /// move while the topology keeps its stamp.
+  /// the first time any worker meets it and keeps that ranking for the
+  /// World's life, so the answer must depend on the address alone and
+  /// must not change once the topology is frozen.
   std::function<net::NodeId(net::Ipv4Addr)> locate_source;
   /// Names kept warm by background load; empty = all names.
   std::function<bool(const dns::DnsName&)> warm_eligible;
@@ -66,6 +66,11 @@ class PublicDnsService : public dns::DnsServer {
   const std::string& service_name() const { return name_; }
   const std::vector<PublicDnsSite>& sites() const { return sites_; }
 
+  /// Sizes the ingress table, one slot per topology node, each empty until
+  /// the first query from that egress ranks it (see route_site()). Called
+  /// once the topology is frozen, before the first query.
+  void freeze();
+
   // DnsServer:
   dns::ServedResponse serve(const dns::Message& query,
                             net::Ipv4Addr source_ip, net::SimTime now,
@@ -81,16 +86,12 @@ class PublicDnsService : public dns::DnsServer {
   /// proximity to the source's egress with tunneling-induced instability.
   int route_site(net::Ipv4Addr source_ip, net::SimTime now) const;
 
-  /// How many nearby sites a source realistically flips between.
-  static constexpr int kIngressCandidates = 4;
-  /// The sites nearest an egress, closest first (ties to the lower index).
-  struct IngressCandidates {
-    std::array<uint16_t, kIngressCandidates> sites{};
-    uint16_t count = 0;  ///< 0 = not ranked yet
-  };
-  /// The candidates for `egress` from the calling thread's memo, ranked
-  /// on first use (see route_site()).
-  const IngressCandidates& ingress_candidates(net::NodeId egress) const;
+  /// The sites nearest `egress`, closest first (ties to the lower index),
+  /// packed in one word: the count in the low byte, then candidate c's
+  /// site index in byte c + 1. Ranked by the first query from `egress` on
+  /// any thread; two workers that race rank the same sites and store the
+  /// same word, so a relaxed atomic suffices.
+  uint64_t ingress_candidates(net::NodeId egress) const;
 
   std::string name_;
   net::Ipv4Addr vip_;
@@ -98,6 +99,9 @@ class PublicDnsService : public dns::DnsServer {
   std::function<net::NodeId(net::Ipv4Addr)> locate_source_;
   uint64_t seed_ = 0;
   std::vector<PublicDnsSite> sites_;
+  /// One slot per topology node: its packed candidates, or 0 until ranked
+  /// (a ranked word holds a count of at least 1). Sized by freeze().
+  std::unique_ptr<std::atomic<uint64_t>[]> ingress_;
 };
 
 }  // namespace curtain::publicdns

@@ -147,18 +147,14 @@ TEST_F(CdnTest, ClusterOfReplicaInverse) {
 }
 
 // End-to-end resolution through a real recursive resolver: the CDN ADNS
-// must answer with replicas of the cluster mapped to *that resolver*.
+// must answer with replicas of the cluster mapped to *that resolver*. The
+// probe resolvers sit on backbone routers, since the world's topology is
+// frozen; the CDN maps them by their address, not their node.
 TEST_F(CdnTest, AdnsSelectsByResolverAddress) {
-  auto& topo = world_->topology();
-  net::Node node;
-  node.name = "probe-resolver";
-  node.location = {47.61, -122.33};
-  const net::NodeId id = topo.add_node(node);
-  topo.add_link(id, world_->nearest_backbone(node.location),
-                net::LatencyModel::fixed(1.0));
-  dns::RecursiveResolver resolver("probe", id, net::Ipv4Addr{203, 0, 114, 1},
-                                  &topo, &world_->registry(),
-                                  world_->root_dns_ip());
+  dns::RecursiveResolver resolver(
+      "probe", world_->nearest_backbone({47.61, -122.33}),
+      net::Ipv4Addr{203, 0, 114, 1}, &world_->topology(), &world_->registry(),
+      world_->root_dns_ip());
 
   const auto result =
       resolver.resolve(*dns::DnsName::parse("m.yelp.com"), dns::RRType::kA,
@@ -180,16 +176,10 @@ TEST_F(CdnTest, AdnsSelectsByResolverAddress) {
 }
 
 TEST_F(CdnTest, ShortTtlOnReplicaAnswers) {
-  auto& topo = world_->topology();
-  net::Node node;
-  node.name = "probe-resolver-2";
-  node.location = {40.71, -74.01};
-  const net::NodeId id = topo.add_node(node);
-  topo.add_link(id, world_->nearest_backbone(node.location),
-                net::LatencyModel::fixed(1.0));
-  dns::RecursiveResolver resolver("probe2", id, net::Ipv4Addr{203, 0, 114, 2},
-                                  &topo, &world_->registry(),
-                                  world_->root_dns_ip());
+  dns::RecursiveResolver resolver(
+      "probe2", world_->nearest_backbone({40.71, -74.01}),
+      net::Ipv4Addr{203, 0, 114, 2}, &world_->topology(), &world_->registry(),
+      world_->root_dns_ip());
   const auto result =
       resolver.resolve(*dns::DnsName::parse("www.buzzfeed.com"),
                        dns::RRType::kA, net::SimTime::zero(), rng_, device_);
@@ -201,16 +191,10 @@ TEST_F(CdnTest, ShortTtlOnReplicaAnswers) {
 }
 
 TEST_F(CdnTest, RotationVariesWithinCluster) {
-  auto& topo = world_->topology();
-  net::Node node;
-  node.name = "probe-resolver-3";
-  node.location = {41.88, -87.63};
-  const net::NodeId id = topo.add_node(node);
-  topo.add_link(id, world_->nearest_backbone(node.location),
-                net::LatencyModel::fixed(1.0));
-  dns::RecursiveResolver resolver("probe3", id, net::Ipv4Addr{203, 0, 114, 3},
-                                  &topo, &world_->registry(),
-                                  world_->root_dns_ip());
+  dns::RecursiveResolver resolver(
+      "probe3", world_->nearest_backbone({41.88, -87.63}),
+      net::Ipv4Addr{203, 0, 114, 3}, &world_->topology(), &world_->registry(),
+      world_->root_dns_ip());
   std::set<uint32_t> replicas_seen;
   for (int minute = 0; minute < 60; minute += 2) {
     const auto result = resolver.resolve(

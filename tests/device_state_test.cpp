@@ -71,7 +71,7 @@ class DeviceStateTest : public ::testing::Test {
   }
 
   /// AT&T's deployment on this topology, its externals iterating from
-  /// the recording root.
+  /// the recording root. Completes the topology, so it freezes it.
   cellular::CellularNetwork& build_carrier() {
     cellular::CarrierBuildContext context;
     context.topology = &topology_;
@@ -82,6 +82,7 @@ class DeviceStateTest : public ::testing::Test {
     context.build_seed = 11;
     carrier_ = std::make_unique<cellular::CellularNetwork>(
         cellular::study_carriers().front(), /*owner_tag=*/1, context);
+    topology_.freeze();
     return *carrier_;
   }
 
@@ -107,6 +108,7 @@ class DeviceStateTest : public ::testing::Test {
 };
 
 TEST_F(DeviceStateTest, SecondDeviceSeesColdResolver) {
+  topology_.freeze();
   net::DeviceState device(1);
   EXPECT_FALSE(resolve("www.example.com", device).from_cache);
   EXPECT_TRUE(resolve("www.example.com", device).from_cache);
@@ -207,6 +209,8 @@ TEST_F(DeviceStateTest, SlotSharedByTwoOwnersAborts) {
   node.ip = net::Ipv4Addr{9, 9, 9, 10};
   dns::RecursiveResolver twin("twin", other.add_node(node), node.ip, &other,
                               &registry_, kRootIp);
+  other.freeze();
+  topology_.freeze();
   net::DeviceState device(1);
   resolve("www.example.com", device);
   EXPECT_DEATH(twin.resolve(name("www.example.com"), RRType::kA,

@@ -126,6 +126,7 @@ TEST(DnsEdge, HierarchyReusesTldServers) {
   hierarchy.create_zone(name("two.com"), {40, -74}, net::Ipv4Addr{50, 0, 0, 2});
   hierarchy.create_zone(name("three.net"), {40, -74},
                         net::Ipv4Addr{50, 0, 0, 3});
+  topo.freeze();
   // root + tld(com) + tld(net) + 3 zone hosts = 6 host nodes.
   EXPECT_EQ(hosts_created, 6);
   EXPECT_EQ(registry.size(), 6u);

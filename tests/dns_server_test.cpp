@@ -63,6 +63,7 @@ class DnsWorldTest : public ::testing::Test {
 
     client_node_ = attach("client", net::NodeKind::kVantagePoint, {42, -87},
                           net::Ipv4Addr{7, 7, 7, 7});
+    topo_.freeze();
   }
 
   net::NodeId attach(const std::string& host_name, net::NodeKind kind,

@@ -96,6 +96,7 @@ class MiniWorld {
         &topo_, &registry_, hierarchy_->root_ip());
     ecs_resolver_->enable_ecs(16);
     registry_.add(ecs_resolver_.get());
+    topo_.freeze();
   }
   MiniWorld(const MiniWorld&) = delete;
   MiniWorld& operator=(const MiniWorld&) = delete;

@@ -134,8 +134,11 @@ TEST(EcsResolver, NonSlash24PrefixMaskedBeforeAdns) {
     net::Ipv4Addr expected;
   } cases[] = {{16, {100, 64, 0, 0}}, {20, {100, 64, 16, 0}},
                {24, {100, 64, 19, 0}}, {32, {100, 64, 19, 0}}};
+  // One resolver per case, all on one node.
+  const net::NodeId resolver_node = attach("resolver", {});
+  topo.freeze();
   for (const auto& c : cases) {
-    RecursiveResolver resolver("ecs-prefix", attach("resolver", {}),
+    RecursiveResolver resolver("ecs-prefix", resolver_node,
                                net::Ipv4Addr{9, 9, 9, 9}, &topo, &registry,
                                hierarchy.root_ip());
     resolver.enable_ecs(c.prefix);
@@ -208,16 +211,12 @@ TEST_F(EcsWorldTest, CdnMapsByClientSubnetWhenEcsPresent) {
   ASSERT_GE(seattle_gateway, 0);
   const net::Ipv4Addr client = carrier.assign_ip(seattle_gateway, device_);
 
-  // Build an ECS-enabled probe resolver far from the client (NYC).
-  auto& topo = world_->topology();
-  net::Node node;
-  node.name = "ecs-probe-resolver";
-  node.location = {40.71, -74.01};
-  const net::NodeId id = topo.add_node(node);
-  topo.add_link(id, world_->nearest_backbone(node.location),
-                net::LatencyModel::fixed(1.0));
-  RecursiveResolver resolver("ecs-probe", id, net::Ipv4Addr{203, 0, 115, 1},
-                             &topo, &world_->registry(), world_->root_dns_ip());
+  // An ECS-enabled probe resolver far from the client (NYC), at the
+  // backbone router there: the world's topology is frozen.
+  RecursiveResolver resolver(
+      "ecs-probe", world_->nearest_backbone({40.71, -74.01}),
+      net::Ipv4Addr{203, 0, 115, 1}, &world_->topology(), &world_->registry(),
+      world_->root_dns_ip());
   resolver.enable_ecs();
 
   const auto result = resolver.resolve(name("m.yelp.com"), RRType::kA,
@@ -233,15 +232,10 @@ TEST_F(EcsWorldTest, CdnMapsByClientSubnetWhenEcsPresent) {
 }
 
 TEST_F(EcsWorldTest, ScopedAnswersNotSharedAcrossSubnets) {
-  auto& topo = world_->topology();
-  net::Node node;
-  node.name = "ecs-probe-resolver-2";
-  node.location = {41.88, -87.63};
-  const net::NodeId id = topo.add_node(node);
-  topo.add_link(id, world_->nearest_backbone(node.location),
-                net::LatencyModel::fixed(1.0));
-  RecursiveResolver resolver("ecs-probe2", id, net::Ipv4Addr{203, 0, 115, 2},
-                             &topo, &world_->registry(), world_->root_dns_ip());
+  RecursiveResolver resolver(
+      "ecs-probe2", world_->nearest_backbone({41.88, -87.63}),
+      net::Ipv4Addr{203, 0, 115, 2}, &world_->topology(), &world_->registry(),
+      world_->root_dns_ip());
   resolver.enable_ecs();
 
   auto& carrier = world_->carrier(0);  // AT&T
@@ -270,16 +264,10 @@ TEST_F(EcsWorldTest, ScopedAnswersNotSharedAcrossSubnets) {
 TEST_F(EcsWorldTest, ResearchAdnsStillSeesResolver) {
   // Identification must keep returning the *resolver's* address even when
   // the query carries the client's subnet.
-  auto& topo = world_->topology();
-  net::Node node;
-  node.name = "ecs-probe-resolver-3";
-  node.location = {32.78, -96.80};
-  const net::NodeId id = topo.add_node(node);
-  topo.add_link(id, world_->nearest_backbone(node.location),
-                net::LatencyModel::fixed(1.0));
   const net::Ipv4Addr resolver_ip{203, 0, 115, 3};
-  RecursiveResolver resolver("ecs-probe3", id, resolver_ip, &topo,
-                             &world_->registry(), world_->root_dns_ip());
+  RecursiveResolver resolver(
+      "ecs-probe3", world_->nearest_backbone({32.78, -96.80}), resolver_ip,
+      &world_->topology(), &world_->registry(), world_->root_dns_ip());
   resolver.enable_ecs();
   auto& carrier = world_->carrier(1);
   const net::Ipv4Addr client = carrier.assign_ip(0, device_);

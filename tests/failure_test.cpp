@@ -19,6 +19,7 @@ using namespace dns;
 
 DnsName name(const char* s) { return *DnsName::parse(s); }
 
+// Tests freeze the topology once they have attached every host they need.
 class FailureTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -73,6 +74,7 @@ class FailureTest : public ::testing::Test {
 };
 
 TEST_F(FailureTest, GluelessDelegationDegradesToError) {
+  topo_.freeze();
   // Delegate a child zone whose nameserver has no registered server.
   zone_->delegate(name("broken.example.com"), name("ns.broken.example.com"),
                   net::Ipv4Addr{203, 0, 113, 99});
@@ -86,6 +88,7 @@ TEST_F(FailureTest, GluelessDelegationDegradesToError) {
 }
 
 TEST_F(FailureTest, SelfReferentialDelegationTerminates) {
+  topo_.freeze();
   // A zone that "delegates" to its own server would loop forever without
   // the referral guard.
   zone_->delegate(name("loop.example.com"), name("ns1.example.com"),
@@ -97,6 +100,7 @@ TEST_F(FailureTest, SelfReferentialDelegationTerminates) {
 }
 
 TEST_F(FailureTest, CnameLoopTerminates) {
+  topo_.freeze();
   zone_->add_record(ResourceRecord::cname(name("a.example.com"),
                                           name("b.example.com"), 60));
   zone_->add_record(ResourceRecord::cname(name("b.example.com"),
@@ -149,6 +153,7 @@ TEST_F(FailureTest, StubSurvivesGarbageResponder) {
   };
   const net::NodeId gnode = attach("garbage", net::NodeKind::kResolver,
                                    {40, -80}, net::Ipv4Addr{6, 6, 6, 6}, 0.0);
+  topo_.freeze();
   GarbageServer garbage_server(gnode, net::Ipv4Addr{6, 6, 6, 6},
                                *decode(formerr_wire));
   registry_.add(&garbage_server);
@@ -183,6 +188,7 @@ TEST_F(FailureTest, MismatchedQueryIdRejected) {
   };
   const net::NodeId wnode = attach("wrongid", net::NodeKind::kResolver,
                                    {40, -81}, net::Ipv4Addr{6, 6, 6, 7}, 0.0);
+  topo_.freeze();
   WrongIdServer wrong(wnode, net::Ipv4Addr{6, 6, 6, 7});
   registry_.add(&wrong);
 
@@ -209,6 +215,7 @@ TEST_F(FailureTest, LossyLinkStillResolvesTransport) {
   const net::NodeId lossy = attach("lossy-host", net::NodeKind::kReplica,
                                    {39, -75}, net::Ipv4Addr{8, 1, 1, 1},
                                    /*loss=*/0.9);
+  topo_.freeze();
   int ping_ok = 0;
   for (int i = 0; i < 200; ++i) {
     if (topo_.ping(client_, lossy, rng_).responded) ++ping_ok;
@@ -219,6 +226,7 @@ TEST_F(FailureTest, LossyLinkStillResolvesTransport) {
 }
 
 TEST_F(FailureTest, ProbeEngineUnknownTarget) {
+  topo_.freeze();
   measure::ProbeEngine probes(measure::WorldView{topo_, registry_});
   const measure::ProbeOrigin origin{client_, net::Ipv4Addr{7, 7, 7, 7}, 10.0};
   const auto ping =
@@ -235,6 +243,7 @@ TEST_F(FailureTest, ProbeEngineUnknownTarget) {
 }
 
 TEST_F(FailureTest, ProbeEngineAddsAccessLatency) {
+  topo_.freeze();
   measure::ProbeEngine probes(measure::WorldView{topo_, registry_});
   const measure::ProbeOrigin wired{client_, net::Ipv4Addr{7, 7, 7, 7}, 0.0};
   const measure::ProbeOrigin radio{client_, net::Ipv4Addr{7, 7, 7, 7}, 50.0};
@@ -247,6 +256,7 @@ TEST_F(FailureTest, ProbeEngineAddsAccessLatency) {
 }
 
 TEST_F(FailureTest, HttpTtfbCountsTwoRoundTrips) {
+  topo_.freeze();
   measure::ProbeEngine probes(measure::WorldView{topo_, registry_});
   const measure::ProbeOrigin radio{client_, net::Ipv4Addr{7, 7, 7, 7}, 25.0};
   const auto http = probes.http_get(radio, net::Ipv4Addr{50, 0, 0, 1},

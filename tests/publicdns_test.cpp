@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <set>
 #include <thread>
@@ -225,19 +226,24 @@ TEST_F(PublicDnsTest, IngressMemoMatchesFreshRanking) {
     }
   }
 
-  // Two threads querying one service agree with each other and with a
-  // fresh ranking; each builds its own memo without locks.
-  const auto& google = world_->google_dns();
+  // Two threads querying one service of a freshly built World at once:
+  // both race to rank the same empty ingress slots, without locks, and
+  // must agree with each other and with a fresh ranking.
+  const auto fresh = std::make_unique<core::World>();
+  const auto fresh_sources = ingress_sources(*fresh);
+  const auto& google = fresh->google_dns();
   std::vector<net::NodeId> expected;
   for (int epoch = 0; epoch < 4; ++epoch) {
-    for (const net::Ipv4Addr source : sources) {
+    for (const net::Ipv4Addr source : fresh_sources) {
       expected.push_back(fresh_site_node(
-          *world_, google, source, net::SimTime::from_hours(8.0 * epoch)));
+          *fresh, google, source, net::SimTime::from_hours(8.0 * epoch)));
     }
   }
+  std::atomic<bool> go{false};
   const auto query_all = [&](std::vector<net::NodeId>& out) {
+    while (!go.load()) std::this_thread::yield();
     for (int epoch = 0; epoch < 4; ++epoch) {
-      for (const net::Ipv4Addr source : sources) {
+      for (const net::Ipv4Addr source : fresh_sources) {
         out.push_back(
             google.node_for(source, net::SimTime::from_hours(8.0 * epoch)));
       }
@@ -247,6 +253,7 @@ TEST_F(PublicDnsTest, IngressMemoMatchesFreshRanking) {
   std::vector<net::NodeId> second;
   std::thread a(query_all, std::ref(first));
   std::thread b(query_all, std::ref(second));
+  go.store(true);
   a.join();
   b.join();
   EXPECT_EQ(first, expected);

@@ -50,20 +50,12 @@ class ReverseZoneTest : public ::testing::Test {
 
   ResolutionResult resolve_ptr(net::Ipv4Addr address) {
     // A wired recursive resolver doing the PTR lookup a traceroute tool
-    // would perform per hop.
-    static RecursiveResolver* resolver = [&]() {
-      auto& topo = world_->topology();
-      net::Node node;
-      node.name = "ptr-resolver";
-      node.location = {42.05, -87.68};
-      const net::NodeId id = topo.add_node(node);
-      topo.add_link(id, world_->nearest_backbone(node.location),
-                    net::LatencyModel::fixed(1.0));
-      return new RecursiveResolver("ptr-probe", id,
-                                   net::Ipv4Addr{203, 0, 116, 1}, &topo,
-                                   &world_->registry(),
-                                   world_->root_dns_ip());
-    }();
+    // would perform per hop, on the backbone router nearest the vantage
+    // point (the world's topology is frozen).
+    static RecursiveResolver* resolver = new RecursiveResolver(
+        "ptr-probe", world_->nearest_backbone({42.05, -87.68}),
+        net::Ipv4Addr{203, 0, 116, 1}, &world_->topology(),
+        &world_->registry(), world_->root_dns_ip());
     return resolver->resolve(reverse_name(address), RRType::kPTR,
                              net::SimTime::zero(), rng_, device_);
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -50,11 +51,13 @@ class TopologyTest : public ::testing::Test {
 };
 
 TEST_F(TopologyTest, RouteFollowsShortestPath) {
+  topo_.freeze();
   const auto& path = topo_.route(a_, c_);
   EXPECT_EQ(path, (std::vector<NodeId>{a_, b_, c_}));
 }
 
 TEST_F(TopologyTest, RouteToSelf) {
+  topo_.freeze();
   const auto& path = topo_.route(a_, a_);
   EXPECT_EQ(path, (std::vector<NodeId>{a_}));
 }
@@ -62,48 +65,60 @@ TEST_F(TopologyTest, RouteToSelf) {
 TEST_F(TopologyTest, UnreachableNodeEmptyRoute) {
   const NodeId lonely = add_node("lonely", Topology::internet_zone(),
                                  Ipv4Addr{9, 9, 9, 9});
+  topo_.freeze();
   EXPECT_TRUE(topo_.route(a_, lonely).empty());
   EXPECT_FALSE(topo_.transport_rtt_ms(a_, lonely, rng_).has_value());
 }
 
 TEST_F(TopologyTest, TransportRttSumsLinks) {
+  topo_.freeze();
   const auto rtt = topo_.transport_rtt_ms(a_, c_, rng_);
   ASSERT_TRUE(rtt.has_value());
   EXPECT_DOUBLE_EQ(*rtt, 2.0 * (5.0 + 7.0));
 }
 
 TEST_F(TopologyTest, TransportCrossesFirewalls) {
+  topo_.freeze();
   // Solicited traffic (DNS) is not affected by the probe firewall.
   EXPECT_TRUE(topo_.transport_rtt_ms(a_, r_, rng_).has_value());
 }
 
 TEST_F(TopologyTest, FindByIp) {
+  topo_.freeze();
   EXPECT_EQ(topo_.find_by_ip(Ipv4Addr(10, 0, 0, 53)), r_);
   EXPECT_EQ(topo_.find_by_ip(Ipv4Addr(10, 0, 0, 54)), kInvalidNode);
 }
 
 TEST_F(TopologyTest, PingWithinInternetSucceeds) {
+  topo_.freeze();
   const PingResult result = topo_.ping(a_, c_, rng_);
   EXPECT_TRUE(result.responded);
   EXPECT_DOUBLE_EQ(result.rtt_ms, 24.0);
 }
 
 TEST_F(TopologyTest, PingIntoFirewalledZoneBlocked) {
+  topo_.freeze();
   const PingResult result = topo_.ping(a_, r_, rng_);
   EXPECT_FALSE(result.responded);
   EXPECT_EQ(result.failure, PingResult::Failure::kFirewalled);
 }
 
 TEST_F(TopologyTest, PingOutOfFirewalledZoneAllowed) {
+  topo_.freeze();
   const PingResult result = topo_.ping(r_, c_, rng_);
   EXPECT_TRUE(result.responded);
 }
 
 TEST_F(TopologyTest, PingWithinFirewalledZoneAllowed) {
+  topo_.freeze();
   EXPECT_TRUE(topo_.ping(g_, r_, rng_).responded);
 }
 
 TEST_F(TopologyTest, OwnerDirectionalPingPolicy) {
+  // A direct b-r link, for the outside probe below; g still reaches r
+  // over their own link.
+  topo_.add_link(b_, r_, LatencyModel::fixed(1.0));
+  topo_.freeze();
   // r answers outsiders but not its own subscribers (Verizon pattern).
   topo_.mutable_node(r_).owner_tag = 7;
   topo_.mutable_node(r_).ping_from_same_owner = false;
@@ -113,21 +128,23 @@ TEST_F(TopologyTest, OwnerDirectionalPingPolicy) {
   EXPECT_EQ(topo_.ping(g_, r_, rng_).failure,
             PingResult::Failure::kUnresponsive);
   // From outside, the zone firewall is the stronger barrier; move r to
-  // the open zone with a direct link to observe the flag in isolation.
+  // the open zone, reached over the direct link, to observe the flag in
+  // isolation.
   topo_.mutable_node(r_).zone = Topology::internet_zone();
-  topo_.add_link(b_, r_, LatencyModel::fixed(1.0));
   EXPECT_TRUE(topo_.ping(a_, r_, rng_).responded);
 }
 
 TEST_F(TopologyTest, LossyLinkDropsPings) {
   const NodeId d = add_node("d", Topology::internet_zone(), Ipv4Addr{1, 0, 0, 4});
   topo_.add_link(c_, d, LatencyModel::fixed(1.0), /*loss=*/1.0);
+  topo_.freeze();
   const PingResult result = topo_.ping(a_, d, rng_);
   EXPECT_FALSE(result.responded);
   EXPECT_EQ(result.failure, PingResult::Failure::kLoss);
 }
 
 TEST_F(TopologyTest, TracerouteListsIntermediateHops) {
+  topo_.freeze();
   const TracerouteResult result = topo_.traceroute(a_, c_, rng_);
   ASSERT_EQ(result.hops.size(), 2u);
   EXPECT_EQ(result.hops[0].node, b_);
@@ -138,6 +155,7 @@ TEST_F(TopologyTest, TracerouteListsIntermediateHops) {
 }
 
 TEST_F(TopologyTest, TracerouteStopsAtFirewall) {
+  topo_.freeze();
   const TracerouteResult result = topo_.traceroute(a_, r_, rng_);
   // Route a-b-g-r: g is the cell ingress, so the trace dies before g.
   ASSERT_EQ(result.hops.size(), 1u);
@@ -153,6 +171,7 @@ TEST_F(TopologyTest, TracerouteHidesTunneledInteriorHops) {
   const NodeId r2 = add_node("r2", cell_zone_, Ipv4Addr{10, 0, 0, 54});
   topo_.add_link(g_, x, LatencyModel::fixed(1.0), 0.0, true);
   topo_.add_link(x, r2, LatencyModel::fixed(1.0), 0.0, true);
+  topo_.freeze();
   const TracerouteResult result = topo_.traceroute(g_, r2, rng_);
   ASSERT_EQ(result.hops.size(), 1u);  // only the destination
   EXPECT_EQ(result.hops[0].node, r2);
@@ -160,6 +179,7 @@ TEST_F(TopologyTest, TracerouteHidesTunneledInteriorHops) {
 }
 
 TEST_F(TopologyTest, TracerouteAnonymousHopForNonResponder) {
+  topo_.freeze();
   topo_.mutable_node(b_).responds_to_traceroute = false;
   const TracerouteResult result = topo_.traceroute(a_, c_, rng_);
   ASSERT_EQ(result.hops.size(), 2u);
@@ -169,25 +189,25 @@ TEST_F(TopologyTest, TracerouteAnonymousHopForNonResponder) {
 }
 
 TEST_F(TopologyTest, ZoneBoundaryFindsIngress) {
+  topo_.freeze();
   EXPECT_EQ(topo_.zone_boundary(a_, r_), g_);
   EXPECT_EQ(topo_.zone_boundary(r_, a_), b_);
 }
 
 TEST_F(TopologyTest, ParallelLinksPickFastest) {
   topo_.add_link(a_, b_, LatencyModel::fixed(1.0));  // faster duplicate
+  topo_.freeze();
   const auto rtt = topo_.transport_rtt_ms(a_, b_, rng_);
   ASSERT_TRUE(rtt.has_value());
   EXPECT_DOUBLE_EQ(*rtt, 2.0);
 }
 
-TEST_F(TopologyTest, RouteCacheFollowsMutationTopologyAndThread) {
-  // The route cache belongs to the calling thread and is tagged with the
-  // topology's stamp: mutating the graph, switching to another topology
-  // and routing from another thread must all see the current graph.
-  EXPECT_EQ(topo_.route(a_, c_), (std::vector<NodeId>{a_, b_, c_}));
-  topo_.add_link(a_, c_, LatencyModel::fixed(1.0));  // new shortcut
-  EXPECT_EQ(topo_.route(a_, c_), (std::vector<NodeId>{a_, c_}));
-
+TEST_F(TopologyTest, RoutesFollowTopologyAndThread) {
+  // Routes belong to their topology, whichever thread asks: alternating
+  // two topologies with the same node ids on one thread, and routing from
+  // another thread, must each see their own graph.
+  topo_.add_link(a_, c_, LatencyModel::fixed(1.0));  // shortcut
+  topo_.freeze();
   Topology other;
   Node node;
   const NodeId x = other.add_node(node);
@@ -195,6 +215,7 @@ TEST_F(TopologyTest, RouteCacheFollowsMutationTopologyAndThread) {
   const NodeId z = other.add_node(node);
   other.add_link(x, y, LatencyModel::fixed(1.0));
   other.add_link(y, z, LatencyModel::fixed(1.0));
+  other.freeze();
   // Same node ids as a_/b_/c_, different graphs, alternating on one thread.
   ASSERT_EQ(x, a_);
   ASSERT_EQ(z, c_);
@@ -208,6 +229,30 @@ TEST_F(TopologyTest, RouteCacheFollowsMutationTopologyAndThread) {
   worker.join();
   EXPECT_EQ(from_worker, topo_.route(a_, r_));
   EXPECT_EQ(from_worker, (std::vector<NodeId>{a_, b_, g_, r_}));
+}
+
+// The graph closes at freeze(): routes are read off trees that any thread
+// may have built, so the graph must not change under them, and no route
+// exists before the table does.
+TEST_F(TopologyTest, AddNodeAfterFreezeAborts) {
+  topo_.freeze();
+  EXPECT_DEATH(add_node("late", Topology::internet_zone(), Ipv4Addr{}),
+               "add_node after freeze");
+}
+
+TEST_F(TopologyTest, AddLinkAfterFreezeAborts) {
+  topo_.freeze();
+  EXPECT_DEATH(topo_.add_link(a_, c_, LatencyModel::fixed(1.0)),
+               "add_link after freeze");
+}
+
+TEST_F(TopologyTest, RouteBeforeFreezeAborts) {
+  EXPECT_DEATH(topo_.route(a_, c_), "routed before freeze");
+}
+
+TEST_F(TopologyTest, SecondFreezeAborts) {
+  topo_.freeze();
+  EXPECT_DEATH(topo_.freeze(), "freeze called twice");
 }
 
 TEST_F(TopologyTest, ZoneAccessors) {
@@ -636,6 +681,7 @@ TEST_F(TopologyTest, TreeRoutesMatchPairwiseDijkstra) {
     Topology topo;
     PairwiseReference ref;
     build_random_graph(seed, topo, ref);
+    topo.freeze();
     const auto n = static_cast<NodeId>(topo.node_count());
     // Query pairs in a shuffled order, so trees are built from many
     // sources and reused between them, including from == to.
@@ -680,6 +726,51 @@ TEST_F(TopologyTest, TreeRoutesMatchPairwiseDijkstra) {
   }
 }
 
+TEST_F(TopologyTest, ThreadsShareOneTreePerSource) {
+  // Four threads route every pair of a fresh topology at once, each
+  // starting from a different source, so they race to build the same
+  // trees. Each must read the routes one thread alone reads.
+  constexpr int kThreads = 4;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("graph seed " + std::to_string(seed));
+    Topology alone;
+    build_random_graph(seed, alone);
+    alone.freeze();
+    const auto n = static_cast<NodeId>(alone.node_count());
+    std::vector<std::vector<NodeId>> expected;
+    for (NodeId from = 0; from < n; ++from) {
+      for (NodeId to = 0; to < n; ++to) {
+        expected.push_back(alone.route(from, to));
+      }
+    }
+
+    Topology shared;
+    build_random_graph(seed, shared);
+    shared.freeze();
+    std::atomic<bool> go{false};
+    std::vector<std::vector<std::vector<NodeId>>> answers(
+        kThreads, std::vector<std::vector<NodeId>>(expected.size()));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        for (NodeId i = 0; i < n; ++i) {
+          const NodeId from = (i + static_cast<NodeId>(t) * n / kThreads) % n;
+          for (NodeId to = 0; to < n; ++to) {
+            answers[static_cast<size_t>(t)][from * n + to] =
+                shared.route(from, to);
+          }
+        }
+      });
+    }
+    go.store(true);
+    for (std::thread& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(answers[static_cast<size_t>(t)], expected) << "thread " << t;
+    }
+  }
+}
+
 // Compares one probe of each kind from `from` to `to` against the hop
 // vector walk: same values, and the generator left in the same state.
 void expect_same_draws(Topology& topo, HopVectorReference& ref, NodeId from,
@@ -717,6 +808,7 @@ TEST_F(TopologyTest, StepWalkDrawsLikeHopVectorWalk) {
     Topology topo;
     HopVectorReference ref;
     build_random_graph(seed, topo, ref);
+    topo.freeze();
     const auto n = static_cast<NodeId>(topo.node_count());
     // Random pairs, plus every same-node route and every route into the
     // last node (unreachable whenever the graph left it isolated).
@@ -752,6 +844,7 @@ TEST_F(TopologyTest, LongRoutesSpillPastTheInlineBuffer) {
     topo.add_link(i, i + 1, latency, loss, /*tunneled=*/i % 5 == 0);
     ref.add_link(i, i + 1, latency, loss, /*tunneled=*/i % 5 == 0);
   }
+  topo.freeze();
   EXPECT_EQ(topo.route(0, kNodes - 1).size(), kNodes);
   for (const NodeId to : {NodeId{1}, NodeId{32}, NodeId{33}, kNodes - 1}) {
     expect_same_draws(topo, ref, 0, to, 1000 + to);
