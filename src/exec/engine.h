@@ -15,9 +15,9 @@
 // empty when its timeline starts and freed when it ends, and the one value
 // that state carries into results — the device's global ordinal — depends
 // only on the fleet, never on cohort or worker counts. Workers own
-// nothing result-visible: their private structures are the topology
-// route cache and the anycast ingress ranking, whose entries are
-// deterministic.
+// nothing: the values they share (route trees, anycast ingress rankings,
+// nearest-cluster memos) are filled once per World and are deterministic
+// functions of the frozen world.
 // Fleets are built once per carrier (as SoA arenas the engine owns) and
 // sliced into device handles, so the devices themselves are
 // partition-invariant too. Shard-index order is (carrier, cohort) order,
