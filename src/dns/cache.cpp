@@ -19,9 +19,6 @@ struct CacheMetrics {
   obs::Counter& expired = obs::metrics().counter(
       "curtain_dns_cache_expired_evictions_total",
       "cache entries evicted on TTL expiry");
-  obs::Counter& capacity = obs::metrics().counter(
-      "curtain_dns_cache_capacity_evictions_total",
-      "cache entries evicted by the size cap");
 };
 
 CacheMetrics& cache_metrics() {
@@ -31,6 +28,13 @@ CacheMetrics& cache_metrics() {
 }
 
 constexpr size_t kInitialIndexSize = 16;
+
+/// The entry TTL for records whose smallest TTL is `min_ttl`; 0 means
+/// uncacheable (no records, or TTL 0).
+uint32_t entry_ttl(uint32_t min_ttl) {
+  if (min_ttl == UINT32_MAX) return 0;  // no records
+  return std::min(min_ttl, Cache::kMaxTtlS);
+}
 
 }  // namespace
 
@@ -59,7 +63,7 @@ std::optional<CacheHit> Cache::lookup(const DnsName& name, RRType type,
   }
   const Entry& entry = entries_[slot];
   if (entry.expires <= now) {
-    erase_expired_entry(slot);
+    erase_expired(slot);
     ++stats_.misses;
     cache_metrics().misses.inc();
     return std::nullopt;
@@ -69,15 +73,6 @@ std::optional<CacheHit> Cache::lookup(const DnsName& name, RRType type,
   const auto elapsed_s =
       static_cast<uint32_t>((now - entry.inserted).seconds());
   return CacheHit(&entry.records, entry.negative, elapsed_s);
-}
-
-uint32_t Cache::entry_ttl(uint32_t min_ttl) const {
-  if (min_ttl == UINT32_MAX) return 0;  // no records
-  // Uncacheable before the clamp: a min_ttl floor must not turn an
-  // authority's explicit "do not cache" (TTL 0) into a cached entry.
-  if (min_ttl == 0) return 0;
-  // A max_ttl of zero disables caching entirely.
-  return std::clamp(min_ttl, min_ttl_s_, max_ttl_s_);
 }
 
 void Cache::insert(const DnsName& name, RRType type, const Section& records,
@@ -106,8 +101,7 @@ void Cache::insert(const DnsName& name, RRType type,
 
 void Cache::insert_negative(const DnsName& name, RRType type, uint32_t ttl_s,
                             net::SimTime now, uint32_t scope) {
-  if (ttl_s == 0) return;  // same pre-clamp rule as positive entries
-  ttl_s = std::clamp(ttl_s, min_ttl_s_, max_ttl_s_);
+  ttl_s = std::min(ttl_s, kMaxTtlS);
   if (ttl_s == 0) return;
   Entry& entry = entries_[place(name, type, scope, now, ttl_s)];
   entry.records.clear();
@@ -124,11 +118,7 @@ uint32_t Cache::place(const DnsName& name, RRType type, uint32_t scope,
   purge_expired(now);
   const size_t hash = key_hash(name, type, scope);
   uint32_t slot = find(name, type, scope, hash);
-  const bool overwrite = slot != kNone;
-  if (!overwrite) {
-    // The sweep above already cleared dead entries, so anything evicted
-    // for capacity now is genuinely live.
-    while (live_ >= max_entries_ && !heap_.empty()) evict_for_capacity();
+  if (slot == kNone) {
     if (free_.empty()) {
       slot = static_cast<uint32_t>(entries_.size());
       entries_.emplace_back();
@@ -148,51 +138,40 @@ uint32_t Cache::place(const DnsName& name, RRType type, uint32_t scope,
   entry.negative = false;
   entry.inserted = now;
   entry.expires = now + net::SimTime::from_seconds(ttl_s);
-  // A fresh sequence on overwrite too: among entries that share an
-  // expiry, eviction takes the one inserted or overwritten first.
-  entry.sequence = next_sequence_++;
-  if (overwrite) {
-    heap_fix(entry.heap_at);
-  } else {
-    heap_push(slot);
-  }
+  earliest_expiry_ = std::min(earliest_expiry_, entry.expires);
   return slot;
 }
 
 void Cache::purge_expired(net::SimTime now) {
-  while (!heap_.empty() && entries_[heap_.front()].expires <= now) {
-    erase_expired_entry(heap_.front());
+  if (now < earliest_expiry_) return;
+  net::SimTime earliest = kNever;
+  for (uint32_t slot = 0; slot < entries_.size(); ++slot) {
+    const net::SimTime expires = entries_[slot].expires;
+    if (expires <= now) {
+      erase_expired(slot);
+    } else {
+      earliest = std::min(earliest, expires);
+    }
   }
+  earliest_expiry_ = earliest;
 }
 
-void Cache::evict_for_capacity() {
-  if (heap_.empty()) return;
-  erase(heap_.front());
-  ++stats_.capacity_evictions;
-  cache_metrics().capacity.inc();
-}
-
-void Cache::erase_expired_entry(uint32_t slot) {
-  erase(slot);
-  ++stats_.expired_evictions;
-  cache_metrics().expired.inc();
-}
-
-void Cache::erase(uint32_t slot) {
+void Cache::erase_expired(uint32_t slot) {
   Entry& entry = entries_[slot];
   index_erase(slot);
-  heap_remove(entry.heap_at);
-  entry.heap_at = kNone;
   entry.records.clear();  // keeps its buffers for the slot's next entry
+  entry.expires = kNever;
   --live_;
   free_.push_back(slot);
+  ++stats_.expired_evictions;
+  cache_metrics().expired.inc();
 }
 
 void Cache::clear() {
   entries_.clear();
   free_.clear();
   index_.clear();
-  heap_.clear();
+  earliest_expiry_ = kNever;
   live_ = 0;
 }
 
@@ -230,60 +209,6 @@ void Cache::index_erase(uint32_t slot) {
     }
   }
   index_[hole] = 0;
-}
-
-// --- expiry heap -------------------------------------------------------------
-
-void Cache::heap_push(uint32_t slot) {
-  heap_.push_back(slot);
-  entries_[slot].heap_at = static_cast<uint32_t>(heap_.size() - 1);
-  sift_up(heap_.size() - 1);
-}
-
-void Cache::heap_remove(size_t at) {
-  const uint32_t last = heap_.back();
-  heap_.pop_back();
-  if (at == heap_.size()) return;
-  heap_set(at, last);
-  heap_fix(at);
-}
-
-void Cache::heap_fix(size_t at) {
-  if (at > 0 && heap_less(heap_[at], heap_[(at - 1) / 2])) {
-    sift_up(at);
-  } else {
-    sift_down(at);
-  }
-}
-
-void Cache::sift_up(size_t at) {
-  const uint32_t slot = heap_[at];
-  while (at > 0) {
-    const size_t parent = (at - 1) / 2;
-    if (!heap_less(slot, heap_[parent])) break;
-    heap_set(at, heap_[parent]);
-    at = parent;
-  }
-  heap_set(at, slot);
-}
-
-void Cache::sift_down(size_t at) {
-  const uint32_t slot = heap_[at];
-  const size_t n = heap_.size();
-  for (;;) {
-    size_t child = 2 * at + 1;
-    if (child >= n) break;
-    if (child + 1 < n && heap_less(heap_[child + 1], heap_[child])) ++child;
-    if (!heap_less(heap_[child], slot)) break;
-    heap_set(at, heap_[child]);
-    at = child;
-  }
-  heap_set(at, slot);
-}
-
-void Cache::set_ttl_bounds(uint32_t min_ttl_s, uint32_t max_ttl_s) {
-  min_ttl_s_ = min_ttl_s;
-  max_ttl_s_ = std::max(min_ttl_s, max_ttl_s);
 }
 
 }  // namespace curtain::dns

@@ -13,22 +13,26 @@
 //
 // Storage is flat. Entries live in one slot array; a freed slot is reused
 // by the next insert, which assigns into its name and section buffers, so
-// a warm cache inserts without touching the heap. An open-addressing index
-// maps (name, type, scope) to slots, with each key's hash stored. The
-// name part of the key is a DnsName (dns/name.h): for the study's static
-// names a NameTable handle — an id, whose hash is read from the table and
-// whose equality is one pointer compare — so the hop's keys cost no label
-// work; a dynamic name (a probe or PTR name) keys by its labels. A dynamic
-// copy of a static name hashes and compares equal to the handle, so it
-// finds the same entry: there is one key type, whatever a name's origin. Expiry is a binary min-heap keyed on
-// (expires, insertion sequence): capacity eviction takes the soonest
-// expiry and, among equal expiries, the oldest insert or overwrite — the
-// order the former std::multimap index kept by inserting at the upper
-// bound. Every insert also sweeps entries already past their TTL: expired
+// a warm cache inserts without allocating. An open-addressing index maps
+// (name, type, scope) to slots, with each key's hash stored. The name part
+// of the key is a DnsName (dns/name.h): for the study's static names a
+// NameTable handle — an id, whose hash is read from the table and whose
+// equality is one pointer compare — so the hop's keys cost no label work;
+// a dynamic name (a probe or PTR name) keys by its labels. A dynamic copy
+// of a static name hashes and compares equal to the handle, so it finds
+// the same entry: there is one key type, whatever a name's origin.
+//
+// TTL expiry is the only way an entry leaves before a clear: there is no
+// size cap, and an entry lives for its records' smallest TTL, at most a
+// day. Every insert first sweeps entries already past their TTL. Expired
 // entries can only read as misses, so the sweep is invisible to lookups,
-// and it keeps a cache sized by what is *live* — long device timelines
+// and it keeps a cache sized by what is *live*: long device timelines
 // would otherwise strand expired short-TTL rrsets until the device's state
-// is reset.
+// is reset. The sweep is guarded by an earliest-expiry watermark that is
+// never later than any live entry's expiry; it may read early (a lookup
+// erased the earliest entry, or an overwrite extended it), which costs one
+// scan that finds less to do, never a missed purge. Which slot an entry
+// takes is not visible in any result.
 //
 // lint-hot-path: lookup/insert run on every simulated resolution, so
 // curtain_lint holds this file to the hot-alloc rule.
@@ -47,7 +51,6 @@ struct CacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t expired_evictions = 0;
-  uint64_t capacity_evictions = 0;
 
   double hit_rate() const {
     const uint64_t total = hits + misses;
@@ -98,7 +101,10 @@ class CacheHit {
 
 class Cache {
  public:
-  explicit Cache(size_t max_entries = 100000) : max_entries_(max_entries) {}
+  /// The longest an entry lives, whatever its records' TTL: a day, as
+  /// common resolver software caps it. Load-bearing: delegations carry
+  /// TTL 172800.
+  static constexpr uint32_t kMaxTtlS = 86400;
 
   /// Returns a borrowed view of the entry if present and unexpired (see
   /// CacheHit for lifetime and TTL-aging semantics).
@@ -107,11 +113,10 @@ class Cache {
   std::optional<CacheHit> lookup(const DnsName& name, RRType type,
                                  net::SimTime now, uint32_t scope = 0);
 
-  /// Inserts a positive entry; entry TTL = min aged record TTL, clamped
-  /// to [min_ttl_, max_ttl_]. Zero-TTL records are uncacheable (RFC 1035
-  /// §3.2.1) and are rejected *before* the clamp — a floor must not
-  /// launder "do not cache" into a cacheable TTL. Shared runs are stored
-  /// as borrowed runs; owned records are copied (or moved).
+  /// Inserts a positive entry; entry TTL = min aged record TTL, capped at
+  /// kMaxTtlS. Zero-TTL records are uncacheable (RFC 1035 §3.2.1). Shared
+  /// runs are stored as borrowed runs; owned records are copied (or
+  /// moved).
   void insert(const DnsName& name, RRType type, const Section& records,
               net::SimTime now, uint32_t scope = 0);
   void insert(const DnsName& name, RRType type, Section&& records,
@@ -121,7 +126,8 @@ class Cache {
               std::vector<ResourceRecord> records, net::SimTime now,
               uint32_t scope = 0);
 
-  /// Inserts a negative entry with the given TTL (SOA minimum).
+  /// Inserts a negative entry with the given TTL (SOA minimum), capped at
+  /// kMaxTtlS; TTL 0 is not cached.
   void insert_negative(const DnsName& name, RRType type, uint32_t ttl_s,
                        net::SimTime now, uint32_t scope = 0);
 
@@ -129,11 +135,9 @@ class Cache {
   size_t size() const { return live_; }
   const CacheStats& stats() const { return stats_; }
 
-  /// TTL clamps; exposed so tests can exercise the bounds.
-  void set_ttl_bounds(uint32_t min_ttl_s, uint32_t max_ttl_s);
-
  private:
   static constexpr uint32_t kNone = UINT32_MAX;
+  static constexpr net::SimTime kNever{INT64_MAX};
 
   struct Entry {
     DnsName name;
@@ -143,9 +147,7 @@ class Cache {
     Section records;  ///< empty for a negative entry
     bool negative = false;
     net::SimTime inserted;
-    net::SimTime expires;
-    uint64_t sequence = 0;     ///< insert/overwrite order (eviction ties)
-    uint32_t heap_at = kNone;  ///< position in heap_
+    net::SimTime expires = kNever;  ///< kNever marks a free slot
   };
 
   static size_t key_hash(const DnsName& name, RRType type, uint32_t scope) {
@@ -154,50 +156,27 @@ class Cache {
   /// Slot index of the live entry for the key, or kNone.
   uint32_t find(const DnsName& name, RRType type, uint32_t scope,
                 size_t hash) const;
-  /// The entry's TTL from its records' smallest aged TTL; 0 = uncacheable.
-  uint32_t entry_ttl(uint32_t min_ttl) const;
   /// Sweeps expired entries, then finds or makes the key's entry and
-  /// stamps it with a fresh sequence and expiry. Returns its slot.
+  /// stamps it with its expiry. Returns its slot.
   uint32_t place(const DnsName& name, RRType type, uint32_t scope,
                  net::SimTime now, uint32_t ttl_s);
-  /// Removes every entry whose expiry is <= now, charging expired stats.
+  /// Removes every entry whose expiry is <= now, charging expired stats,
+  /// and recomputes the watermark. A no-op while now < the watermark.
   void purge_expired(net::SimTime now);
-  /// Removes the soonest-to-expire (live) entry, charging capacity stats.
-  void evict_for_capacity();
-  void erase_expired_entry(uint32_t slot);
-  /// Unlinks a live entry from the index and the heap, frees its slot.
-  void erase(uint32_t slot);
+  /// Unlinks an expired entry from the index, frees its slot.
+  void erase_expired(uint32_t slot);
 
   void index_insert(uint32_t slot);
   void index_erase(uint32_t slot);
   void grow_index();
 
-  bool heap_less(uint32_t a, uint32_t b) const {
-    const Entry& x = entries_[a];
-    const Entry& y = entries_[b];
-    return x.expires < y.expires ||
-           (x.expires == y.expires && x.sequence < y.sequence);
-  }
-  void heap_set(size_t at, uint32_t slot) {
-    heap_[at] = slot;
-    entries_[slot].heap_at = static_cast<uint32_t>(at);
-  }
-  void heap_push(uint32_t slot);
-  void heap_remove(size_t at);
-  void heap_fix(size_t at);
-  void sift_up(size_t at);
-  void sift_down(size_t at);
-
-  size_t max_entries_;
-  uint32_t min_ttl_s_ = 0;
-  uint32_t max_ttl_s_ = 86400;
   std::vector<Entry> entries_;  ///< slots, live and free
   std::vector<uint32_t> free_;  ///< freed slots, reused last-freed first
   /// Open addressing, linear probing: slot + 1, 0 = empty; size is zero or
   /// a power of two at most half full.
   std::vector<uint32_t> index_;
-  std::vector<uint32_t> heap_;  ///< live slots, min-heap on (expires, sequence)
-  uint64_t next_sequence_ = 0;
+  /// No live entry expires before this; kNever when the cache is empty.
+  net::SimTime earliest_expiry_ = kNever;
   size_t live_ = 0;
   CacheStats stats_;
 };

@@ -54,12 +54,12 @@ bool run_key_less(const Section& section, uint32_t a, uint32_t b) {
   return x.type() < y.type();
 }
 
-/// Inserts `section`'s runs into `cache` as one entry per (name, type),
-/// in ascending (name, type) order with section order kept inside an
-/// entry; SOA runs are skipped when `skip_soa`. The cache's expiry order
-/// breaks ties on insertion order, so this order is result-visible. A
-/// stable sort of the runs is a stable sort of their records, since every
-/// record of a run shares the run's name and type.
+/// Inserts `section`'s runs into `cache` as one entry per (name, type);
+/// SOA runs are skipped when `skip_soa`. A stable sort of the runs groups
+/// each (name, type)'s runs into one entry with section order kept inside
+/// it (every record of a run shares the run's name and type). The order
+/// across entries is not result-visible: nothing in the cache depends on
+/// insertion order.
 void insert_rrsets(Cache& cache, const Section& section, bool skip_soa,
                    net::SimTime now, uint32_t scope) {
   RunRefs refs;

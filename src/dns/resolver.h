@@ -95,9 +95,6 @@ class RecursiveResolver : public DnsServer {
   /// set_background_load). resolve() looks it up once and passes it down
   /// the helpers below.
   struct QueryState {
-    /// CDN-era resolvers honor short TTLs; cap at a day like common
-    /// software.
-    QueryState() { cache.set_ttl_bounds(0, 86400); }
     Cache cache;
     uint16_t next_query_id = 1;
     bool warming = false;  ///< reentrancy guard for the warm-hit path

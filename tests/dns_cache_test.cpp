@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <random>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -92,17 +93,6 @@ TEST(Cache, ZeroTtlNeverCached) {
                SimTime::zero());
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_FALSE(cache.lookup(name("a.com"), RRType::kA, SimTime::zero()));
-}
-
-TEST(Cache, ZeroTtlUncacheableEvenWithMinTtlFloor) {
-  // Regression: the clamp used to run before the zero check, so a min_ttl
-  // floor silently turned "do not cache" rrsets into cached entries.
-  Cache cache;
-  cache.set_ttl_bounds(60, 120);
-  cache.insert(name("a.com"), RRType::kA, {a_record("a.com", 0)},
-               SimTime::zero());
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup(name("a.com"), RRType::kA, SimTime::zero()));
   cache.insert_negative(name("nx.com"), RRType::kA, 0, SimTime::zero());
   EXPECT_EQ(cache.size(), 0u);
 }
@@ -145,66 +135,6 @@ TEST(Cache, OverwriteRefreshesEntry) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(Cache, CapacityEvictionPrefersSoonestExpiry) {
-  Cache cache(/*max_entries=*/2);
-  cache.insert(name("long.com"), RRType::kA, {a_record("long.com", 1000)},
-               SimTime::zero());
-  cache.insert(name("short.com"), RRType::kA, {a_record("short.com", 10)},
-               SimTime::zero());
-  cache.insert(name("new.com"), RRType::kA, {a_record("new.com", 500)},
-               SimTime::zero());
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.lookup(name("short.com"), RRType::kA, SimTime::zero()));
-  EXPECT_TRUE(cache.lookup(name("long.com"), RRType::kA, SimTime::zero()));
-  EXPECT_GE(cache.stats().capacity_evictions, 1u);
-}
-
-TEST(Cache, ExpiredPurgedBeforeLiveEviction) {
-  // Regression: when the cache was saturated with *expired* entries, the
-  // old scan evicted exactly one per insert and could charge it as a
-  // capacity eviction. The sweep must clear all dead entries first and
-  // attribute them to expired_evictions, leaving live entries untouched.
-  Cache cache(/*max_entries=*/3);
-  cache.insert(name("dead1.com"), RRType::kA, {a_record("dead1.com", 10)},
-               SimTime::zero());
-  cache.insert(name("dead2.com"), RRType::kA, {a_record("dead2.com", 20)},
-               SimTime::zero());
-  cache.insert(name("live.com"), RRType::kA, {a_record("live.com", 1000)},
-               SimTime::zero());
-  // At t=60 both dead entries are expired; inserting one more must purge
-  // them both and evict nothing live.
-  cache.insert(name("new.com"), RRType::kA, {a_record("new.com", 500)},
-               SimTime::from_seconds(60));
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().expired_evictions, 2u);
-  EXPECT_EQ(cache.stats().capacity_evictions, 0u);
-  EXPECT_TRUE(
-      cache.lookup(name("live.com"), RRType::kA, SimTime::from_seconds(60)));
-  EXPECT_TRUE(
-      cache.lookup(name("new.com"), RRType::kA, SimTime::from_seconds(60)));
-}
-
-TEST(Cache, EqualExpiryEvictsInInsertionOrder) {
-  // Entries sharing an expiry time must evict oldest-inserted first —
-  // eviction order may never depend on hash-map iteration order.
-  Cache cache(/*max_entries=*/3);
-  cache.insert(name("first.com"), RRType::kA, {a_record("first.com", 100)},
-               SimTime::zero());
-  cache.insert(name("second.com"), RRType::kA, {a_record("second.com", 100)},
-               SimTime::zero());
-  cache.insert(name("third.com"), RRType::kA, {a_record("third.com", 100)},
-               SimTime::zero());
-  cache.insert(name("fourth.com"), RRType::kA, {a_record("fourth.com", 100)},
-               SimTime::zero());
-  EXPECT_FALSE(cache.lookup(name("first.com"), RRType::kA, SimTime::zero()));
-  EXPECT_TRUE(cache.lookup(name("second.com"), RRType::kA, SimTime::zero()));
-  cache.insert(name("fifth.com"), RRType::kA, {a_record("fifth.com", 100)},
-               SimTime::zero());
-  EXPECT_FALSE(cache.lookup(name("second.com"), RRType::kA, SimTime::zero()));
-  EXPECT_TRUE(cache.lookup(name("third.com"), RRType::kA, SimTime::zero()));
-  EXPECT_EQ(cache.stats().capacity_evictions, 2u);
-}
-
 TEST(Cache, NegativeEntryExpires) {
   Cache cache;
   cache.insert_negative(name("nx.com"), RRType::kA, 300, SimTime::zero());
@@ -215,18 +145,53 @@ TEST(Cache, NegativeEntryExpires) {
 }
 
 TEST(Cache, TtlBoundsClampInsertions) {
+  // Delegations carry TTL 172800; the cache keeps nothing past one day.
   Cache cache;
-  cache.set_ttl_bounds(60, 120);
+  cache.insert(name("com"), RRType::kNS,
+               {ResourceRecord::ns(name("com"), name("a.gtld.net"), 172800)},
+               SimTime::zero());
+  EXPECT_TRUE(cache.lookup(name("com"), RRType::kNS,
+                           SimTime::from_seconds(86399)));
+  EXPECT_FALSE(cache.lookup(name("com"), RRType::kNS,
+                            SimTime::from_seconds(86400)));
+  cache.insert_negative(name("nx.com"), RRType::kA, 172800, SimTime::zero());
+  EXPECT_TRUE(cache.lookup(name("nx.com"), RRType::kA,
+                           SimTime::from_seconds(86399)));
+  EXPECT_FALSE(cache.lookup(name("nx.com"), RRType::kA,
+                            SimTime::from_seconds(86400)));
+  // Shorter TTLs are kept as they are.
   cache.insert(name("short.com"), RRType::kA, {a_record("short.com", 5)},
                SimTime::zero());
-  // Clamped up to 60 s.
   EXPECT_TRUE(
-      cache.lookup(name("short.com"), RRType::kA, SimTime::from_seconds(59)));
-  cache.insert(name("long.com"), RRType::kA, {a_record("long.com", 86400)},
-               SimTime::zero());
-  // Clamped down to 120 s.
+      cache.lookup(name("short.com"), RRType::kA, SimTime::from_seconds(4)));
   EXPECT_FALSE(
-      cache.lookup(name("long.com"), RRType::kA, SimTime::from_seconds(121)));
+      cache.lookup(name("short.com"), RRType::kA, SimTime::from_seconds(5)));
+}
+
+TEST(Cache, KeepsEveryLiveEntry) {
+  // No size cap: one past what used to be the default cap, all live, all
+  // still hit.
+  constexpr int kEntries = 100001;
+  Cache cache;
+  std::vector<DnsName> hosts;
+  hosts.reserve(kEntries);
+  for (int i = 0; i < kEntries; ++i) {
+    std::string host = "h";
+    host += std::to_string(i);
+    host += ".example.com";
+    hosts.push_back(name(host.c_str()));
+    cache.insert(hosts.back(), RRType::kA,
+                 {ResourceRecord::a(hosts.back(), net::Ipv4Addr{1, 2, 3, 4},
+                                    3600)},
+                 SimTime::zero());
+  }
+  EXPECT_EQ(cache.size(), static_cast<size_t>(kEntries));
+  int hits = 0;
+  for (const DnsName& host : hosts) {
+    if (cache.lookup(host, RRType::kA, SimTime::from_seconds(1))) ++hits;
+  }
+  EXPECT_EQ(hits, kEntries);
+  EXPECT_EQ(cache.stats().expired_evictions, 0u);
 }
 
 TEST(Cache, ClearEmptiesEverything) {
@@ -247,13 +212,11 @@ TEST(Cache, HitRateAccounting) {
 }
 
 // The cache as it was before entries borrowed shared rrsets: a node-based
-// map of owned record vectors plus a std::multimap expiry index, whose
-// equal-key inserts land at the upper bound. Kept here as the reference
-// the flat cache must match operation for operation.
+// map of owned record vectors plus a std::multimap expiry index, purged
+// from the front on every insert. Kept here as the reference the flat
+// cache must match operation for operation.
 class ReferenceCache {
  public:
-  explicit ReferenceCache(size_t max_entries) : max_entries_(max_entries) {}
-
   struct Hit {
     bool negative;
     uint32_t elapsed_s;
@@ -291,31 +254,27 @@ class ReferenceCache {
     uint32_t ttl = UINT32_MAX;
     for (const auto& rr : records) ttl = std::min(ttl, rr.ttl);
     if (ttl == 0) return;
-    ttl = std::clamp(ttl, min_ttl_s_, max_ttl_s_);
-    if (ttl == 0) return;
-    insert_entry(Key{name, type, scope}, std::move(records), false, now, ttl);
+    insert_entry(Key{name, type, scope}, std::move(records), false, now,
+                 std::min(ttl, kOneDayS));
   }
 
   void insert_negative(const DnsName& name, RRType type, uint32_t ttl,
                        SimTime now, uint32_t scope) {
     if (ttl == 0) return;
-    ttl = std::clamp(ttl, min_ttl_s_, max_ttl_s_);
-    if (ttl == 0) return;
-    insert_entry(Key{name, type, scope}, {}, true, now, ttl);
+    insert_entry(Key{name, type, scope}, {}, true, now,
+                 std::min(ttl, kOneDayS));
   }
 
   void clear() {
     entries_.clear();
     expiry_.clear();
   }
-  void set_ttl_bounds(uint32_t min_ttl_s, uint32_t max_ttl_s) {
-    min_ttl_s_ = min_ttl_s;
-    max_ttl_s_ = std::max(min_ttl_s, max_ttl_s);
-  }
   size_t size() const { return entries_.size(); }
   const CacheStats& stats() const { return stats_; }
 
  private:
+  static constexpr uint32_t kOneDayS = 86400;
+
   struct Key {
     DnsName name;
     RRType type;
@@ -346,12 +305,6 @@ class ReferenceCache {
     if (it != entries_.end()) {
       expiry_.erase(it->second.expiry_it);
     } else {
-      while (entries_.size() >= max_entries_ && !expiry_.empty()) {
-        const auto victim = expiry_.begin();
-        entries_.erase(*victim->second);
-        expiry_.erase(victim);
-        ++stats_.capacity_evictions;
-      }
       it = entries_.emplace(std::move(key), Entry{}).first;
     }
     Entry& entry = it->second;
@@ -368,9 +321,6 @@ class ReferenceCache {
     ++stats_.expired_evictions;
   }
 
-  size_t max_entries_;
-  uint32_t min_ttl_s_ = 0;
-  uint32_t max_ttl_s_ = 86400;
   EntryMap entries_;
   ExpiryIndex expiry_;
   CacheStats stats_;
@@ -381,23 +331,22 @@ void expect_same_stats(const CacheStats& got, const CacheStats& want,
   EXPECT_EQ(got.hits, want.hits) << "step " << step;
   EXPECT_EQ(got.misses, want.misses) << "step " << step;
   EXPECT_EQ(got.expired_evictions, want.expired_evictions) << "step " << step;
-  EXPECT_EQ(got.capacity_evictions, want.capacity_evictions)
-      << "step " << step;
 }
 
 // Random operations on the flat cache and the reference, compared after
-// every step: small capacities with TTLs drawn from a few values, so
-// capacity evictions among equal expiries are common; overwrites of live
-// keys; negative entries; ECS scopes; records held as shared runs that
-// arrive already aged (a forwarded hit), as owned records, or both. Keys
-// are NameTable handles (the first five hosts), dynamic names (the rest),
-// or dynamic copies of handles, which must find the handle's entry: the
-// reference keys every name by a dynamic copy.
+// every step: TTLs drawn from a few values, plus one delegation-like shape
+// of TTL 172800 per name that only the one-day ceiling bounds; overwrites
+// of live keys; negative entries; ECS scopes; records held as shared runs
+// that arrive already aged (a forwarded hit), as owned records, or both.
+// Keys are NameTable handles (the first five hosts), dynamic names (the
+// rest), or dynamic copies of handles, which must find the handle's entry:
+// the reference keys every name by a dynamic copy.
 TEST(Cache, MatchesReferenceCacheOnRandomOperations) {
   std::mt19937_64 random(20141105);
   const auto draw = [&](size_t n) { return static_cast<size_t>(random() % n); };
   // The shared rrsets every insert may borrow from: one per (name, TTL
-  // shape), some with records of unequal TTLs.
+  // shape), some with records of unequal TTLs; the last shape is the
+  // delegation one.
   const char* hosts[] = {"a.com", "b.com", "c.com", "www.example.com",
                          "amazon-www.curtaincdn.net", "ns1.example.com",
                          "x.y.z.org", "d.com"};
@@ -407,14 +356,14 @@ TEST(Cache, MatchesReferenceCacheOnRandomOperations) {
   names.freeze();
   std::vector<Rrset> shared;
   for (const char* host : hosts) {
-    for (int shape = 0; shape < 4; ++shape) {
+    for (int shape = 0; shape < 5; ++shape) {
       Rrset rrset;
       const size_t count = 1 + draw(3);
       for (size_t k = 0; k < count; ++k) {
         rrset.add(ResourceRecord::a(
             name(host), net::Ipv4Addr{10, 0, static_cast<uint8_t>(shape),
                                       static_cast<uint8_t>(k)},
-            ttls[draw(std::size(ttls))]));
+            shape == 4 ? 172800 : ttls[draw(std::size(ttls))]));
       }
       rrset.intern_names(names);
       shared.push_back(std::move(rrset));
@@ -426,17 +375,19 @@ TEST(Cache, MatchesReferenceCacheOnRandomOperations) {
     return *DnsName::parse(n.to_string());
   };
 
+  // Four legs of 20,000 operations on fresh caches. Each operation moves
+  // the clock by 0 to pace - 1 seconds: the slow legs keep entries live
+  // across many operations (hits, overwrites), the fast ones expire most
+  // entries between operations. One operation in 500 follows an idle gap
+  // of one to two days, past the ceiling but inside a delegation's TTL.
   int step = 0;
-  for (const size_t capacity : {1u, 3u, 8u, 64u}) {
-    Cache cache(capacity);
-    ReferenceCache reference(capacity);
-    if (capacity == 8) {
-      cache.set_ttl_bounds(7, 40);
-      reference.set_ttl_bounds(7, 40);
-    }
+  for (const size_t pace : {2u, 4u, 8u, 64u}) {
+    Cache cache;
+    ReferenceCache reference;
     int64_t now_s = 0;
     for (int op = 0; op < 20000; ++op, ++step) {
-      now_s += static_cast<int64_t>(draw(4));  // often several ops per second
+      now_s += static_cast<int64_t>(
+          draw(500) == 0 ? 86400 + draw(86400) : draw(pace));
       const SimTime now = SimTime::from_seconds(static_cast<double>(now_s));
       const Rrset& rrset = shared[draw(shared.size())];
       const DnsName& owner = rrset.front().name;
@@ -484,12 +435,8 @@ TEST(Cache, MatchesReferenceCacheOnRandomOperations) {
       ASSERT_EQ(cache.size(), reference.size()) << "step " << step;
       expect_same_stats(cache.stats(), reference.stats(), step);
     }
-    // The roomy cache checks the no-pressure path; the others must have
-    // exercised both kinds of eviction.
-    if (capacity < 64) {
-      EXPECT_GT(reference.stats().capacity_evictions, 0u) << capacity;
-    }
-    EXPECT_GT(reference.stats().expired_evictions, 0u) << capacity;
+    EXPECT_GT(reference.stats().expired_evictions, 0u) << pace;
+    EXPECT_GT(reference.stats().hits, 0u) << pace;
   }
 }
 
